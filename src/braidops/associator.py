@@ -1,4 +1,4 @@
-"""Associator series: solving, verification, and the lift to parenthesized chords.
+"""Associator series: solving, verification, and evaluation into parenthesized chords.
 
 An associator is a pair (mu, Phi) with Phi a grouplike 3-strand chord series
 written in the chords t12, t13.  It determines an evaluation of the closed
@@ -27,11 +27,12 @@ from .chords import (
     grouplike_check,
     pacd_insert,
     pacd_relabel,
+    substitute_letters,
     tensor_square,
 )
 from .diagrams import CLOSED_FAMILIES, family_word_pairs
-from .exact import LinearSystem, fraction_to_str, solve_exact
-from .parenthesized import PaBMorphism, Word, evaluate_word, pab_to_word
+from .exact import LinearSystem, accumulate, fraction_to_str, solve_exact
+from .parenthesized import PaBMorphism, evaluate_word, pab_to_word
 from .trees import Tree, color, mc, x
 
 _T12 = 0  # generator indices in the 3-strand alphabet (1,2), (1,3), (2,3)
@@ -102,10 +103,6 @@ def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> 
     return evaluate_word(word, CDAlgebra(assoc, degree))
 
 
-def phi_eval_word(assoc: Associator, word: Word, degree: int | None = None) -> PaCDMorphism:
-    return evaluate_word(word, CDAlgebra(assoc, degree))
-
-
 _CLOSED_PAIRS = None
 
 
@@ -134,12 +131,8 @@ def check_hexagons(assoc: Associator, degree: int | None = None) -> tuple[DKElem
 
 def grouplike_residual(assoc: Associator, degree: int | None = None) -> dict:
     phi = assoc.phi.truncate(degree if degree is not None else assoc.degree)
-    delta = dk_coproduct(phi)
     square = tensor_square(phi, phi)
-    keys = set(delta) | set(square)
-    return {k: delta.get(k, Fraction(0)) - square.get(k, Fraction(0))
-            for k in keys
-            if delta.get(k, Fraction(0)) != square.get(k, Fraction(0))}
+    return accumulate(dk_coproduct(phi), ((k, -c) for k, c in square.items()))
 
 
 def associator_valid(assoc: Associator) -> bool:
@@ -177,26 +170,32 @@ def _residual_entries(mu: Fraction, phi_terms: dict, d: int) -> dict:
     return entries
 
 
-def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
-    """Homogeneous degree-d piece extending a solution below degree d."""
-    basis = _free_words(d)
+def _solve_probes(mu: Fraction, phi_terms: dict, basis: list, d: int) -> dict:
+    """Coefficients of the ``basis`` words that zero every residual entry at truncation d.
+
+    An unknown's column is the change one unit of its word makes to the
+    residual entries; free coordinates are set to zero.
+    """
     base = _residual_entries(mu, phi_terms, d)
     columns = []
     for w in basis:
-        probe = dict(phi_terms)
-        probe[w] = probe.get(w, Fraction(0)) + 1
-        ent = _residual_entries(mu, probe, d)
-        keys = set(ent) | set(base)
-        columns.append({k: ent.get(k, Fraction(0)) - base.get(k, Fraction(0)) for k in keys})
+        probe = accumulate(dict(phi_terms), ((w, Fraction(1)),))
+        entries = _residual_entries(mu, probe, d)
+        columns.append(accumulate(entries, ((k, -c) for k, c in base.items())))
     row_keys = sorted({k for col in columns for k in col} | set(base), key=repr)
     system = LinearSystem(len(basis))
     for key in row_keys:
-        coeffs = {ci: col.get(key, Fraction(0)) for ci, col in enumerate(columns)}
-        system.add_row(coeffs, -base.get(key, Fraction(0)))
+        system.add_row({ci: col.get(key, Fraction(0)) for ci, col in enumerate(columns)},
+                       -base.get(key, Fraction(0)))
     sol = solve_exact(system)
     if not sol.consistent:
         raise ArithmeticError(f"degree-{d} associator system inconsistent")
     return {w: c for w, c in zip(basis, sol.particular) if c != 0}
+
+
+def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
+    """Homogeneous degree-d piece extending a solution below degree d."""
+    return _solve_probes(mu, phi_terms, _free_words(d), d)
 
 
 def solve_associator(mu, degree: int) -> Associator:
@@ -219,48 +218,11 @@ def solve_associator_oneshot2(mu) -> Associator:
     degree-1 block is forced to zero by the system itself.
     """
     mu = Fraction(mu)
-    basis = _free_words(1) + _free_words(2)
-    base = _residual_entries(mu, {(): Fraction(1)}, 2)
-    columns = []
-    for w in basis:
-        ent = _residual_entries(mu, {(): Fraction(1), w: Fraction(1)}, 2)
-        keys = set(ent) | set(base)
-        columns.append({k: ent.get(k, Fraction(0)) - base.get(k, Fraction(0)) for k in keys})
-    row_keys = sorted({k for col in columns for k in col} | set(base), key=repr)
-    system = LinearSystem(len(basis))
-    for key in row_keys:
-        system.add_row({ci: col.get(key, Fraction(0)) for ci, col in enumerate(columns)},
-                       -base.get(key, Fraction(0)))
-    sol = solve_exact(system)
-    if not sol.consistent:
-        raise ArithmeticError("joint degree-2 system inconsistent")
     phi_terms = {(): Fraction(1)}
-    for w, c in zip(basis, sol.particular):
-        if c != 0:
-            phi_terms[w] = c
+    phi_terms.update(_solve_probes(mu, phi_terms, _free_words(1) + _free_words(2), 2))
     out = Associator(mu, 2, DKElement(3, 2, phi_terms), dict(phi_terms))
     assert associator_valid(out), "one-shot candidate failed exact verification"
     return out
-
-
-# -- the lift to parenthesized chord diagrams ----------------------------------------
-
-
-class PhiLift:
-    """The induced map on parenthesized-braid morphisms; identity on objects."""
-
-    def __init__(self, assoc: Associator, degree: int | None = None):
-        self.assoc = assoc
-        self.degree = degree if degree is not None else assoc.degree
-
-    def __call__(self, mor: PaBMorphism) -> PaCDMorphism:
-        out = phi_eval(self.assoc, mor, self.degree)
-        assert out.src == mor.src and out.tgt == mor.tgt
-        return out
-
-
-def lift_phi_tilde(assoc: Associator, degree: int | None = None) -> PhiLift:
-    return PhiLift(assoc, degree)
 
 
 # -- conventions and serialization ----------------------------------------------------
@@ -274,11 +236,8 @@ def phi_in_t12_t23(assoc: Associator) -> DKElement:
     """
     assert assoc.phi_free is not None, "no free-word representation recorded"
     t23_idx = 2
-    terms = {}
-    for w, c in assoc.phi_free.items():
-        new = tuple(t23_idx if l == _T13 else l for l in w)
-        terms[new] = terms.get(new, Fraction(0)) + c
-    return DKElement(3, assoc.degree, terms)
+    table = [_T12, t23_idx, t23_idx]  # t13 -> t23; t12 and t23 stay
+    return DKElement(3, assoc.degree, substitute_letters(assoc.phi_free, table))
 
 
 def associator_to_json(assoc: Associator) -> dict:

@@ -88,10 +88,12 @@ class BraidWord:
     __slots__ = ("strands", "letters")
 
     def __init__(self, strands: int, letters: Iterable[int] = ()):
-        assert strands >= 0
+        if strands < 0:
+            raise ValueError(f"negative strand count {strands}")
         letters = tuple(letters)
         for l in letters:
-            assert l != 0 and 1 <= abs(l) <= strands - 1, f"letter {l} out of range for {strands} strands"
+            if l == 0 or abs(l) >= strands:
+                raise ValueError(f"letter {l} out of range for {strands} strands")
         self.strands = strands
         self.letters = letters
 
@@ -209,10 +211,6 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
         return False
     c = a * b.inverse()
     return all(artin_action(c, (i,)) == (i,) for i in range(1, a.strands + 1))
-
-
-def underlying_permutation(b: BraidWord) -> Permutation:
-    return b.permutation()
 
 
 # -- cabling and deletion -----------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import NCSeries, series_exp, series_inverse, series_mul
+from .exact import NCSeries, accumulate, series_exp, series_inverse, series_mul
 from .trees import Tree, closed_labels, color, relabel_tree
 
 
@@ -52,11 +52,8 @@ def _relations(r: int) -> list[dict[tuple[int, ...], Fraction]]:
         for lead, s1, s2 in (((a, b), (a, c), (b, c)),
                              ((a, c), (a, b), (b, c)),
                              ((b, c), (a, b), (a, c))):
-            row: dict[tuple[int, ...], Fraction] = {}
-            for other in (s1, s2):
-                for w, cc in comm(lead, other).items():
-                    row[w] = row.get(w, Fraction(0)) + cc
-            rels.append({w: cc for w, cc in row.items() if cc != 0})
+            rels.append(accumulate({}, (wc for other in (s1, s2)
+                                        for wc in comm(lead, other).items())))
     return rels
 
 
@@ -93,27 +90,17 @@ def _rref_insert(rows: dict, row: dict) -> None:
         pivot = rows.get(lead)
         if pivot is None:
             break
-        c = row[lead]
-        for w, pc in pivot.items():
-            acc = row.get(w, Fraction(0)) - c * pc
-            if acc == 0:
-                row.pop(w, None)
-            else:
-                row[w] = acc
+        c = -row[lead]
+        accumulate(row, ((w, c * pc) for w, pc in pivot.items()))
     if not row:
         return
     lead = max(row)
     inv = Fraction(1) / row[lead]
     row = {w: c * inv for w, c in row.items()}
-    for other_lead, other in list(rows.items()):
+    for other in rows.values():
         if lead in other:
-            c = other[lead]
-            for w, pc in row.items():
-                acc = other.get(w, Fraction(0)) - c * pc
-                if acc == 0:
-                    other.pop(w, None)
-                else:
-                    other[w] = acc
+            c = -other[lead]
+            accumulate(other, ((w, c * pc) for w, pc in row.items()))
     rows[lead] = row
 
 
@@ -124,24 +111,17 @@ def _reduce_terms(terms: dict, r: int) -> dict:
         by_degree.setdefault(len(w), {})[w] = c
     for d, vec in by_degree.items():
         reducer = _reducer(r, d)
-        work = dict(vec)
+        work = accumulate({}, vec.items())
         while work:
             w = max(work)
             c = work.pop(w)
-            if c == 0:
-                continue
             row = reducer.get(w)
             if row is None:
-                acc = out.get(w, Fraction(0)) + c
-                if acc == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = acc
+                # a standard word leaves ``work`` for good: rows only add smaller words
+                out[w] = c
             else:
-                for w2, c2 in row.items():
-                    if w2 == w:
-                        continue
-                    work[w2] = work.get(w2, Fraction(0)) - c * c2
+                c = -c
+                accumulate(work, ((w2, c * c2) for w2, c2 in row.items() if w2 != w))
     return out
 
 
@@ -226,12 +206,9 @@ class DKElement:
         return f"DKElement({self.strands} strands, {format_dk(self)!r})"
 
 
-def dk_normal_form(e: DKElement) -> DKElement:
-    """Idempotent by construction; exposed for round-trip checks."""
-    return DKElement(e.strands, e.degree, e.series.terms)
-
-
 def dimension_of_degree(r: int, d: int) -> int:
+    if r < 0 or d < 0:
+        raise ValueError(f"strand count and degree must be nonnegative, got {r} and {d}")
     g = len(dk_generators(r))
     return g ** d - len(_reducer(r, d))
 
@@ -239,15 +216,17 @@ def dimension_of_degree(r: int, d: int) -> int:
 # -- operadic structure ----------------------------------------------------------
 
 
+def substitute_letters(terms: dict, images: list) -> dict:
+    """Map every letter l of every word to images[l]; a None image kills the word."""
+    mapped = ((tuple(images[l] for l in w), c) for w, c in terms.items())
+    return accumulate({}, ((w, c) for w, c in mapped if None not in w))
+
+
 def dk_relabel(e: DKElement, images: dict[int, int]) -> DKElement:
     """Strand relabeling along a bijection."""
-    pairs = dk_generators(e.strands)
     idx = _gen_index(e.strands)
-    out = {}
-    for w, c in e.series.terms.items():
-        new = tuple(idx[tuple(sorted((images[pairs[l][0]], images[pairs[l][1]])))] for l in w)
-        out[new] = out.get(new, Fraction(0)) + c
-    return DKElement(e.strands, e.degree, out)
+    table = [idx[tuple(sorted((images[a], images[b])))] for a, b in dk_generators(e.strands)]
+    return DKElement(e.strands, e.degree, substitute_letters(e.series.terms, table))
 
 
 def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
@@ -284,12 +263,8 @@ def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
             acc = series_mul(acc, gen_image[letter])
         out = out + acc.scale(c)
     # shift v's strands into the block
-    idx_v = dk_generators(s)
-    vterms = {}
-    for w, c in v.series.terms.items():
-        new = tuple(idx_tot[(idx_v[l][0] + k - 1, idx_v[l][1] + k - 1)] for l in w)
-        vterms[new] = vterms.get(new, Fraction(0)) + c
-    vshift = NCSeries(g_tot, degree, vterms)
+    table = [idx_tot[(a + k - 1, b + k - 1)] for a, b in dk_generators(s)]
+    vshift = NCSeries(g_tot, degree, substitute_letters(v.series.terms, table))
     return DKElement(total, degree, series_mul(out, vshift).terms)
 
 
@@ -297,22 +272,10 @@ def dk_restrict(e: DKElement, k: int) -> DKElement:
     """Delete strand k; monomials touching it are sent to zero."""
     if not (1 <= k <= e.strands):
         raise ValueError("strand index out of range")
-    pairs = dk_generators(e.strands)
     idx_new = _gen_index(e.strands - 1)
-    out = {}
-    for w, c in e.series.terms.items():
-        letters = []
-        dead = False
-        for l in w:
-            a, b = pairs[l]
-            if a == k or b == k:
-                dead = True
-                break
-            letters.append(idx_new[(a if a < k else a - 1, b if b < k else b - 1)])
-        if not dead:
-            key = tuple(letters)
-            out[key] = out.get(key, Fraction(0)) + c
-    return DKElement(e.strands - 1, e.degree, out)
+    table = [None if k in (a, b) else idx_new[(a if a < k else a - 1, b if b < k else b - 1)]
+             for a, b in dk_generators(e.strands)]
+    return DKElement(e.strands - 1, e.degree, substitute_letters(e.series.terms, table))
 
 
 # -- coproduct and grouplikes ------------------------------------------------------
@@ -320,53 +283,28 @@ def dk_restrict(e: DKElement, k: int) -> DKElement:
 
 def dk_coproduct(e: DKElement) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
     """Truncated coproduct with every generator primitive, factorwise-normalized."""
-    raw: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-    for w, c in e.series.terms.items():
-        npos = len(w)
-        for bits in itertools.product((0, 1), repeat=npos):
-            left = tuple(w[i] for i in range(npos) if bits[i] == 0)
-            right = tuple(w[i] for i in range(npos) if bits[i] == 1)
-            key = (left, right)
-            raw[key] = raw.get(key, Fraction(0)) + c
+    raw = accumulate({}, ((split, c) for w, c in e.series.terms.items() for split in _splits(w)))
     return _tensor_normalize(raw, e.strands)
 
 
+def _splits(w: tuple[int, ...]):
+    """Every way to deal the letters of w, in order, into a left and a right word."""
+    for bits in itertools.product((0, 1), repeat=len(w)):
+        yield (tuple(l for l, b in zip(w, bits) if not b), tuple(l for l, b in zip(w, bits) if b))
+
+
 def _tensor_normalize(tensor: dict, r: int) -> dict:
-    stage: dict = {}
-    for (w1, w2), c in tensor.items():
-        for w1n, c1 in _reduce_terms({w1: c}, r).items():
-            key = (w1n, w2)
-            acc = stage.get(key, Fraction(0)) + c1
-            if acc == 0:
-                stage.pop(key, None)
-            else:
-                stage[key] = acc
-    out: dict = {}
-    for (w1, w2), c in stage.items():
-        for w2n, c2 in _reduce_terms({w2: c}, r).items():
-            key = (w1, w2n)
-            acc = out.get(key, Fraction(0)) + c2
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
+    stage = accumulate({}, (((w1n, w2), c1) for (w1, w2), c in tensor.items()
+                            for w1n, c1 in _reduce_terms({w1: c}, r).items()))
+    return accumulate({}, (((w1, w2n), c2) for (w1, w2), c in stage.items()
+                           for w2n, c2 in _reduce_terms({w2: c}, r).items()))
 
 
 def tensor_square(g: DKElement, h: DKElement) -> dict:
     """g (x) h truncated at total degree, factorwise-normalized."""
     assert g.strands == h.strands and g.degree == h.degree
-    out: dict = {}
-    for w1, c1 in g.series.terms.items():
-        for w2, c2 in h.series.terms.items():
-            if len(w1) + len(w2) > g.degree:
-                continue
-            key = (w1, w2)
-            acc = out.get(key, Fraction(0)) + c1 * c2
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+    out = {(w1, w2): c1 * c2 for w1, c1 in g.series.terms.items()
+           for w2, c2 in h.series.terms.items() if len(w1) + len(w2) <= g.degree}
     return _tensor_normalize(out, g.strands)
 
 

@@ -204,9 +204,10 @@ def cmd_papb_words(args) -> int:
 
 def cmd_papb_selftest(args) -> int:
     results = check_papb_coherence()
-    for name in sorted(results):
-        print(f"{name}: {'ok' if results[name] else 'FAIL'}")
-    return 0 if all(results.values()) else 1
+    passed = all(results.values())
+    _emit(args, {"families": results, "passed": passed},
+          "\n".join(f"{name}: {'ok' if results[name] else 'FAIL'}" for name in sorted(results)))
+    return 0 if passed else 1
 
 
 # -- cd -------------------------------------------------------------------------
@@ -331,7 +332,8 @@ def cmd_voronov_check(args) -> int:
             failures += 1
         if not grouplike_check(vp.insert_open(e, 1, e).p_part):
             failures += 1
-    print(f"voronov axiom suite: {args.count} instances, {failures} failures")
+    _emit(args, {"failures": failures, "instances": args.count},
+          f"voronov axiom suite: {args.count} instances, {failures} failures")
     return 0 if failures == 0 else 1
 
 
@@ -344,14 +346,18 @@ def cmd_coherence_check(args) -> int:
     try:
         report = check_coherence(data, strict_units=args.strict_units)
     except CoherenceTypeError as exc:
-        print(f"rejected at typing: {exc}")
+        _emit(args, {"passed": False, "rejected": str(exc)}, f"rejected at typing: {exc}")
         return 1
+    lines = []
+    families = {}
     for name in sorted(report.families):
         fails = report.families[name]
-        print(f"{name}: {'ok' if not fails else 'FAIL'} "
-              f"({report.instances_checked[name]} instances)")
-        for idx, key in fails:
-            print(f"  failing instance {idx} at {key}")
+        lines.append(f"{name}: {'ok' if not fails else 'FAIL'} "
+                     f"({report.instances_checked[name]} instances)")
+        lines += [f"  failing instance {idx} at {key}" for idx, key in fails]
+        families[name] = {"instances": report.instances_checked[name],
+                          "failing": [{"instance": idx, "at": str(key)} for idx, key in fails]}
+    _emit(args, {"families": families, "passed": report.passed}, "\n".join(lines))
     return 0 if report.passed else 1
 
 

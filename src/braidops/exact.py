@@ -5,6 +5,11 @@ anywhere in this package.  A noncommutative series is a finite map from
 generator words (tuples of generator indices) to nonzero rationals, truncated
 at a fixed total degree.  Equality of series is structural equality of the
 normalized term maps.
+
+Every sparse map in the package (series terms, chord normal forms, tensors,
+solver rows) stores no zero coefficient.  The invariant is kept in one place:
+``accumulate`` is the only function that sums coefficients into such a map,
+and it drops every key whose sum is zero.
 """
 
 from __future__ import annotations
@@ -14,6 +19,23 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 Word = tuple[int, ...]
+
+
+def accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, coefficient) pairs into ``out``, dropping keys whose sum is zero."""
+    get = out.get
+    for key, c in pairs:
+        acc = get(key)
+        if acc is None:
+            if c:
+                out[key] = c
+        else:
+            acc += c
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return out
 
 
 def _as_fraction(c) -> Fraction:
@@ -43,12 +65,8 @@ class NCSeries:
                     continue
                 assert all(0 <= g < alphabet for g in word), f"letter out of range in {word}"
                 c = _as_fraction(coef)
-                if c != 0:
-                    acc = clean.get(word, Fraction(0)) + c
-                    if acc == 0:
-                        clean.pop(word, None)
-                    else:
-                        clean[word] = acc
+                if c:
+                    clean[word] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -78,13 +96,7 @@ class NCSeries:
     def __add__(self, other: "NCSeries") -> "NCSeries":
         assert self.alphabet == other.alphabet, "alphabet mismatch"
         degree = min(self.degree, other.degree)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w, Fraction(0)) + c
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
+        out = accumulate(dict(self.terms), other.terms.items())
         return NCSeries(self.alphabet, degree, out)
 
     def __neg__(self) -> "NCSeries":
@@ -126,18 +138,9 @@ def series_mul(a: NCSeries, b: NCSeries, degree: int | None = None) -> NCSeries:
     assert degree <= min(a.degree, b.degree)
     out: dict[Word, Fraction] = {}
     for u, cu in a.terms.items():
-        if len(u) > degree:
-            continue
         room = degree - len(u)
-        for v, cv in b.terms.items():
-            if len(v) > room:
-                continue
-            w = u + v
-            acc = out.get(w, Fraction(0)) + cu * cv
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
+        if room >= 0:
+            accumulate(out, ((u + v, cu * cv) for v, cv in b.terms.items() if len(v) <= room))
     return NCSeries(a.alphabet, degree, out)
 
 
@@ -229,14 +232,9 @@ def solve_exact(system: LinearSystem) -> Solution:
             for col in sorted(row):
                 if col in pivots:
                     prow, prhs = pivots[col]
-                    factor = row[col]
-                    for j, c in prow.items():
-                        acc = row.get(j, Fraction(0)) - factor * c
-                        if acc == 0:
-                            row.pop(j, None)
-                        else:
-                            row[j] = acc
-                    rhs -= factor * prhs
+                    factor = -row[col]
+                    accumulate(row, ((j, factor * c) for j, c in prow.items()))
+                    rhs += factor * prhs
                     changed = True
                     break
         return row, rhs
@@ -255,14 +253,9 @@ def solve_exact(system: LinearSystem) -> Solution:
         # back-substitute into existing pivot rows
         for col, (prow, prhs) in list(pivots.items()):
             if lead in prow:
-                factor = prow[lead]
-                for j, c in row.items():
-                    acc = prow.get(j, Fraction(0)) - factor * c
-                    if acc == 0:
-                        prow.pop(j, None)
-                    else:
-                        prow[j] = acc
-                prhs -= factor * rhs
+                factor = -prow[lead]
+                accumulate(prow, ((j, factor * c) for j, c in row.items()))
+                prhs += factor * rhs
                 pivots[col] = (prow, prhs)
         pivots[lead] = (row, rhs)
 

@@ -22,11 +22,19 @@ which realizes the relabeling twist of the coinvariant formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .associator import Associator, phi_eval
 from .braids import BraidWord, braids_equal, weave
-from .chords import DKElement, PaCDMorphism, dk_relabel, pacd_insert, pacd_relabel
+from .chords import (
+    DKElement,
+    PaCDMorphism,
+    _gen_index,
+    dk_generators,
+    dk_relabel,
+    pacd_insert,
+    pacd_relabel,
+    substitute_letters,
+)
 from .colored import CoPBMorphism
 from .parenthesized import PaBMorphism, pab_insert, pab_relabel
 from .trees import (
@@ -236,15 +244,9 @@ def apply_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None)
 
 
 def _dk_embed(e: DKElement, offset: int, total: int) -> DKElement:
-    from .chords import _gen_index, dk_generators
-
     idx_tot = _gen_index(total)
-    pairs = dk_generators(e.strands)
-    terms = {}
-    for w, c in e.series.terms.items():
-        new = tuple(idx_tot[(pairs[l][0] + offset, pairs[l][1] + offset)] for l in w)
-        terms[new] = terms.get(new, Fraction(0)) + c
-    return DKElement(total, e.degree, terms)
+    table = [idx_tot[(a + offset, b + offset)] for a, b in dk_generators(e.strands)]
+    return DKElement(total, e.degree, substitute_letters(e.series.terms, table))
 
 
 def rho_phi(assoc: Associator, e: PaPCDElement, degree: int | None = None) -> ShiftedElement:

@@ -152,10 +152,6 @@ class PaPBMorphism:
                 and self.underlying.equals(other.underlying))
 
 
-def papb_compose(g: PaPBMorphism, f: PaPBMorphism) -> PaPBMorphism:
-    return f.compose(g)
-
-
 def papb_insert_closed(outer: PaPBMorphism, i: int, inner: PaBMorphism) -> PaPBMorphism:
     return PaPBMorphism(graft_closed(outer.source, i, inner.src),
                         graft_closed(outer.target, i, inner.tgt),

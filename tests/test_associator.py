@@ -9,7 +9,6 @@ from braidops.associator import (
     check_hexagons,
     check_pentagon,
     grouplike_residual,
-    lift_phi_tilde,
     phi_eval,
     phi_in_t12_t23,
     solve_associator,
@@ -122,7 +121,12 @@ def test_phi_respects_insertion():
 
 def test_functoriality_of_lift():
     a = solve_associator(1, 3)
-    lift = lift_phi_tilde(a)
+
+    def lift(mor):
+        out = phi_eval(a, mor)
+        assert out.src == mor.src and out.tgt == mor.tgt
+        return out
+
     rng = random.Random(2)
     for _ in range(20):
         m = rng.randint(1, 3)
@@ -178,3 +182,20 @@ def test_phi_compatible_with_restriction():
         lhs = phi_eval(a, pab_restrict(mor, i))
         rhs = dk_restrict(phi_eval(a, mor).element, i)
         assert lhs.element == rhs
+
+
+def test_solver_shapes_pinned(monkeypatch):
+    # (rows, columns, nullity) of the degree-d system; nullity is dim grt_1 in degree d
+    import braidops.associator as associator
+    from braidops.exact import solve_exact
+
+    shapes = []
+
+    def recording(system):
+        sol = solve_exact(system)
+        shapes.append((len(system.rows), system.num_columns, sol.nullity))
+        return sol
+
+    monkeypatch.setattr(associator, "solve_exact", recording)
+    solve_associator(1, 4)
+    assert shapes == [(8, 2, 0), (26, 4, 0), (88, 8, 1), (276, 16, 0)]

@@ -17,7 +17,6 @@ from braidops.braids import (
     inflate,
     parse_braid,
     permute_seq,
-    underlying_permutation,
     weave,
 )
 
@@ -103,23 +102,23 @@ def test_braids_equal_is_congruence():
 
 
 def test_underlying_permutation():
-    assert underlying_permutation(BraidWord(3)).is_identity()
-    assert underlying_permutation(BraidWord(2, [1])) == Permutation((2, 1))
+    assert BraidWord(3).permutation().is_identity()
+    assert BraidWord(2, [1]).permutation() == Permutation((2, 1))
     b = BraidWord(3, [1, 2])
-    perm = underlying_permutation(b)
+    perm = b.permutation()
     trace = trace_positions(b)
     assert list(perm.images) == trace
     rng = random.Random(2)
     for _ in range(30):
         n = rng.randint(2, 5)
         a, b = rand_braid(rng, n), rand_braid(rng, n)
-        assert underlying_permutation(a * b) == underlying_permutation(a) * underlying_permutation(b)
-        assert list(underlying_permutation(a).images) == trace_positions(a)
+        assert (a * b).permutation() == a.permutation() * b.permutation()
+        assert list(a.permutation().images) == trace_positions(a)
 
 
 def test_permute_seq():
     b = BraidWord(3, [1, 2])
-    perm = underlying_permutation(b)
+    perm = b.permutation()
     # strand starting at 1 ends at 2, etc.
     assert permute_seq(("p", "q", "r"), perm) == tuple(
         sorted(("p", "q", "r"), key=lambda s: perm(("p", "q", "r").index(s) + 1))
@@ -136,7 +135,7 @@ def test_cable_identity():
 def test_cable_sigma1():
     c = cable(BraidWord(2, [1]), 1, 2)
     assert c.strands == 3
-    assert underlying_permutation(c) == Permutation((2, 3, 1))
+    assert c.permutation() == Permutation((2, 3, 1))
     assert all(l > 0 for l in c.letters)
     # pairwise crossing audit: cabled strands 1,2 each cross strand 3 once, over
     audit = crossings(c)
@@ -150,7 +149,7 @@ def test_cable_permutation_is_block_inflation():
         b = rand_braid(rng, n)
         widths = [rng.randint(0, 3) for _ in range(n)]
         infl = inflate(b, widths)
-        assert underlying_permutation(infl) == block_inflation(underlying_permutation(b), widths)
+        assert infl.permutation() == block_inflation(b.permutation(), widths)
 
 
 def test_cable_commutes_disjoint():
@@ -232,3 +231,12 @@ def test_text_and_json():
     assert b.letters == (1, -2, 1)
     assert format_braid(b) == "s1 S2 s1"
     assert braid_from_json(braid_to_json(b)) == b
+    # out-of-range input is rejected with ValueError at both boundaries
+    for bad in (lambda: parse_braid("s3", 3), lambda: parse_braid("S0", 3),
+                lambda: braid_from_json({"strands": 2, "word": [0]}),
+                lambda: braid_from_json({"strands": -1, "word": []})):
+        try:
+            bad()
+        except ValueError:
+            continue
+        raise AssertionError("invalid braid accepted")

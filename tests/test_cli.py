@@ -134,3 +134,51 @@ def test_module_entry_point():
                          capture_output=True, text=True,
                          env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
     assert out.returncode == 0 and out.stdout.strip() == "7"
+
+
+def test_cd_dims_rejects_negative(capsys):
+    assert run(["cd", "dims", "--strands", "3", "--degree", "-1"]) == 2
+    assert run(["cd", "dims", "--strands", "-1", "--degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 2
+
+
+def test_bad_braid_letter_under_optimize():
+    # input validation must not rest on assert, which -O strips
+    import subprocess
+    import sys
+
+    out = subprocess.run([sys.executable, "-O", "-m", "braidops", "braid", "eq", "s5", "s1",
+                          "--strands", "3"],
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "out of range" in out.stderr
+
+
+def test_papb_selftest_json(capsys):
+    code, out = run_capture(capsys, ["papb", "coherence-selftest", "--json"])
+    assert code == 0
+    assert out.count("\n") == 1
+    data = json.loads(out)
+    assert data["passed"] is True and len(data["families"]) == 6
+    assert out == json.dumps(data, sort_keys=True) + "\n"
+
+
+def test_voronov_check_json(capsys):
+    code, out = run_capture(capsys, ["voronov", "check", "--count", "3", "--seed", "1", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"failures": 0, "instances": 3}
+
+
+def test_coherence_check_json(capsys):
+    code, out = run_capture(capsys, ["coherence", "check", "--builtin", "z2-graded", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True) + "\n"
+    assert data["passed"] is True and len(data["families"]) == 6
+    assert all(fam["instances"] > 0 and fam["failing"] == [] for fam in data["families"].values())
+    code, out = run_capture(capsys, ["coherence", "check", "--builtin", "s3", "--json"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False and data["rejected"]
