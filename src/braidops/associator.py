@@ -22,8 +22,8 @@ from .chords import (
     DKElement,
     PaCDMorphism,
     dk_coproduct,
-    dk_from_json,
-    dk_to_json,
+    dk_terms_from_json,
+    dk_terms_to_json,
     grouplike_check,
     pacd_insert,
     pacd_relabel,
@@ -200,6 +200,8 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
 
 def solve_associator(mu, degree: int) -> Associator:
     """Construct an associator degree by degree (free coordinates zeroed)."""
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
     mu = Fraction(mu)
     phi_terms: dict = {(): Fraction(1)}
     for d in range(1, degree + 1):
@@ -236,28 +238,20 @@ def phi_in_t12_t23(assoc: Associator) -> DKElement:
     """
     assert assoc.phi_free is not None, "no free-word representation recorded"
     t23_idx = 2
-    table = [_T12, t23_idx, t23_idx]  # t13 -> t23; t12 and t23 stay
+    table = [(_T12,), (t23_idx,), (t23_idx,)]  # t13 -> t23; t12 and t23 stay
     return DKElement(3, assoc.degree, substitute_letters(assoc.phi_free, table))
 
 
 def associator_to_json(assoc: Associator) -> dict:
-    phi_raw = assoc.phi_free if assoc.phi_free is not None else assoc.phi.series.terms
-    raw_elem = DKElement(3, assoc.degree, phi_raw)
-    data = dk_to_json(raw_elem)
     # serialize the raw words, not the normal form, so both sides reload exactly
-    pairs = [(1, 2), (1, 3), (2, 3)]
-    items = sorted(phi_raw.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    data["terms"] = [{"coef": fraction_to_str(c), "word": [list(pairs[l]) for l in w]}
-                     for w, c in items if c != 0]
-    return {"mu": fraction_to_str(assoc.mu), "degree": assoc.degree, "phi": data}
+    phi_raw = assoc.phi_free if assoc.phi_free is not None else assoc.phi.series.terms
+    phi = {"strands": 3, "degree": assoc.degree, "terms": dk_terms_to_json(3, phi_raw)}
+    return {"mu": fraction_to_str(assoc.mu), "degree": assoc.degree, "phi": phi}
 
 
 def associator_from_json(data: dict) -> Associator:
-    mu = Fraction(data["mu"])
     degree = int(data["degree"])
-    pair_index = {(1, 2): 0, (1, 3): 1, (2, 3): 2}
-    phi_free = {}
-    for t in data["phi"]["terms"]:
-        w = tuple(pair_index[tuple(p)] for p in t["word"])
-        phi_free[w] = Fraction(t["coef"])
-    return Associator(mu, degree, DKElement(3, degree, phi_free), phi_free)
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    phi_free = dk_terms_from_json(3, data["phi"]["terms"])
+    return Associator(Fraction(data["mu"]), degree, DKElement(3, degree, phi_free), phi_free)

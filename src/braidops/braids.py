@@ -115,11 +115,6 @@ class BraidWord:
         assert strands >= self.strands + k
         return BraidWord(strands, tuple(l + k if l > 0 else l - k for l in self.letters))
 
-    def pad(self, strands: int) -> "BraidWord":
-        """Reinterpret on more strands (extra strands on the right, untouched)."""
-        assert strands >= self.strands
-        return BraidWord(strands, self.letters)
-
     def permutation(self) -> Permutation:
         perm = Permutation.identity(self.strands)
         for l in self.letters:
@@ -245,6 +240,8 @@ def cable(b: BraidWord, position: int, width: int) -> BraidWord:
     """Replace the strand starting at ``position`` by ``width`` parallel strands."""
     if not (1 <= position <= b.strands):
         raise ValueError("position out of range")
+    if width < 0:
+        raise ValueError(f"width must be nonnegative, got {width}")
     widths = [1] * b.strands
     widths[position - 1] = width
     return inflate(b, widths)

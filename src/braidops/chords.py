@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import NCSeries, accumulate, series_exp, series_inverse, series_mul
+from .exact import NCSeries, accumulate, fraction_to_str, series_exp, series_inverse, series_mul
 from .trees import Tree, closed_labels, color, relabel_tree
 
 
@@ -133,11 +133,10 @@ class DKElement:
     def __init__(self, strands: int, degree: int, terms=None, _normalized=False):
         self.strands = strands
         self.degree = degree
-        g = len(dk_generators(strands))
-        series = NCSeries(g, degree, terms or {})
+        terms = terms or {}
         if not _normalized:
-            series = NCSeries(g, degree, _reduce_terms(series.terms, strands))
-        self.series = series
+            terms = _reduce_terms({w: c for w, c in terms.items() if len(w) <= degree}, strands)
+        self.series = NCSeries(len(dk_generators(strands)), degree, terms)
 
     # -- constructors ---------------------------------------------------
 
@@ -151,9 +150,9 @@ class DKElement:
 
     @classmethod
     def generator(cls, r: int, degree: int, i: int, j: int) -> "DKElement":
-        assert 1 <= i < j <= r, "generator indices out of range"
-        idx = _gen_index(r)[(i, j)]
-        return cls(r, degree, {(idx,): Fraction(1)})
+        if not 1 <= i < j <= r:
+            raise ValueError(f"generator t{i}{j} out of range on {r} strands")
+        return cls(r, degree, {(_gen_index(r)[(i, j)],): Fraction(1)})
 
     @classmethod
     def from_series(cls, r: int, series: NCSeries) -> "DKElement":
@@ -206,9 +205,13 @@ class DKElement:
         return f"DKElement({self.strands} strands, {format_dk(self)!r})"
 
 
-def dimension_of_degree(r: int, d: int) -> int:
+def _check_nonnegative(r: int, d: int) -> None:
     if r < 0 or d < 0:
         raise ValueError(f"strand count and degree must be nonnegative, got {r} and {d}")
+
+
+def dimension_of_degree(r: int, d: int) -> int:
+    _check_nonnegative(r, d)
     g = len(dk_generators(r))
     return g ** d - len(_reducer(r, d))
 
@@ -217,15 +220,19 @@ def dimension_of_degree(r: int, d: int) -> int:
 
 
 def substitute_letters(terms: dict, images: list) -> dict:
-    """Map every letter l of every word to images[l]; a None image kills the word."""
-    mapped = ((tuple(images[l] for l in w), c) for w, c in terms.items())
-    return accumulate({}, ((w, c) for w, c in mapped if None not in w))
+    """Replace every letter l of every word by the sum of the letters in images[l].
+
+    An empty image kills the word, a one-letter image relabels it, and a longer
+    image expands the word into one term per choice of letters.
+    """
+    return accumulate({}, ((w2, c) for w, c in terms.items()
+                           for w2 in itertools.product(*(images[l] for l in w))))
 
 
 def dk_relabel(e: DKElement, images: dict[int, int]) -> DKElement:
     """Strand relabeling along a bijection."""
     idx = _gen_index(e.strands)
-    table = [idx[tuple(sorted((images[a], images[b])))] for a, b in dk_generators(e.strands)]
+    table = [(idx[tuple(sorted((images[a], images[b])))],) for a, b in dk_generators(e.strands)]
     return DKElement(e.strands, e.degree, substitute_letters(e.series.terms, table))
 
 
@@ -233,39 +240,25 @@ def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
     """Insertion of v at strand k: double the strand, then multiply by v shifted."""
     if not (1 <= k <= u.strands):
         raise ValueError("strand index out of range")
-    r, s = u.strands, v.strands
-    total = r + s - 1
+    s = v.strands
+    total = u.strands + s - 1
     degree = min(u.degree, v.degree)
-    pairs_u = dk_generators(r)
     idx_tot = _gen_index(total)
 
-    def shifted(a: int) -> int:
-        return a if a < k else a + s - 1
+    def block(a: int) -> range:
+        """The strands of the result that strand a of u becomes."""
+        if a == k:
+            return range(k, k + s)
+        a = a if a < k else a + s - 1
+        return range(a, a + 1)
 
-    gen_image: list[NCSeries] = []
-    g_tot = len(dk_generators(total))
-    for (a, b) in pairs_u:
-        if a != k and b != k:
-            gen_image.append(NCSeries.generator(g_tot, degree,
-                                                idx_tot[(shifted(a), shifted(b))]))
-        else:
-            other = shifted(b if a == k else a)
-            terms = {}
-            for l in range(k, k + s):
-                pair = (l, other) if l < other else (other, l)
-                terms[(idx_tot[pair],)] = Fraction(1)
-            gen_image.append(NCSeries(g_tot, degree, terms))
-
-    out = NCSeries.zero(g_tot, degree)
-    for w, c in u.series.terms.items():
-        acc = NCSeries.one(g_tot, degree)
-        for letter in w:
-            acc = series_mul(acc, gen_image[letter])
-        out = out + acc.scale(c)
-    # shift v's strands into the block
-    table = [idx_tot[(a + k - 1, b + k - 1)] for a, b in dk_generators(s)]
-    vshift = NCSeries(g_tot, degree, substitute_letters(v.series.terms, table))
-    return DKElement(total, degree, series_mul(out, vshift).terms)
+    # t_ab goes to the sum of t_pq over the blocks; p < q since blocks keep the order
+    images = [tuple(idx_tot[(p, q)] for p in block(a) for q in block(b))
+              for a, b in dk_generators(u.strands)]
+    expanded = NCSeries(len(idx_tot), degree, substitute_letters(u.series.terms, images))
+    table = [(idx_tot[(a + k - 1, b + k - 1)],) for a, b in dk_generators(s)]
+    vshift = NCSeries(len(idx_tot), degree, substitute_letters(v.series.terms, table))
+    return DKElement(total, degree, series_mul(expanded, vshift).terms)
 
 
 def dk_restrict(e: DKElement, k: int) -> DKElement:
@@ -273,7 +266,7 @@ def dk_restrict(e: DKElement, k: int) -> DKElement:
     if not (1 <= k <= e.strands):
         raise ValueError("strand index out of range")
     idx_new = _gen_index(e.strands - 1)
-    table = [None if k in (a, b) else idx_new[(a if a < k else a - 1, b if b < k else b - 1)]
+    table = [() if k in (a, b) else (idx_new[(a if a < k else a - 1, b if b < k else b - 1)],)
              for a, b in dk_generators(e.strands)]
     return DKElement(e.strands - 1, e.degree, substitute_letters(e.series.terms, table))
 
@@ -367,8 +360,6 @@ def pacd_relabel(mor: PaCDMorphism, closed_map: dict[int, int]) -> PaCDMorphism:
 
 def format_dk(e: DKElement) -> str:
     """Chord monomial text, e.g. "t12*t13 - 1/24*t13*t12"."""
-    from .exact import fraction_to_str
-
     if e.is_zero():
         return "0"
     pairs = dk_generators(e.strands)
@@ -389,21 +380,31 @@ def format_dk(e: DKElement) -> str:
     return "".join(parts)
 
 
-def dk_to_json(e: DKElement) -> dict:
-    from .exact import fraction_to_str
+def dk_terms_to_json(r: int, terms: dict) -> list[dict]:
+    """Chord words as lists of strand pairs, in (length, word) order."""
+    pairs = dk_generators(r)
+    items = sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return [{"coef": fraction_to_str(c), "word": [list(pairs[l]) for l in w]} for w, c in items]
 
-    pairs = dk_generators(e.strands)
-    items = sorted(e.series.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+def dk_terms_from_json(r: int, items: list[dict]) -> dict:
+    """Inverse of ``dk_terms_to_json``; raises ValueError for a pair not on r strands."""
+    idx = _gen_index(r)
+    terms = {}
+    for t in items:
+        word = [tuple(pair) for pair in t["word"]]
+        if not all(pair in idx for pair in word):
+            raise ValueError(f"chord word {word} is not on {r} strands")
+        terms[tuple(idx[pair] for pair in word)] = Fraction(t["coef"])
+    return terms
+
+
+def dk_to_json(e: DKElement) -> dict:
     return {"strands": e.strands, "degree": e.degree,
-            "terms": [{"coef": fraction_to_str(c), "word": [list(pairs[l]) for l in w]}
-                      for w, c in items]}
+            "terms": dk_terms_to_json(e.strands, e.series.terms)}
 
 
 def dk_from_json(data: dict) -> DKElement:
-    r = int(data["strands"])
-    idx = _gen_index(r)
-    terms = {}
-    for t in data["terms"]:
-        w = tuple(idx[tuple(pair)] for pair in t["word"])
-        terms[w] = Fraction(t["coef"])
-    return DKElement(r, int(data["degree"]), terms)
+    r, degree = int(data["strands"]), int(data["degree"])
+    _check_nonnegative(r, degree)
+    return DKElement(r, degree, dk_terms_from_json(r, data["terms"]))

@@ -115,13 +115,11 @@ def cmd_braid_cable(args) -> int:
 def cmd_tree_graft(args) -> int:
     outer = trees.parse_tree(args.outer)
     inner = trees.parse_tree(args.inner)
-    kind, slot = args.slot[0], int(args.slot[1:])
-    if kind == "c":
-        out = trees.graft_closed(outer, slot, inner)
-    elif kind == "o":
-        out = trees.graft_open(outer, slot, inner)
-    else:
-        raise SystemExit(2)
+    kind, slot = args.slot[:1], args.slot[1:]
+    if kind not in ("c", "o") or not slot.isdigit():
+        raise ValueError("slot must be c<k> or o<k>")
+    graft = trees.graft_closed if kind == "c" else trees.graft_open
+    out = graft(outer, int(slot), inner)
     _emit(args, {"tree": trees.show_tree(out)}, trees.show_tree(out))
     return 0
 
@@ -492,7 +490,8 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, AssertionError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, TypeError, AssertionError, KeyError, json.JSONDecodeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

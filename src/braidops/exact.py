@@ -38,6 +38,13 @@ def accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
     return out
 
 
+def check_letters(words: Iterable[Word], alphabet: int) -> None:
+    """Raise ValueError unless every letter of every word lies in 0..alphabet-1."""
+    for w in words:
+        if not all(0 <= g < alphabet for g in w):
+            raise ValueError(f"letter out of range in {tuple(w)} for alphabet {alphabet}")
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -48,7 +55,9 @@ class NCSeries:
     """Truncated series in noncommuting generators 0..alphabet-1.
 
     ``terms`` maps words (tuples of generator indices) to nonzero Fractions;
-    words longer than ``degree`` are dropped on construction.
+    words longer than ``degree`` are dropped on construction.  Letters are
+    not checked here: words from outside enter through ``generator`` or
+    ``series_from_json``, which reject letters outside the alphabet.
     """
 
     __slots__ = ("alphabet", "degree", "terms")
@@ -63,7 +72,6 @@ class NCSeries:
                 word = tuple(word)
                 if len(word) > degree:
                     continue
-                assert all(0 <= g < alphabet for g in word), f"letter out of range in {word}"
                 c = _as_fraction(coef)
                 if c:
                     clean[word] = c
@@ -81,6 +89,7 @@ class NCSeries:
 
     @classmethod
     def generator(cls, alphabet: int, degree: int, g: int) -> "NCSeries":
+        check_letters([(g,)], alphabet)
         return cls(alphabet, degree, {(g,): Fraction(1)})
 
     # -- ring operations ---------------------------------------------------
@@ -119,9 +128,6 @@ class NCSeries:
 
     def homogeneous_part(self, d: int) -> "NCSeries":
         return NCSeries(self.alphabet, self.degree, {w: c for w, c in self.terms.items() if len(w) == d})
-
-    def max_stored_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -300,8 +306,12 @@ def series_to_json(a: NCSeries) -> dict:
 
 
 def series_from_json(data: dict) -> NCSeries:
+    alphabet, degree = int(data["alphabet"]), int(data["degree"])
+    if alphabet < 0 or degree < 0:
+        raise ValueError(f"alphabet and degree must be nonnegative, got {alphabet} and {degree}")
     terms = {tuple(t["word"]): fraction_from_str(t["coef"]) for t in data["terms"]}
-    return NCSeries(int(data["alphabet"]), int(data["degree"]), terms)
+    check_letters(terms, alphabet)
+    return NCSeries(alphabet, degree, terms)
 
 
 def all_words(alphabet: int, length: int) -> Iterable[Word]:

@@ -125,10 +125,6 @@ class PaPBPrimeElement:
         y1 = ("y", 1)
         return cls(y1, y1, PaBMorphism(UNIT_C, UNIT_C, BraidWord(0)), y1, y1)
 
-    @classmethod
-    def pure_aerial(cls, x: PaBMorphism, mu_src: Tree, mu_tgt: Tree) -> "PaPBPrimeElement":
-        return cls(UNIT_O, UNIT_O, x, mu_src, mu_tgt)
-
     def equals(self, other: "PaPBPrimeElement") -> bool:
         return (self.u_src == other.u_src and self.u_tgt == other.u_tgt
                 and self.mu_src == other.mu_src and self.mu_tgt == other.mu_tgt
@@ -245,7 +241,7 @@ def apply_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None)
 
 def _dk_embed(e: DKElement, offset: int, total: int) -> DKElement:
     idx_tot = _gen_index(total)
-    table = [idx_tot[(a + offset, b + offset)] for a, b in dk_generators(e.strands)]
+    table = [(idx_tot[(a + offset, b + offset)],) for a, b in dk_generators(e.strands)]
     return DKElement(total, e.degree, substitute_letters(e.series.terms, table))
 
 

@@ -25,6 +25,8 @@ class ChordStrandOperad:
     """Closed part: grouplike chord series at a fixed truncation."""
 
     def __init__(self, degree: int):
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {degree}")
         self.degree = degree
 
     def identity(self, m: int = 1) -> DKElement:

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from braidops.chords import (
     DKElement,
     PaCDMorphism,
@@ -271,3 +273,15 @@ def test_format_and_json():
     for _ in range(6):
         e = rand_dk(rng, 3, 3)
         assert dk_from_json(dk_to_json(e)) == e
+
+
+def test_boundaries_reject_bad_chords():
+    for i, j in ((0, 1), (2, 1), (1, 4), (2, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            DKElement.generator(3, 2, i, j)
+    bad = [{"strands": 3, "degree": -1, "terms": []},
+           {"strands": -2, "degree": 2, "terms": []},
+           {"strands": 3, "degree": 2, "terms": [{"coef": "1", "word": [[1, 2], [3, 4]]}]}]
+    for data in bad:
+        with pytest.raises(ValueError):
+            dk_from_json(data)

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -143,17 +144,82 @@ def test_cd_dims_rejects_negative(capsys):
     assert captured.out == "" and captured.err.count("error:") == 2
 
 
-def test_bad_braid_letter_under_optimize():
-    # input validation must not rest on assert, which -O strips
+def run_optimized(argv, stdin=""):
+    """Run the CLI under python -O: input validation must not rest on assert, which -O strips."""
     import subprocess
     import sys
 
-    out = subprocess.run([sys.executable, "-O", "-m", "braidops", "braid", "eq", "s5", "s1",
-                          "--strands", "3"],
-                         capture_output=True, text=True,
-                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    return subprocess.run([sys.executable, "-O", "-m", "braidops", *argv], input=stdin,
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+
+
+def test_bad_braid_letter_under_optimize():
+    out = run_optimized(["braid", "eq", "s5", "s1", "--strands", "3"])
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and "out of range" in out.stderr
+
+
+NEGATIVE_SIZES = [
+    ["assoc", "solve", "--degree", "-1"],
+    ["voronov", "check", "--degree", "-1", "--count", "1"],
+    ["braid", "cable", "s1", "--strands", "2", "--position", "1", "--width", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SIZES)
+def test_negative_sizes_rejected(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SIZES)
+def test_negative_sizes_under_optimize(argv):
+    out = run_optimized(argv)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "must be nonnegative" in out.stderr
+
+
+def test_tree_graft_rejects_bad_slot(capsys):
+    for slot in ("z1", "c", "ox", ""):
+        assert run(["tree", "graft", "mo(y1,y2)", "f(x1)", "--slot", slot]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: slot must be c<k> or o<k>\n" * 4
+
+
+BAD_CHORD_JSON = [
+    (["cd", "normalize"], {"strands": 3, "degree": -1, "terms": []}, "must be nonnegative"),
+    (["cd", "normalize"], {"strands": -2, "degree": 2, "terms": []}, "must be nonnegative"),
+    (["cd", "normalize"], {"strands": 3, "degree": 2,
+                           "terms": [{"coef": "1", "word": [[1, 5]]}]}, "not on 3 strands"),
+    (["cd", "normalize"], {"strands": 3, "degree": 2,
+                           "terms": [{"coef": "1", "word": [[2, 1]]}]}, "not on 3 strands"),
+    (["cd", "normalize"], {"strands": None, "degree": 2, "terms": []}, "NoneType"),
+    (["cd", "normalize"], {"strands": 3, "degree": 2,
+                           "terms": [{"coef": "1", "word": [1]}]}, "not iterable"),
+    (["assoc", "check"], {"mu": "1", "degree": -1, "phi": {"terms": []}}, "must be nonnegative"),
+    (["assoc", "check"], {"mu": "1", "degree": 2,
+                          "phi": {"terms": [{"coef": "1", "word": [[3, 4]]}]}}, "not on 3 strands"),
+]
+
+
+@pytest.mark.parametrize("argv, data, message", BAD_CHORD_JSON)
+def test_bad_chord_json_rejected(capsys, monkeypatch, argv, data, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, data, message", BAD_CHORD_JSON)
+def test_bad_chord_json_under_optimize(argv, data, message):
+    out = run_optimized(argv, json.dumps(data))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and message in out.stderr
 
 
 def test_papb_selftest_json(capsys):

@@ -1,5 +1,8 @@
+import json
 import random
 from fractions import Fraction
+
+import pytest
 
 from braidops.exact import (
     LinearSystem,
@@ -136,6 +139,42 @@ def test_json_roundtrip():
     for _ in range(5):
         a = rand_series(rng, 3, 3)
         assert series_from_json(series_to_json(a)) == a
+
+
+BAD_SERIES_JSON = [
+    {"alphabet": 2, "degree": 3, "terms": [{"coef": "1", "word": [0, 7]}]},
+    {"alphabet": 2, "degree": 3, "terms": [{"coef": "1", "word": [-1]}]},
+    {"alphabet": 2, "degree": -1, "terms": []},
+    {"alphabet": -2, "degree": 3, "terms": []},
+]
+
+
+def test_boundaries_reject_bad_letters():
+    for data in BAD_SERIES_JSON:
+        with pytest.raises(ValueError):
+            series_from_json(data)
+    for g in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            NCSeries.generator(2, 3, g)
+
+
+def test_series_json_letters_under_optimize():
+    # the checks must raise ValueError, not assert, which -O strips
+    import subprocess
+    import sys
+
+    script = ("import sys, json\n"
+              "from braidops.exact import series_from_json\n"
+              "for data in json.loads(sys.argv[1]):\n"
+              "    try:\n"
+              "        series_from_json(data)\n"
+              "    except ValueError as exc:\n"
+              "        print('rejected:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(BAD_SERIES_JSON)],
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.count("rejected:") == len(BAD_SERIES_JSON)
 
 
 def test_all_words():

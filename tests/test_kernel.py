@@ -7,10 +7,18 @@ dense reference computed over the full word basis.
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidops.chords import DKElement, _reduce_terms, dk_coproduct
+from braidops.chords import (
+    DKElement,
+    _gen_index,
+    _reduce_terms,
+    dk_coproduct,
+    dk_generators,
+    dk_insert,
+    substitute_letters,
+)
 from braidops.exact import NCSeries, accumulate, series_mul
 
 ALPHABET = 3  # also the chord generators t12, t13, t23 on three strands
@@ -150,3 +158,81 @@ def test_coproduct_matches_dense(terms):
                 for w2, c2 in _FORMS[right].items():
                     ref[(w1, w2)] = ref.get((w1, w2), Fraction(0)) + c * c1 * c2
     assert out == sparse(ref)
+
+
+# -- letter substitution and strand doubling -----------------------------------------
+
+images = st.lists(st.lists(st.integers(0, ALPHABET - 1), max_size=3).map(tuple),
+                  min_size=ALPHABET, max_size=ALPHABET)
+
+
+@given(term_maps, images)
+@example({(0, 1): Fraction(1), (2,): Fraction(-2), (): Fraction(1, 2)}, [(), (1,), (0, 2)])
+def test_substitute_letters_matches_dense(terms, table):
+    terms = {w: c for w, c in terms.items() if c}
+    out = substitute_letters(terms, table)
+    assert_no_zero(out)
+    dense = {w: Fraction(0) for w in all_words()}
+    for w, c in terms.items():
+        for target in itertools.product(range(ALPHABET), repeat=len(w)):
+            count = 1
+            for letter, t in zip(w, target):
+                count *= table[letter].count(t)
+            dense[target] += c * count
+    assert out == sparse(dense)
+
+
+def chained_insert(u, k, v):
+    """Insertion with one series_mul per letter, each letter mapped to its image series."""
+    s = v.strands
+    total = u.strands + s - 1
+    degree = min(u.degree, v.degree)
+    idx = _gen_index(total)
+    g = len(idx)
+
+    def shifted(a):
+        return a if a < k else a + s - 1
+
+    gen_image = []
+    for a, b in dk_generators(u.strands):
+        if k not in (a, b):
+            gen_image.append(NCSeries.generator(g, degree, idx[(shifted(a), shifted(b))]))
+        else:
+            other = shifted(b if a == k else a)
+            gen_image.append(NCSeries(g, degree, {(idx[tuple(sorted((l, other)))],): 1
+                                                  for l in range(k, k + s)}))
+    out = NCSeries.zero(g, degree)
+    for w, c in u.series.terms.items():
+        acc = NCSeries.one(g, degree)
+        for letter in w:
+            acc = series_mul(acc, gen_image[letter])
+        out = out + acc.scale(c)
+    pairs_v = dk_generators(s)
+    vshift = NCSeries(g, degree, {tuple(idx[(pairs_v[l][0] + k - 1, pairs_v[l][1] + k - 1)]
+                                        for l in w): c for w, c in v.series.terms.items()})
+    return DKElement(total, degree, series_mul(out, vshift).terms)
+
+
+def chord_terms(r, degree):
+    g = r * (r - 1) // 2
+    letters = st.lists(st.integers(0, g - 1), max_size=degree) if g else st.just([])
+    return st.dictionaries(letters.map(tuple), coefs, max_size=6)
+
+
+@st.composite
+def insertions(draw):
+    """(u, k, v) with at most 4 strands after insertion, at degree <= 3."""
+    r = draw(st.integers(1, 4))
+    s = draw(st.integers(0, 5 - r))
+    du, dv = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    u = DKElement(r, du, draw(chord_terms(r, du)))
+    v = DKElement(s, dv, draw(chord_terms(s, dv)))
+    return u, draw(st.integers(1, r)), v
+
+
+@settings(deadline=None, max_examples=60)
+@given(insertions())
+def test_dk_insert_matches_chained_products(args):
+    out = dk_insert(*args)
+    assert_no_zero(out.series.terms)
+    assert out == chained_insert(*args)
