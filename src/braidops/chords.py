@@ -6,10 +6,15 @@ weight 1) modulo the two-sided ideal generated by
     [t_ij, t_kl]           for {i,j} and {k,l} disjoint,
     [t_ik, t_ij + t_jk]    for distinct i, j, k,
 
-truncated above a fixed total degree N.  Normal forms are computed degreewise
-against a cached reduced row echelon basis of the ideal's graded pieces over
-the deglex-ordered word basis, so equality of elements is structural equality
-of normal forms and everything stays exact.
+truncated above a fixed total degree N.  Normal forms come from quadratic
+rewriting: the cached echelon rows of the degree-2 relations, under the deglex
+order of words, rewrite their leading pair of letters anywhere in a word, and
+the normal form of every word met is memoised per (strands, word).  These
+rules are a Groebner basis of the whole ideal: the words avoiding every
+leading pair number [t^d] prod_{k<r} 1/(1 - k t), Kohno's Hilbert series, in
+degree 3 for every r up to MAX_STRANDS, so every overlap resolves and, by the
+diamond lemma, normal forms are unique in every degree.  Equality of elements
+is structural equality of normal forms and everything stays exact.
 
 Strand conventions: the strand index of a chord generator is the input label
 it touches; operadic insertion at strand k doubles the strand into a block
@@ -57,28 +62,32 @@ def _relations(r: int) -> list[dict[tuple[int, ...], Fraction]]:
     return rels
 
 
-# Observationally transparent cache: concurrent builders may race but compute
-# identical rows, and reads after construction are safe.
+#: largest strand count whose rewrite rules are built: 0.2 s at 12 strands,
+#: and the number of relations grows as the fourth power of the strand count
+MAX_STRANDS = 12
+
+# Observationally transparent caches: concurrent builders may race but compute
+# identical entries, and reads after construction are safe.
 _REDUCER_CACHE: dict[tuple[int, int], dict] = {}
+_NORMAL_FORMS: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Fraction]] = {}
 
 
 def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
-    """RREF rows of the ideal's degree-d piece, keyed by leading (max) word."""
+    """RREF rows of the ideal's degree-2 piece, keyed by leading (max) word.
+
+    Each row rewrites its leading pair as minus the rest of the row; the
+    rules are quadratic, so ``d`` is always 2.
+    """
+    if r > MAX_STRANDS:
+        raise ValueError(f"{r} strands exceed the limit of {MAX_STRANDS} for chord normal forms")
+    assert d == 2, "the rewrite rules are quadratic"
     key = (r, d)
     cached = _REDUCER_CACHE.get(key)
     if cached is not None:
         return cached
     rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    if d >= 2:
-        g = len(dk_generators(r))
-        rels = _relations(r)
-        for left_len in range(d - 1):
-            right_len = d - 2 - left_len
-            for u in itertools.product(range(g), repeat=left_len):
-                for v in itertools.product(range(g), repeat=right_len):
-                    for rel in rels:
-                        raw = {u + w + v: c for w, c in rel.items()}
-                        _rref_insert(rows, raw)
+    for rel in _relations(r):
+        _rref_insert(rows, rel)
     _REDUCER_CACHE[key] = rows
     return rows
 
@@ -104,25 +113,38 @@ def _rref_insert(rows: dict, row: dict) -> None:
     rows[lead] = row
 
 
-def _reduce_terms(terms: dict, r: int) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    by_degree: dict[int, dict] = {}
-    for w, c in terms.items():
-        by_degree.setdefault(len(w), {})[w] = c
-    for d, vec in by_degree.items():
-        reducer = _reducer(r, d)
-        work = accumulate({}, vec.items())
-        while work:
-            w = max(work)
-            c = work.pop(w)
-            row = reducer.get(w)
+def _normal_form(r: int, w: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    """Normal form of one word, memoised per (r, word); the result is shared, never mutate it.
+
+    The tail w[1:] is normalised first; then only the pair of the first letter
+    with a standard word's first letter can be a leading pair.  Rewriting makes
+    a word lexicographically smaller, so the recursion ends.
+    """
+    key = (r, w)
+    nf = _NORMAL_FORMS.get(key)
+    if nf is not None:
+        return nf
+    if len(w) < 2:
+        nf = {w: Fraction(1)}
+    else:
+        rules = _reducer(r, 2)
+        head = w[0]
+        nf = {}
+        for s, c in _normal_form(r, w[1:]).items():
+            lead = (head, s[0])
+            row = rules.get(lead)
             if row is None:
-                # a standard word leaves ``work`` for good: rows only add smaller words
-                out[w] = c
+                accumulate(nf, (((head,) + s, c),))
             else:
-                c = -c
-                accumulate(work, ((w2, c * c2) for w2, c2 in row.items() if w2 != w))
-    return out
+                accumulate(nf, ((w2, -c * pc * c2) for pair, pc in row.items() if pair != lead
+                                for w2, c2 in _normal_form(r, pair + s[1:]).items()))
+    _NORMAL_FORMS[key] = nf
+    return nf
+
+
+def _reduce_terms(terms: dict, r: int) -> dict:
+    return accumulate({}, ((w2, c * c2) for w, c in terms.items()
+                           for w2, c2 in _normal_form(r, w).items()))
 
 
 class DKElement:
@@ -211,9 +233,18 @@ def _check_nonnegative(r: int, d: int) -> None:
 
 
 def dimension_of_degree(r: int, d: int) -> int:
+    """Number of standard words of degree d, those with no leading pair of a rewrite rule.
+
+    ``ends[b]`` counts the standard words of the current length that end in letter b.
+    """
     _check_nonnegative(r, d)
+    leads = _reducer(r, 2)
     g = len(dk_generators(r))
-    return g ** d - len(_reducer(r, d))
+    before = [[a for a in range(g) if (a, b) not in leads] for b in range(g)]
+    ends = [1] * g
+    for _ in range(d - 1):
+        ends = [sum(ends[a] for a in before[b]) for b in range(g)]
+    return sum(ends) if d else 1
 
 
 # -- operadic structure ----------------------------------------------------------

@@ -8,6 +8,7 @@ byte-identical results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -482,10 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first run, not at import, and shared by every later run in the process
+_shared_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

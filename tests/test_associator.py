@@ -197,5 +197,5 @@ def test_solver_shapes_pinned(monkeypatch):
         return sol
 
     monkeypatch.setattr(associator, "solve_exact", recording)
-    solve_associator(1, 4)
-    assert shapes == [(8, 2, 0), (26, 4, 0), (88, 8, 1), (276, 16, 0)]
+    solve_associator(1, 5)
+    assert shapes == [(8, 2, 0), (26, 4, 0), (88, 8, 1), (276, 16, 0), (832, 32, 1)]

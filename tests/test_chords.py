@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -5,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from braidops.chords import (
+    MAX_STRANDS,
     DKElement,
     PaCDMorphism,
+    _reduce_terms,
+    _relations,
     dimension_of_degree,
     dk_coproduct,
     dk_from_json,
@@ -112,45 +116,116 @@ def test_normal_form_idempotent_linear():
         assert (e + f2) - f2 == e
 
 
+def hilbert_dimension(r, d):
+    """[t^d] prod_{k=1}^{r-1} 1/(1 - k t), Kohno's Hilbert series of the r-strand algebra."""
+    coeffs = [1] + [0] * d
+    for k in range(1, r):
+        for i in range(1, d + 1):
+            coeffs[i] += k * coeffs[i - 1]
+    return coeffs[d]
+
+
+def test_dimensions_match_hilbert_series():
+    assert [hilbert_dimension(3, d) for d in range(4)] == [1, 3, 7, 15]
+    for r in range(9):
+        for d in range(9):
+            assert dimension_of_degree(r, d) == hilbert_dimension(r, d), (r, d)
+    # degree 3 holds every overlap of two leading pairs, so by the diamond lemma
+    # the quadratic rules are a Groebner basis in every degree up to MAX_STRANDS
+    for r in range(9, MAX_STRANDS + 1):
+        assert dimension_of_degree(r, 3) == hilbert_dimension(r, 3), r
+
+
+def test_strand_limit():
+    with pytest.raises(ValueError, match="exceed the limit"):
+        dimension_of_degree(MAX_STRANDS + 1, 0)
+    with pytest.raises(ValueError, match="exceed the limit"):
+        t(MAX_STRANDS + 1, 2, 1, 2).mul(t(MAX_STRANDS + 1, 2, 3, 4))
+    # words of degree below 2 need no rewrite rule
+    assert format_dk(t(40, 2, 39, 40)) == "t3940"
+
+
+# -- the degree-d echelon table: the oracle the rewriting replaced ------------------
+
+
+def placements(r, d):
+    """Every u * rel * v of degree d, for u, v words and rel a defining relation."""
+    g = len(dk_generators(r))
+    for k in range(d - 1):
+        for u in itertools.product(range(g), repeat=k):
+            for v in itertools.product(range(g), repeat=d - 2 - k):
+                for rel in _relations(r):
+                    yield {u + w + v: c for w, c in rel.items()}
+
+
+@functools.cache
+def echelon(r, d):
+    """Echelon rows of the ideal's degree-d piece over every placement, keyed by leading (max) word."""
+    rows = {}
+    for vec in placements(r, d):
+        while vec:
+            lead = max(vec)
+            if lead not in rows:
+                inv = 1 / vec[lead]
+                rows[lead] = {w: c * inv for w, c in vec.items()}
+                break
+            c = vec[lead]
+            for w, pc in rows[lead].items():
+                acc = vec.get(w, 0) - c * pc
+                if acc:
+                    vec[w] = acc
+                else:
+                    vec.pop(w, None)
+    return rows
+
+
+def echelon_normal_form(terms, r):
+    """Reduce the largest word against the echelon rows of its degree until none is a leading word."""
+    work = dict(terms)
+    out = {}
+    while work:
+        w = max(work, key=lambda word: (len(word), word))
+        c = work.pop(w)
+        row = echelon(r, len(w)).get(w)
+        if row is None:
+            out[w] = c
+            continue
+        for w2, c2 in row.items():
+            if w2 != w:
+                acc = work.get(w2, 0) - c * c2
+                if acc:
+                    work[w2] = acc
+                else:
+                    work.pop(w2, None)
+    return out
+
+
 def test_reducer_rank_matches_bruteforce():
-    # independent brute-force rank of the ideal's graded piece
+    # the brute-force rank of the ideal's graded piece leaves the standard words
     for r, d in [(3, 2), (3, 3), (4, 2), (4, 3)]:
         g = len(dk_generators(r))
-        from braidops.chords import _reducer, _relations
+        assert len(echelon(r, d)) == g ** d - dimension_of_degree(r, d)
 
-        words = list(itertools.product(range(g), repeat=d))
-        wi = {w: k for k, w in enumerate(words)}
-        raw = []
-        for ll in range(d - 1):
-            rl = d - 2 - ll
-            for u in itertools.product(range(g), repeat=ll):
-                for v in itertools.product(range(g), repeat=rl):
-                    for rel in _relations(r):
-                        vec = {}
-                        for w, c in rel.items():
-                            vec[wi[u + w + v]] = vec.get(wi[u + w + v], Fraction(0)) + c
-                        raw.append(vec)
-        # sparse elimination
-        pivots = {}
-        rank = 0
-        for vec in raw:
-            vec = dict(vec)
-            while vec:
-                lead = max(vec)
-                if lead in pivots:
-                    c = vec[lead]
-                    for k2, c2 in pivots[lead].items():
-                        acc = vec.get(k2, Fraction(0)) - c * c2
-                        if acc == 0:
-                            vec.pop(k2, None)
-                        else:
-                            vec[k2] = acc
-                else:
-                    inv = 1 / vec[lead]
-                    pivots[lead] = {k2: c2 * inv for k2, c2 in vec.items()}
-                    rank += 1
-                    break
-        assert len(_reducer(r, d)) == rank
+
+def test_normal_forms_match_echelon_oracle():
+    rng = random.Random(10)
+    for r, d in [(3, 5), (4, 4), (5, 3)]:
+        g = len(dk_generators(r))
+        for _ in range(3):
+            terms = {}
+            for _ in range(40):
+                word = tuple(rng.randrange(g) for _ in range(rng.randint(d - 1, d)))
+                terms[word] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            terms = {w: c for w, c in terms.items() if c}
+            assert _reduce_terms(terms, r) == echelon_normal_form(terms, r), (r, d)
+
+
+def test_every_placement_reduces_to_zero():
+    count = 0
+    for vec in placements(4, 4):
+        assert _reduce_terms(vec, 4) == {}
+        count += 1
+    assert count == 3 * 6 ** 2 * 15
 
 
 def test_coproduct_grouplike():

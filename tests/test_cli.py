@@ -150,7 +150,7 @@ def run_optimized(argv, stdin=""):
     import sys
 
     return subprocess.run([sys.executable, "-O", "-m", "braidops", *argv], input=stdin,
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=60,
                           env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
 
 
@@ -180,6 +180,29 @@ def test_negative_sizes_under_optimize(argv):
     out = run_optimized(argv)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error:") and "must be nonnegative" in out.stderr
+
+
+TOO_MANY_STRANDS = [
+    (["cd", "dims", "--strands", "30", "--degree", "3"], ""),
+    (["cd", "normalize"], json.dumps({"strands": 40, "degree": 2, "terms": [
+        {"coef": "1", "word": [[1, 2], [3, 4]]}]})),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", TOO_MANY_STRANDS)
+def test_too_many_strands_rejected(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "exceed the limit" in captured.err
+
+
+@pytest.mark.parametrize("argv, stdin", TOO_MANY_STRANDS)
+def test_too_many_strands_under_optimize(argv, stdin):
+    out = run_optimized(argv, stdin)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "exceed the limit" in out.stderr
 
 
 def test_tree_graft_rejects_bad_slot(capsys):
