@@ -32,8 +32,8 @@ from .chords import (
 )
 from .diagrams import CLOSED_FAMILIES, family_word_pairs
 from .exact import LinearSystem, accumulate, fraction_to_str, solve_exact
-from .parenthesized import PaBMorphism, evaluate_word, pab_to_word
-from .trees import Tree, color, mc, x
+from .parenthesized import GENERATOR_SHAPES, PaBMorphism, evaluate_word, pab_to_word
+from .trees import Tree, color
 
 _T12 = 0  # generator indices in the 3-strand alphabet (1,2), (1,3), (2,3)
 _T13 = 1
@@ -63,15 +63,13 @@ class CDAlgebra:
         self.mu = assoc.mu
         self.phi = assoc.phi.truncate(self.degree)
         braiding = DKElement.generator(2, self.degree, 1, 2).scale(self.mu / 2).exp()
-        self._tau = PaCDMorphism(mc(x(1), x(2)), mc(x(2), x(1)), braiding)
-        self._alpha = PaCDMorphism(mc(mc(x(1), x(2)), x(3)), mc(x(1), mc(x(2), x(3))), self.phi)
+        self._gens = {name: PaCDMorphism(*GENERATOR_SHAPES[name][:2], element)
+                      for name, element in (("tau", braiding), ("alpha_c", self.phi))}
 
     def generator(self, name: str):
-        if name == "tau":
-            return self._tau
-        if name == "alpha_c":
-            return self._alpha
-        raise ValueError(f"closed-color algebra has no generator {name!r}")
+        if name not in self._gens:
+            raise ValueError(f"closed-color algebra has no generator {name!r}")
+        return self._gens[name]
 
     def identity(self, tree: Tree):
         assert color(tree) == "c", "closed-color algebra evaluates closed words only"

@@ -247,6 +247,16 @@ def cable(b: BraidWord, position: int, width: int) -> BraidWord:
     return inflate(b, widths)
 
 
+def splice(outer: BraidWord, start: int, end: int, inner: BraidWord) -> BraidWord:
+    """Insert ``inner`` at the strand of ``outer`` that runs from ``start`` to ``end``.
+
+    The strand is cabled by ``inner.strands`` parallel strands and ``inner`` is
+    appended where the cabled block ends.
+    """
+    cabled = cable(outer, start, inner.strands)
+    return cabled * inner.shift(end - 1, cabled.strands)
+
+
 def delete_strand(b: BraidWord, position: int) -> BraidWord:
     """Remove the strand starting at ``position`` and every crossing it carries."""
     if not (1 <= position <= b.strands):

@@ -66,6 +66,12 @@ def _relations(r: int) -> list[dict[tuple[int, ...], Fraction]]:
 #: and the number of relations grows as the fourth power of the strand count
 MAX_STRANDS = 12
 
+
+def _check_strands(r: int) -> None:
+    if r > MAX_STRANDS:
+        raise ValueError(f"{r} strands exceed the limit of {MAX_STRANDS} for chord normal forms")
+
+
 # Observationally transparent caches: concurrent builders may race but compute
 # identical entries, and reads after construction are safe.
 _REDUCER_CACHE: dict[tuple[int, int], dict] = {}
@@ -78,8 +84,7 @@ def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Frac
     Each row rewrites its leading pair as minus the rest of the row; the
     rules are quadratic, so ``d`` is always 2.
     """
-    if r > MAX_STRANDS:
-        raise ValueError(f"{r} strands exceed the limit of {MAX_STRANDS} for chord normal forms")
+    _check_strands(r)
     assert d == 2, "the rewrite rules are quadratic"
     key = (r, d)
     cached = _REDUCER_CACHE.get(key)
@@ -438,4 +443,5 @@ def dk_to_json(e: DKElement) -> dict:
 def dk_from_json(data: dict) -> DKElement:
     r, degree = int(data["strands"]), int(data["degree"])
     _check_nonnegative(r, degree)
+    _check_strands(r)
     return DKElement(r, degree, dk_terms_from_json(r, data["terms"]))

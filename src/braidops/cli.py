@@ -494,8 +494,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, TypeError, AssertionError, KeyError, json.JSONDecodeError,
-            OSError) as exc:
+    except (ValueError, TypeError, AssertionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

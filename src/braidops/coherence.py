@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .diagrams import family_word_pairs
-from .parenthesized import Word, evaluate_word
+from .parenthesized import GENERATOR_SHAPES, Word, evaluate_word
 from .trees import Tree, arity, color
 
 
@@ -53,8 +53,10 @@ class FiniteCategory:
                     if self.src[gf] != self.src[f] or self.tgt[gf] != self.tgt[g]:
                         raise CoherenceTypeError(f"{self.name}: composite endpoints wrong at ({g!r}, {f!r})")
         for f in self.morphisms:
-            assert self.comp(f, self.identities[self.src[f]]) == f, "right identity law"
-            assert self.comp(self.identities[self.tgt[f]], f) == f, "left identity law"
+            if self.comp(f, self.identities[self.src[f]]) != f:
+                raise CoherenceTypeError(f"{self.name}: right identity law fails at {f!r}")
+            if self.comp(self.identities[self.tgt[f]], f) != f:
+                raise CoherenceTypeError(f"{self.name}: left identity law fails at {f!r}")
         for h in self.morphisms:
             for g in self.morphisms:
                 if self.tgt[g] != self.src[h]:
@@ -62,8 +64,9 @@ class FiniteCategory:
                 for f in self.morphisms:
                     if self.tgt[f] != self.src[g]:
                         continue
-                    assert self.comp(self.comp(h, g), f) == self.comp(h, self.comp(g, f)), \
-                        f"{self.name}: associativity fails at ({h!r}, {g!r}, {f!r})"
+                    if self.comp(self.comp(h, g), f) != self.comp(h, self.comp(g, f)):
+                        raise CoherenceTypeError(
+                            f"{self.name}: associativity fails at ({h!r}, {g!r}, {f!r})")
 
     def comp(self, g, f):
         assert self.tgt[f] == self.src[g], f"{self.name}: not composable"
@@ -120,15 +123,16 @@ class FunctorTable:
         # identities and composition
         for objs in itertools.product(*[c.objects for c in self.sources]):
             ids = tuple(c.identity(o) for c, o in zip(self.sources, objs))
-            assert self.on_morphisms(ids) == self.target.identity(self.on_objects(objs)), \
-                f"functor {self.name}: identity law fails at {objs!r}"
+            if self.on_morphisms(ids) != self.target.identity(self.on_objects(objs)):
+                raise CoherenceTypeError(f"functor {self.name}: identity law fails at {objs!r}")
         for gs in itertools.product(*[c.morphisms for c in self.sources]):
             for fs in itertools.product(*[c.morphisms for c in self.sources]):
                 if all(c.tgt[f] == c.src[g] for c, g, f in zip(self.sources, gs, fs)):
                     comp_args = tuple(c.comp(g, f) for c, g, f in zip(self.sources, gs, fs))
-                    assert self.on_morphisms(comp_args) == \
-                        self.target.comp(self.on_morphisms(gs), self.on_morphisms(fs)), \
-                        f"functor {self.name}: composition law fails"
+                    if self.on_morphisms(comp_args) != \
+                            self.target.comp(self.on_morphisms(gs), self.on_morphisms(fs)):
+                        raise CoherenceTypeError(
+                            f"functor {self.name}: composition law fails at ({gs!r}, {fs!r})")
 
 
 class AlgebraData:
@@ -207,7 +211,8 @@ class AlgebraData:
         def square(table, key_src, key_tgt, lhs_mor, rhs_mor, cat, name):
             lhs = cat.comp(table[key_tgt], lhs_mor)
             rhs = cat.comp(rhs_mor, table[key_src])
-            assert lhs == rhs, f"naturality of {name} fails at {key_src!r}"
+            if lhs != rhs:
+                raise CoherenceTypeError(f"naturality of {name} fails at {key_src!r}")
 
         for f1 in M.morphisms:
             for f2 in M.morphisms:
@@ -307,20 +312,9 @@ class FinCatAlgebra:
 
     def __init__(self, data: AlgebraData):
         self.data = data
-        g = {}
-        from .trees import f as f_, mc, mo, x, y
-
-        g["tau"] = (mc(x(1), x(2)), mc(x(2), x(1)),
-                    lambda o, c: self.data.t[(c[0], c[1])])
-        g["alpha_c"] = (mc(mc(x(1), x(2)), x(3)), mc(x(1), mc(x(2), x(3))),
-                        lambda o, c: self.data.a_c[(c[0], c[1], c[2])])
-        g["alpha_o"] = (mo(mo(y(1), y(2)), y(3)), mo(y(1), mo(y(2), y(3))),
-                        lambda o, c: self.data.a_o[(o[0], o[1], o[2])])
-        g["p"] = (mo(f_(x(1)), f_(x(2))), f_(mc(x(1), x(2))),
-                  lambda o, c: self.data.p_iso[(c[0], c[1])])
-        g["psi"] = (mo(f_(x(1)), y(1)), mo(y(1), f_(x(1))),
-                    lambda o, c: self.data.psi[(c[0], o[0])])
-        self._gens = g
+        # a component is keyed by the closed slot objects, then the open ones
+        self._components = {"tau": data.t, "alpha_c": data.a_c, "alpha_o": data.a_o,
+                            "p": data.p_iso, "psi": data.psi}
 
     def _table(self, src_tree: Tree, tgt_tree: Tree, fn) -> NatTransTable:
         n, m = arity(src_tree)
@@ -330,8 +324,9 @@ class FinCatAlgebra:
         return NatTransTable(self.data, src_tree, tgt_tree, comps)
 
     def generator(self, name: str) -> NatTransTable:
-        src, tgt, fn = self._gens[name]
-        return self._table(src, tgt, fn)
+        src, tgt, _ = GENERATOR_SHAPES[name]
+        table = self._components[name]
+        return self._table(src, tgt, lambda oargs, cargs: table[cargs + oargs])
 
     def identity(self, tree: Tree) -> NatTransTable:
         functor = TreeFunctor(self.data, tree)

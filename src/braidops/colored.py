@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, Permutation, braids_equal, cable, delete_strand, permute_seq, weave
+from .braids import BraidWord, Permutation, braids_equal, delete_strand, permute_seq, splice, weave
 from .trees import ShuffleObject
 
 
@@ -115,15 +115,11 @@ def copb_insert_closed(outer: CoPBMorphism, i: int, inner: CoBMorphism) -> CoPBM
     """Insert a colored braid into the tubular neighborhood of aerial strand i."""
     if not (1 <= i <= outer.m):
         raise ValueError("slot out of range")
-    k = inner.strands
     src = outer.src.insert_closed(i, inner.src_seq)
     tgt = outer.tgt.insert_closed(i, inner.tgt_seq)
     p = outer.src.aerial.index(i) + 1      # starting aerial position of the strand
     q = outer.braid.permutation()(p)       # its ending position
-    braid = cable(outer.braid, p, k)
-    total = braid.strands
-    braid = braid * inner.braid.shift(q - 1, total)
-    return CoPBMorphism(src, tgt, braid)
+    return CoPBMorphism(src, tgt, splice(outer.braid, p, q, inner.braid))
 
 
 def _corridor_flags(obj: ShuffleObject, j: int) -> tuple[bool, ...]:
@@ -150,9 +146,7 @@ def copb_insert_open(outer: CoPBMorphism, j: int, inner: CoPBMorphism) -> CoPBMo
     woven = weave(outer.braid, src_flags, tgt_flags)
     p = src_flags.index(True) + 1
     q = tgt_flags.index(True) + 1
-    braid = cable(woven, p, inner.m)
-    braid = braid * inner.braid.shift(q - 1, braid.strands)
-    return CoPBMorphism(src, tgt, braid)
+    return CoPBMorphism(src, tgt, splice(woven, p, q, inner.braid))
 
 
 def restrict_unit_closed(mor: CoPBMorphism, i: int) -> CoPBMorphism:

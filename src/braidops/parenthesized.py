@@ -4,21 +4,27 @@ Morphisms between trees are the morphisms between their interval
 configurations (a pullback along the translation ``omega``), so a morphism is
 (source tree, target tree, underlying configuration morphism).
 
+The five morphism generators (tau, alpha_c, alpha_o, p, psi) are presented
+once, in ``GENERATOR_SHAPES``: source tree, target tree and braid letters.
+The operad's own generators, the moves of ``context_apply`` (which matches a
+shape against any subtree, binding its slot leaves) and the generator
+components of the other algebras are all read from that table.
+
 The module also implements a small expression language of *generator words*:
-formal composites of the five morphism generators (tau, p, psi, alpha_c,
-alpha_o), identities of object trees, groupoid composition and inversion,
-operadic insertion, and symmetric-group relabeling.  Words evaluate against
-any algebra exposing the evaluation interface; evaluating inside the operad
-itself recovers the morphism, which is the correctness criterion for the
-decomposition algorithms below (split aerial blocks apart, transport with
-psi moves between left-combed shapes, emit one crossing per braid letter).
+formal composites of the five morphism generators, identities of object
+trees, groupoid composition and inversion, operadic insertion, and
+symmetric-group relabeling.  Words evaluate against any algebra exposing the
+evaluation interface; evaluating inside the operad itself recovers the
+morphism, which is the correctness criterion for the decomposition algorithms
+below (split aerial blocks apart, transport with psi moves between
+left-combed shapes, emit one crossing per braid letter).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, braids_equal, cable, permute_seq
+from .braids import BraidWord, braids_equal, permute_seq, splice
 from .colored import (
     CoBMorphism,
     CoPBMorphism,
@@ -89,13 +95,9 @@ def pab_insert(outer: PaBMorphism, i: int, inner: PaBMorphism) -> PaBMorphism:
     """Operadic insertion in the closed component (cable and splice)."""
     src = graft_closed(outer.src, i, inner.src)
     tgt = graft_closed(outer.tgt, i, inner.tgt)
-    k = inner.strands
-    seq = closed_labels(outer.src)
-    p = seq.index(i) + 1
+    p = closed_labels(outer.src).index(i) + 1
     q = outer.braid.permutation()(p)
-    braid = cable(outer.braid, p, k)
-    braid = braid * inner.braid.shift(q - 1, braid.strands)
-    return PaBMorphism(src, tgt, braid)
+    return PaBMorphism(src, tgt, splice(outer.braid, p, q, inner.braid))
 
 
 def pab_relabel(mor: PaBMorphism, closed_map: dict[int, int]) -> PaBMorphism:
@@ -205,33 +207,28 @@ def papb_shuffle_type(src: Tree, tgt: Tree) -> PaPBMorphism | None:
 _X1, _X2, _X3 = ("x", 1), ("x", 2), ("x", 3)
 _Y1, _Y2, _Y3 = ("y", 1), ("y", 2), ("y", 3)
 
+#: The presentation of the morphism generators: name -> (source tree, target
+#: tree, braid letters).  The leaves ``x<i>`` and ``y<j>`` of the two trees are
+#: the generator's closed and open slots.
+GENERATOR_SHAPES: dict[str, tuple[Tree, Tree, tuple[int, ...]]] = {
+    "tau": (("mc", _X1, _X2), ("mc", _X2, _X1), (1,)),
+    "alpha_c": (("mc", ("mc", _X1, _X2), _X3), ("mc", _X1, ("mc", _X2, _X3)), ()),
+    "alpha_o": (("mo", ("mo", _Y1, _Y2), _Y3), ("mo", _Y1, ("mo", _Y2, _Y3)), ()),
+    "p": (("mo", ("f", _X1), ("f", _X2)), ("f", ("mc", _X1, _X2)), ()),
+    "psi": (("mo", ("f", _X1), _Y1), ("mo", _Y1, ("f", _X1)), ()),
+}
+
 
 def generators() -> dict:
     """The three object generators and five morphism generators."""
-    tau = PaBMorphism(("mc", _X1, _X2), ("mc", _X2, _X1), BraidWord(2, [1]))
-    alpha_c = PaBMorphism(("mc", ("mc", _X1, _X2), _X3),
-                          ("mc", _X1, ("mc", _X2, _X3)), BraidWord(3))
-    alpha_o_src = ("mo", ("mo", _Y1, _Y2), _Y3)
-    alpha_o_tgt = ("mo", _Y1, ("mo", _Y2, _Y3))
-    alpha_o = PaPBMorphism(alpha_o_src, alpha_o_tgt,
-                           CoPBMorphism(omega(alpha_o_src), omega(alpha_o_tgt), BraidWord(0)))
-    p_src = ("mo", ("f", _X1), ("f", _X2))
-    p_tgt = ("f", ("mc", _X1, _X2))
-    p = PaPBMorphism(p_src, p_tgt, CoPBMorphism(omega(p_src), omega(p_tgt), BraidWord(2)))
-    psi_src = ("mo", ("f", _X1), _Y1)
-    psi_tgt = ("mo", _Y1, ("f", _X1))
-    psi = PaPBMorphism(psi_src, psi_tgt,
-                       CoPBMorphism(omega(psi_src), omega(psi_tgt), BraidWord(1)))
-    return {
-        "mu_c": ("mc", _X1, _X2),
-        "mu_o": ("mo", _Y1, _Y2),
-        "f": ("f", _X1),
-        "tau": tau,
-        "alpha_c": alpha_c,
-        "alpha_o": alpha_o,
-        "p": p,
-        "psi": psi,
-    }
+    out = {"mu_c": ("mc", _X1, _X2), "mu_o": ("mo", _Y1, _Y2), "f": ("f", _X1)}
+    for name, (src, tgt, letters) in GENERATOR_SHAPES.items():
+        braid = BraidWord(len(closed_labels(src)), letters)
+        if color(src) == "c":
+            out[name] = PaBMorphism(src, tgt, braid)
+        else:
+            out[name] = PaPBMorphism(src, tgt, CoPBMorphism(omega(src), omega(tgt), braid))
+    return out
 
 
 # -- generator words -----------------------------------------------------------
@@ -370,46 +367,20 @@ class PaPBAlgebra:
 
 # -- elementary localized moves --------------------------------------------------
 
-_GEN_PATTERNS = {
-    # name: (closed slot count, open slot count, src builder, tgt builder)
-    "tau": (2, 0, lambda c, o: ("mc", c[0], c[1]), lambda c, o: ("mc", c[1], c[0])),
-    "alpha_c": (3, 0, lambda c, o: ("mc", ("mc", c[0], c[1]), c[2]),
-                lambda c, o: ("mc", c[0], ("mc", c[1], c[2]))),
-    "alpha_o": (0, 3, lambda c, o: ("mo", ("mo", o[0], o[1]), o[2]),
-                lambda c, o: ("mo", o[0], ("mo", o[1], o[2]))),
-    "p": (2, 0, lambda c, o: ("mo", ("f", c[0]), ("f", c[1])),
-          lambda c, o: ("f", ("mc", c[0], c[1]))),
-    "psi": (1, 1, lambda c, o: ("mo", ("f", c[0]), o[0]),
-            lambda c, o: ("mo", o[0], ("f", c[0]))),
-}
+def _match(shape: Tree, tree: Tree, slots: dict) -> bool:
+    """Whether ``tree`` has the nodes of ``shape``; binds each slot leaf to its subtree."""
+    if shape[0] in ("x", "y"):
+        slots[shape] = tree
+        return True
+    return (tree[0] == shape[0]
+            and all(_match(a, b, slots) for a, b in zip(shape[1:], tree[1:])))
 
 
-def _match_parts(name: str, sign: int, s: Tree) -> tuple[list[Tree], list[Tree]]:
-    """Extract the slot subtrees of a generator instance from its source."""
-    if name == "tau":
-        assert s[0] == "mc"
-        return ([s[1], s[2]], []) if sign > 0 else ([s[2], s[1]], [])
-    if name == "alpha_c" or name == "alpha_o":
-        k = s[0]
-        assert k == ("mc" if name == "alpha_c" else "mo")
-        if sign > 0:
-            assert s[1][0] == k, f"expected {k}-nested-left at {show_tree(s)}"
-            return ([s[1][1], s[1][2], s[2]], []) if name == "alpha_c" else ([], [s[1][1], s[1][2], s[2]])
-        assert s[2][0] == k, f"expected {k}-nested-right at {show_tree(s)}"
-        return ([s[1], s[2][1], s[2][2]], []) if name == "alpha_c" else ([], [s[1], s[2][1], s[2][2]])
-    if name == "p":
-        if sign > 0:
-            assert s[0] == "mo" and s[1][0] == "f" and s[2][0] == "f"
-            return [s[1][1], s[2][1]], []
-        assert s[0] == "f" and s[1][0] == "mc"
-        return [s[1][1], s[1][2]], []
-    if name == "psi":
-        if sign > 0:
-            assert s[0] == "mo" and s[1][0] == "f"
-            return [s[1][1]], [s[2]]
-        assert s[0] == "mo" and s[2][0] == "f"
-        return [s[2][1]], [s[1]]
-    raise ValueError(name)
+def _fill(shape: Tree, slots: dict) -> Tree:
+    """The tree ``shape`` with every slot leaf replaced by its bound subtree."""
+    if shape[0] in ("x", "y"):
+        return slots[shape]
+    return (shape[0],) + tuple(_fill(child, slots) for child in shape[1:])
 
 
 def subtree_at(t: Tree, path: tuple[int, ...]) -> Tree:
@@ -437,13 +408,15 @@ def context_apply(tree: Tree, path: tuple[int, ...], name: str, sign: int) -> tu
     identities of the slot subtrees, so its evaluation has source ``tree``.
     """
     s = subtree_at(tree, path)
-    cparts, oparts = _match_parts(name, sign, s)
-    ncl, nol, src_b, tgt_b = _GEN_PATTERNS[name]
-    assert len(cparts) == ncl and len(oparts) == nol
-    src_check = src_b(cparts, oparts) if sign > 0 else tgt_b(cparts, oparts)
-    assert src_check == s
-    s_next = tgt_b(cparts, oparts) if sign > 0 else src_b(cparts, oparts)
-    next_tree = replace_at(tree, path, s_next)
+    src, tgt, _ = GENERATOR_SHAPES[name]
+    here, there = (src, tgt) if sign > 0 else (tgt, src)
+    slots: dict = {}
+    if not _match(here, s, slots):
+        raise ValueError(f"{name} does not apply at {show_tree(s)}")
+    nol, ncl = arity(src)
+    cparts = [slots[("x", i)] for i in range(1, ncl + 1)]
+    oparts = [slots[("y", j)] for j in range(1, nol + 1)]
+    next_tree = replace_at(tree, path, _fill(there, slots))
 
     # base generator word with normalized slot subtrees grafted in
     base: Word = w_gen(name, sign)
@@ -540,14 +513,13 @@ def _skeleton_redex(tree: Tree, kind: str, path=()) -> tuple[int, ...] | None:
 def skeleton_to_leftcomb(tree: Tree, col: str) -> tuple[list[Word], Tree]:
     """Right rotations to the left comb of the top-level product skeleton."""
     kind = "mc" if col == "c" else "mo"
-    alpha = "alpha_c" if col == "c" else "alpha_o"
     words: list[Word] = []
     cur = tree
     while True:
         pos = _skeleton_redex(cur, kind) if cur[0] == kind else None
         if pos is None:
             break
-        w, cur = context_apply(cur, pos, alpha, -1)
+        w, cur = context_apply(cur, pos, "alpha_" + col, -1)
         words.append(w)
     return words, cur
 
@@ -570,11 +542,21 @@ def assoc_word(src: Tree, tgt: Tree, col: str) -> Word:
     return w_path(steps, src)
 
 
-def _pair_path(natoms: int, i: int) -> tuple[int, ...]:
-    """Path to the i-th node of a left comb over ``natoms`` skeleton leaves."""
-    if i == 1:
-        return (1,) * (natoms - 2)
-    return (1,) * (natoms - 1 - i) + (2,)
+def _adjacent_move(tree: Tree, natoms: int, i: int, name: str, sign: int) -> tuple[list[Word], Tree]:
+    """Apply a generator to atoms i and i+1 of a left comb over ``natoms`` atoms.
+
+    For i >= 2 the pair is first rotated into one subtree by the associator of
+    the comb's color, and rotated back afterwards.
+    """
+    bridge = (1,) * (natoms - i - 1)
+    alpha = "alpha_" + color(tree)
+    moves = [(bridge, name, sign)] if i == 1 else \
+        [(bridge, alpha, 1), (bridge + (2,), name, sign), (bridge, alpha, -1)]
+    words = []
+    for path, gen, gen_sign in moves:
+        w, tree = context_apply(tree, path, gen, gen_sign)
+        words.append(w)
+    return words, tree
 
 
 def pab_to_word(mor: PaBMorphism) -> Word:
@@ -585,21 +567,9 @@ def pab_to_word(mor: PaBMorphism) -> Word:
         assert mor.src == mor.tgt
         return w_id(mor.src)
     steps, cur = skeleton_to_leftcomb(mor.src, "c")
-    natoms = m
     for letter in mor.braid.letters:
-        i = abs(letter)
-        sign = 1 if letter > 0 else -1
-        if i >= 2:
-            bridge = (1,) * (natoms - i - 1)
-            w, cur = context_apply(cur, bridge, "alpha_c", 1)
-            steps.append(w)
-        pair = _pair_path(natoms, i)
-        w, cur = context_apply(cur, pair, "tau", sign)
-        steps.append(w)
-        if i >= 2:
-            bridge = (1,) * (natoms - i - 1)
-            w, cur = context_apply(cur, bridge, "alpha_c", -1)
-            steps.append(w)
+        more, cur = _adjacent_move(cur, m, abs(letter), "tau", 1 if letter > 0 else -1)
+        steps += more
     up, lc2 = skeleton_to_leftcomb(mor.tgt, "c")
     assert cur == lc2, "letter transport did not land on the target comb"
     steps.extend(w_inv(w) for w in reversed(up))
@@ -650,18 +620,8 @@ def _sort_atoms(tree: Tree, natoms: int) -> tuple[list[Word], Tree]:
                 break
         if swap_at is None:
             return words, cur
-        i = swap_at
-        if i >= 2:
-            bridge = (1,) * (natoms - i - 1)
-            w, cur = context_apply(cur, bridge, "alpha_o", 1)
-            words.append(w)
-        pair = _pair_path(natoms, i)
-        w, cur = context_apply(cur, pair, "psi", 1)
-        words.append(w)
-        if i >= 2:
-            bridge = (1,) * (natoms - i - 1)
-            w, cur = context_apply(cur, bridge, "alpha_o", -1)
-            words.append(w)
+        more, cur = _adjacent_move(cur, natoms, swap_at, "psi", 1)
+        words += more
 
 
 def _shuffle_route(tree: Tree) -> tuple[list[Word], Tree]:

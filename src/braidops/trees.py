@@ -93,27 +93,24 @@ def arity(t: Tree) -> tuple[int, int]:
 def _check_colors(t: Tree, unitary: bool) -> None:
     tag = t[0]
     if tag in ("uc", "uo"):
-        assert unitary, "unit leaf outside the unitary variant"
-    elif tag == "mc":
-        assert color(t[1]) == "c" and color(t[2]) == "c"
-        _check_colors(t[1], unitary)
-        _check_colors(t[2], unitary)
-    elif tag == "mo":
-        assert color(t[1]) == "o" and color(t[2]) == "o"
-        _check_colors(t[1], unitary)
-        _check_colors(t[2], unitary)
-    elif tag == "f":
-        assert color(t[1]) == "c"
-        _check_colors(t[1], unitary)
+        if not unitary:
+            raise ValueError("unit leaf outside the unitary variant")
+    elif tag in ("mc", "mo", "f"):
+        want = "o" if tag == "mo" else "c"
+        for child in t[1:]:
+            if color(child) != want:
+                raise ValueError(f"{tag} child {show_tree(child)} has the wrong color")
+            _check_colors(child, unitary)
     elif tag not in ("x", "y"):
         raise ValueError(f"bad tag {tag!r}")
 
 
 def validate(t: Tree, unitary: bool = False) -> None:
+    """Raise ValueError unless the colors match and the labels are 1..n and 1..m."""
     _check_colors(t, unitary)
-    n, m = arity(t)
-    assert sorted(open_labels(t)) == list(range(1, n + 1)), "open labels not 1..n"
-    assert sorted(closed_labels(t)) == list(range(1, m + 1)), "closed labels not 1..m"
+    for kind, labels in (("open", open_labels(t)), ("closed", closed_labels(t))):
+        if sorted(labels) != list(range(1, len(labels) + 1)):
+            raise ValueError(f"{kind} labels of {show_tree(t)} are not 1..{len(labels)}")
 
 
 def relabel_tree(t: Tree, open_map: dict[int, int] | None = None,
@@ -484,8 +481,18 @@ def show_tree(t: Tree) -> str:
 
 
 def parse_tree(text: str) -> Tree:
+    """Parse the ``show_tree`` notation and validate the result (unit leaves allowed).
+
+    Raises ValueError on a syntax error, a color mismatch or bad labels.
+    """
     text = text.replace(" ", "")
     pos = 0
+
+    def expect(token: str) -> None:
+        nonlocal pos
+        if not text.startswith(token, pos):
+            raise ValueError(f"expected {token!r} at {pos} in tree {text!r}")
+        pos += len(token)
 
     def parse() -> Tree:
         nonlocal pos
@@ -493,17 +500,14 @@ def parse_tree(text: str) -> Tree:
             if text.startswith(tag + "(", pos):
                 pos += len(tag) + 1
                 a = parse()
-                assert text[pos] == ",", f"expected ',' at {pos}"
-                pos += 1
+                expect(",")
                 b = parse()
-                assert text[pos] == ")", f"expected ')' at {pos}"
-                pos += 1
+                expect(")")
                 return (tag, a, b)
         if text.startswith("f(", pos):
             pos += 2
             a = parse()
-            assert text[pos] == ")"
-            pos += 1
+            expect(")")
             return ("f", a)
         if text.startswith("uc", pos):
             pos += 2
@@ -511,16 +515,19 @@ def parse_tree(text: str) -> Tree:
         if text.startswith("uo", pos):
             pos += 2
             return UNIT_O
-        if text[pos] in "xy":
+        if text.startswith(("x", "y"), pos):
             kind = text[pos]
             pos += 1
             start = pos
             while pos < len(text) and text[pos].isdigit():
                 pos += 1
-            assert pos > start, f"expected label at {start}"
+            if pos == start:
+                raise ValueError(f"expected a label at {start} in tree {text!r}")
             return (kind, int(text[start:pos]))
-        raise ValueError(f"cannot parse tree at {pos}: {text[pos:]}")
+        raise ValueError(f"cannot parse tree {text!r} at {pos}: {text[pos:] or 'end of input'}")
 
     out = parse()
-    assert pos == len(text), f"trailing input: {text[pos:]}"
+    if pos != len(text):
+        raise ValueError(f"trailing input in tree {text!r}: {text[pos:]}")
+    validate(out, unitary=True)
     return out

@@ -186,6 +186,8 @@ TOO_MANY_STRANDS = [
     (["cd", "dims", "--strands", "30", "--degree", "3"], ""),
     (["cd", "normalize"], json.dumps({"strands": 40, "degree": 2, "terms": [
         {"coef": "1", "word": [[1, 2], [3, 4]]}]})),
+    # the strand count is checked before any table of r(r-1)/2 generators is built
+    (["cd", "normalize"], json.dumps({"strands": 1000, "degree": 0, "terms": []})),
 ]
 
 
@@ -271,3 +273,45 @@ def test_coherence_check_json(capsys):
     assert code == 1
     data = json.loads(out)
     assert data["passed"] is False and data["rejected"]
+
+
+BAD_TREES = ["mc(x1,", "mc(x1,x2", "mc(y1,x1)", "f(y1)", "mc(x1,x1)", "x0", ""]
+
+
+@pytest.mark.parametrize("tree", BAD_TREES)
+def test_bad_tree_rejected(capsys, tree):
+    assert run(["tree", "omega", tree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and captured.err.strip() != "error:"
+
+
+@pytest.mark.parametrize("tree", BAD_TREES)
+def test_bad_tree_under_optimize(tree):
+    out = run_optimized(["tree", "omega", tree])
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.strip() != "error:"
+
+
+def broken_functor_algebra(tmp_path):
+    """The z2-graded data with F sending the identity of 1 to the sign -1."""
+    from braidops.coherence import algebra_to_json, build_z2_graded
+
+    data = algebra_to_json(build_z2_graded())
+    data["F"]["morphisms"] = [[k, "(1, -1)" if k == ["(1, 1)"] else v]
+                              for k, v in data["F"]["morphisms"]]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_functor_law_failure_rejected(capsys, tmp_path):
+    code, out = run_capture(capsys, ["coherence", "check", "--in", broken_functor_algebra(tmp_path)])
+    assert code == 1
+    assert out == "rejected at typing: functor F: identity law fails at (1,)\n"
+
+
+def test_functor_law_failure_under_optimize(tmp_path):
+    out = run_optimized(["coherence", "check", "--in", broken_functor_algebra(tmp_path)])
+    assert out.returncode == 1 and out.stderr == ""
+    assert out.stdout == "rejected at typing: functor F: identity law fails at (1,)\n"

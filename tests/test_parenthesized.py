@@ -3,6 +3,7 @@ import random
 from braidops.braids import BraidWord, braids_equal, permute_seq
 from braidops.colored import CoPBMorphism
 from braidops.parenthesized import (
+    GENERATOR_SHAPES,
     PaBMorphism,
     PaPBAlgebra,
     PaPBMorphism,
@@ -106,6 +107,16 @@ def test_psi_insert_open_is_f_tau_conjugate():
     assert out.source == mo(f(x(2)), f(x(1)))
     assert out.target == mo(f(x(1)), f(x(2)))
     assert out.braid.letters == (1,)
+
+
+def test_context_apply_at_root_is_the_generator():
+    g = generators()
+    for name, (src, tgt, _letters) in GENERATOR_SHAPES.items():
+        for sign, start, end in ((1, src, tgt), (-1, tgt, src)):
+            word, nxt = context_apply(start, (), name, sign)
+            assert nxt == end
+            want = g[name] if sign > 0 else g[name].inverse()
+            assert evaluate_word(word, ALG).equals(want), (name, sign)
 
 
 def test_context_apply_small():

@@ -1,0 +1,53 @@
+"""The recorded benchmark outputs, checked byte for byte.
+
+``perfbench/data`` records the exit code and the sha256 of stdout of every
+``cli-mix`` request and of ``assoc solve --degree 5``.  These tests run the
+requests in process through ``cli.run`` with the benchmark worker's own
+``run_request``, so a change that moves any recorded output fails here too.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from braidops.cli import run
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str) -> dict:
+    with open(PERFBENCH / "data" / name) as fh:
+        return json.load(fh)
+
+
+def _worker():
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKER = _worker()
+
+
+def test_cli_mix_recorded_outputs():
+    catalog = _load("cli_mix.json")["classes"]
+    requests = [req for cls in sorted(catalog) for req in catalog[cls]]
+    assert requests
+    prior, bad = [], []
+    for req in requests:
+        rc, out, _ = WORKER.run_request(run, req, prior, WORKER.plain_clock)
+        prior.append(out)
+        same = WORKER.digest(out) == req["sha256"]
+        if rc != req["rc"] or not same:
+            bad.append(f"{' '.join(req['argv'])}: exit {rc} (recorded {req['rc']})"
+                       f"{'' if same else ', output differs'}")
+    assert not bad, bad[:5]
+
+
+def test_assoc_solve_recorded_digest():
+    recorded = _load("assoc_solve.json")
+    argv = ["assoc", "solve", "--mu=1", "--degree", str(recorded["degree"])]
+    rc, out, _ = WORKER.run_request(run, {"argv": argv}, [], WORKER.plain_clock)
+    assert rc == 0
+    assert WORKER.digest(out) == recorded["digests"]["1"]
