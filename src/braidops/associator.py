@@ -48,8 +48,10 @@ class Associator:
 
     def __post_init__(self):
         self.mu = Fraction(self.mu)
-        assert self.phi.strands == 3
-        assert self.phi.constant_term() == 1, "constant term must be 1"
+        if self.phi.strands != 3:
+            raise ValueError(f"associator on {self.phi.strands} strands, not 3")
+        if self.phi.constant_term() != 1:
+            raise ValueError("constant term must be 1")
 
 
 class CDAlgebra:

@@ -3,8 +3,10 @@
 The data of a candidate algebra is two finite categories, three functors
 (two tensor products and a comparison functor), and five structure
 isomorphisms given as object-indexed component tables.  Validation checks
-category axioms, functor laws, well-typedness of every component, naturality,
-and invertibility, all by exhaustive enumeration.  The checker then evaluates
+category axioms and functor laws, then, for each generator of
+``GENERATOR_SHAPES``, that its table is typed between the functors of the
+generator's source and target trees, invertible and natural in every slot, all
+by exhaustive enumeration.  The checker then evaluates
 both composite paths of the six shared coherence families at every object
 tuple and reports each failing instance.
 
@@ -173,79 +175,54 @@ class AlgebraData:
         if self.f_functor.on_objects((one_m,)) != one_n:
             raise CoherenceTypeError("comparison functor does not preserve the unit")
 
+    def tables(self) -> dict:
+        """Generator name -> (label in messages, component table).
+
+        A component is keyed by the closed slot objects of the generator's
+        shape, then its open slot objects.
+        """
+        return {"tau": ("t", self.t), "alpha_c": ("a_c", self.a_c), "alpha_o": ("a_o", self.a_o),
+                "p": ("p", self.p_iso), "psi": ("psi", self.psi)}
+
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
+        """Check the categories and functors, then each structure isomorphism.
+
+        A component must exist at every key, be typed between the source and
+        target functors of the generator's shape, and be invertible; the
+        table must be natural in every slot.
+        """
         self.m_cat.validate()
         self.n_cat.validate()
         self.m_c.validate()
         self.m_o.validate()
         self.f_functor.validate()
-        M, N = self.m_cat, self.n_cat
-        mc_, mo_, F = self.m_c.on_objects, self.m_o.on_objects, self.f_functor.on_objects
+        for name, (src_tree, tgt_tree, _) in GENERATOR_SHAPES.items():
+            label, table = self.tables()[name]
+            src, tgt = TreeFunctor(self, src_tree), TreeFunctor(self, tgt_tree)
+            cat = src.target
+            n, m = arity(src_tree)
+            slot_cats = [self.m_cat] * m + [self.n_cat] * n
 
-        def need(table, key, cat, src, tgt, name):
-            comp = table.get(key)
-            if comp is None:
-                raise CoherenceTypeError(f"{name}: no component at {key!r}")
-            if comp not in cat.morphisms or cat.src[comp] != src or cat.tgt[comp] != tgt:
-                raise CoherenceTypeError(
-                    f"{name}: component at {key!r} must be a morphism {src!r} -> {tgt!r}")
-            cat.inverse(comp)
+            def args(key):
+                return dict(enumerate(key[m:], 1)), dict(enumerate(key[:m], 1))
 
-        for X, Y, Z in itertools.product(M.objects, repeat=3):
-            need(self.a_c, (X, Y, Z), M, mc_((mc_((X, Y)), Z)), mc_((X, mc_((Y, Z)))), "a_c")
-        for X, Y, Z in itertools.product(N.objects, repeat=3):
-            need(self.a_o, (X, Y, Z), N, mo_((mo_((X, Y)), Z)), mo_((X, mo_((Y, Z)))), "a_o")
-        for X, Y in itertools.product(M.objects, repeat=2):
-            need(self.t, (X, Y), M, mc_((X, Y)), mc_((Y, X)), "t")
-            need(self.p_iso, (X, Y), N, mo_((F((X,)), F((Y,)))), F((mc_((X, Y)),)), "p")
-        for X in M.objects:
-            for Y in N.objects:
-                need(self.psi, (X, Y), N, mo_((F((X,)), Y)), mo_((Y, F((X,)))), "psi")
-        self._check_naturality()
-
-    def _check_naturality(self) -> None:
-        M, N = self.m_cat, self.n_cat
-
-        def square(table, key_src, key_tgt, lhs_mor, rhs_mor, cat, name):
-            lhs = cat.comp(table[key_tgt], lhs_mor)
-            rhs = cat.comp(rhs_mor, table[key_src])
-            if lhs != rhs:
-                raise CoherenceTypeError(f"naturality of {name} fails at {key_src!r}")
-
-        for f1 in M.morphisms:
-            for f2 in M.morphisms:
-                key_s = (M.src[f1], M.src[f2])
-                key_t = (M.tgt[f1], M.tgt[f2])
-                square(self.t, key_s, key_t,
-                       self.m_c.on_morphisms((f1, f2)),
-                       self.m_c.on_morphisms((f2, f1)), M, "t")
-                square(self.p_iso, key_s, key_t,
-                       self.m_o.on_morphisms((self.f_functor.on_morphisms((f1,)),
-                                              self.f_functor.on_morphisms((f2,)))),
-                       self.f_functor.on_morphisms((self.m_c.on_morphisms((f1, f2)),)),
-                       N, "p")
-        for f1 in M.morphisms:
-            for g1 in N.morphisms:
-                key_s = (M.src[f1], N.src[g1])
-                key_t = (M.tgt[f1], N.tgt[g1])
-                square(self.psi, key_s, key_t,
-                       self.m_o.on_morphisms((self.f_functor.on_morphisms((f1,)), g1)),
-                       self.m_o.on_morphisms((g1, self.f_functor.on_morphisms((f1,)))),
-                       N, "psi")
-        for fs in itertools.product(M.morphisms, repeat=3):
-            key_s = tuple(M.src[f] for f in fs)
-            key_t = tuple(M.tgt[f] for f in fs)
-            square(self.a_c, key_s, key_t,
-                   self.m_c.on_morphisms((self.m_c.on_morphisms(fs[:2]), fs[2])),
-                   self.m_c.on_morphisms((fs[0], self.m_c.on_morphisms(fs[1:]))), M, "a_c")
-        for fs in itertools.product(N.morphisms, repeat=3):
-            key_s = tuple(N.src[f] for f in fs)
-            key_t = tuple(N.tgt[f] for f in fs)
-            square(self.a_o, key_s, key_t,
-                   self.m_o.on_morphisms((self.m_o.on_morphisms(fs[:2]), fs[2])),
-                   self.m_o.on_morphisms((fs[0], self.m_o.on_morphisms(fs[1:]))), N, "a_o")
+            for key in itertools.product(*(c.objects for c in slot_cats)):
+                comp = table.get(key)
+                if comp is None:
+                    raise CoherenceTypeError(f"{label}: no component at {key!r}")
+                a, b = src.on_objects(*args(key)), tgt.on_objects(*args(key))
+                if comp not in cat.morphisms or cat.src[comp] != a or cat.tgt[comp] != b:
+                    raise CoherenceTypeError(
+                        f"{label}: component at {key!r} must be a morphism {a!r} -> {b!r}")
+                cat.inverse(comp)
+            for mors in itertools.product(*(c.morphisms for c in slot_cats)):
+                key_src = tuple(c.src[f] for c, f in zip(slot_cats, mors))
+                key_tgt = tuple(c.tgt[f] for c, f in zip(slot_cats, mors))
+                if cat.comp(table[key_tgt], src.on_morphisms(*args(mors))) != \
+                        cat.comp(tgt.on_morphisms(*args(mors)), table[key_src]):
+                    raise CoherenceTypeError(f"naturality of {label} fails at {key_src!r}")
 
 
 # -- evaluation of generator words -------------------------------------------------
@@ -312,9 +289,6 @@ class FinCatAlgebra:
 
     def __init__(self, data: AlgebraData):
         self.data = data
-        # a component is keyed by the closed slot objects, then the open ones
-        self._components = {"tau": data.t, "alpha_c": data.a_c, "alpha_o": data.a_o,
-                            "p": data.p_iso, "psi": data.psi}
 
     def _table(self, src_tree: Tree, tgt_tree: Tree, fn) -> NatTransTable:
         n, m = arity(src_tree)
@@ -325,7 +299,7 @@ class FinCatAlgebra:
 
     def generator(self, name: str) -> NatTransTable:
         src, tgt, _ = GENERATOR_SHAPES[name]
-        table = self._components[name]
+        _, table = self.data.tables()[name]
         return self._table(src, tgt, lambda oargs, cargs: table[cargs + oargs])
 
     def identity(self, tree: Tree) -> NatTransTable:

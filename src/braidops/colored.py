@@ -36,10 +36,12 @@ class CoBMorphism:
 
     def __post_init__(self):
         m = len(self.src_seq)
-        assert self.braid.strands == m and len(self.tgt_seq) == m
-        assert sorted(self.src_seq) == list(range(1, m + 1))
-        assert self.tgt_seq == permute_seq(self.src_seq, self.braid.permutation()), \
-            "braid permutation does not match label sequences"
+        if self.braid.strands != m or len(self.tgt_seq) != m or \
+                sorted(self.src_seq) != list(range(1, m + 1)):
+            raise ValueError(f"label sequences {self.src_seq}, {self.tgt_seq} do not number "
+                             f"{self.braid.strands} strands")
+        if self.tgt_seq != permute_seq(self.src_seq, self.braid.permutation()):
+            raise ValueError("braid permutation does not match label sequences")
 
     @classmethod
     def identity(cls, seq: tuple[int, ...]) -> "CoBMorphism":
@@ -77,12 +79,13 @@ class CoPBMorphism:
     braid: BraidWord
 
     def __post_init__(self):
-        assert self.braid.strands == self.src.m
-        assert self.src.n == self.tgt.n and self.src.m == self.tgt.m
-        assert self.src.terrestrial == self.tgt.terrestrial, \
-            "terrestrial strands cannot cross: label order must be preserved"
-        assert self.tgt.aerial == permute_seq(self.src.aerial, self.braid.permutation()), \
-            "aerial braid permutation does not match objects"
+        if self.braid.strands != self.src.m or self.tgt.m != self.src.m:
+            raise ValueError(f"{self.braid.strands} braid strands between {self.src.m} "
+                             f"and {self.tgt.m} aerial points")
+        if self.src.terrestrial != self.tgt.terrestrial:
+            raise ValueError("terrestrial strands cannot cross: label order must be preserved")
+        if self.tgt.aerial != permute_seq(self.src.aerial, self.braid.permutation()):
+            raise ValueError("aerial braid permutation does not match objects")
 
     @property
     def n(self) -> int:

@@ -106,16 +106,16 @@ class PaPBPrimeElement:
     def _validate(self):
         n, m = self.narity()
         for u in (self.u_src, self.u_tgt):
-            assert arity(u) == (n, 0)
-            assert open_labels(u) == tuple(range(1, n + 1)), "u must be identity-labeled"
-        assert closed_labels(self.x.src) == tuple(range(1, m + 1)), "x source must be identity-labeled"
+            if arity(u) != (n, 0) or open_labels(u) != tuple(range(1, n + 1)):
+                raise ValueError(f"u must be identity-labeled of arity ({n}, 0)")
+        if closed_labels(self.x.src) != tuple(range(1, m + 1)):
+            raise ValueError("x source must be identity-labeled")
         # the underlying configuration morphism must assemble (this pins the
         # terrestrial order and the folded aerial labels of mu's target)
         CoPBMorphism(omega(self.mu_src), omega(self.mu_tgt), self.x.braid)
-        assert aerial_shape(self.mu_src) == strip_labels(self.x.src), \
-            "object condition fails at the source"
-        assert aerial_shape(self.mu_tgt) == strip_labels(self.x.tgt), \
-            "object condition fails at the target"
+        for end, mu, x in (("source", self.mu_src, self.x.src), ("target", self.mu_tgt, self.x.tgt)):
+            if aerial_shape(mu) != strip_labels(x):
+                raise ValueError(f"object condition fails at the {end}")
 
     def narity(self) -> tuple[int, int]:
         return arity(self.mu_src)

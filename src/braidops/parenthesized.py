@@ -8,7 +8,9 @@ The five morphism generators (tau, alpha_c, alpha_o, p, psi) are presented
 once, in ``GENERATOR_SHAPES``: source tree, target tree and braid letters.
 The operad's own generators, the moves of ``context_apply`` (which matches a
 shape against any subtree, binding its slot leaves) and the generator
-components of the other algebras are all read from that table.
+components of the other algebras are all read from that table.  A move's
+relabeling is read from the graft: it pairs the leaves of the grafted word's
+source with those of the tree the move applies to.
 
 The module also implements a small expression language of *generator words*:
 formal composites of the five morphism generators, identities of object
@@ -61,11 +63,13 @@ class PaBMorphism:
     braid: BraidWord
 
     def __post_init__(self):
-        assert color(self.src) == "c" and color(self.tgt) == "c"
+        if color(self.src) != "c" or color(self.tgt) != "c":
+            raise ValueError("closed-component morphism needs closed trees")
         sseq, tseq = closed_labels(self.src), closed_labels(self.tgt)
-        assert self.braid.strands == len(sseq)
-        assert tseq == permute_seq(sseq, self.braid.permutation()), \
-            "braid permutation does not match endpoint labels"
+        if self.braid.strands != len(sseq):
+            raise ValueError(f"{self.braid.strands} braid strands for {len(sseq)} leaves")
+        if tseq != permute_seq(sseq, self.braid.permutation()):
+            raise ValueError("braid permutation does not match endpoint labels")
 
     @classmethod
     def identity(cls, tree: Tree) -> "PaBMorphism":
@@ -125,9 +129,12 @@ class PaPBMorphism:
     underlying: CoPBMorphism
 
     def __post_init__(self):
-        assert color(self.source) == "o" and color(self.target) == "o"
-        assert omega(self.source) == self.underlying.src, "source does not project to the underlying source"
-        assert omega(self.target) == self.underlying.tgt, "target does not project to the underlying target"
+        if color(self.source) != "o" or color(self.target) != "o":
+            raise ValueError("morphism needs open trees")
+        if omega(self.source) != self.underlying.src:
+            raise ValueError("source does not project to the underlying source")
+        if omega(self.target) != self.underlying.tgt:
+            raise ValueError("target does not project to the underlying target")
 
     @classmethod
     def identity(cls, tree: Tree) -> "PaPBMorphism":
@@ -397,15 +404,21 @@ def replace_at(t: Tree, path: tuple[int, ...], s: Tree) -> Tree:
     return tuple(parts)
 
 
-def _rank_map(labels) -> dict[int, int]:
-    return {lab: r + 1 for r, lab in enumerate(sorted(labels))}
+def _rank_labelled(t: Tree) -> Tree:
+    """``t`` with the labels of each color replaced by their ranks 1..k."""
+    def ranks(labels):
+        return {lab: r + 1 for r, lab in enumerate(sorted(labels))}
+
+    return relabel_tree(t, ranks(open_labels(t)), ranks(closed_labels(t)))
 
 
 def context_apply(tree: Tree, path: tuple[int, ...], name: str, sign: int) -> tuple[Word, Tree]:
     """Word applying a generator at a subtree of ``tree``; returns (word, next tree).
 
-    The word is a relabeled context insertion of the generator grafted with the
-    identities of the slot subtrees, so its evaluation has source ``tree``.
+    The generator, grafted with the identities of its rank-labelled slot
+    subtrees, is inserted at a hole left by the subtree in the rank-labelled
+    rest of ``tree``.  The final relabeling pairs the leaves of that graft with
+    the leaves of ``tree``, so the word's evaluation has source ``tree``.
     """
     s = subtree_at(tree, path)
     src, tgt, _ = GENERATOR_SHAPES[name]
@@ -414,85 +427,31 @@ def context_apply(tree: Tree, path: tuple[int, ...], name: str, sign: int) -> tu
     if not _match(here, s, slots):
         raise ValueError(f"{name} does not apply at {show_tree(s)}")
     nol, ncl = arity(src)
-    cparts = [slots[("x", i)] for i in range(1, ncl + 1)]
-    oparts = [slots[("y", j)] for j in range(1, nol + 1)]
     next_tree = replace_at(tree, path, _fill(there, slots))
 
-    # base generator word with normalized slot subtrees grafted in
-    base: Word = w_gen(name, sign)
-    open_parts_norm = []
-    for part in oparts:
-        norm = relabel_tree(part, _rank_map(open_labels(part)), _rank_map(closed_labels(part)))
-        open_parts_norm.append(norm)
-    closed_parts_norm = [relabel_tree(part, None, _rank_map(closed_labels(part)))
-                         for part in cparts]
+    # the generator with its slot subtrees grafted in, and the source of that word;
+    # open grafting puts the inner closed labels first, before the generator's own
+    base, base_src = w_gen(name, sign), here
     for j in range(nol, 0, -1):
-        base = w_io(base, j, w_id(open_parts_norm[j - 1]))
-    closed_shift = sum(len(closed_labels(p)) for p in oparts)
+        part = _rank_labelled(slots[("y", j)])
+        base, base_src = w_io(base, j, w_id(part)), graft_open(base_src, j, part)
+    closed_shift = len(closed_labels(base_src)) - ncl
     for i in range(ncl, 0, -1):
-        base = w_ic(base, closed_shift + i, w_id(closed_parts_norm[i - 1]))
+        part = _rank_labelled(slots[("x", i)])
+        base = w_ic(base, closed_shift + i, w_id(part))
+        base_src = graft_closed(base_src, closed_shift + i, part)
 
-    # label layout of the grafted word: open-part closed blocks (slot order),
-    # then closed-part blocks (slot order); opens in slot order
-    grafted_closed: list[int] = []
-    for part in oparts:
-        grafted_closed.extend(sorted(closed_labels(part)))
-    for part in cparts:
-        grafted_closed.extend(sorted(closed_labels(part)))
-    grafted_open: list[int] = []
-    for part in oparts:
-        grafted_open.extend(sorted(open_labels(part)))
-
-    n_tree, m_tree = arity(tree)
-    s_closed = sorted(closed_labels(s))
-    s_open = sorted(open_labels(s))
-    others_c = sorted(set(range(1, m_tree + 1)) - set(s_closed))
-    others_o = sorted(set(range(1, n_tree + 1)) - set(s_open))
-
+    # the hole takes the smallest label of s of its color, so ranking keeps its place
     if color(s) == "c":
-        hole_c = 1 + sum(1 for c in others_c if c < s_closed[0]) if s_closed else 1
-        ctx_closed_of = {}
-        r = 0
-        for c in others_c:
-            r += 1
-            ctx_closed_of[c] = r if r < hole_c else r + 1
-        ctx = replace_at(tree, path, ("x", 0))
-        ctx = relabel_tree(ctx, None, {**ctx_closed_of, 0: hole_c})
-        word = w_ic(w_id(ctx), hole_c, base)
-        # final relabel back to the tree's own labels
-        closed_back = {}
-        for c in others_c:
-            fin = ctx_closed_of[c]
-            closed_back[fin if fin < hole_c else fin + len(s_closed) - 1] = c
-        for l, lab in enumerate(grafted_closed, start=1):
-            closed_back[hole_c - 1 + l] = lab
-        word = w_rl(word, None, closed_back)
-        return word, next_tree
-
-    # open-colored subtree: closed block is forced to the front
-    hole_o = 1 + sum(1 for o in others_o if s_open and o < s_open[0]) if s_open else 1
-    ctx_open_of = {}
-    r = 0
-    for o in others_o:
-        r += 1
-        ctx_open_of[o] = r if r < hole_o else r + 1
-    ctx_closed_of = {c: r + 1 for r, c in enumerate(others_c)}
-    ctx = replace_at(tree, path, ("y", 0))
-    ctx = relabel_tree(ctx, {**ctx_open_of, 0: hole_o}, ctx_closed_of)
-    word = w_io(w_id(ctx), hole_o, base)
-    open_back = {}
-    for o in others_o:
-        fin = ctx_open_of[o]
-        open_back[fin if fin < hole_o else fin + len(s_open) - 1] = o
-    for l, lab in enumerate(grafted_open, start=1):
-        open_back[hole_o - 1 + l] = lab
-    closed_back = {}
-    for l, lab in enumerate(grafted_closed, start=1):
-        closed_back[l] = lab
-    for c in others_c:
-        closed_back[ctx_closed_of[c] + len(s_closed)] = c
-    word = w_rl(word, open_back, closed_back)
-    return word, next_tree
+        kind, graft, insert, labels = "x", graft_closed, w_ic, closed_labels(s)
+    else:
+        kind, graft, insert, labels = "y", graft_open, w_io, open_labels(s)
+    ctx = _rank_labelled(replace_at(tree, path, (kind, min(labels, default=0))))
+    hole = subtree_at(ctx, path)[1]
+    grafted = graft(ctx, hole, base_src)
+    open_back = None if kind == "x" else dict(zip(open_labels(grafted), open_labels(tree)))
+    closed_back = dict(zip(closed_labels(grafted), closed_labels(tree)))
+    return w_rl(insert(w_id(ctx), hole, base), open_back, closed_back), next_tree
 
 
 # -- rotation and transport algorithms -------------------------------------------

@@ -160,12 +160,12 @@ def graft_closed(outer: Tree, i: int, inner: Tree) -> Tree:
     """Operadic composition at closed slot i; inner must be closed-colored."""
     if color(inner) != "c":
         raise ValueError("color mismatch: closed slot needs a closed tree")
-    n, m = arity(outer)
-    if not (1 <= i <= m):
+    labels, inner_labels = closed_labels(outer), closed_labels(inner)
+    if not (1 <= i <= len(labels)):
         raise ValueError("slot out of range")
-    _, mi = arity(inner)
-    outer_map = {l: (l if l < i else l + mi - 1) for l in closed_labels(outer) if l != i}
-    inner_map = {l: l + i - 1 for l in closed_labels(inner)}
+    mi = len(inner_labels)
+    outer_map = {l: (l if l < i else l + mi - 1) for l in labels if l != i}
+    inner_map = {l: l + i - 1 for l in inner_labels}
     outer_re = relabel_tree(outer, None, {**outer_map, i: 0})
     inner_re = relabel_tree(inner, None, inner_map)
     return unit_normalize(_substitute(outer_re, ("x", 0), inner_re))
@@ -175,13 +175,13 @@ def graft_open(outer: Tree, j: int, inner: Tree) -> Tree:
     """Operadic composition at open slot j; inner closed labels come first."""
     if color(inner) != "o":
         raise ValueError("color mismatch: open slot needs an open tree")
-    n, m = arity(outer)
-    if not (1 <= j <= n):
+    labels, inner_labels = open_labels(outer), open_labels(inner)
+    if not (1 <= j <= len(labels)):
         raise ValueError("slot out of range")
-    ni, mi = arity(inner)
-    outer_open = {l: (l if l < j else l + ni - 1) for l in open_labels(outer) if l != j}
+    ni, mi = len(inner_labels), len(closed_labels(inner))
+    outer_open = {l: (l if l < j else l + ni - 1) for l in labels if l != j}
     outer_closed = {l: l + mi for l in closed_labels(outer)}
-    inner_open = {l: l + j - 1 for l in open_labels(inner)}
+    inner_open = {l: l + j - 1 for l in inner_labels}
     outer_re = relabel_tree(outer, {**outer_open, j: 0}, outer_closed)
     inner_re = relabel_tree(inner, inner_open, None)
     return unit_normalize(_substitute(outer_re, ("y", 0), inner_re))
@@ -209,11 +209,11 @@ class ShuffleObject:
     aerial: tuple[int, ...]
 
     def __post_init__(self):
-        assert all(s in ("t", "a") for s in self.pattern)
-        assert self.pattern.count("t") == len(self.terrestrial)
-        assert self.pattern.count("a") == len(self.aerial)
-        assert sorted(self.terrestrial) == list(range(1, len(self.terrestrial) + 1))
-        assert sorted(self.aerial) == list(range(1, len(self.aerial) + 1))
+        t, a = self.terrestrial, self.aerial
+        if self.pattern.count("t") != len(t) or self.pattern.count("a") != len(a) or \
+                len(self.pattern) != len(t) + len(a) or \
+                sorted(t) != list(range(1, len(t) + 1)) or sorted(a) != list(range(1, len(a) + 1)):
+            raise ValueError(f"labels {t} and {a} do not number the slots of pattern {self.pattern}")
 
     @property
     def n(self) -> int:
@@ -480,6 +480,11 @@ def show_tree(t: Tree) -> str:
     return f"{tag}({show_tree(t[1])},{show_tree(t[2])})"
 
 
+#: deepest nesting of products and ``f`` that ``parse_tree`` accepts; the tree
+#: functions recurse once per level
+MAX_TREE_DEPTH = 100
+
+
 def parse_tree(text: str) -> Tree:
     """Parse the ``show_tree`` notation and validate the result (unit leaves allowed).
 
@@ -494,19 +499,21 @@ def parse_tree(text: str) -> Tree:
             raise ValueError(f"expected {token!r} at {pos} in tree {text!r}")
         pos += len(token)
 
-    def parse() -> Tree:
+    def parse(depth: int) -> Tree:
         nonlocal pos
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(f"tree nesting deeper than {MAX_TREE_DEPTH} levels exceeds the limit")
         for tag in ("mc", "mo"):
             if text.startswith(tag + "(", pos):
                 pos += len(tag) + 1
-                a = parse()
+                a = parse(depth + 1)
                 expect(",")
-                b = parse()
+                b = parse(depth + 1)
                 expect(")")
                 return (tag, a, b)
         if text.startswith("f(", pos):
             pos += 2
-            a = parse()
+            a = parse(depth + 1)
             expect(")")
             return ("f", a)
         if text.startswith("uc", pos):
@@ -526,7 +533,7 @@ def parse_tree(text: str) -> Tree:
             return (kind, int(text[start:pos]))
         raise ValueError(f"cannot parse tree {text!r} at {pos}: {text[pos:] or 'end of input'}")
 
-    out = parse()
+    out = parse(0)
     if pos != len(text):
         raise ValueError(f"trailing input in tree {text!r}: {text[pos:]}")
     validate(out, unitary=True)

@@ -315,3 +315,69 @@ def test_functor_law_failure_under_optimize(tmp_path):
     out = run_optimized(["coherence", "check", "--in", broken_functor_algebra(tmp_path)])
     assert out.returncode == 1 and out.stderr == ""
     assert out.stdout == "rejected at typing: functor F: identity law fails at (1,)\n"
+
+
+_AA = {"pattern": ["a", "a"], "terrestrial": [], "aerial": [1, 2]}
+
+# morphism and element JSON whose endpoints do not fit the braid or the trees
+BAD_MORPHISM_JSON = [
+    (["assoc", "eval"], {
+        "associator": {"mu": "1", "degree": 1, "phi": {"strands": 3, "degree": 1, "terms": [
+            {"coef": "1", "word": []}]}},
+        "morphism": {"src": "mc(x1,x2)", "tgt": "mc(x1,x2)", "braid": {"strands": 2, "word": [1]}}},
+     "braid permutation does not match endpoint labels"),
+    (["copb", "compose"], {
+        "f": {"src": _AA, "tgt": _AA, "braid": {"strands": 2, "word": [1]}},
+        "g": {"src": _AA, "tgt": _AA, "braid": {"strands": 2, "word": []}}},
+     "aerial braid permutation does not match objects"),
+    (["mixed", "rho"], {
+        "mu_src": "mo(y1,mo(f(x1),mo(f(x2),y2)))", "mu_tgt": "mo(f(x1),mo(mo(f(x2),y1),y2))",
+        "u_src": "mo(y2,y1)", "u_tgt": "mo(y1,y2)",
+        "x": {"braid": {"strands": 2, "word": []}, "src": "mc(x1,x2)", "tgt": "mc(x1,x2)"}},
+     "u must be identity-labeled"),
+    (["papb", "decompose"], {
+        "src": "mo(f(x1),y1)", "tgt": "mo(y1,f(x1))", "underlying": {
+            "braid": {"strands": 1, "word": []},
+            "src": {"aerial": [1], "pattern": ["a", "t"], "terrestrial": [1]},
+            "tgt": {"aerial": [1], "pattern": ["a", "t"], "terrestrial": [1]}}},
+     "target does not project to the underlying target"),
+]
+
+
+@pytest.mark.parametrize("argv, data, message", BAD_MORPHISM_JSON)
+def test_bad_morphism_json_rejected(capsys, monkeypatch, argv, data, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, data, message", BAD_MORPHISM_JSON)
+def test_bad_morphism_json_under_optimize(argv, data, message):
+    out = run_optimized(argv, json.dumps(data))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and message in out.stderr
+
+
+# past a resource limit: a tree nested 1,200 deep (the parser would exhaust the
+# interpreter's recursion) and a chord dimension with 9,000 digits
+OVER_LIMIT = [
+    ["tree", "omega", "mc(" * 1200 + "x1" + ",x1)" * 1200],
+    ["cd", "dims", "--strands", "4", "--degree", "20000"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_LIMIT, ids=["deep-tree", "dims-degree"])
+def test_over_limit_rejected(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error:") and "exceeds the limit" in captured.err
+
+
+@pytest.mark.parametrize("argv", OVER_LIMIT, ids=["deep-tree", "dims-degree"])
+def test_over_limit_under_optimize(argv):
+    out = run_optimized(argv)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "exceeds the limit" in out.stderr

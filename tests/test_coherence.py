@@ -165,3 +165,59 @@ def test_json_carries_units():
     back = algebra_from_json(algebra_to_json(data))
     assert back.unit_m == 0 and back.unit_n == 0
     assert check_coherence(back, strict_units=True).passed
+
+
+# each table of the z2-graded data with one component replaced by a morphism
+# at the wrong object; the message names the table and the expected type
+WRONGLY_TYPED = [
+    ("a_c", (0, 0, 1), "a_c: component at (0, 0, 1) must be a morphism 1 -> 1"),
+    ("a_o", (1, 0, 0), "a_o: component at (1, 0, 0) must be a morphism 1 -> 1"),
+    ("t", (0, 1), "t: component at (0, 1) must be a morphism 1 -> 1"),
+    ("p_iso", (1, 0), "p: component at (1, 0) must be a morphism 1 -> 1"),
+    ("psi", (1, 1), "psi: component at (1, 1) must be a morphism 0 -> 0"),
+]
+
+
+@pytest.mark.parametrize("table, key, message", WRONGLY_TYPED)
+def test_wrongly_typed_component_rejected(table, key, message):
+    data = build_z2_graded()
+    wrong = 1 - sum(key) % 2
+    getattr(data, table)[key] = (wrong, 1)
+    with pytest.raises(CoherenceTypeError) as exc:
+        check_coherence(data)
+    assert str(exc.value) == message
+
+
+def test_missing_component_rejected():
+    data = build_z2_graded()
+    del data.psi[(1, 0)]
+    with pytest.raises(CoherenceTypeError) as exc:
+        check_coherence(data)
+    assert str(exc.value) == "psi: no component at (1, 0)"
+
+
+def _s3_projection_algebra() -> AlgebraData:
+    """One object, the morphisms of S3, both tensors the first projection, identity components."""
+    import itertools
+
+    from braidops.coherence import FiniteCategory, FunctorTable
+
+    group = list(itertools.permutations((1, 2, 3)))
+    e = group[0]
+
+    def mul(g, h):  # g after h
+        return tuple(g[h[i] - 1] for i in range(3))
+
+    cat = FiniteCategory("S3", [0], group, {g: 0 for g in group}, {g: 0 for g in group},
+                         {(g, h): mul(g, h) for g in group for h in group}, {0: e})
+    proj = FunctorTable("m", [cat, cat], cat, {(0, 0): 0},
+                        {(g, h): g for g in group for h in group})
+    ident = FunctorTable("F", [cat], cat, {(0,): 0}, {(g,): g for g in group})
+    return AlgebraData(cat, cat, proj, proj, ident,
+                       {(0, 0, 0): e}, {(0, 0, 0): e}, {(0, 0): e}, {(0, 0): e}, {(0, 0): e})
+
+
+def test_naturality_failure_rejected():
+    with pytest.raises(CoherenceTypeError) as exc:
+        check_coherence(_s3_projection_algebra())
+    assert str(exc.value) == "naturality of t fails at (0, 0)"

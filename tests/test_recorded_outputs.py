@@ -4,10 +4,14 @@
 ``cli-mix`` request and of ``assoc solve --degree 5``.  These tests run the
 requests in process through ``cli.run`` with the benchmark worker's own
 ``run_request``, so a change that moves any recorded output fails here too.
+Run as a script, the module replays ``cli-mix`` and prints the request count
+and the mismatches as JSON.
 """
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from braidops.cli import run
@@ -30,10 +34,10 @@ def _worker():
 WORKER = _worker()
 
 
-def test_cli_mix_recorded_outputs():
+def replay_cli_mix() -> tuple[int, list[str]]:
+    """Run every recorded ``cli-mix`` request; return the count and the mismatches."""
     catalog = _load("cli_mix.json")["classes"]
     requests = [req for cls in sorted(catalog) for req in catalog[cls]]
-    assert requests
     prior, bad = [], []
     for req in requests:
         rc, out, _ = WORKER.run_request(run, req, prior, WORKER.plain_clock)
@@ -42,7 +46,22 @@ def test_cli_mix_recorded_outputs():
         if rc != req["rc"] or not same:
             bad.append(f"{' '.join(req['argv'])}: exit {rc} (recorded {req['rc']})"
                        f"{'' if same else ', output differs'}")
-    assert not bad, bad[:5]
+    return len(requests), bad
+
+
+def test_cli_mix_recorded_outputs():
+    count, bad = replay_cli_mix()
+    assert count and not bad, bad[:5]
+
+
+def test_cli_mix_recorded_outputs_under_optimize():
+    """The same replay in one ``python -O`` interpreter, where every assert is stripped."""
+    out = subprocess.run([sys.executable, "-O", __file__], capture_output=True, text=True,
+                         timeout=300, env={"PYTHONPATH": str(PERFBENCH.parent / "src"),
+                                           "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0, out.stderr[-2000:]
+    count, bad = json.loads(out.stdout)
+    assert count and not bad, bad[:5]
 
 
 def test_assoc_solve_recorded_digest():
@@ -51,3 +70,7 @@ def test_assoc_solve_recorded_digest():
     rc, out, _ = WORKER.run_request(run, {"argv": argv}, [], WORKER.plain_clock)
     assert rc == 0
     assert WORKER.digest(out) == recorded["digests"]["1"]
+
+
+if __name__ == "__main__":
+    print(json.dumps(replay_cli_mix()))
