@@ -434,7 +434,8 @@ def context_apply(tree: Tree, path: tuple[int, ...], name: str, sign: int) -> tu
     base, base_src = w_gen(name, sign), here
     for j in range(nol, 0, -1):
         part = _rank_labelled(slots[("y", j)])
-        base, base_src = w_io(base, j, w_id(part)), graft_open(base_src, j, part)
+        base = w_io(base, j, w_id(part))
+        base_src = graft_open(base_src, j, part)
     closed_shift = len(closed_labels(base_src)) - ncl
     for i in range(ncl, 0, -1):
         part = _rank_labelled(slots[("x", i)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from braidops.coherence import (
     AlgebraData,
     CoherenceTypeError,
+    FiniteCategory,
+    FunctorTable,
     algebra_from_json,
     algebra_to_json,
     build_s3_discrete,
@@ -198,10 +201,6 @@ def test_missing_component_rejected():
 
 def _s3_projection_algebra() -> AlgebraData:
     """One object, the morphisms of S3, both tensors the first projection, identity components."""
-    import itertools
-
-    from braidops.coherence import FiniteCategory, FunctorTable
-
     group = list(itertools.permutations((1, 2, 3)))
     e = group[0]
 
