@@ -15,6 +15,7 @@ least 2d), so exact linear solving applies; free coordinates are set to zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,14 +104,9 @@ def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> 
     return evaluate_word(word, CDAlgebra(assoc, degree))
 
 
-_CLOSED_PAIRS = None
-
-
+@functools.cache
 def _closed_pairs():
-    global _CLOSED_PAIRS
-    if _CLOSED_PAIRS is None:
-        _CLOSED_PAIRS = family_word_pairs(CLOSED_FAMILIES)
-    return _CLOSED_PAIRS
+    return family_word_pairs(CLOSED_FAMILIES)
 
 
 def check_pentagon(assoc: Associator, degree: int | None = None) -> DKElement:
@@ -198,10 +194,16 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
     return _solve_probes(mu, phi_terms, _free_words(d), d)
 
 
+#: highest degree ``solve_associator`` accepts, the solver's target degree
+MAX_SOLVE_DEGREE = 8
+
+
 def solve_associator(mu, degree: int) -> Associator:
     """Construct an associator degree by degree (free coordinates zeroed)."""
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
+    if degree > MAX_SOLVE_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the limit of {MAX_SOLVE_DEGREE} for the associator solver")
     mu = Fraction(mu)
     phi_terms: dict = {(): Fraction(1)}
     for d in range(1, degree + 1):

@@ -300,9 +300,9 @@ def cmd_mixed_apply_phi(args) -> int:
     e = _element_from_json(data["element"])
     out = apply_phi(assoc, e)
     payload = {"u_src": trees.show_tree(out.u_src), "u_tgt": trees.show_tree(out.u_tgt),
-               "alpha": {"src": trees.show_tree(out.alpha.src),
-                         "tgt": trees.show_tree(out.alpha.tgt),
-                         "element": dk_to_json(out.alpha.element)},
+               "alpha": {"src": trees.show_tree(out.x.src),
+                         "tgt": trees.show_tree(out.x.tgt),
+                         "element": dk_to_json(out.x.element)},
                "mu_src": trees.show_tree(out.mu_src), "mu_tgt": trees.show_tree(out.mu_tgt)}
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -315,6 +315,8 @@ def cmd_voronov_check(args) -> int:
     from .chords import grouplike_check
     from .voronov import PaPOperad, build_cd_pap_instance
 
+    if args.count < 0:
+        raise ValueError(f"count must be nonnegative, got {args.count}")
     vp = build_cd_pap_instance(args.degree)
     rng = random.Random(args.seed)
     failures = 0

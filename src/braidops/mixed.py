@@ -2,7 +2,8 @@
 
 An element holds a terrestrial reparenthesization pair u, an aerial carrier x
 (a braid morphism, or a chord-series morphism in the chord variant), and a
-shuffle part mu recording both interleaved endpoint trees.  Elements are kept
+shuffle part mu recording both interleaved endpoint trees.  Only the carrier
+differs between the two variants, so one element class serves both.  Elements are kept
 in a canonical coinvariant representative: u is identity-labeled, the
 x-carrier's source is identity-labeled, and all label data lives in mu, with
 the carrier's target labeling folded into mu's target tree (so mu's endpoint
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .associator import Associator, phi_eval
-from .braids import BraidWord, braids_equal, weave
+from .braids import BraidWord, comb_word, weave
 from .chords import (
     DKElement,
     PaCDMorphism,
@@ -43,7 +44,6 @@ from .trees import (
     UNIT_O,
     arity,
     closed_labels,
-    color,
     graft_all_open,
     graft_closed,
     graft_open,
@@ -84,18 +84,18 @@ def identity_labeled(tree: Tree) -> Tree:
 class ShiftedElement:
     """Morphism of a shifted operad: payload in arity (shifted + ordinary)."""
 
-    base: str
     shifted: int
     ordinary: int
-    payload: object  # PaBMorphism for "pab", PaCDMorphism for "pacd"
+    payload: PaBMorphism | PaCDMorphism
 
 
 class PaPBPrimeElement:
-    """Canonical split-form morphism with braid content."""
+    """Canonical split-form morphism; its carrier is a braid or a chord-series morphism."""
 
     __slots__ = ("u_src", "u_tgt", "x", "mu_src", "mu_tgt")
 
-    def __init__(self, u_src: Tree, u_tgt: Tree, x: PaBMorphism, mu_src: Tree, mu_tgt: Tree):
+    def __init__(self, u_src: Tree, u_tgt: Tree, x: PaBMorphism | PaCDMorphism,
+                 mu_src: Tree, mu_tgt: Tree):
         self.u_src = u_src
         self.u_tgt = u_tgt
         self.x = x
@@ -110,9 +110,14 @@ class PaPBPrimeElement:
                 raise ValueError(f"u must be identity-labeled of arity ({n}, 0)")
         if closed_labels(self.x.src) != tuple(range(1, m + 1)):
             raise ValueError("x source must be identity-labeled")
-        # the underlying configuration morphism must assemble (this pins the
-        # terrestrial order and the folded aerial labels of mu's target)
-        CoPBMorphism(omega(self.mu_src), omega(self.mu_tgt), self.x.braid)
+        ob1, ob2 = omega(self.mu_src), omega(self.mu_tgt)
+        if ob1.terrestrial != ob2.terrestrial:
+            raise ValueError("terrestrial strands cannot cross: label order must be preserved")
+        # mu's target labels fold the carrier's target labeling into mu's source
+        lam = closed_labels(self.x.tgt)
+        if sorted(lam) != list(range(1, m + 1)) or \
+                ob2.aerial != tuple(ob1.aerial[k - 1] for k in lam):
+            raise ValueError("mu target labels must fold the carrier's target labeling")
         for end, mu, x in (("source", self.mu_src, self.x.src), ("target", self.mu_tgt, self.x.tgt)):
             if aerial_shape(mu) != strip_labels(x):
                 raise ValueError(f"object condition fails at the {end}")
@@ -128,8 +133,7 @@ class PaPBPrimeElement:
     def equals(self, other: "PaPBPrimeElement") -> bool:
         return (self.u_src == other.u_src and self.u_tgt == other.u_tgt
                 and self.mu_src == other.mu_src and self.mu_tgt == other.mu_tgt
-                and self.x.src == other.x.src and self.x.tgt == other.x.tgt
-                and braids_equal(self.x.braid, other.x.braid))
+                and self.x.equals(other.x))
 
     def relabel(self, open_map: dict | None, closed_map: dict | None) -> "PaPBPrimeElement":
         """Symmetric-group action; all label data lives in the shuffle part."""
@@ -145,7 +149,7 @@ def rho(e: PaPBPrimeElement) -> ShiftedElement:
     tgt_flags = tuple(s == "t" for s in omega(e.mu_tgt).pattern)
     braid = weave(e.x.braid, flags, tgt_flags)
     payload = PaBMorphism(starred_flatten(e.mu_src), starred_flatten(e.mu_tgt), braid)
-    return ShiftedElement("pab", n, m, payload)
+    return ShiftedElement(n, m, payload)
 
 
 def to_copb(e: PaPBPrimeElement) -> CoPBMorphism:
@@ -153,16 +157,16 @@ def to_copb(e: PaPBPrimeElement) -> CoPBMorphism:
     return CoPBMorphism(omega(e.mu_src), omega(e.mu_tgt), e.x.braid)
 
 
-def _canonical_carrier_pab(plugged: PaBMorphism) -> PaBMorphism:
+def _canonical_carrier(plugged, relabel):
     """Relabel a plugged payload so its source is identity-labeled."""
     seq = closed_labels(plugged.src)
-    back = {lab: k + 1 for k, lab in enumerate(seq)}
-    return pab_relabel(plugged, back)
+    return relabel(plugged, {lab: k + 1 for k, lab in enumerate(seq)})
 
 
-def compose_prime(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement]) -> PaPBPrimeElement:
-    """Full operadic composition of split-form elements."""
-    r, s = outer.narity()
+def _compose(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement], payload,
+             insert, relabel) -> PaPBPrimeElement:
+    """Plug the inner carriers into the flattened outer payload and re-canonicalize."""
+    r, _ = outer.narity()
     if len(inners) != r:
         raise ValueError("arity mismatch")
     # u's k-th input is the k-th terrestrial point in reading order, which
@@ -172,71 +176,31 @@ def compose_prime(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement]) -> Pa
     u_tgt = graft_all_open(outer.u_tgt, [inners[T[k] - 1].u_tgt for k in range(r)])
     mu_src = graft_all_open(outer.mu_src, [inn.mu_src for inn in inners])
     mu_tgt = graft_all_open(outer.mu_tgt, [inn.mu_tgt for inn in inners])
-    payload = rho(outer).payload
     for j in range(r, 0, -1):
-        payload = pab_insert(payload, j, inners[j - 1].x)
-    x = _canonical_carrier_pab(payload)
-    return PaPBPrimeElement(u_src, u_tgt, x, mu_src, mu_tgt)
+        payload = insert(payload, j, inners[j - 1].x)
+    return PaPBPrimeElement(u_src, u_tgt, _canonical_carrier(payload, relabel), mu_src, mu_tgt)
+
+
+def compose_prime(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement]) -> PaPBPrimeElement:
+    """Full operadic composition of split-form elements with braid carriers."""
+    return _compose(outer, inners, rho(outer).payload, pab_insert, pab_relabel)
 
 
 def prime_insert_closed(e: PaPBPrimeElement, i: int, y: PaBMorphism) -> PaPBPrimeElement:
     """Right-module action of the aerial braid operad (slot = aerial label i)."""
     pos = omega(e.mu_src).aerial.index(i) + 1  # the carrier's input at that point
-    x = pab_insert(e.x, pos, y)
+    x = _canonical_carrier(pab_insert(e.x, pos, y), pab_relabel)
     mu_src = graft_closed(e.mu_src, i, y.src)
     mu_tgt = graft_closed(e.mu_tgt, i, y.tgt)
-    return PaPBPrimeElement(e.u_src, e.u_tgt, _canonical_carrier_pab(x), mu_src, mu_tgt)
+    return PaPBPrimeElement(e.u_src, e.u_tgt, x, mu_src, mu_tgt)
 
 
 # -- the chord-diagram variant -----------------------------------------------------
 
 
-class PaPCDElement:
-    """Split-form morphism whose aerial carrier is a chord-series morphism."""
-
-    __slots__ = ("u_src", "u_tgt", "alpha", "mu_src", "mu_tgt")
-
-    def __init__(self, u_src: Tree, u_tgt: Tree, alpha: PaCDMorphism, mu_src: Tree, mu_tgt: Tree):
-        self.u_src = u_src
-        self.u_tgt = u_tgt
-        self.alpha = alpha
-        self.mu_src = mu_src
-        self.mu_tgt = mu_tgt
-        self._validate()
-
-    def _validate(self):
-        n, m = self.narity()
-        for u in (self.u_src, self.u_tgt):
-            assert arity(u) == (n, 0)
-            assert open_labels(u) == tuple(range(1, n + 1))
-        assert closed_labels(self.alpha.src) == tuple(range(1, m + 1)), \
-            "carrier source must be identity-labeled"
-        ob1, ob2 = omega(self.mu_src), omega(self.mu_tgt)
-        assert (ob1.n, ob1.m) == (n, m) and (ob2.n, ob2.m) == (n, m)
-        assert ob1.terrestrial == ob2.terrestrial
-        lam = closed_labels(self.alpha.tgt)
-        assert ob2.aerial == tuple(ob1.aerial[lam[k] - 1] for k in range(m)), \
-            "mu target labels must fold the carrier's target labeling"
-        assert aerial_shape(self.mu_src) == strip_labels(self.alpha.src)
-        assert aerial_shape(self.mu_tgt) == strip_labels(self.alpha.tgt)
-
-    def narity(self) -> tuple[int, int]:
-        return arity(self.mu_src)
-
-    @property
-    def degree(self) -> int:
-        return self.alpha.element.degree
-
-    def equals(self, other: "PaPCDElement") -> bool:
-        return (self.u_src == other.u_src and self.u_tgt == other.u_tgt
-                and self.mu_src == other.mu_src and self.mu_tgt == other.mu_tgt
-                and self.alpha.equals(other.alpha))
-
-
-def apply_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -> PaPCDElement:
+def apply_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -> PaPBPrimeElement:
     """Push the braid carrier through the associator evaluation, componentwise."""
-    alpha = phi_eval(assoc, e.x, degree)
-    return PaPCDElement(e.u_src, e.u_tgt, alpha, e.mu_src, e.mu_tgt)
+    return PaPBPrimeElement(e.u_src, e.u_tgt, phi_eval(assoc, e.x, degree), e.mu_src, e.mu_tgt)
 
 
 def _dk_embed(e: DKElement, offset: int, total: int) -> DKElement:
@@ -245,10 +209,10 @@ def _dk_embed(e: DKElement, offset: int, total: int) -> DKElement:
     return DKElement(total, e.degree, substitute_letters(e.series.terms, table))
 
 
-def rho_phi(assoc: Associator, e: PaPCDElement, degree: int | None = None) -> ShiftedElement:
+def rho_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -> ShiftedElement:
     """Chord-series payload: corridor conjugators pass through the associator."""
     n, m = e.narity()
-    N = degree if degree is not None else e.degree
+    N = degree if degree is not None else e.x.element.degree
     ob1 = omega(e.mu_src)
     flags = tuple(s == "t" for s in ob1.pattern)
     tgt_flags = tuple(s == "t" for s in omega(e.mu_tgt).pattern)
@@ -272,8 +236,8 @@ def rho_phi(assoc: Associator, e: PaPCDElement, degree: int | None = None) -> Sh
             return uflat
         return ("mc", uflat, shifted)
 
-    concat_src = relabel_tree(concat_tree(flat_u_src, e.alpha.src), None, fold_map)
-    concat_tgt = relabel_tree(concat_tree(flat_u_tgt, e.alpha.tgt), None, fold_map)
+    concat_src = relabel_tree(concat_tree(flat_u_src, e.x.src), None, fold_map)
+    concat_tgt = relabel_tree(concat_tree(flat_u_tgt, e.x.tgt), None, fold_map)
 
     # series of the middle: u-part through the associator, carrier shifted
     if n > 0:
@@ -281,39 +245,20 @@ def rho_phi(assoc: Associator, e: PaPCDElement, degree: int | None = None) -> Sh
         u_series = phi_eval(assoc, iota_u, N).element
     else:
         u_series = DKElement.one(0, N)
-    middle_elem = _dk_embed(u_series, 0, n + m).mul(_dk_embed(e.alpha.element.truncate(N), n, n + m))
+    middle_elem = _dk_embed(u_series, 0, n + m).mul(_dk_embed(e.x.element.truncate(N), n, n + m))
     middle_elem = dk_relabel(middle_elem, fold_map) if n + m else middle_elem
     middle = PaCDMorphism(concat_src, concat_tgt, middle_elem)
-
-    from .braids import comb_word
 
     conj1 = PaBMorphism(src_flat, concat_src, comb_word(flags))
     conj2 = PaBMorphism(concat_tgt, tgt_flat, comb_word(tgt_flags).inverse())
     payload = phi_eval(assoc, conj1, N).compose(middle).compose(phi_eval(assoc, conj2, N))
-    return ShiftedElement("pacd", n, m, payload)
+    return ShiftedElement(n, m, payload)
 
 
-def _canonical_carrier_pacd(plugged: PaCDMorphism) -> PaCDMorphism:
-    seq = closed_labels(plugged.src)
-    back = {lab: k + 1 for k, lab in enumerate(seq)}
-    return pacd_relabel(plugged, back)
-
-
-def compose_papcd(assoc: Associator, outer: PaPCDElement, inners: list[PaPCDElement],
-                  degree: int | None = None) -> PaPCDElement:
-    r, s = outer.narity()
-    if len(inners) != r:
-        raise ValueError("arity mismatch")
-    T = omega(outer.mu_src).terrestrial
-    u_src = graft_all_open(outer.u_src, [inners[T[k] - 1].u_src for k in range(r)])
-    u_tgt = graft_all_open(outer.u_tgt, [inners[T[k] - 1].u_tgt for k in range(r)])
-    mu_src = graft_all_open(outer.mu_src, [inn.mu_src for inn in inners])
-    mu_tgt = graft_all_open(outer.mu_tgt, [inn.mu_tgt for inn in inners])
-    payload = rho_phi(assoc, outer, degree).payload
-    for j in range(r, 0, -1):
-        payload = pacd_insert(payload, j, inners[j - 1].alpha)
-    alpha = _canonical_carrier_pacd(payload)
-    return PaPCDElement(u_src, u_tgt, alpha, mu_src, mu_tgt)
+def compose_papcd(assoc: Associator, outer: PaPBPrimeElement, inners: list[PaPBPrimeElement],
+                  degree: int | None = None) -> PaPBPrimeElement:
+    """Operadic composition of split-form elements with chord-series carriers."""
+    return _compose(outer, inners, rho_phi(assoc, outer, degree).payload, pacd_insert, pacd_relabel)
 
 
 # -- enumeration hooks ---------------------------------------------------------------

@@ -33,6 +33,7 @@ from .colored import (
     copb_compose,
     copb_insert_closed,
     copb_insert_open,
+    relabel_morphism,
     shuffle_type_morphism,
 )
 from .trees import (
@@ -197,9 +198,7 @@ def papb_relabel(mor: PaPBMorphism, open_map: dict[int, int] | None,
     cperm = (lambda l: closed_map.get(l, l)) if closed_map else None
     return PaPBMorphism(relabel_tree(mor.source, open_map, closed_map),
                         relabel_tree(mor.target, open_map, closed_map),
-                        CoPBMorphism(mor.underlying.src.relabel(operm, cperm),
-                                     mor.underlying.tgt.relabel(operm, cperm),
-                                     mor.underlying.braid))
+                        relabel_morphism(mor.underlying, operm, cperm))
 
 
 def papb_shuffle_type(src: Tree, tgt: Tree) -> PaPBMorphism | None:

@@ -434,8 +434,17 @@ def _open_trees(olabels: frozenset, clabels: frozenset) -> list[Tree]:
     return out
 
 
+#: most inputs (open plus closed) that ``enumerate_trees`` accepts; (0, 6)
+#: already gives 231,840 trees, 24 times as many as (0, 5)
+MAX_ENUM_INPUTS = 6
+
+
 def enumerate_trees(n: int, m: int, with_units: bool = False) -> list[Tree]:
     """All arity-(n, m) open-output normal forms."""
+    if n < 0 or m < 0:
+        raise ValueError(f"open and closed counts must be nonnegative, got {n} and {m}")
+    if n + m > MAX_ENUM_INPUTS:
+        raise ValueError(f"arity ({n}, {m}) exceeds the limit of {MAX_ENUM_INPUTS} inputs for tree enumeration")
     if n == 0 and m == 0:
         return [UNIT_O] if with_units else []
     return _open_trees(frozenset(range(1, n + 1)), frozenset(range(1, m + 1)))

@@ -5,8 +5,8 @@ morphism (the merge) with an operad Q: components are plain pairs
 (P-part in arity m, Q-part in arity n).  Closed insertion composes the P-part;
 open insertion composes the Q-part and merges the P-parts through the
 commutative multiplication, with the outer P-part keeping strands 1..m and
-the inner block appended.  Removing the components with zero closed and zero
-open inputs gives the based variant.
+the inner block appended.  The product is the based variant: it has no
+component with zero closed and zero open inputs.
 
 The shipped instance pairs truncated chord series (merge = juxtaposition on
 disjoint strands, the image of the empty-diagram morphism) with parenthesized
@@ -89,17 +89,16 @@ class VoronovElement:
 
 
 class VoronovProduct:
-    """Generic product; ``based`` removes the (0, 0) component."""
+    """Generic based product: the (0, 0) component is removed."""
 
-    def __init__(self, p_operad, q_operad, based: bool = True):
+    def __init__(self, p_operad, q_operad):
         self.p = p_operad
         self.q = q_operad
-        self.based = based
 
     def make(self, p_part, q_part) -> VoronovElement:
         e = VoronovElement(p_part, q_part)
-        if self.based:
-            assert self.narity(e) != (0, 0), "the based variant removes the (0,0) component"
+        if self.narity(e) == (0, 0):
+            raise ValueError("the based variant removes the (0,0) component")
         return e
 
     def narity(self, e: VoronovElement) -> tuple[int, int]:
@@ -130,7 +129,7 @@ class VoronovProduct:
 
 def build_cd_pap_instance(degree: int) -> VoronovProduct:
     """The based product of truncated chord series with parenthesized permutations."""
-    return VoronovProduct(ChordStrandOperad(degree), PaPOperad(), based=True)
+    return VoronovProduct(ChordStrandOperad(degree), PaPOperad())
 
 
 def voronov_to_json(vp: VoronovProduct, e: VoronovElement) -> dict:

@@ -164,6 +164,8 @@ NEGATIVE_SIZES = [
     ["assoc", "solve", "--degree", "-1"],
     ["voronov", "check", "--degree", "-1", "--count", "1"],
     ["braid", "cable", "s1", "--strands", "2", "--position", "1", "--width", "-1"],
+    ["tree", "enum", "--open", "-2", "--closed", "1"],
+    ["voronov", "check", "--count", "-3"],
 ]
 
 
@@ -361,14 +363,18 @@ def test_bad_morphism_json_under_optimize(argv, data, message):
 
 
 # past a resource limit: a tree nested 1,200 deep (the parser would exhaust the
-# interpreter's recursion) and a chord dimension with 9,000 digits
+# interpreter's recursion), a chord dimension with 9,000 digits, a tree
+# enumeration over 7 inputs and an associator solve above the target degree
 OVER_LIMIT = [
     ["tree", "omega", "mc(" * 1200 + "x1" + ",x1)" * 1200],
     ["cd", "dims", "--strands", "4", "--degree", "20000"],
+    ["tree", "enum", "--open", "4", "--closed", "3"],
+    ["assoc", "solve", "--degree", "9"],
 ]
+OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "solve-degree"]
 
 
-@pytest.mark.parametrize("argv", OVER_LIMIT, ids=["deep-tree", "dims-degree"])
+@pytest.mark.parametrize("argv", OVER_LIMIT, ids=OVER_LIMIT_IDS)
 def test_over_limit_rejected(capsys, argv):
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -376,7 +382,7 @@ def test_over_limit_rejected(capsys, argv):
     assert captured.err.startswith("error:") and "exceeds the limit" in captured.err
 
 
-@pytest.mark.parametrize("argv", OVER_LIMIT, ids=["deep-tree", "dims-degree"])
+@pytest.mark.parametrize("argv", OVER_LIMIT, ids=OVER_LIMIT_IDS)
 def test_over_limit_under_optimize(argv):
     out = run_optimized(argv)
     assert out.returncode == 2 and out.stdout == ""

@@ -6,7 +6,6 @@ from braidops.chords import DKElement, PaCDMorphism, grouplike_check
 from braidops.colored import copb_insert_closed, copb_insert_open
 from braidops.mixed import (
     PaPBPrimeElement,
-    PaPCDElement,
     apply_phi,
     canonical_objects,
     compose_papcd,
@@ -257,7 +256,7 @@ ASSOC2 = solve_associator(1, 2)
 def test_apply_phi_identity():
     ident = PaPBPrimeElement.identity_element()
     img = apply_phi(ASSOC2, ident)
-    assert img.alpha.element == DKElement.one(0, 2)
+    assert img.x.element == DKElement.one(0, 2)
     assert img.u_src == ident.u_src and img.mu_src == ident.mu_src
 
 
@@ -274,7 +273,7 @@ def test_rho_phi_trivial_associator():
         e = rand_prime(rng, 0, 2, max_len=3)
         img = apply_phi(ASSOC2, e)
         sh = rho_phi(ASSOC2, img)
-        assert sh.payload.element == img.alpha.element
+        assert sh.payload.element == img.x.element
 
 
 def test_apply_phi_morphism_property():
@@ -312,23 +311,52 @@ def test_papcd_object_condition_enforced():
     e = rand_prime(rng, 1, 2, max_len=2)
     img = apply_phi(ASSOC2, e)
     # tampering with the carrier's parenthesization breaks the object condition
-    bad_src = mc(x(1), x(2)) if img.alpha.src != mc(x(1), x(2)) else mc(x(2), x(1))
+    bad_src = mc(x(1), x(2)) if img.x.src != mc(x(1), x(2)) else mc(x(2), x(1))
     try:
-        PaPCDElement(img.u_src, img.u_tgt,
-                     PaCDMorphism(bad_src, img.alpha.tgt, img.alpha.element),
-                     img.mu_src, img.mu_tgt)
-    except AssertionError:
+        PaPBPrimeElement(img.u_src, img.u_tgt,
+                         PaCDMorphism(bad_src, img.x.tgt, img.x.element),
+                         img.mu_src, img.mu_tgt)
+    except ValueError:
         pass
     else:
         raise AssertionError("object condition not enforced")
+
+
+# an identity-labeled chord carrier whose source is reparenthesized away from
+# mu's aerial parenthesization mc(mc(x1,x2),x3)
+TAMPERED_CARRIER = """
+from braidops.associator import solve_associator
+from braidops.chords import PaCDMorphism
+from braidops.mixed import PaPBPrimeElement, apply_phi
+from braidops.parenthesized import PaBMorphism
+from braidops.trees import parse_tree
+
+mu = parse_tree("mo(y1,f(mc(mc(x1,x2),x3)))")
+x = PaBMorphism.identity(parse_tree("mc(mc(x1,x2),x3)"))
+img = apply_phi(solve_associator(1, 2), PaPBPrimeElement(("y", 1), ("y", 1), x, mu, mu))
+bad = PaCDMorphism(parse_tree("mc(x1,mc(x2,x3))"), img.x.tgt, img.x.element)
+PaPBPrimeElement(img.u_src, img.u_tgt, bad, img.mu_src, img.mu_tgt)
+"""
+
+
+def test_papcd_object_condition_under_optimize():
+    # the object condition must raise ValueError, not assert, which -O strips
+    import subprocess
+    import sys
+
+    out = subprocess.run([sys.executable, "-O", "-c", TAMPERED_CARRIER],
+                         capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 1
+    assert "ValueError: object condition fails at the source" in out.stderr
 
 
 def test_rho_right_module_formula():
     # plugging a composed carrier equals plugging then inserting at the
     # corresponding slot of the payload, up to the canonical relabeling
     rng = random.Random(11)
-    from braidops.mixed import _canonical_carrier_pab
-    from braidops.parenthesized import pab_insert
+    from braidops.mixed import _canonical_carrier
+    from braidops.parenthesized import pab_insert, pab_relabel
 
     for _ in range(25):
         outer = rand_prime(rng, 1, rng.randint(0, 2), max_len=3)
@@ -336,10 +364,10 @@ def test_rho_right_module_formula():
         z = rand_closed_morphism(rng, rng.randint(1, 2), max_len=3)
         i = rng.randint(1, inner.narity()[1])
         payload = rho(outer).payload
-        lhs = _canonical_carrier_pab(
-            pab_insert(payload, 1, prime_insert_closed(inner, i, z).x))
+        lhs = _canonical_carrier(
+            pab_insert(payload, 1, prime_insert_closed(inner, i, z).x), pab_relabel)
         pos = omega(inner.mu_src).aerial.index(i) + 1
-        rhs = _canonical_carrier_pab(
-            pab_insert(pab_insert(payload, 1, inner.x), pos, z))
+        rhs = _canonical_carrier(
+            pab_insert(pab_insert(payload, 1, inner.x), pos, z), pab_relabel)
         assert lhs.src == rhs.src and lhs.tgt == rhs.tgt
         assert braids_equal(lhs.braid, rhs.braid)
