@@ -8,33 +8,48 @@ constraints are not hard-coded: they are generated by pushing the shared
 coherence diagrams through this evaluation, which keeps all conventions
 aligned with the braid-side checks.
 
-The solver works degree by degree.  At degree d the unknown homogeneous piece
-enters every constraint linearly (a product of two unknowns has degree at
-least 2d), so exact linear solving applies; free coordinates are set to zero.
+The solver works degree by degree (Drinfeld 1990, Bar-Natan 1998).  At degree
+d the unknown homogeneous piece w enters every constraint linearly, so exact
+linear solving applies; free coordinates are set to zero.  The columns of the
+system are exact linearisations.  Everything is truncated at degree d and w
+has degree d, so any product of w with a positive-degree piece vanishes;
+exp(mu t12 / 2) and Phi_{<d} both have constant term 1.  The column of w is
+therefore the degree-d residual at (mu, Phi) = (0, 1 + w): it depends on
+neither mu nor Phi_{<d}.  ``LinearAlgebra`` evaluates the same coherence
+words to that first-order part, and the grouplike column is
+Delta w - w (x) 1 - 1 (x) w, since the tensor square truncates at total
+degree.  Only the right-hand side, one full residual per degree, depends on
+mu and Phi_{<d}.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chords import (
     DKElement,
     PaCDMorphism,
+    _reduce_terms,
+    _splits,
+    _tensor_normalize,
     dk_coproduct,
     dk_terms_from_json,
     dk_terms_to_json,
     grouplike_check,
+    insert_tables,
     pacd_insert,
     pacd_relabel,
+    relabel_table,
     substitute_letters,
     tensor_square,
 )
 from .diagrams import CLOSED_FAMILIES, family_word_pairs
 from .exact import LinearSystem, accumulate, fraction_to_str, solve_exact
 from .parenthesized import GENERATOR_SHAPES, PaBMorphism, evaluate_word, pab_to_word
-from .trees import Tree, color
+from .trees import Tree, closed_labels, color
 
 _T12 = 0  # generator indices in the 3-strand alphabet (1,2), (1,3), (2,3)
 _T13 = 1
@@ -95,6 +110,42 @@ class CDAlgebra:
         return pacd_relabel(v, closed_map or {})
 
 
+class LinearAlgebra:
+    """Evaluate closed-color generator words to their degree-d part at (mu, Phi) = (0, 1 + w).
+
+    A morphism is a pair (strands, raw degree-d terms): its element is one
+    plus those terms, and products of two such parts fall above degree d.
+    """
+
+    def __init__(self, w: tuple[int, ...]):
+        self._gens = {"tau": (2, {}), "alpha_c": (3, {w: Fraction(1)})}
+
+    def generator(self, name: str):
+        if name not in self._gens:
+            raise ValueError(f"closed-color algebra has no generator {name!r}")
+        return self._gens[name]
+
+    def identity(self, tree: Tree):
+        return len(closed_labels(tree)), {}
+
+    def compose(self, g, f):
+        return f[0], accumulate(dict(f[1]), g[1].items())
+
+    def invert(self, v):
+        return v[0], {k: -c for k, c in v[1].items()}
+
+    def insert_closed(self, outer, i: int, inner):
+        images, table = insert_tables(outer[0], i, inner[0])
+        terms = substitute_letters(outer[1], images)
+        return outer[0] + inner[0] - 1, accumulate(terms, substitute_letters(inner[1], table).items())
+
+    def insert_open(self, outer, j, inner):
+        raise ValueError("open insertion does not exist in the closed-color algebra")
+
+    def relabel(self, v, open_map, closed_map):
+        return v[0], substitute_letters(v[1], relabel_table(v[0], closed_map or {}))
+
+
 def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> PaCDMorphism:
     """Image of a closed braid morphism under the associator evaluation."""
     if mor.strands > CDAlgebra.MAX_STRANDS:
@@ -145,53 +196,65 @@ def associator_valid(assoc: Associator) -> bool:
 
 def _free_words(d: int) -> list[tuple[int, ...]]:
     """Degree-d words in the two letters t12, t13."""
-    import itertools
+    return list(itertools.product((_T12, _T13), repeat=d))
 
-    return [w for w in itertools.product((_T12, _T13), repeat=d)]
+
+def _diagrams():
+    """The tagged constraint diagrams: the pentagon and both hexagons."""
+    pairs = _closed_pairs()
+    return (("pent", pairs["pentagon"][0]), ("hex1", pairs["hexagon"][0]),
+            ("hex2", pairs["hexagon"][1]))
 
 
 def _residual_entries(mu: Fraction, phi_terms: dict, d: int) -> dict:
     """All constraint entries at truncation d, flattened to a single dict."""
     assoc = Associator(mu, d, DKElement(3, d, phi_terms))
+    algebra = CDAlgebra(assoc)
     entries: dict = {}
-    pent = check_pentagon(assoc)
-    for w, c in pent.series.terms.items():
-        entries[("pent", w)] = c
-    h1, h2 = check_hexagons(assoc)
-    for tag, res in (("hex1", h1), ("hex2", h2)):
-        for w, c in res.series.terms.items():
-            entries[(tag, w)] = c
-    for key, c in grouplike_residual(assoc).items():
-        entries[("grp", key)] = c
+    for tag, (wl, wr, _s, _e) in _diagrams():
+        diff = evaluate_word(wl, algebra).element - evaluate_word(wr, algebra).element
+        entries.update(((tag, w), c) for w, c in diff.series.terms.items())
+    entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
     return entries
 
 
-def _solve_probes(mu: Fraction, phi_terms: dict, basis: list, d: int) -> dict:
-    """Coefficients of the ``basis`` words that zero every residual entry at truncation d.
+@functools.cache
+def _columns(d: int) -> tuple[dict, ...]:
+    """Column of each degree-d word: the residual entries' linear part in it.
 
-    An unknown's column is the change one unit of its word makes to the
-    residual entries; free coordinates are set to zero.
+    Keyed like ``_residual_entries`` and shared by every mu; never mutate.
+    """
+    columns = []
+    for w in _free_words(d):
+        algebra = LinearAlgebra(w)
+        entries: dict = {}
+        for tag, (wl, wr, _s, _e) in _diagrams():
+            r, left = evaluate_word(wl, algebra)
+            diff = accumulate(dict(left), ((k, -c) for k, c in evaluate_word(wr, algebra)[1].items()))
+            entries.update(((tag, k), c) for k, c in _reduce_terms(diff, r).items())
+        splits = accumulate({}, ((split, Fraction(1)) for split in _splits(w) if all(split)))
+        entries.update((("grp", key), c) for key, c in _tensor_normalize(splits, 3).items())
+        columns.append(entries)
+    return tuple(columns)
+
+
+def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
+    """Homogeneous degree-d piece extending a solution below degree d.
+
+    The right-hand side is minus the residual of ``phi_terms`` at truncation
+    d; free coordinates are set to zero.
     """
     base = _residual_entries(mu, phi_terms, d)
-    columns = []
-    for w in basis:
-        probe = accumulate(dict(phi_terms), ((w, Fraction(1)),))
-        entries = _residual_entries(mu, probe, d)
-        columns.append(accumulate(entries, ((k, -c) for k, c in base.items())))
+    columns = _columns(d)
     row_keys = sorted({k for col in columns for k in col} | set(base), key=repr)
-    system = LinearSystem(len(basis))
+    system = LinearSystem(len(columns))
     for key in row_keys:
         system.add_row({ci: col.get(key, Fraction(0)) for ci, col in enumerate(columns)},
                        -base.get(key, Fraction(0)))
     sol = solve_exact(system)
     if not sol.consistent:
         raise ArithmeticError(f"degree-{d} associator system inconsistent")
-    return {w: c for w, c in zip(basis, sol.particular) if c != 0}
-
-
-def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
-    """Homogeneous degree-d piece extending a solution below degree d."""
-    return _solve_probes(mu, phi_terms, _free_words(d), d)
+    return {w: c for w, c in zip(_free_words(d), sol.particular) if c != 0}
 
 
 #: highest degree ``solve_associator`` accepts, the solver's target degree
@@ -214,34 +277,7 @@ def solve_associator(mu, degree: int) -> Associator:
     return out
 
 
-def solve_associator_oneshot2(mu) -> Associator:
-    """Independent degree-2 construction: one joint linear pass, then exact check.
-
-    Builds a single system over all degree-1 and degree-2 coordinates from
-    residual probes at truncation 2 and verifies the candidate exactly; the
-    degree-1 block is forced to zero by the system itself.
-    """
-    mu = Fraction(mu)
-    phi_terms = {(): Fraction(1)}
-    phi_terms.update(_solve_probes(mu, phi_terms, _free_words(1) + _free_words(2), 2))
-    out = Associator(mu, 2, DKElement(3, 2, phi_terms), dict(phi_terms))
-    assert associator_valid(out), "one-shot candidate failed exact verification"
-    return out
-
-
-# -- conventions and serialization ----------------------------------------------------
-
-
-def phi_in_t12_t23(assoc: Associator) -> DKElement:
-    """The same coefficients read in the variables (t12, t23).
-
-    Substitutes t23 for t13 in the recorded free words.  Both conventions are
-    supported; neither is asserted to be canonical.
-    """
-    assert assoc.phi_free is not None, "no free-word representation recorded"
-    t23_idx = 2
-    table = [(_T12,), (t23_idx,), (t23_idx,)]  # t13 -> t23; t12 and t23 stay
-    return DKElement(3, assoc.degree, substitute_letters(assoc.phi_free, table))
+# -- serialization ---------------------------------------------------------------
 
 
 def associator_to_json(assoc: Associator) -> dict:

@@ -272,35 +272,51 @@ def substitute_letters(terms: dict, images: list) -> dict:
                            for w2 in itertools.product(*(images[l] for l in w))))
 
 
+def relabel_table(r: int, images: dict[int, int]) -> list:
+    """Letter images of a strand relabeling of r strands, for ``substitute_letters``."""
+    idx = _gen_index(r)
+    return [(idx[tuple(sorted((images[a], images[b])))],) for a, b in dk_generators(r)]
+
+
 def dk_relabel(e: DKElement, images: dict[int, int]) -> DKElement:
     """Strand relabeling along a bijection."""
-    idx = _gen_index(e.strands)
-    table = [(idx[tuple(sorted((images[a], images[b])))],) for a, b in dk_generators(e.strands)]
-    return DKElement(e.strands, e.degree, substitute_letters(e.series.terms, table))
+    return DKElement(e.strands, e.degree,
+                     substitute_letters(e.series.terms, relabel_table(e.strands, images)))
 
 
-def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
-    """Insertion of v at strand k: double the strand, then multiply by v shifted."""
-    if not (1 <= k <= u.strands):
+def insert_tables(r: int, k: int, s: int) -> tuple[list, list]:
+    """Letter images for inserting an s-strand element at strand k of an r-strand one.
+
+    The first table doubles strand k of the outer element into a block (t_ab
+    goes to the sum of t_pq over the blocks; p < q since blocks keep the
+    order); the second shifts the inner element's strands onto that block.
+    Both land on r + s - 1 strands.
+    """
+    if not (1 <= k <= r):
         raise ValueError("strand index out of range")
-    s = v.strands
-    total = u.strands + s - 1
-    degree = min(u.degree, v.degree)
-    idx_tot = _gen_index(total)
+    idx_tot = _gen_index(r + s - 1)
 
     def block(a: int) -> range:
-        """The strands of the result that strand a of u becomes."""
+        """The strands of the result that strand a of the outer element becomes."""
         if a == k:
             return range(k, k + s)
         a = a if a < k else a + s - 1
         return range(a, a + 1)
 
-    # t_ab goes to the sum of t_pq over the blocks; p < q since blocks keep the order
-    images = [tuple(idx_tot[(p, q)] for p in block(a) for q in block(b))
-              for a, b in dk_generators(u.strands)]
-    expanded = NCSeries(len(idx_tot), degree, substitute_letters(u.series.terms, images))
-    table = [(idx_tot[(a + k - 1, b + k - 1)],) for a, b in dk_generators(s)]
-    vshift = NCSeries(len(idx_tot), degree, substitute_letters(v.series.terms, table))
+    outer = [tuple(idx_tot[(p, q)] for p in block(a) for q in block(b))
+             for a, b in dk_generators(r)]
+    inner = [(idx_tot[(a + k - 1, b + k - 1)],) for a, b in dk_generators(s)]
+    return outer, inner
+
+
+def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
+    """Insertion of v at strand k: double the strand, then multiply by v shifted."""
+    images, table = insert_tables(u.strands, k, v.strands)
+    total = u.strands + v.strands - 1
+    letters = len(dk_generators(total))
+    degree = min(u.degree, v.degree)
+    expanded = NCSeries(letters, degree, substitute_letters(u.series.terms, images))
+    vshift = NCSeries(letters, degree, substitute_letters(v.series.terms, table))
     return DKElement(total, degree, series_mul(expanded, vshift).terms)
 
 
@@ -359,10 +375,14 @@ class PaCDMorphism:
     __slots__ = ("src", "tgt", "element")
 
     def __init__(self, src: Tree, tgt: Tree, element: DKElement):
-        assert color(src) == "c" and color(tgt) == "c"
+        if color(src) != "c" or color(tgt) != "c":
+            raise ValueError("a chord morphism runs between closed-color trees")
         m = len(closed_labels(src))
-        assert len(closed_labels(tgt)) == m, "arity mismatch"
-        assert element.strands == m
+        if len(closed_labels(tgt)) != m:
+            raise ValueError(f"arity mismatch: {m} leaves at the source, "
+                             f"{len(closed_labels(tgt))} at the target")
+        if element.strands != m:
+            raise ValueError(f"{element.strands} chord strands between {m} leaves")
         self.src = src
         self.tgt = tgt
         self.element = element
@@ -374,7 +394,8 @@ class PaCDMorphism:
 
     def compose(self, other: "PaCDMorphism") -> "PaCDMorphism":
         """self then other."""
-        assert self.tgt == other.src, "object mismatch"
+        if self.tgt != other.src:
+            raise ValueError("object mismatch")
         return PaCDMorphism(self.src, other.tgt, self.element.mul(other.element))
 
     def inverse(self) -> "PaCDMorphism":

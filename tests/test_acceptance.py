@@ -17,7 +17,6 @@ from braidops.associator import (
     grouplike_residual,
     phi_eval,
     solve_associator,
-    solve_associator_oneshot2,
 )
 from braidops.braids import BraidWord, braids_equal, permute_seq
 from braidops.chords import (
@@ -59,6 +58,7 @@ from braidops.trees import ShuffleObject, count_shuffles, enumerate_shuffle_obje
 from braidops.voronov import PaPOperad, build_cd_pap_instance
 
 import test_coherence  # noqa: F401  (shared fixtures by import side effects only)
+from test_associator import solve_associator_oneshot2
 from test_chords import rand_dk, rand_grouplike
 from test_colored import rand_cob, rand_morphism, rand_object
 from test_mixed import assert_equal_up_to_aerial_relabel, copb_full_compose, rand_prime

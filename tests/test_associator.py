@@ -1,8 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from braidops.associator import (
+    _T12,
     Associator,
+    _columns,
+    _free_words,
+    _residual_entries,
     associator_from_json,
     associator_to_json,
     associator_valid,
@@ -10,12 +17,12 @@ from braidops.associator import (
     check_pentagon,
     grouplike_residual,
     phi_eval,
-    phi_in_t12_t23,
     solve_associator,
-    solve_associator_oneshot2,
+    solve_degree,
 )
 from braidops.braids import BraidWord
-from braidops.chords import DKElement, dk_insert, grouplike_check
+from braidops.chords import DKElement, dk_insert, grouplike_check, substitute_letters
+from braidops.exact import LinearSystem, accumulate, solve_exact
 from braidops.parenthesized import (
     PaBMorphism,
     pab_insert,
@@ -30,6 +37,52 @@ from test_parenthesized import rand_closed_morphism
 
 def t(r, n, i, j):
     return DKElement.generator(r, n, i, j)
+
+
+def probe_columns(mu, phi_terms: dict, basis: list, d: int):
+    """Base residual at truncation d, and the change one unit of each basis word makes to it."""
+    base = _residual_entries(mu, phi_terms, d)
+    columns = []
+    for w in basis:
+        probe = accumulate(dict(phi_terms), ((w, Fraction(1)),))
+        columns.append(accumulate(_residual_entries(mu, probe, d), ((k, -c) for k, c in base.items())))
+    return base, columns
+
+
+def solve_associator_oneshot2(mu) -> Associator:
+    """Independent degree-2 construction: one joint linear pass, then exact check.
+
+    Builds a single system over all degree-1 and degree-2 coordinates from
+    residual probes at truncation 2 and verifies the candidate exactly; the
+    degree-1 block is forced to zero by the system itself.  The basis mixes
+    degrees, so the solver's degree-d linearisation does not apply here.
+    """
+    mu = Fraction(mu)
+    phi_terms = {(): Fraction(1)}
+    basis = _free_words(1) + _free_words(2)
+    base, columns = probe_columns(mu, phi_terms, basis, 2)
+    system = LinearSystem(len(basis))
+    for key in sorted({k for col in columns for k in col} | set(base), key=repr):
+        system.add_row({ci: col.get(key, Fraction(0)) for ci, col in enumerate(columns)},
+                       -base.get(key, Fraction(0)))
+    sol = solve_exact(system)
+    assert sol.consistent, "degree-2 one-shot system inconsistent"
+    phi_terms.update((w, c) for w, c in zip(basis, sol.particular) if c != 0)
+    out = Associator(mu, 2, DKElement(3, 2, phi_terms), dict(phi_terms))
+    assert associator_valid(out), "one-shot candidate failed exact verification"
+    return out
+
+
+def phi_in_t12_t23(assoc: Associator) -> DKElement:
+    """The same coefficients read in the variables (t12, t23).
+
+    Substitutes t23 for t13 in the recorded free words.  Both conventions are
+    supported; neither is asserted to be canonical.
+    """
+    assert assoc.phi_free is not None, "no free-word representation recorded"
+    t23_idx = 2
+    table = [(_T12,), (t23_idx,), (t23_idx,)]  # t13 -> t23; t12 and t23 stay
+    return DKElement(3, assoc.degree, substitute_letters(assoc.phi_free, table))
 
 
 def test_trivial_associator():
@@ -197,5 +250,45 @@ def test_solver_shapes_pinned(monkeypatch):
         return sol
 
     monkeypatch.setattr(associator, "solve_exact", recording)
-    solve_associator(1, 5)
-    assert shapes == [(8, 2, 0), (26, 4, 0), (88, 8, 1), (276, 16, 0), (832, 32, 1)]
+    solve_associator(1, 6)
+    assert shapes == [(8, 2, 0), (26, 4, 0), (88, 8, 1), (276, 16, 0), (832, 32, 1),
+                      (2464, 64, 0)]
+
+
+@pytest.mark.parametrize("mu,top", [(Fraction(1), 5), (Fraction(-1, 2), 4)])
+def test_linear_columns_equal_probe_columns(mu, top):
+    # at the solved Phi_{<d}, each linearised column is exactly the residual
+    # change one unit of its word makes
+    phi_terms = {(): Fraction(1)}
+    for d in range(1, top + 1):
+        _base, probes = probe_columns(mu, phi_terms, _free_words(d), d)
+        assert list(_columns(d)) == probes
+        phi_terms.update(solve_degree(mu, phi_terms, d))
+
+
+@pytest.mark.slow
+def test_degree_6_and_7_outputs_pinned(monkeypatch, capsys):
+    # stdout digests of `assoc solve --mu 1` recorded from the probe-column
+    # solver; nullity per degree is dim grt_1
+    import braidops.associator as associator
+    from braidops.cli import run
+
+    shapes = []
+
+    def recording(system):
+        sol = solve_exact(system)
+        shapes.append((len(system.rows), system.num_columns, sol.nullity))
+        return sol
+
+    monkeypatch.setattr(associator, "solve_exact", recording)
+    digests = {}
+    for d in (6, 7):
+        assert run(["assoc", "solve", "--mu", "1", "--degree", str(d)]) == 0
+        digests[d] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == {
+        6: "67738240a370e8f62cca37a3cd240a3bb6c428853721c2ec57944b106a41da07",
+        7: "83840686147ed677103cfdaa9448b7141332780d5dad7504dc0a4fb578e2d634",
+    }
+    degree7 = shapes[6:]
+    assert degree7[-1] == (7252, 128, 1)
+    assert [nullity for _rows, _cols, nullity in degree7] == [0, 0, 1, 0, 1, 0, 1]

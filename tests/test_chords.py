@@ -340,6 +340,37 @@ def test_pacd_morphisms():
         assert grouplike_check(big.element)
 
 
+# a 5-strand element between trees of 2 and 3 leaves, and a composite whose
+# middle objects differ
+BAD_PACD = """
+from braidops.chords import DKElement, PaCDMorphism
+from braidops.trees import parse_tree
+
+two, three = parse_tree("mc(x1,x2)"), parse_tree("mc(mc(x1,x2),x3)")
+for build in (lambda: PaCDMorphism(two, three, DKElement.one(5, 2)),
+              lambda: PaCDMorphism.identity(two, 2).compose(PaCDMorphism.identity(parse_tree("mc(x2,x1)"), 2))):
+    try:
+        build()
+    except ValueError as exc:
+        print(f"ValueError: {exc}")
+"""
+
+
+def test_pacd_endpoints_under_optimize():
+    # the endpoint checks must raise ValueError, not assert, which -O strips
+    import subprocess
+    import sys
+
+    out = subprocess.run([sys.executable, "-O", "-c", BAD_PACD],
+                         capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "ValueError: arity mismatch: 2 leaves at the source, 3 at the target",
+        "ValueError: object mismatch",
+    ]
+
+
 def test_format_and_json():
     e = t(3, 2, 1, 2).mul(t(3, 2, 1, 3)) - t(3, 2, 1, 3).mul(t(3, 2, 1, 2)).scale(Fraction(1, 24))
     s = format_dk(e)
