@@ -15,8 +15,11 @@ system are exact linearisations.  Everything is truncated at degree d and w
 has degree d, so any product of w with a positive-degree piece vanishes;
 exp(mu t12 / 2) and Phi_{<d} both have constant term 1.  The column of w is
 therefore the degree-d residual at (mu, Phi) = (0, 1 + w): it depends on
-neither mu nor Phi_{<d}.  ``LinearAlgebra`` evaluates the same coherence
-words to that first-order part, and the grouplike column is
+neither mu nor Phi_{<d}.  ``SubstitutionAlgebra`` evaluates each diagram once
+to the signed letter substitutions of w it is made of: the pentagon gives
+Drinfeld's differential w^{2,3,4} - w^{12,3,4} + w^{1,23,4} - w^{1,2,34} +
+w^{1,2,3}, each hexagon three signed relabelings of w.  A column normalises
+those substitutions of one word in ``int``; the grouplike column is
 Delta w - w (x) 1 - 1 (x) w, since the tensor square truncates at total
 degree.  Only the right-hand side, one full residual per degree, depends on
 mu and Phi_{<d}.
@@ -110,20 +113,22 @@ class CDAlgebra:
         return pacd_relabel(v, closed_map or {})
 
 
-class LinearAlgebra:
+def _then(subs: dict, table: list) -> dict:
+    """Letter substitutions followed by ``table``, the images of their target letters."""
+    return accumulate({}, ((tuple(tuple(m for l in image for m in table[l]) for image in key), c)
+                           for key, c in subs.items()))
+
+
+class SubstitutionAlgebra(CDAlgebra):
     """Evaluate closed-color generator words to their degree-d part at (mu, Phi) = (0, 1 + w).
 
-    A morphism is a pair (strands, raw degree-d terms): its element is one
-    plus those terms, and products of two such parts fall above degree d.
+    A morphism is (strands, {letter images of t12, t13, t23: multiplicity}),
+    the signed sum of w under those substitutions; products of two such
+    parts fall above degree d.
     """
 
-    def __init__(self, w: tuple[int, ...]):
-        self._gens = {"tau": (2, {}), "alpha_c": (3, {w: Fraction(1)})}
-
-    def generator(self, name: str):
-        if name not in self._gens:
-            raise ValueError(f"closed-color algebra has no generator {name!r}")
-        return self._gens[name]
+    def __init__(self):
+        self._gens = {"tau": (2, {}), "alpha_c": (3, {((0,), (1,), (2,)): 1})}
 
     def identity(self, tree: Tree):
         return len(closed_labels(tree)), {}
@@ -136,14 +141,10 @@ class LinearAlgebra:
 
     def insert_closed(self, outer, i: int, inner):
         images, table = insert_tables(outer[0], i, inner[0])
-        terms = substitute_letters(outer[1], images)
-        return outer[0] + inner[0] - 1, accumulate(terms, substitute_letters(inner[1], table).items())
-
-    def insert_open(self, outer, j, inner):
-        raise ValueError("open insertion does not exist in the closed-color algebra")
+        return outer[0] + inner[0] - 1, accumulate(_then(outer[1], images), _then(inner[1], table).items())
 
     def relabel(self, v, open_map, closed_map):
-        return v[0], substitute_letters(v[1], relabel_table(v[0], closed_map or {}))
+        return v[0], _then(v[1], relabel_table(v[0], closed_map or {}))
 
 
 def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> PaCDMorphism:
@@ -219,20 +220,27 @@ def _residual_entries(mu: Fraction, phi_terms: dict, d: int) -> dict:
 
 
 @functools.cache
+def _substitutions() -> tuple:
+    """(tag, strands, substitutions) of each diagram's loop: the left path, then the right one back."""
+    algebra = SubstitutionAlgebra()
+    return tuple((tag, *evaluate_word(("comp", ("inv", wr), wl), algebra))
+                 for tag, (wl, wr, _s, _e) in _diagrams())
+
+
+@functools.cache
 def _columns(d: int) -> tuple[dict, ...]:
-    """Column of each degree-d word: the residual entries' linear part in it.
+    """Column of each degree-d word: the residual entries' linear part in it, in ``int``.
 
     Keyed like ``_residual_entries`` and shared by every mu; never mutate.
     """
     columns = []
     for w in _free_words(d):
-        algebra = LinearAlgebra(w)
         entries: dict = {}
-        for tag, (wl, wr, _s, _e) in _diagrams():
-            r, left = evaluate_word(wl, algebra)
-            diff = accumulate(dict(left), ((k, -c) for k, c in evaluate_word(wr, algebra)[1].items()))
-            entries.update(((tag, k), c) for k, c in _reduce_terms(diff, r).items())
-        splits = accumulate({}, ((split, Fraction(1)) for split in _splits(w) if all(split)))
+        for tag, r, subs in _substitutions():
+            terms = accumulate({}, (kv for images, m in subs.items()
+                                    for kv in substitute_letters({w: m}, images).items()))
+            entries.update(((tag, k), c) for k, c in _reduce_terms(terms, r).items())
+        splits = accumulate({}, ((split, 1) for split in _splits(w) if all(split)))
         entries.update((("grp", key), c) for key, c in _tensor_normalize(splits, 3).items())
         columns.append(entries)
     return tuple(columns)
@@ -246,11 +254,13 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
     """
     base = _residual_entries(mu, phi_terms, d)
     columns = _columns(d)
-    row_keys = sorted({k for col in columns for k in col} | set(base), key=repr)
+    rows: dict = {}
+    for ci, col in enumerate(columns):
+        for key, c in col.items():
+            rows.setdefault(key, {})[ci] = c
     system = LinearSystem(len(columns))
-    for key in row_keys:
-        system.add_row({ci: col.get(key, Fraction(0)) for ci, col in enumerate(columns)},
-                       -base.get(key, Fraction(0)))
+    for key in sorted(rows.keys() | base.keys(), key=repr):
+        system.add_row(rows.get(key, {}), -base.get(key, 0))
     sol = solve_exact(system)
     if not sol.consistent:
         raise ArithmeticError(f"degree-{d} associator system inconsistent")

@@ -80,14 +80,14 @@ MAX_DIMENSION_DEGREE = 1000
 # Observationally transparent caches: concurrent builders may race but compute
 # identical entries, and reads after construction are safe.
 _REDUCER_CACHE: dict[tuple[int, int], dict] = {}
-_NORMAL_FORMS: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], Fraction]] = {}
+_NORMAL_FORMS: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
 
 
-def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]:
+def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
     """RREF rows of the ideal's degree-2 piece, keyed by leading (max) word.
 
-    Each row rewrites its leading pair as minus the rest of the row; the
-    rules are quadratic, so ``d`` is always 2.
+    Each row rewrites its leading pair as minus the rest of the row; the rules
+    are quadratic, so ``d`` is always 2, and integral with leading coefficient 1.
     """
     _check_strands(r)
     assert d == 2, "the rewrite rules are quadratic"
@@ -98,6 +98,9 @@ def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], Frac
     rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for rel in _relations(r):
         _rref_insert(rows, rel)
+    if any(c.denominator != 1 for row in rows.values() for c in row.values()):
+        raise ArithmeticError(f"a {r}-strand rewrite rule has a non-integral coefficient")
+    rows = {lead: {w: int(c) for w, c in row.items()} for lead, row in rows.items()}
     _REDUCER_CACHE[key] = rows
     return rows
 
@@ -123,8 +126,8 @@ def _rref_insert(rows: dict, row: dict) -> None:
     rows[lead] = row
 
 
-def _normal_form(r: int, w: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-    """Normal form of one word, memoised per (r, word); the result is shared, never mutate it.
+def _normal_form(r: int, w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Integral normal form of one word, memoised per (r, word); the result is shared, never mutate it.
 
     The tail w[1:] is normalised first; then only the pair of the first letter
     with a standard word's first letter can be a leading pair.  Rewriting makes
@@ -135,7 +138,7 @@ def _normal_form(r: int, w: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     if nf is not None:
         return nf
     if len(w) < 2:
-        nf = {w: Fraction(1)}
+        nf = {w: 1}
     else:
         rules = _reducer(r, 2)
         head = w[0]

@@ -1,10 +1,11 @@
 """Exact rational substrate: truncated noncommutative series and linear solving.
 
-Scalars are `fractions.Fraction` throughout; there is no floating point
-anywhere in this package.  A noncommutative series is a finite map from
-generator words (tuples of generator indices) to nonzero rationals, truncated
-at a fixed total degree.  Equality of series is structural equality of the
-normalized term maps.
+Scalars are `fractions.Fraction`, except that the chord rewrite rules and
+normal forms, and so the associator columns, are integral and kept in `int`;
+there is no floating point anywhere in this package.  A noncommutative
+series is a finite map from generator words (tuples of generator indices) to
+nonzero rationals, truncated at a fixed total degree.  Equality of series is
+structural equality of the normalized term maps.
 
 Every sparse map in the package (series terms, chord normal forms, tensors,
 solver rows) stores no zero coefficient.  The invariant is kept in one place:
@@ -232,17 +233,13 @@ def solve_exact(system: LinearSystem) -> Solution:
     pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
 
     def reduce_row(row: dict[int, Fraction], rhs: Fraction):
-        changed = True
-        while changed:
-            changed = False
-            for col in sorted(row):
-                if col in pivots:
-                    prow, prhs = pivots[col]
-                    factor = -row[col]
-                    accumulate(row, ((j, factor * c) for j, c in prow.items()))
-                    rhs += factor * prhs
-                    changed = True
-                    break
+        # every pivot row is zero at every other pivot column, so subtracting
+        # one leaves the row's other pivot entries alone: one pass clears them all
+        for col in [j for j in row if j in pivots]:
+            prow, prhs = pivots[col]
+            factor = -row[col]
+            accumulate(row, ((j, factor * c) for j, c in prow.items()))
+            rhs += factor * prhs
         return row, rhs
 
     inconsistent = False

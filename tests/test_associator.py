@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from braidops.associator import (
     _columns,
     _free_words,
     _residual_entries,
+    _substitutions,
     associator_from_json,
     associator_to_json,
     associator_valid,
@@ -21,7 +23,14 @@ from braidops.associator import (
     solve_degree,
 )
 from braidops.braids import BraidWord
-from braidops.chords import DKElement, dk_insert, grouplike_check, substitute_letters
+from braidops.chords import (
+    DKElement,
+    dk_insert,
+    grouplike_check,
+    insert_tables,
+    relabel_table,
+    substitute_letters,
+)
 from braidops.exact import LinearSystem, accumulate, solve_exact
 from braidops.parenthesized import (
     PaBMorphism,
@@ -266,10 +275,24 @@ def test_linear_columns_equal_probe_columns(mu, top):
         phi_terms.update(solve_degree(mu, phi_terms, d))
 
 
-@pytest.mark.slow
-def test_degree_6_and_7_outputs_pinned(monkeypatch, capsys):
-    # stdout digests of `assoc solve --mu 1` recorded from the probe-column
-    # solver; nullity per degree is dim grt_1
+def test_pentagon_is_drinfeld_differential():
+    # linearised at mu = 0 the pentagon is psi^{2,3,4} - psi^{12,3,4} + psi^{1,23,4}
+    # - psi^{1,2,34} + psi^{1,2,3}; each hexagon is three signed relabelings of psi
+    subs = {tag: (r, terms) for tag, r, terms in _substitutions()}
+    differential = [(insert_tables(2, 2, 3)[1], 1), (insert_tables(3, 1, 2)[0], -1),
+                    (insert_tables(3, 2, 2)[0], 1), (insert_tables(3, 3, 2)[0], -1),
+                    (insert_tables(2, 1, 3)[1], 1)]
+    assert subs["pent"] == (4, {tuple(table): sign for table, sign in differential})
+    relabelings = {tuple(relabel_table(3, dict(zip((1, 2, 3), p))))
+                   for p in itertools.permutations((1, 2, 3))}
+    for tag in ("hex1", "hex2"):
+        r, terms = subs[tag]
+        assert r == 3 and len(terms) == 3
+        assert set(terms) <= relabelings and set(terms.values()) <= {1, -1}
+
+
+def solve_outputs(monkeypatch, capsys, degrees):
+    """Stdout digest of `assoc solve --mu 1` per degree, and every solver shape met."""
     import braidops.associator as associator
     from braidops.cli import run
 
@@ -282,9 +305,17 @@ def test_degree_6_and_7_outputs_pinned(monkeypatch, capsys):
 
     monkeypatch.setattr(associator, "solve_exact", recording)
     digests = {}
-    for d in (6, 7):
+    for d in degrees:
         assert run(["assoc", "solve", "--mu", "1", "--degree", str(d)]) == 0
         digests[d] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return digests, shapes
+
+
+@pytest.mark.slow
+def test_degree_6_and_7_outputs_pinned(monkeypatch, capsys):
+    # stdout digests of `assoc solve --mu 1` recorded from the probe-column
+    # solver; nullity per degree is dim grt_1
+    digests, shapes = solve_outputs(monkeypatch, capsys, (6, 7))
     assert digests == {
         6: "67738240a370e8f62cca37a3cd240a3bb6c428853721c2ec57944b106a41da07",
         7: "83840686147ed677103cfdaa9448b7141332780d5dad7504dc0a4fb578e2d634",
@@ -292,3 +323,13 @@ def test_degree_6_and_7_outputs_pinned(monkeypatch, capsys):
     degree7 = shapes[6:]
     assert degree7[-1] == (7252, 128, 1)
     assert [nullity for _rows, _cols, nullity in degree7] == [0, 0, 1, 0, 1, 0, 1]
+
+
+@pytest.mark.slow
+def test_degree_8_output_pinned(monkeypatch, capsys):
+    # stdout digest recorded from the Fraction-column solver; nullity per
+    # degree is dim grt_1 through degree 8
+    digests, shapes = solve_outputs(monkeypatch, capsys, (8,))
+    assert digests == {8: "8ac0467a3845d01734df2ac00a3930beb6c09f5f793f2670654d87430299d5e8"}
+    assert shapes[-1] == (21332, 256, 1)
+    assert [nullity for _rows, _cols, nullity in shapes] == [0, 0, 1, 0, 1, 0, 1, 1]

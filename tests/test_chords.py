@@ -1,6 +1,8 @@
 import functools
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,9 @@ from braidops.chords import (
     MAX_STRANDS,
     DKElement,
     PaCDMorphism,
+    _normal_form,
     _reduce_terms,
+    _reducer,
     _relations,
     dimension_of_degree,
     dk_coproduct,
@@ -218,6 +222,33 @@ def test_normal_forms_match_echelon_oracle():
                 terms[word] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             terms = {w: c for w, c in terms.items() if c}
             assert _reduce_terms(terms, r) == echelon_normal_form(terms, r), (r, d)
+
+
+def test_rewrite_rules_and_normal_forms_integral():
+    # every rule is integral with leading coefficient 1, so normal forms stay in int
+    for r in range(MAX_STRANDS + 1):
+        for lead, row in _reducer(r, 2).items():
+            assert lead == max(row) and row[lead] == 1, r
+            assert all(type(c) is int for c in row.values()), r
+    rng = random.Random(13)
+    for _ in range(30):
+        w = tuple(rng.randrange(6) for _ in range(5))
+        assert all(type(c) is int for c in _normal_form(4, w).values()), w
+
+
+def test_non_integral_rule_under_optimize():
+    # int() would truncate a fractional rule; the guard must raise, not assert, which -O strips
+    script = ("from fractions import Fraction\n"
+              "import braidops.chords as chords\n"
+              "chords._relations = lambda r: [{(1, 0): Fraction(2), (0, 1): Fraction(1)}]\n"
+              "try:\n"
+              "    chords._reducer(3, 2)\n"
+              "except ArithmeticError as exc:\n"
+              "    print('rejected:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.startswith("rejected:") and "non-integral" in out.stdout
 
 
 def test_every_placement_reduces_to_zero():
