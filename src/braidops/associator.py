@@ -50,7 +50,7 @@ from .chords import (
     tensor_square,
 )
 from .diagrams import CLOSED_FAMILIES, family_word_pairs
-from .exact import LinearSystem, accumulate, fraction_to_str, solve_exact
+from .exact import LinearSystem, accumulate, fraction_from_str, fraction_to_str, solve_exact
 from .parenthesized import GENERATOR_SHAPES, PaBMorphism, evaluate_word, pab_to_word
 from .trees import Tree, closed_labels, color
 
@@ -271,19 +271,24 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
 MAX_SOLVE_DEGREE = 8
 
 
-def solve_associator(mu, degree: int) -> Associator:
-    """Construct an associator degree by degree (free coordinates zeroed)."""
+def _check_degree(degree: int) -> None:
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     if degree > MAX_SOLVE_DEGREE:
-        raise ValueError(f"degree {degree} exceeds the limit of {MAX_SOLVE_DEGREE} for the associator solver")
+        raise ValueError(f"degree {degree} exceeds the limit of {MAX_SOLVE_DEGREE} for associators")
+
+
+def solve_associator(mu, degree: int) -> Associator:
+    """Construct an associator degree by degree (free coordinates zeroed)."""
+    _check_degree(degree)
     mu = Fraction(mu)
     phi_terms: dict = {(): Fraction(1)}
     for d in range(1, degree + 1):
         phi_terms.update(solve_degree(mu, phi_terms, d))
     phi_free = dict(phi_terms)
     out = Associator(mu, degree, DKElement(3, degree, phi_terms), phi_free)
-    assert associator_valid(out), "solver output failed re-verification"
+    if not associator_valid(out):
+        raise ArithmeticError("solver output failed re-verification")
     return out
 
 
@@ -299,7 +304,6 @@ def associator_to_json(assoc: Associator) -> dict:
 
 def associator_from_json(data: dict) -> Associator:
     degree = int(data["degree"])
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
+    _check_degree(degree)
     phi_free = dk_terms_from_json(3, data["phi"]["terms"])
-    return Associator(Fraction(data["mu"]), degree, DKElement(3, degree, phi_free), phi_free)
+    return Associator(fraction_from_str(data["mu"]), degree, DKElement(3, degree, phi_free), phi_free)

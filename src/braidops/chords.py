@@ -28,7 +28,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import NCSeries, accumulate, fraction_to_str, series_exp, series_inverse, series_mul
+from .exact import (
+    NCSeries,
+    accumulate,
+    fraction_from_str,
+    fraction_to_str,
+    series_exp,
+    series_inverse,
+    series_mul,
+)
 from .trees import Tree, closed_labels, color, relabel_tree
 
 
@@ -462,7 +470,7 @@ def dk_terms_from_json(r: int, items: list[dict]) -> dict:
         word = [tuple(pair) for pair in t["word"]]
         if not all(pair in idx for pair in word):
             raise ValueError(f"chord word {word} is not on {r} strands")
-        terms[tuple(idx[pair] for pair in word)] = Fraction(t["coef"])
+        terms[tuple(idx[pair] for pair in word)] = fraction_from_str(t["coef"])
     return terms
 
 

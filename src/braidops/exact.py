@@ -1,8 +1,10 @@
 """Exact rational substrate: truncated noncommutative series and linear solving.
 
 Scalars are `fractions.Fraction`, except that the chord rewrite rules and
-normal forms, and so the associator columns, are integral and kept in `int`;
-there is no floating point anywhere in this package.  A noncommutative
+normal forms, and so the associator columns, are integral and kept in `int`,
+and that ``solve_exact`` eliminates fraction-free over `int` (Bareiss 1968),
+returning Fractions; there is no floating point anywhere in this package, and
+``fraction_from_str`` refuses a JSON float at the boundary.  A noncommutative
 series is a finite map from generator words (tuples of generator indices) to
 nonzero rationals, truncated at a fixed total degree.  Equality of series is
 structural equality of the normalized term maps.
@@ -16,6 +18,7 @@ and it drops every key whose sum is zero.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -193,17 +196,23 @@ def series_inverse(g: NCSeries, degree: int | None = None) -> NCSeries:
 
 
 class LinearSystem:
-    """Sparse rows (coefficient map over column indices, rhs)."""
+    """Sparse rows (coefficient map over column indices, rhs).
+
+    Coefficients are kept as given, ``int`` or ``Fraction``, without zeros;
+    the rhs is a Fraction.
+    """
 
     def __init__(self, num_columns: int):
-        assert num_columns >= 0
+        if num_columns < 0:
+            raise ValueError(f"column count must be nonnegative, got {num_columns}")
         self.num_columns = num_columns
-        self.rows: list[tuple[dict[int, Fraction], Fraction]] = []
+        self.rows: list[tuple[dict[int, int | Fraction], Fraction]] = []
 
-    def add_row(self, coeffs: Mapping[int, Fraction], rhs) -> None:
-        row = {j: _as_fraction(c) for j, c in coeffs.items() if c != 0}
+    def add_row(self, coeffs: Mapping[int, int | Fraction], rhs) -> None:
+        row = {j: c for j, c in coeffs.items() if c}
         for j in row:
-            assert 0 <= j < self.num_columns, f"column {j} out of range"
+            if not 0 <= j < self.num_columns:
+                raise ValueError(f"column {j} out of range for {self.num_columns} columns")
         self.rows.append((row, _as_fraction(rhs)))
 
 
@@ -220,61 +229,67 @@ class Solution:
         return len(self.nullspace)
 
 
-def solve_exact(system: LinearSystem) -> Solution:
-    """Gaussian elimination over Fraction.
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries, signed so that its lead is positive."""
+    g = math.gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {j: c // g for j, c in row.items()}
 
-    Returns a particular solution with all free coordinates set to zero, plus a
-    basis of the homogeneous solution space.  Inconsistency is reported in the
+
+def _eliminate(row: dict[int, int], col: int, prow: dict[int, int]) -> dict[int, int]:
+    """(a/g)*row - (b/g)*prow with a = prow[col], b = row[col], g = gcd(a, b): zero at ``col``."""
+    a, b = prow[col], row[col]
+    g = math.gcd(a, b)
+    a, b = a // g, -b // g
+    if a != 1:
+        row = {j: a * c for j, c in row.items()}
+    return accumulate(row, ((j, b * c) for j, c in prow.items()))
+
+
+def solve_exact(system: LinearSystem) -> Solution:
+    """Fraction-free Gauss-Jordan elimination over the integers (Bareiss 1968).
+
+    Each row is scaled once by the lcm of its denominators, its rhs kept at
+    column ``num_columns``.  Pivot rows are primitive with a positive lead and
+    zero at every other pivot column, so the result is the reduced row-echelon
+    form up to one positive scalar per row.  Returns a particular solution
+    with all free coordinates set to zero, plus a basis of the homogeneous
+    solution space, every entry a Fraction.  Inconsistency is reported in the
     returned object; it is not an error.
     """
     n = system.num_columns
-    rows = [(dict(r), b) for r, b in system.rows]
-    # forward elimination, sparse rows kept reduced against chosen pivots
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
-
-    def reduce_row(row: dict[int, Fraction], rhs: Fraction):
-        # every pivot row is zero at every other pivot column, so subtracting
-        # one leaves the row's other pivot entries alone: one pass clears them all
+    pivots: dict[int, dict[int, int]] = {}
+    for coeffs, rhs in system.rows:
+        scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        row = {j: c.numerator * (scale // c.denominator) for j, c in coeffs.items()}
+        if rhs:
+            row[n] = rhs.numerator * (scale // rhs.denominator)
+        # every pivot row is zero at every other pivot column, so eliminating
+        # one only rescales the row's other pivot entries: one pass clears them all
         for col in [j for j in row if j in pivots]:
-            prow, prhs = pivots[col]
-            factor = -row[col]
-            accumulate(row, ((j, factor * c) for j, c in prow.items()))
-            rhs += factor * prhs
-        return row, rhs
-
-    inconsistent = False
-    for row, rhs in rows:
-        row, rhs = reduce_row(row, rhs)
+            row = _eliminate(row, col, pivots[col])
         if not row:
-            if rhs != 0:
-                inconsistent = True
             continue
         lead = min(row)
-        inv = Fraction(1) / row[lead]
-        row = {j: c * inv for j, c in row.items()}
-        rhs = rhs * inv
+        if lead == n:
+            return Solution(False, None, [])
+        row = _primitive(row)
         # back-substitute into existing pivot rows
-        for col, (prow, prhs) in list(pivots.items()):
+        for col, prow in pivots.items():
             if lead in prow:
-                factor = -prow[lead]
-                accumulate(prow, ((j, factor * c) for j, c in row.items()))
-                prhs += factor * rhs
-                pivots[col] = (prow, prhs)
-        pivots[lead] = (row, rhs)
+                pivots[col] = _primitive(_eliminate(prow, lead, row))
+        pivots[lead] = row
 
-    if inconsistent:
-        return Solution(False, None, [])
-
-    free_cols = [j for j in range(n) if j not in pivots]
     particular = [Fraction(0)] * n
-    for col, (row, rhs) in pivots.items():
-        particular[col] = rhs  # free coordinates are zero
+    for col, row in pivots.items():
+        particular[col] = Fraction(row.get(n, 0), row[col])  # free coordinates are zero
     nullspace = []
-    for fc in free_cols:
+    for fc in (j for j in range(n) if j not in pivots):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for col, (row, rhs) in pivots.items():
-            vec[col] = -row.get(fc, Fraction(0))
+        for col, row in pivots.items():
+            vec[col] = Fraction(-row.get(fc, 0), row[col])
         nullspace.append(vec)
     return Solution(True, particular, nullspace)
 
@@ -289,8 +304,14 @@ def fraction_to_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def fraction_from_str(s: str | int) -> Fraction:
+    """The one parser of JSON scalars: a string such as "-3/4", or an integer.
+
+    A JSON float is refused, since it is not the rational that was written.
+    """
+    if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
+        return Fraction(s)
+    raise ValueError(f"a rational must be a string or an integer, got {s!r}")
 
 
 def series_to_json(a: NCSeries) -> dict:

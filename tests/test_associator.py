@@ -246,6 +246,31 @@ def test_phi_compatible_with_restriction():
         assert lhs.element == rhs
 
 
+def test_failed_reverification_raises(monkeypatch):
+    import braidops.associator as associator
+
+    monkeypatch.setattr(associator, "associator_valid", lambda assoc: False)
+    with pytest.raises(ArithmeticError, match="failed re-verification"):
+        solve_associator(1, 2)
+
+
+def test_failed_reverification_under_optimize():
+    # the closing re-check must not be an assert, which -O strips
+    import subprocess
+    import sys
+
+    script = ("import braidops.associator as associator\n"
+              "associator.associator_valid = lambda assoc: False\n"
+              "try:\n"
+              "    associator.solve_associator(1, 2)\n"
+              "except ArithmeticError as exc:\n"
+              "    print('raised:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == "raised: solver output failed re-verification\n"
+
+
 def test_solver_shapes_pinned(monkeypatch):
     # (rows, columns, nullity) of the degree-d system; nullity is dim grt_1 in degree d
     import braidops.associator as associator

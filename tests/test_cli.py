@@ -230,6 +230,13 @@ BAD_CHORD_JSON = [
     (["assoc", "check"], {"mu": "1", "degree": -1, "phi": {"terms": []}}, "must be nonnegative"),
     (["assoc", "check"], {"mu": "1", "degree": 2,
                           "phi": {"terms": [{"coef": "1", "word": [[3, 4]]}]}}, "not on 3 strands"),
+    # a JSON float is not the rational it was written as
+    (["assoc", "check"], {"mu": 0.1, "degree": 1,
+                          "phi": {"terms": [{"coef": "1", "word": []}]}}, "string or an integer"),
+    (["cd", "normalize"], {"strands": 3, "degree": 2,
+                           "terms": [{"coef": 0.1, "word": [[1, 2]]}]}, "string or an integer"),
+    (["cd", "normalize"], {"strands": 3, "degree": 2,
+                           "terms": [{"coef": True, "word": [[1, 2]]}]}, "string or an integer"),
 ]
 
 
@@ -364,26 +371,33 @@ def test_bad_morphism_json_under_optimize(argv, data, message):
 
 # past a resource limit: a tree nested 1,200 deep (the parser would exhaust the
 # interpreter's recursion), a chord dimension with 9,000 digits, a tree
-# enumeration over 7 inputs and an associator solve above the target degree
+# enumeration over 7 inputs, and an associator above the solver's target
+# degree, solved, checked or evaluated (the check is about x4 per degree)
+ASSOC_9 = {"mu": "1", "degree": 9, "phi": {"terms": [{"coef": "1", "word": []}]}}
 OVER_LIMIT = [
-    ["tree", "omega", "mc(" * 1200 + "x1" + ",x1)" * 1200],
-    ["cd", "dims", "--strands", "4", "--degree", "20000"],
-    ["tree", "enum", "--open", "4", "--closed", "3"],
-    ["assoc", "solve", "--degree", "9"],
+    (["tree", "omega", "mc(" * 1200 + "x1" + ",x1)" * 1200], ""),
+    (["cd", "dims", "--strands", "4", "--degree", "20000"], ""),
+    (["tree", "enum", "--open", "4", "--closed", "3"], ""),
+    (["assoc", "solve", "--degree", "9"], ""),
+    (["assoc", "check"], json.dumps(ASSOC_9)),
+    (["assoc", "eval"], json.dumps({"associator": ASSOC_9, "morphism": {
+        "src": "mc(x1,x2)", "tgt": "mc(x2,x1)", "braid": {"strands": 2, "word": [1]}}})),
 ]
-OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "solve-degree"]
+OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "solve-degree", "check-degree",
+                  "eval-degree"]
 
 
-@pytest.mark.parametrize("argv", OVER_LIMIT, ids=OVER_LIMIT_IDS)
-def test_over_limit_rejected(capsys, argv):
+@pytest.mark.parametrize("argv, stdin", OVER_LIMIT, ids=OVER_LIMIT_IDS)
+def test_over_limit_rejected(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error:") and "exceeds the limit" in captured.err
 
 
-@pytest.mark.parametrize("argv", OVER_LIMIT, ids=OVER_LIMIT_IDS)
-def test_over_limit_under_optimize(argv):
-    out = run_optimized(argv)
+@pytest.mark.parametrize("argv, stdin", OVER_LIMIT, ids=OVER_LIMIT_IDS)
+def test_over_limit_under_optimize(argv, stdin):
+    out = run_optimized(argv, stdin)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error:") and "exceeds the limit" in out.stderr

@@ -1,13 +1,20 @@
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidops.exact import (
     LinearSystem,
     NCSeries,
+    Solution,
+    accumulate,
     all_words,
+    fraction_from_str,
     series_exp,
     series_from_json,
     series_inverse,
@@ -134,6 +141,140 @@ def test_solve_random_invertible_residual():
             sum(rows[i][k] * xstar[k] for k in range(n))
 
 
+def reference_solve(system: LinearSystem) -> Solution:
+    """Gauss-Jordan elimination over Fraction, every pivot row scaled to lead 1."""
+    n = system.num_columns
+    rows = [({j: Fraction(c) for j, c in r.items()}, b) for r, b in system.rows]
+    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+
+    def reduce_row(row: dict[int, Fraction], rhs: Fraction):
+        for col in [j for j in row if j in pivots]:
+            prow, prhs = pivots[col]
+            factor = -row[col]
+            accumulate(row, ((j, factor * c) for j, c in prow.items()))
+            rhs += factor * prhs
+        return row, rhs
+
+    inconsistent = False
+    for row, rhs in rows:
+        row, rhs = reduce_row(row, rhs)
+        if not row:
+            if rhs != 0:
+                inconsistent = True
+            continue
+        lead = min(row)
+        inv = Fraction(1) / row[lead]
+        row = {j: c * inv for j, c in row.items()}
+        rhs = rhs * inv
+        for col, (prow, prhs) in list(pivots.items()):
+            if lead in prow:
+                factor = -prow[lead]
+                accumulate(prow, ((j, factor * c) for j, c in row.items()))
+                prhs += factor * rhs
+                pivots[col] = (prow, prhs)
+        pivots[lead] = (row, rhs)
+
+    if inconsistent:
+        return Solution(False, None, [])
+    particular = [Fraction(0)] * n
+    for col, (row, rhs) in pivots.items():
+        particular[col] = rhs
+    nullspace = []
+    for fc in (j for j in range(n) if j not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for col, (row, rhs) in pivots.items():
+            vec[col] = -row.get(fc, Fraction(0))
+        nullspace.append(vec)
+    return Solution(True, particular, nullspace)
+
+
+scalars = st.one_of(st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+ROW_KINDS = ("fresh", "fresh", "fresh", "copy", "multiple", "zero", "rhs only")
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse systems mixing int and Fraction entries, with zero, duplicate,
+    scaled and rhs-only rows; a planted solution makes most of them consistent."""
+    n = draw(st.integers(0, 6))
+    planted = draw(st.none() | st.lists(scalars, min_size=n, max_size=n))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), max_size=12)):
+        if kind in ("copy", "multiple") and rows:
+            coeffs, rhs = draw(st.sampled_from(rows))
+            if kind == "multiple":
+                k = draw(st.sampled_from((-1, 2, -6, 12, Fraction(-3, 4))))
+                coeffs, rhs = {j: k * c for j, c in coeffs.items()}, k * rhs
+        elif kind == "zero":
+            coeffs, rhs = {j: 0 for j in range(n)}, 0
+        elif kind == "rhs only":
+            coeffs, rhs = {}, draw(scalars.filter(bool))
+        else:
+            coeffs = draw(st.dictionaries(st.integers(0, n - 1), scalars, max_size=n)) if n else {}
+            rhs = draw(scalars) if planted is None else sum(c * planted[j] for j, c in coeffs.items())
+        rows.append((coeffs, rhs))
+    system = LinearSystem(n)
+    for coeffs, rhs in rows:
+        system.add_row(coeffs, rhs)
+    return system
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_solve_matches_fraction_reference(system):
+    sol, ref = solve_exact(system), reference_solve(system)
+    assert sol.consistent == ref.consistent
+    assert sol.particular == ref.particular and sol.nullspace == ref.nullspace
+    if sol.consistent:
+        entries = sol.particular + [x for vec in sol.nullspace for x in vec]
+        assert all(type(x) is Fraction for x in entries)
+
+
+def test_add_row_keeps_coefficients():
+    system = LinearSystem(3)
+    system.add_row({0: 2, 1: 0, 2: Fraction(1, 3)}, 1)
+    assert system.rows == [({0: 2, 2: Fraction(1, 3)}, Fraction(1))]
+    assert type(system.rows[0][0][0]) is int and type(system.rows[0][1]) is Fraction
+
+
+def test_add_row_rejects_bad_columns():
+    system = LinearSystem(2)
+    for j in (-1, 2, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            system.add_row({j: 1}, 0)
+    assert system.rows == []
+
+
+def run_optimized(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` under python -O, which strips every assert."""
+    return subprocess.run([sys.executable, "-O", "-c", script, *args], capture_output=True, text=True,
+                          env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+
+
+def test_add_row_bad_column_under_optimize():
+    # a column past the last one would share a slot with the solver's rhs
+    out = run_optimized("from braidops.exact import LinearSystem\n"
+                        "system = LinearSystem(2)\n"
+                        "for j in (-1, 2, 5):\n"
+                        "    try:\n"
+                        "        system.add_row({j: 1}, 0)\n"
+                        "    except ValueError as exc:\n"
+                        "        print('rejected:', exc)\n")
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.count("rejected:") == 3
+
+
+def test_fraction_from_str_takes_strings_and_integers():
+    assert fraction_from_str("-3/4") == Fraction(-3, 4)
+    assert fraction_from_str(7) == 7 and type(fraction_from_str(7)) is Fraction
+    for bad in (0.1, 1.0, True, None, [1], {"n": 1}):
+        with pytest.raises(ValueError, match="string or an integer"):
+            fraction_from_str(bad)
+    with pytest.raises(ValueError):
+        fraction_from_str("0.1.2")
+
+
 def test_json_roundtrip():
     rng = random.Random(5)
     for _ in range(5):
@@ -146,6 +287,7 @@ BAD_SERIES_JSON = [
     {"alphabet": 2, "degree": 3, "terms": [{"coef": "1", "word": [-1]}]},
     {"alphabet": 2, "degree": -1, "terms": []},
     {"alphabet": -2, "degree": 3, "terms": []},
+    {"alphabet": 2, "degree": 3, "terms": [{"coef": 0.1, "word": [0]}]},
 ]
 
 
@@ -160,19 +302,13 @@ def test_boundaries_reject_bad_letters():
 
 def test_series_json_letters_under_optimize():
     # the checks must raise ValueError, not assert, which -O strips
-    import subprocess
-    import sys
-
-    script = ("import sys, json\n"
-              "from braidops.exact import series_from_json\n"
-              "for data in json.loads(sys.argv[1]):\n"
-              "    try:\n"
-              "        series_from_json(data)\n"
-              "    except ValueError as exc:\n"
-              "        print('rejected:', exc)\n")
-    out = subprocess.run([sys.executable, "-O", "-c", script, json.dumps(BAD_SERIES_JSON)],
-                         capture_output=True, text=True,
-                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    out = run_optimized("import sys, json\n"
+                        "from braidops.exact import series_from_json\n"
+                        "for data in json.loads(sys.argv[1]):\n"
+                        "    try:\n"
+                        "        series_from_json(data)\n"
+                        "    except ValueError as exc:\n"
+                        "        print('rejected:', exc)\n", json.dumps(BAD_SERIES_JSON))
     assert out.returncode == 0 and out.stderr == ""
     assert out.stdout.count("rejected:") == len(BAD_SERIES_JSON)
 
