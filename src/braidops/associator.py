@@ -8,27 +8,31 @@ constraints are not hard-coded: they are generated by pushing the shared
 coherence diagrams through this evaluation, which keeps all conventions
 aligned with the braid-side checks.
 
+``ProductAlgebra`` evaluates each diagram path once to a product of
+letter-substituted generators: the pentagon is 3 against 2 factors of Phi,
+each hexagon 3 against 3 factors.  Constraints are evaluated in ``int``: each
+generator and its inverse is scaled once by the lcm of its denominators, a path
+is a truncated product normalised after every factor, and only the difference
+of two paths is divided, by one denominator.
+
 The solver works degree by degree (Drinfeld 1990, Bar-Natan 1998).  At degree
 d the unknown homogeneous piece w enters every constraint linearly, so exact
-linear solving applies; free coordinates are set to zero.  The columns of the
-system are exact linearisations.  Everything is truncated at degree d and w
-has degree d, so any product of w with a positive-degree piece vanishes;
-exp(mu t12 / 2) and Phi_{<d} both have constant term 1.  The column of w is
-therefore the degree-d residual at (mu, Phi) = (0, 1 + w): it depends on
-neither mu nor Phi_{<d}.  ``SubstitutionAlgebra`` evaluates each diagram once
-to the signed letter substitutions of w it is made of: the pentagon gives
+linear solving applies; free coordinates are set to zero.  Everything is
+truncated at degree d and w has degree d, so the column of w is the degree-d
+residual at (mu, Phi) = (0, 1 + w), where tau is 1 and alpha_c^{+-1} is 1 +- w:
+the factor lists give the signed letter substitutions of w, for the pentagon
 Drinfeld's differential w^{2,3,4} - w^{12,3,4} + w^{1,23,4} - w^{1,2,34} +
-w^{1,2,3}, each hexagon three signed relabelings of w.  A column normalises
+w^{1,2,3}, for each hexagon three signed relabelings.  A column normalises
 those substitutions of one word in ``int``; the grouplike column is
-Delta w - w (x) 1 - 1 (x) w, since the tensor square truncates at total
-degree.  Only the right-hand side, one full residual per degree, depends on
-mu and Phi_{<d}.
+Delta w - w (x) 1 - 1 (x) w.  Only the right-hand side, one full residual per
+degree, depends on mu and Phi_{<d}.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +54,17 @@ from .chords import (
     tensor_square,
 )
 from .diagrams import CLOSED_FAMILIES, family_word_pairs
-from .exact import LinearSystem, accumulate, fraction_from_str, fraction_to_str, solve_exact
+from .exact import (
+    LinearSystem,
+    NCSeries,
+    accumulate,
+    fraction_from_str,
+    fraction_to_str,
+    int_from_json,
+    mul_terms,
+    series_inverse,
+    solve_exact,
+)
 from .parenthesized import GENERATOR_SHAPES, PaBMorphism, evaluate_word, pab_to_word
 from .trees import Tree, closed_labels, color
 
@@ -113,35 +127,35 @@ class CDAlgebra:
         return pacd_relabel(v, closed_map or {})
 
 
-def _then(subs: dict, table: list) -> dict:
-    """Letter substitutions followed by ``table``, the images of their target letters."""
-    return accumulate({}, ((tuple(tuple(m for l in image for m in table[l]) for image in key), c)
-                           for key, c in subs.items()))
+def _then(factors: tuple, table: list) -> tuple:
+    """Factors whose letter images are followed by ``table``, the images of their target letters."""
+    return tuple((name, sign, tuple(tuple(m for l in image for m in table[l]) for image in images))
+                 for name, sign, images in factors)
 
 
-class SubstitutionAlgebra(CDAlgebra):
-    """Evaluate closed-color generator words to their degree-d part at (mu, Phi) = (0, 1 + w).
+class ProductAlgebra(CDAlgebra):
+    """Evaluate closed-color generator words to (strands, ((name, sign, letter images), ...)).
 
-    A morphism is (strands, {letter images of t12, t13, t23: multiplicity}),
-    the signed sum of w under those substitutions; products of two such
-    parts fall above degree d.
+    That is the product, in order, of each generator (inverted for sign -1)
+    with its letters t12, t13, t23 replaced by the sums of their images.
     """
 
     def __init__(self):
-        self._gens = {"tau": (2, {}), "alpha_c": (3, {((0,), (1,), (2,)): 1})}
+        self._gens = {"tau": (2, (("tau", 1, ((0,),)),)),
+                      "alpha_c": (3, (("alpha_c", 1, ((0,), (1,), (2,))),))}
 
     def identity(self, tree: Tree):
-        return len(closed_labels(tree)), {}
+        return len(closed_labels(tree)), ()
 
     def compose(self, g, f):
-        return f[0], accumulate(dict(f[1]), g[1].items())
+        return f[0], f[1] + g[1]
 
     def invert(self, v):
-        return v[0], {k: -c for k, c in v[1].items()}
+        return v[0], tuple((name, -sign, images) for name, sign, images in reversed(v[1]))
 
     def insert_closed(self, outer, i: int, inner):
         images, table = insert_tables(outer[0], i, inner[0])
-        return outer[0] + inner[0] - 1, accumulate(_then(outer[1], images), _then(inner[1], table).items())
+        return outer[0] + inner[0] - 1, _then(outer[1], images) + _then(inner[1], table)
 
     def relabel(self, v, open_map, closed_map):
         return v[0], _then(v[1], relabel_table(v[0], closed_map or {}))
@@ -156,25 +170,15 @@ def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> 
     return evaluate_word(word, CDAlgebra(assoc, degree))
 
 
-@functools.cache
-def _closed_pairs():
-    return family_word_pairs(CLOSED_FAMILIES)
-
-
 def check_pentagon(assoc: Associator, degree: int | None = None) -> DKElement:
     """Difference of the two pentagon paths in the 4-strand algebra."""
-    wl, wr, _s, _e = _closed_pairs()["pentagon"][0]
-    algebra = CDAlgebra(assoc, degree)
-    return evaluate_word(wl, algebra).element - evaluate_word(wr, algebra).element
+    return _constraints(assoc, degree, ("pent",))["pent"]
 
 
 def check_hexagons(assoc: Associator, degree: int | None = None) -> tuple[DKElement, DKElement]:
     """Differences of the two hexagon path pairs in the 3-strand algebra."""
-    algebra = CDAlgebra(assoc, degree)
-    out = []
-    for wl, wr, _s, _e in _closed_pairs()["hexagon"]:
-        out.append(evaluate_word(wl, algebra).element - evaluate_word(wr, algebra).element)
-    return out[0], out[1]
+    hexagons = _constraints(assoc, degree, ("hex1", "hex2"))
+    return hexagons["hex1"], hexagons["hex2"]
 
 
 def grouplike_residual(assoc: Associator, degree: int | None = None) -> dict:
@@ -186,10 +190,7 @@ def grouplike_residual(assoc: Associator, degree: int | None = None) -> dict:
 def associator_valid(assoc: Associator) -> bool:
     if not grouplike_check(assoc.phi):
         return False
-    if not check_pentagon(assoc).is_zero():
-        return False
-    h1, h2 = check_hexagons(assoc)
-    return h1.is_zero() and h2.is_zero()
+    return all(diff.is_zero() for diff in _constraints(assoc).values())
 
 
 # -- solving -----------------------------------------------------------------------
@@ -200,31 +201,75 @@ def _free_words(d: int) -> list[tuple[int, ...]]:
     return list(itertools.product((_T12, _T13), repeat=d))
 
 
+@functools.cache
 def _diagrams():
     """The tagged constraint diagrams: the pentagon and both hexagons."""
-    pairs = _closed_pairs()
+    pairs = family_word_pairs(CLOSED_FAMILIES)
     return (("pent", pairs["pentagon"][0]), ("hex1", pairs["hexagon"][0]),
             ("hex2", pairs["hexagon"][1]))
 
 
+@functools.cache
+def _products() -> tuple:
+    """(tag, strands, left factors, right factors) of each constraint diagram."""
+    algebra = ProductAlgebra()
+    return tuple((tag, *evaluate_word(wl, algebra), evaluate_word(wr, algebra)[1])
+                 for tag, (wl, wr, _s, _e) in _diagrams())
+
+
+def _scaled(terms: dict) -> tuple[int, dict]:
+    """(D, D * terms) with D the lcm of the denominators, so that every coefficient is an int."""
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    return denom, {w: int(c * denom) for w, c in terms.items() if c}
+
+
+def _constraints(assoc: Associator, degree: int | None = None, tags=None) -> dict:
+    """{tag: left minus right path} of the diagrams in ``tags`` (all by default) at truncation ``degree``.
+
+    Phi is read from its recorded words if any.  Each generator and its
+    inverse is expanded once and scaled to ``int``; a path is the truncated
+    product of its letter-substituted factors, normalised after each factor,
+    over the product of their denominators.
+    """
+    d = assoc.degree if degree is None else degree
+    phi = NCSeries(3, d, assoc.phi_free if assoc.phi_free is not None else assoc.phi.series.terms)
+    braiding = {(_T12,) * k: (assoc.mu / 2) ** k / math.factorial(k) for k in range(d + 1)}
+    gens = {("tau", 1): braiding, ("tau", -1): {w: (-1) ** len(w) * c for w, c in braiding.items()},
+            ("alpha_c", 1): phi.terms, ("alpha_c", -1): series_inverse(phi).terms}
+    gens = {key: _scaled(terms) for key, terms in gens.items()}
+
+    def path(factors: tuple, r: int) -> tuple[int, dict]:
+        denom, terms = 1, {(): 1}
+        for name, sign, images in factors:
+            scale, gen = gens[name, sign]
+            terms = _reduce_terms(mul_terms(terms, substitute_letters(gen, images), d), r)
+            denom *= scale
+        return denom, terms
+
+    out = {}
+    for tag, r, left, right in _products():
+        if tags is None or tag in tags:
+            (dl, pl), (dr, pr) = path(left, r), path(right, r)
+            diff = accumulate({w: c * dr for w, c in pl.items()}, ((w, -c * dl) for w, c in pr.items()))
+            out[tag] = DKElement(r, d, {w: Fraction(c, dl * dr) for w, c in diff.items()}, _normalized=True)
+    return out
+
+
 def _residual_entries(mu: Fraction, phi_terms: dict, d: int) -> dict:
     """All constraint entries at truncation d, flattened to a single dict."""
-    assoc = Associator(mu, d, DKElement(3, d, phi_terms))
-    algebra = CDAlgebra(assoc)
-    entries: dict = {}
-    for tag, (wl, wr, _s, _e) in _diagrams():
-        diff = evaluate_word(wl, algebra).element - evaluate_word(wr, algebra).element
-        entries.update(((tag, w), c) for w, c in diff.series.terms.items())
+    assoc = Associator(mu, d, DKElement(3, d, phi_terms), phi_terms)
+    entries = {(tag, w): c for tag, diff in _constraints(assoc).items() for w, c in diff.series.terms.items()}
     entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
     return entries
 
 
 @functools.cache
 def _substitutions() -> tuple:
-    """(tag, strands, substitutions) of each diagram's loop: the left path, then the right one back."""
-    algebra = SubstitutionAlgebra()
-    return tuple((tag, *evaluate_word(("comp", ("inv", wr), wl), algebra))
-                 for tag, (wl, wr, _s, _e) in _diagrams())
+    """(tag, strands, {letter images: multiplicity}) of w in each diagram, read from its factor lists."""
+    return tuple((tag, r, accumulate({}, ((images, side * sign)
+                                          for side, factors in ((1, left), (-1, right))
+                                          for name, sign, images in factors if name == "alpha_c")))
+                 for tag, r, left, right in _products())
 
 
 @functools.cache
@@ -303,7 +348,7 @@ def associator_to_json(assoc: Associator) -> dict:
 
 
 def associator_from_json(data: dict) -> Associator:
-    degree = int(data["degree"])
+    degree = int_from_json(data["degree"], "degree")
     _check_degree(degree)
     phi_free = dk_terms_from_json(3, data["phi"]["terms"])
     return Associator(fraction_from_str(data["mu"]), degree, DKElement(3, degree, phi_free), phi_free)

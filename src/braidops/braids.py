@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .exact import int_from_json
+
 
 class Permutation:
     """Bijection of {1..n}; images[i-1] is the image of i."""
@@ -264,29 +266,6 @@ def delete_strand(b: BraidWord, position: int) -> BraidWord:
     return cable(b, position, 0)
 
 
-def block_inflation(perm: Permutation, widths: Sequence[int]) -> Permutation:
-    """Permutation obtained by replacing point i with a block of widths[i-1] points."""
-    n = perm.size
-    widths = list(widths)
-    start_off = [0] * n
-    acc = 0
-    for i in range(n):
-        start_off[i] = acc
-        acc += widths[i]
-    # offsets on the target side follow the permuted widths
-    end_off = [0] * n
-    acc = 0
-    for q in range(1, n + 1):
-        p = perm.inverse()(q)
-        end_off[p - 1] = acc
-        acc += widths[p - 1]
-    images = [0] * sum(widths)
-    for p in range(1, n + 1):
-        for k in range(widths[p - 1]):
-            images[start_off[p - 1] + k] = end_off[p - 1] + k + 1
-    return Permutation(images)
-
-
 # -- corridor weaving ---------------------------------------------------------
 
 
@@ -370,4 +349,5 @@ def braid_to_json(b: BraidWord) -> dict:
 
 
 def braid_from_json(data: dict) -> BraidWord:
-    return BraidWord(int(data["strands"]), [int(x) for x in data["word"]])
+    return BraidWord(int_from_json(data["strands"], "strands"),
+                     [int_from_json(x, "a braid letter") for x in data["word"]])

@@ -33,6 +33,7 @@ from .exact import (
     accumulate,
     fraction_from_str,
     fraction_to_str,
+    int_from_json,
     series_exp,
     series_inverse,
     series_mul,
@@ -480,7 +481,7 @@ def dk_to_json(e: DKElement) -> dict:
 
 
 def dk_from_json(data: dict) -> DKElement:
-    r, degree = int(data["strands"]), int(data["degree"])
+    r, degree = int_from_json(data["strands"], "strands"), int_from_json(data["degree"], "degree")
     _check_nonnegative(r, degree)
     _check_strands(r)
     return DKElement(r, degree, dk_terms_from_json(r, data["terms"]))

@@ -34,6 +34,7 @@ from .coherence import (
     check_coherence,
 )
 from .diagrams import check_papb_coherence
+from .exact import int_from_json
 from .mixed import PaPBPrimeElement, apply_phi, compose_prime, rho
 from .parenthesized import (
     PaBMorphism,
@@ -156,9 +157,9 @@ def cmd_copb_insert(args) -> int:
     if data["color"] == "c":
         inner = colored.CoBMorphism(tuple(data["inner"]["src"]), tuple(data["inner"]["tgt"]),
                                     braids.braid_from_json(data["inner"]["braid"]))
-        out = colored.copb_insert_closed(outer, int(data["slot"]), inner)
+        out = colored.copb_insert_closed(outer, int_from_json(data["slot"], "slot"), inner)
     else:
-        out = colored.copb_insert_open(outer, int(data["slot"]),
+        out = colored.copb_insert_open(outer, int_from_json(data["slot"], "slot"),
                                        colored.copb_from_json(data["inner"]))
     _emit(args, colored.copb_to_json(out), json.dumps(colored.copb_to_json(out), sort_keys=True))
     return 0
@@ -168,9 +169,9 @@ def cmd_copb_restrict(args) -> int:
     data = _read_json(args)
     mor = colored.copb_from_json(data["morphism"])
     if data["which"] == "c":
-        out = colored.restrict_unit_closed(mor, int(data["slot"]))
+        out = colored.restrict_unit_closed(mor, int_from_json(data["slot"], "slot"))
     else:
-        out = colored.restrict_unit_open(mor, int(data["slot"]))
+        out = colored.restrict_unit_open(mor, int_from_json(data["slot"], "slot"))
     _emit(args, colored.copb_to_json(out), json.dumps(colored.copb_to_json(out), sort_keys=True))
     return 0
 
@@ -220,7 +221,7 @@ def cmd_cd_normalize(args) -> int:
 
 def cmd_cd_insert(args) -> int:
     data = _read_json(args)
-    out = dk_insert(dk_from_json(data["outer"]), int(data["strand"]),
+    out = dk_insert(dk_from_json(data["outer"]), int_from_json(data["strand"], "strand"),
                     dk_from_json(data["inner"]))
     _emit(args, dk_to_json(out), format_dk(out))
     return 0
@@ -228,7 +229,7 @@ def cmd_cd_insert(args) -> int:
 
 def cmd_cd_restrict(args) -> int:
     data = _read_json(args)
-    out = dk_restrict(dk_from_json(data["element"]), int(data["strand"]))
+    out = dk_restrict(dk_from_json(data["element"]), int_from_json(data["strand"], "strand"))
     _emit(args, dk_to_json(out), format_dk(out))
     return 0
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .diagrams import family_word_pairs
-from .parenthesized import GENERATOR_SHAPES, Word, evaluate_word
+from .parenthesized import GENERATOR_SHAPES, evaluate_word
 from .trees import Tree, arity, color
 
 
@@ -438,11 +438,6 @@ def check_coherence(data: AlgebraData, strict_units: bool = False) -> CoherenceR
         if failures:
             report.passed = False
     return report
-
-
-def theta_eval(data: AlgebraData, word: Word) -> NatTransTable:
-    """Evaluate a generator word against validated structure data."""
-    return evaluate_word(word, FinCatAlgebra(data))
 
 
 # -- shipped examples ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact rational substrate: truncated noncommutative series and linear solving.
 
 Scalars are `fractions.Fraction`, except that the chord rewrite rules and
-normal forms, and so the associator columns, are integral and kept in `int`,
-and that ``solve_exact`` eliminates fraction-free over `int` (Bareiss 1968),
-returning Fractions; there is no floating point anywhere in this package, and
-``fraction_from_str`` refuses a JSON float at the boundary.  A noncommutative
+normal forms, and so the associator columns and scaled constraint products,
+are integral and kept in `int`, and that ``solve_exact`` eliminates
+fraction-free over `int` (Bareiss 1968), returning Fractions; there is no
+floating point anywhere in this package, and ``fraction_from_str`` and
+``int_from_json`` refuse a JSON float at the boundary.  A noncommutative
 series is a finite map from generator words (tuples of generator indices) to
 nonzero rationals, truncated at a fixed total degree.  Equality of series is
 structural equality of the normalized term maps.
@@ -140,18 +141,25 @@ class NCSeries:
         return f"NCSeries(alphabet={self.alphabet}, degree={self.degree}, {len(self.terms)} terms)"
 
 
+def mul_terms(a: Mapping, b: Mapping, degree: int) -> dict:
+    """Product of two term maps truncated above ``degree``: the coefficient of w sums a(u)b(v) over w = uv."""
+    by_length: list[list] = [[] for _ in range(degree + 1)]
+    for v, cv in b.items():
+        if len(v) <= degree:
+            by_length[len(v)].append((v, cv))
+    out: dict = {}
+    for u, cu in a.items():
+        accumulate(out, ((u + v, cu * cv) for n in range(degree + 1 - len(u)) for v, cv in by_length[n]))
+    return out
+
+
 def series_mul(a: NCSeries, b: NCSeries, degree: int | None = None) -> NCSeries:
-    """Product of truncated series; the coefficient of w sums a(u)b(v) over w = uv."""
+    """Product of truncated series."""
     assert a.alphabet == b.alphabet, "alphabet mismatch"
     if degree is None:
         degree = min(a.degree, b.degree)
     assert degree <= min(a.degree, b.degree)
-    out: dict[Word, Fraction] = {}
-    for u, cu in a.terms.items():
-        room = degree - len(u)
-        if room >= 0:
-            accumulate(out, ((u + v, cu * cv) for v, cv in b.terms.items() if len(v) <= room))
-    return NCSeries(a.alphabet, degree, out)
+    return NCSeries(a.alphabet, degree, mul_terms(a.terms, b.terms, degree))
 
 
 def series_exp(x: NCSeries, degree: int | None = None) -> NCSeries:
@@ -314,6 +322,13 @@ def fraction_from_str(s: str | int) -> Fraction:
     raise ValueError(f"a rational must be a string or an integer, got {s!r}")
 
 
+def int_from_json(value, name: str) -> int:
+    """The one reader of JSON sizes and indices: an int, not a bool, float or string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+
+
 def series_to_json(a: NCSeries) -> dict:
     items = sorted(a.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return {
@@ -324,7 +339,7 @@ def series_to_json(a: NCSeries) -> dict:
 
 
 def series_from_json(data: dict) -> NCSeries:
-    alphabet, degree = int(data["alphabet"]), int(data["degree"])
+    alphabet, degree = int_from_json(data["alphabet"], "alphabet"), int_from_json(data["degree"], "degree")
     if alphabet < 0 or degree < 0:
         raise ValueError(f"alphabet and degree must be nonnegative, got {alphabet} and {degree}")
     terms = {tuple(t["word"]): fraction_from_str(t["coef"]) for t in data["terms"]}

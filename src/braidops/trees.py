@@ -466,11 +466,6 @@ def enumerate_shuffle_objects(n: int, m: int) -> list[ShuffleObject]:
     return out
 
 
-def count_shuffles(n: int, m: int) -> int:
-    import math
-    return math.comb(n + m, n)
-
-
 # -- s-expressions ----------------------------------------------------------------
 
 

@@ -8,7 +8,10 @@ import pytest
 from braidops.associator import (
     _T12,
     Associator,
+    CDAlgebra,
+    ProductAlgebra,
     _columns,
+    _diagrams,
     _free_words,
     _residual_entries,
     _substitutions,
@@ -39,7 +42,7 @@ from braidops.parenthesized import (
     w_comp,
     evaluate_word,
 )
-from braidops.trees import enumerate_closed_trees, mc, x
+from braidops.trees import closed_labels, enumerate_closed_trees, mc, x
 
 from test_parenthesized import rand_closed_morphism
 
@@ -48,14 +51,64 @@ def t(r, n, i, j):
     return DKElement.generator(r, n, i, j)
 
 
+def tree_differences(assoc: Associator) -> dict:
+    """{tag: left minus right path} of each constraint diagram, evaluated as chord morphisms."""
+    algebra = CDAlgebra(assoc)
+    return {tag: evaluate_word(wl, algebra).element - evaluate_word(wr, algebra).element
+            for tag, (wl, wr, _s, _e) in _diagrams()}
+
+
+def tree_residual_entries(mu, phi_terms: dict, d: int) -> dict:
+    """All constraint entries at truncation d through ``CDAlgebra``, keyed like ``_residual_entries``."""
+    assoc = Associator(mu, d, DKElement(3, d, phi_terms))
+    entries = {(tag, w): c for tag, diff in tree_differences(assoc).items()
+               for w, c in diff.series.terms.items()}
+    entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
+    return entries
+
+
 def probe_columns(mu, phi_terms: dict, basis: list, d: int):
     """Base residual at truncation d, and the change one unit of each basis word makes to it."""
-    base = _residual_entries(mu, phi_terms, d)
+    base = tree_residual_entries(mu, phi_terms, d)
     columns = []
     for w in basis:
         probe = accumulate(dict(phi_terms), ((w, Fraction(1)),))
-        columns.append(accumulate(_residual_entries(mu, probe, d), ((k, -c) for k, c in base.items())))
+        columns.append(accumulate(tree_residual_entries(mu, probe, d), ((k, -c) for k, c in base.items())))
     return base, columns
+
+
+def _then(subs: dict, table: list) -> dict:
+    """Letter substitutions followed by ``table``, the images of their target letters."""
+    return accumulate({}, ((tuple(tuple(m for l in image for m in table[l]) for image in key), c)
+                           for key, c in subs.items()))
+
+
+class SubstitutionAlgebra(CDAlgebra):
+    """Evaluate closed-color generator words to their degree-d part at (mu, Phi) = (0, 1 + w).
+
+    A morphism is (strands, {letter images of t12, t13, t23: multiplicity}),
+    the signed sum of w under those substitutions; products of two such
+    parts fall above degree d.
+    """
+
+    def __init__(self):
+        self._gens = {"tau": (2, {}), "alpha_c": (3, {((0,), (1,), (2,)): 1})}
+
+    def identity(self, tree):
+        return len(closed_labels(tree)), {}
+
+    def compose(self, g, f):
+        return f[0], accumulate(dict(f[1]), g[1].items())
+
+    def invert(self, v):
+        return v[0], {k: -c for k, c in v[1].items()}
+
+    def insert_closed(self, outer, i: int, inner):
+        images, table = insert_tables(outer[0], i, inner[0])
+        return outer[0] + inner[0] - 1, accumulate(_then(outer[1], images), _then(inner[1], table).items())
+
+    def relabel(self, v, open_map, closed_map):
+        return v[0], _then(v[1], relabel_table(v[0], closed_map or {}))
 
 
 def solve_associator_oneshot2(mu) -> Associator:
@@ -314,6 +367,78 @@ def test_pentagon_is_drinfeld_differential():
         r, terms = subs[tag]
         assert r == 3 and len(terms) == 3
         assert set(terms) <= relabelings and set(terms.values()) <= {1, -1}
+
+
+def test_substitutions_equal_loop_evaluation():
+    # the linear part read from the factor lists equals the loop "left path,
+    # then the right path back" evaluated to its substitutions of w
+    algebra = SubstitutionAlgebra()
+    loops = tuple((tag, *evaluate_word(("comp", ("inv", wr), wl), algebra))
+                  for tag, (wl, wr, _s, _e) in _diagrams())
+    assert _substitutions() == loops
+
+
+def random_phi(rng: random.Random, d: int) -> dict:
+    """A rational 3-strand series with constant term 1, in all three letters; not an associator."""
+    terms = {(): Fraction(1)}
+    for k in range(1, d + 1):
+        for w in itertools.product(range(3), repeat=k):
+            if rng.random() < 0.4:
+                terms[w] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return terms
+
+
+@pytest.mark.parametrize("mu", [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3)])
+def test_product_evaluation_equals_tree_evaluation(mu):
+    # the integer products of substituted generators give exactly the chord
+    # morphism differences, also away from a solution
+    rng = random.Random(f"products {mu}")
+    for d in range(2, 6):
+        phi_terms = random_phi(rng, d)
+        normal = Associator(mu, d, DKElement(3, d, phi_terms))
+        tree = tree_differences(normal)
+        assert not tree["pent"].is_zero() and not tree["hex1"].is_zero()
+        for assoc in (normal, Associator(mu, d, normal.phi, phi_terms)):
+            assert check_pentagon(assoc) == tree["pent"]
+            assert check_hexagons(assoc) == (tree["hex1"], tree["hex2"])
+            assert not associator_valid(assoc)
+        assert _residual_entries(mu, phi_terms, d) == tree_residual_entries(mu, phi_terms, d)
+
+
+def rand_closed_word(rng: random.Random, depth: int, max_strands: int = 5):
+    """A random closed generator word of inversions, relabelings and insertions; no composition."""
+    if depth == 0 or rng.random() < 0.25:
+        return ("gen", rng.choice(("tau", "alpha_c")), rng.choice((1, -1)))
+    kind = rng.choice(("ic", "ic", "inv", "rl"))
+    word = rand_closed_word(rng, depth - 1, max_strands)
+    r = evaluate_word(word, ProductAlgebra())[0]
+    if kind == "inv":
+        return ("inv", word)
+    if kind == "rl":
+        return ("rl", word, None, dict(zip(range(1, r + 1), rng.sample(range(1, r + 1), r))))
+    inner = rand_closed_word(rng, depth - 1, max_strands)
+    if r + evaluate_word(inner, ProductAlgebra())[0] - 1 > max_strands:
+        inner = ("gen", "tau", rng.choice((1, -1)))
+    return ("ic", word, rng.randint(1, r), inner) if r < max_strands else word
+
+
+def test_product_algebra_equals_tree_algebra_on_random_words(monkeypatch):
+    # inversions of composites and insertions of two nontrivial factors (whose
+    # images commute), which the constraint diagrams do not contain, evaluated
+    # as one path against 1
+    import braidops.associator as associator
+
+    rng = random.Random(7)
+    for _ in range(12):
+        d = rng.randint(2, 3)
+        assoc = Associator(Fraction(rng.randint(-3, 3), 2), d, DKElement(3, d, random_phi(rng, d)))
+        word = rand_closed_word(rng, 4)
+        if rng.random() < 0.5:
+            word = ("inv", pab_to_word(rand_closed_morphism(rng, rng.randint(3, 4), max_len=4)))
+        r, factors = evaluate_word(word, ProductAlgebra())
+        monkeypatch.setattr(associator, "_products", lambda: (("word", r, factors, ()),))
+        expected = evaluate_word(word, CDAlgebra(assoc)).element - DKElement.one(r, d)
+        assert associator._constraints(assoc)["word"] == expected
 
 
 def solve_outputs(monkeypatch, capsys, degrees):

@@ -1,10 +1,10 @@
 import random
+from typing import Sequence
 
 from braidops.braids import (
     BraidWord,
     Permutation,
     artin_action,
-    block_inflation,
     braid_from_json,
     braid_to_json,
     braids_equal,
@@ -19,6 +19,29 @@ from braidops.braids import (
     permute_seq,
     weave,
 )
+
+
+def block_inflation(perm: Permutation, widths: Sequence[int]) -> Permutation:
+    """Permutation obtained by replacing point i with a block of widths[i-1] points."""
+    n = perm.size
+    widths = list(widths)
+    start_off = [0] * n
+    acc = 0
+    for i in range(n):
+        start_off[i] = acc
+        acc += widths[i]
+    # offsets on the target side follow the permuted widths
+    end_off = [0] * n
+    acc = 0
+    for q in range(1, n + 1):
+        p = perm.inverse()(q)
+        end_off[p - 1] = acc
+        acc += widths[p - 1]
+    images = [0] * sum(widths)
+    for p in range(1, n + 1):
+        for k in range(widths[p - 1]):
+            images[start_off[p - 1] + k] = end_off[p - 1] + k + 1
+    return Permutation(images)
 
 
 def rand_braid(rng, strands, max_len=8):

@@ -237,6 +237,14 @@ BAD_CHORD_JSON = [
                            "terms": [{"coef": 0.1, "word": [[1, 2]]}]}, "string or an integer"),
     (["cd", "normalize"], {"strands": 3, "degree": 2,
                            "terms": [{"coef": True, "word": [[1, 2]]}]}, "string or an integer"),
+    # a size is an integer: a float is not truncated, nor a string or a bool parsed
+    (["cd", "normalize"], {"strands": 3.9, "degree": 2, "terms": []}, "strands must be an integer, got float"),
+    (["cd", "normalize"], {"strands": 3, "degree": 2.7, "terms": []}, "degree must be an integer, got float"),
+    (["cd", "normalize"], {"strands": "3", "degree": 2, "terms": []}, "strands must be an integer, got str"),
+    (["cd", "normalize"], {"strands": 3, "degree": True, "terms": []}, "degree must be an integer, got bool"),
+    (["assoc", "check"], {"mu": "1", "degree": "3", "phi": {"terms": []}}, "degree must be an integer, got str"),
+    (["cd", "insert"], {"outer": {"strands": 2, "degree": 1, "terms": []}, "strand": 1.0,
+                        "inner": {"strands": 2, "degree": 1, "terms": []}}, "strand must be an integer, got float"),
 ]
 
 
@@ -350,6 +358,11 @@ BAD_MORPHISM_JSON = [
             "src": {"aerial": [1], "pattern": ["a", "t"], "terrestrial": [1]},
             "tgt": {"aerial": [1], "pattern": ["a", "t"], "terrestrial": [1]}}},
      "target does not project to the underlying target"),
+    (["assoc", "eval"], {
+        "associator": {"mu": "1", "degree": 1, "phi": {"strands": 3, "degree": 1, "terms": [
+            {"coef": "1", "word": []}]}},
+        "morphism": {"src": "mc(x1,x2)", "tgt": "mc(x2,x1)", "braid": {"strands": 2, "word": [1.0]}}},
+     "a braid letter must be an integer, got float"),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from braidops.coherence import (
     AlgebraData,
     CoherenceTypeError,
+    FinCatAlgebra,
     FiniteCategory,
     FunctorTable,
     algebra_from_json,
@@ -14,7 +15,6 @@ from braidops.coherence import (
     build_z2_discrete,
     build_z2_graded,
     check_coherence,
-    theta_eval,
 )
 from braidops.diagrams import check_papb_coherence
 from braidops.parenthesized import (
@@ -30,6 +30,11 @@ from braidops.parenthesized import (
 from braidops.trees import f, mc, mo, x, y
 
 from test_parenthesized import rand_papb_morphism
+
+
+def theta_eval(data: AlgebraData, word):
+    """Evaluate a generator word against validated structure data."""
+    return evaluate_word(word, FinCatAlgebra(data))
 
 
 def test_papb_satisfies_all_families():

@@ -288,6 +288,9 @@ BAD_SERIES_JSON = [
     {"alphabet": 2, "degree": -1, "terms": []},
     {"alphabet": -2, "degree": 3, "terms": []},
     {"alphabet": 2, "degree": 3, "terms": [{"coef": 0.1, "word": [0]}]},
+    {"alphabet": 2, "degree": 3.9, "terms": []},
+    {"alphabet": "3", "degree": 3, "terms": []},
+    {"alphabet": 2, "degree": True, "terms": []},
 ]
 
 
