@@ -8,12 +8,15 @@ constraints are not hard-coded: they are generated by pushing the shared
 coherence diagrams through this evaluation, which keeps all conventions
 aligned with the braid-side checks.
 
-``ProductAlgebra`` evaluates each diagram path once to a product of
-letter-substituted generators: the pentagon is 3 against 2 factors of Phi,
-each hexagon 3 against 3 factors.  Constraints are evaluated in ``int``: each
-generator and its inverse is scaled once by the lcm of its denominators, a path
-is a truncated product normalised after every factor, and only the difference
-of two paths is divided, by one denominator.
+``ProductAlgebra`` is the one evaluator of closed generator words: it turns a
+word into a product of letter-substituted generators.  Each diagram path is
+evaluated once so: the pentagon is 3 against 2 factors of Phi, each hexagon 3
+against 3 factors.  ``phi_eval`` evaluates the word of a braid morphism the
+same way.  Both multiply in ``int`` through ``_path``: each generator and its
+inverse is scaled once by the lcm of its denominators, each substituted
+generator is normalised before it is multiplied in and the product after every
+factor, and only the result, or the difference of two paths, is divided, by one
+denominator.
 
 The solver works degree by degree (Drinfeld 1990, Bar-Natan 1998).  At degree
 d the unknown homogeneous piece w enters every constraint linearly, so exact
@@ -47,8 +50,6 @@ from .chords import (
     dk_terms_to_json,
     grouplike_check,
     insert_tables,
-    pacd_insert,
-    pacd_relabel,
     relabel_table,
     substitute_letters,
     tensor_square,
@@ -65,8 +66,8 @@ from .exact import (
     series_inverse,
     solve_exact,
 )
-from .parenthesized import GENERATOR_SHAPES, PaBMorphism, evaluate_word, pab_to_word
-from .trees import Tree, closed_labels, color
+from .parenthesized import PaBMorphism, evaluate_word, pab_to_word
+from .trees import Tree, closed_labels
 
 _T12 = 0  # generator indices in the 3-strand alphabet (1,2), (1,3), (2,3)
 _T13 = 1
@@ -87,62 +88,26 @@ class Associator:
             raise ValueError("constant term must be 1")
 
 
-class CDAlgebra:
-    """Evaluate closed-color generator words as chord-series morphisms."""
-
-    #: largest strand count accepted before refusing (desk scale is <= 4)
-    MAX_STRANDS = 8
-
-    def __init__(self, assoc: Associator, degree: int | None = None):
-        self.degree = assoc.degree if degree is None else degree
-        self.mu = assoc.mu
-        self.phi = assoc.phi.truncate(self.degree)
-        braiding = DKElement.generator(2, self.degree, 1, 2).scale(self.mu / 2).exp()
-        self._gens = {name: PaCDMorphism(*GENERATOR_SHAPES[name][:2], element)
-                      for name, element in (("tau", braiding), ("alpha_c", self.phi))}
-
-    def generator(self, name: str):
-        if name not in self._gens:
-            raise ValueError(f"closed-color algebra has no generator {name!r}")
-        return self._gens[name]
-
-    def identity(self, tree: Tree):
-        assert color(tree) == "c", "closed-color algebra evaluates closed words only"
-        return PaCDMorphism.identity(tree, self.degree)
-
-    def compose(self, g: PaCDMorphism, f: PaCDMorphism):
-        return f.compose(g)
-
-    def invert(self, v: PaCDMorphism):
-        return v.inverse()
-
-    def insert_closed(self, outer: PaCDMorphism, i: int, inner: PaCDMorphism):
-        return pacd_insert(outer, i, inner)
-
-    def insert_open(self, outer, j, inner):
-        raise ValueError("open insertion does not exist in the closed-color algebra")
-
-    def relabel(self, v: PaCDMorphism, open_map, closed_map):
-        assert not open_map
-        return pacd_relabel(v, closed_map or {})
-
-
 def _then(factors: tuple, table: list) -> tuple:
     """Factors whose letter images are followed by ``table``, the images of their target letters."""
     return tuple((name, sign, tuple(tuple(m for l in image for m in table[l]) for image in images))
                  for name, sign, images in factors)
 
 
-class ProductAlgebra(CDAlgebra):
+class ProductAlgebra:
     """Evaluate closed-color generator words to (strands, ((name, sign, letter images), ...)).
 
     That is the product, in order, of each generator (inverted for sign -1)
     with its letters t12, t13, t23 replaced by the sums of their images.
     """
 
-    def __init__(self):
-        self._gens = {"tau": (2, (("tau", 1, ((0,),)),)),
-                      "alpha_c": (3, (("alpha_c", 1, ((0,), (1,), (2,))),))}
+    _gens = {"tau": (2, (("tau", 1, ((0,),)),)),
+             "alpha_c": (3, (("alpha_c", 1, ((0,), (1,), (2,))),))}
+
+    def generator(self, name: str):
+        if name not in self._gens:
+            raise ValueError(f"closed-color algebra has no generator {name!r}")
+        return self._gens[name]
 
     def identity(self, tree: Tree):
         return len(closed_labels(tree)), ()
@@ -157,17 +122,56 @@ class ProductAlgebra(CDAlgebra):
         images, table = insert_tables(outer[0], i, inner[0])
         return outer[0] + inner[0] - 1, _then(outer[1], images) + _then(inner[1], table)
 
+    def insert_open(self, outer, j, inner):
+        raise ValueError("open insertion does not exist in the closed-color algebra")
+
     def relabel(self, v, open_map, closed_map):
         return v[0], _then(v[1], relabel_table(v[0], closed_map or {}))
 
 
+def _scaled(terms: dict) -> tuple[int, dict]:
+    """(D, D * terms) with D the lcm of the denominators, so that every coefficient is an int."""
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    return denom, {w: int(c * denom) for w, c in terms.items() if c}
+
+
+def _generators(assoc: Associator, d: int) -> dict:
+    """{(name, sign): (D, D * terms)} of tau^{+-1} and Phi^{+-1} at truncation d, each scaled to ``int``.
+
+    Phi is read from its recorded words if any, else from its normal form.
+    """
+    phi = NCSeries(3, d, assoc.phi_free if assoc.phi_free is not None else assoc.phi.series.terms)
+    braiding = {(_T12,) * k: (assoc.mu / 2) ** k / math.factorial(k) for k in range(d + 1)}
+    gens = {("tau", 1): braiding, ("tau", -1): {w: (-1) ** len(w) * c for w, c in braiding.items()},
+            ("alpha_c", 1): phi.terms, ("alpha_c", -1): series_inverse(phi).terms}
+    return {key: _scaled(terms) for key, terms in gens.items()}
+
+
+def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
+    """(D, D * product) of the letter-substituted ``factors`` on r strands, normal and truncated at d.
+
+    Each substituted generator is normalised before it is multiplied in, and
+    the product after every factor; D is the product of their denominators.
+    """
+    denom, terms = 1, {(): 1}
+    for name, sign, images in factors:
+        scale, gen = gens[name, sign]
+        factor = _reduce_terms(substitute_letters(gen, images), r)
+        terms = _reduce_terms(mul_terms(terms, factor, d), r)
+        denom *= scale
+    return denom, terms
+
+
 def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> PaCDMorphism:
     """Image of a closed braid morphism under the associator evaluation."""
-    if mor.strands > CDAlgebra.MAX_STRANDS:
-        raise ValueError(
-            f"arity {mor.strands} too large for the configured truncation resources")
-    word = pab_to_word(mor)
-    return evaluate_word(word, CDAlgebra(assoc, degree))
+    if mor.strands > MAX_EVAL_STRANDS:
+        raise ValueError(f"arity {mor.strands} exceeds the limit of {MAX_EVAL_STRANDS} strands "
+                         "for associator evaluation")
+    d = assoc.degree if degree is None else degree
+    r, factors = evaluate_word(pab_to_word(mor), ProductAlgebra())
+    denom, terms = _path(_generators(assoc, d), factors, r, d)
+    element = DKElement(r, d, {w: Fraction(c, denom) for w, c in terms.items()}, _normalized=True)
+    return PaCDMorphism(mor.src, mor.tgt, element)
 
 
 def check_pentagon(assoc: Associator, degree: int | None = None) -> DKElement:
@@ -217,39 +221,17 @@ def _products() -> tuple:
                  for tag, (wl, wr, _s, _e) in _diagrams())
 
 
-def _scaled(terms: dict) -> tuple[int, dict]:
-    """(D, D * terms) with D the lcm of the denominators, so that every coefficient is an int."""
-    denom = math.lcm(*(c.denominator for c in terms.values()))
-    return denom, {w: int(c * denom) for w, c in terms.items() if c}
-
-
 def _constraints(assoc: Associator, degree: int | None = None, tags=None) -> dict:
     """{tag: left minus right path} of the diagrams in ``tags`` (all by default) at truncation ``degree``.
 
-    Phi is read from its recorded words if any.  Each generator and its
-    inverse is expanded once and scaled to ``int``; a path is the truncated
-    product of its letter-substituted factors, normalised after each factor,
-    over the product of their denominators.
+    Only the difference of the two paths is divided, by the product of their denominators.
     """
     d = assoc.degree if degree is None else degree
-    phi = NCSeries(3, d, assoc.phi_free if assoc.phi_free is not None else assoc.phi.series.terms)
-    braiding = {(_T12,) * k: (assoc.mu / 2) ** k / math.factorial(k) for k in range(d + 1)}
-    gens = {("tau", 1): braiding, ("tau", -1): {w: (-1) ** len(w) * c for w, c in braiding.items()},
-            ("alpha_c", 1): phi.terms, ("alpha_c", -1): series_inverse(phi).terms}
-    gens = {key: _scaled(terms) for key, terms in gens.items()}
-
-    def path(factors: tuple, r: int) -> tuple[int, dict]:
-        denom, terms = 1, {(): 1}
-        for name, sign, images in factors:
-            scale, gen = gens[name, sign]
-            terms = _reduce_terms(mul_terms(terms, substitute_letters(gen, images), d), r)
-            denom *= scale
-        return denom, terms
-
+    gens = _generators(assoc, d)
     out = {}
     for tag, r, left, right in _products():
         if tags is None or tag in tags:
-            (dl, pl), (dr, pr) = path(left, r), path(right, r)
+            (dl, pl), (dr, pr) = _path(gens, left, r, d), _path(gens, right, r, d)
             diff = accumulate({w: c * dr for w, c in pl.items()}, ((w, -c * dl) for w, c in pr.items()))
             out[tag] = DKElement(r, d, {w: Fraction(c, dl * dr) for w, c in diff.items()}, _normalized=True)
     return out
@@ -314,6 +296,10 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
 
 #: highest degree ``solve_associator`` accepts, the solver's target degree
 MAX_SOLVE_DEGREE = 8
+
+#: largest strand count ``phi_eval`` accepts: desk scale is <= 4 strands, and
+#: 8 strands at degree 5 already take seconds
+MAX_EVAL_STRANDS = 8
 
 
 def _check_degree(degree: int) -> None:

@@ -62,9 +62,6 @@ class Permutation:
             images[j - 1] = i
         return Permutation(images)
 
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.size + 1))
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 

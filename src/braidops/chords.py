@@ -198,10 +198,6 @@ class DKElement:
             raise ValueError(f"generator t{i}{j} out of range on {r} strands")
         return cls(r, degree, {(_gen_index(r)[(i, j)],): Fraction(1)})
 
-    @classmethod
-    def from_series(cls, r: int, series: NCSeries) -> "DKElement":
-        return cls(r, series.degree, series.terms)
-
     # -- ring structure ---------------------------------------------------
 
     def __eq__(self, other):
@@ -213,7 +209,9 @@ class DKElement:
 
     def __add__(self, other: "DKElement") -> "DKElement":
         assert self.strands == other.strands
-        return DKElement.from_series(self.strands, self.series + other.series)
+        # a sum of normal forms is a normal form
+        terms = accumulate(dict(self.series.terms), other.series.terms.items())
+        return DKElement(self.strands, min(self.degree, other.degree), terms, _normalized=True)
 
     def __sub__(self, other: "DKElement") -> "DKElement":
         return self + other.scale(-1)

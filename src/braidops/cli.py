@@ -15,7 +15,6 @@ import sys
 
 from . import braids, chords, colored, trees
 from .associator import (
-    Associator,
     associator_from_json,
     associator_to_json,
     check_hexagons,

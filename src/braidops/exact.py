@@ -18,7 +18,6 @@ and it drops every key whose sum is zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -329,15 +328,6 @@ def int_from_json(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
 
 
-def series_to_json(a: NCSeries) -> dict:
-    items = sorted(a.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return {
-        "alphabet": a.alphabet,
-        "degree": a.degree,
-        "terms": [{"coef": fraction_to_str(c), "word": list(w)} for w, c in items],
-    }
-
-
 def series_from_json(data: dict) -> NCSeries:
     alphabet, degree = int_from_json(data["alphabet"], "alphabet"), int_from_json(data["degree"], "degree")
     if alphabet < 0 or degree < 0:
@@ -346,6 +336,3 @@ def series_from_json(data: dict) -> NCSeries:
     check_letters(terms, alphabet)
     return NCSeries(alphabet, degree, terms)
 
-
-def all_words(alphabet: int, length: int) -> Iterable[Word]:
-    return itertools.product(range(alphabet), repeat=length)

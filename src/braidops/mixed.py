@@ -45,7 +45,6 @@ from .trees import (
     arity,
     closed_labels,
     graft_all_open,
-    graft_closed,
     graft_open,
     omega,
     open_labels,
@@ -186,15 +185,6 @@ def compose_prime(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement]) -> Pa
     return _compose(outer, inners, rho(outer).payload, pab_insert, pab_relabel)
 
 
-def prime_insert_closed(e: PaPBPrimeElement, i: int, y: PaBMorphism) -> PaPBPrimeElement:
-    """Right-module action of the aerial braid operad (slot = aerial label i)."""
-    pos = omega(e.mu_src).aerial.index(i) + 1  # the carrier's input at that point
-    x = _canonical_carrier(pab_insert(e.x, pos, y), pab_relabel)
-    mu_src = graft_closed(e.mu_src, i, y.src)
-    mu_tgt = graft_closed(e.mu_tgt, i, y.tgt)
-    return PaPBPrimeElement(e.u_src, e.u_tgt, x, mu_src, mu_tgt)
-
-
 # -- the chord-diagram variant -----------------------------------------------------
 
 
@@ -260,19 +250,3 @@ def compose_papcd(assoc: Associator, outer: PaPBPrimeElement, inners: list[PaPBP
     """Operadic composition of split-form elements with chord-series carriers."""
     return _compose(outer, inners, rho_phi(assoc, outer, degree).payload, pacd_insert, pacd_relabel)
 
-
-# -- enumeration hooks ---------------------------------------------------------------
-
-
-def canonical_objects(n: int, m: int):
-    """Canonical object triples (u shape, carrier object, shuffle tree)."""
-    from .trees import enumerate_trees
-
-    u_shapes = enumerate_trees(n, 0) if n else [UNIT_O]
-    u_identity = [u for u in u_shapes if open_labels(u) == tuple(range(1, n + 1))]
-    out = []
-    for mu in enumerate_trees(n, m):
-        xobj = identity_labeled(u_flatten(plug_units(mu)))
-        for u in u_identity:
-            out.append((u, xobj, mu))
-    return out

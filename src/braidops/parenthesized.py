@@ -46,7 +46,6 @@ from .trees import (
     graft_closed,
     graft_open,
     leftcomb_closed,
-    leftcomb_nodes,
     leftcomb_open,
     omega,
     open_labels,

@@ -386,15 +386,6 @@ def leftcomb_open(labels: Sequence[int]) -> Tree:
     return out
 
 
-def leftcomb_nodes(parts: Sequence[Tree], kind: str) -> Tree:
-    """Left-nested product of already-built subtrees of one color."""
-    assert parts
-    out = parts[0]
-    for p in parts[1:]:
-        out = (kind, out, p)
-    return out
-
-
 # -- enumeration ----------------------------------------------------------------
 
 

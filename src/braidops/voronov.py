@@ -131,18 +131,3 @@ def build_cd_pap_instance(degree: int) -> VoronovProduct:
     """The based product of truncated chord series with parenthesized permutations."""
     return VoronovProduct(ChordStrandOperad(degree), PaPOperad())
 
-
-def voronov_to_json(vp: VoronovProduct, e: VoronovElement) -> dict:
-    from .chords import dk_to_json
-    from .trees import show_tree
-
-    return {"p": dk_to_json(e.p_part),
-            "q": {"src": show_tree(e.q_part.src), "tgt": show_tree(e.q_part.tgt)}}
-
-
-def voronov_from_json(vp: VoronovProduct, data: dict) -> VoronovElement:
-    from .chords import dk_from_json
-    from .trees import parse_tree
-
-    return vp.make(dk_from_json(data["p"]),
-                   PaPMorphismPair(parse_tree(data["q"]["src"]), parse_tree(data["q"]["tgt"])))

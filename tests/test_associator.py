@@ -8,7 +8,6 @@ import pytest
 from braidops.associator import (
     _T12,
     Associator,
-    CDAlgebra,
     ProductAlgebra,
     _columns,
     _diagrams,
@@ -28,27 +27,61 @@ from braidops.associator import (
 from braidops.braids import BraidWord
 from braidops.chords import (
     DKElement,
+    PaCDMorphism,
     dk_insert,
     grouplike_check,
     insert_tables,
+    pacd_insert,
+    pacd_relabel,
     relabel_table,
     substitute_letters,
 )
 from braidops.exact import LinearSystem, accumulate, solve_exact
 from braidops.parenthesized import (
+    GENERATOR_SHAPES,
     PaBMorphism,
     pab_insert,
     pab_to_word,
     w_comp,
     evaluate_word,
 )
-from braidops.trees import closed_labels, enumerate_closed_trees, mc, x
+from braidops.trees import Tree, closed_labels, color, enumerate_closed_trees, mc, x
 
 from test_parenthesized import rand_closed_morphism
 
 
 def t(r, n, i, j):
     return DKElement.generator(r, n, i, j)
+
+
+class CDAlgebra:
+    """Evaluate closed-color generator words as chord-series morphisms, node by node."""
+
+    def __init__(self, assoc: Associator, degree: int | None = None):
+        self.degree = assoc.degree if degree is None else degree
+        braiding = DKElement.generator(2, self.degree, 1, 2).scale(assoc.mu / 2).exp()
+        self._gens = {name: PaCDMorphism(*GENERATOR_SHAPES[name][:2], element)
+                      for name, element in (("tau", braiding), ("alpha_c", assoc.phi.truncate(self.degree)))}
+
+    def generator(self, name: str):
+        return self._gens[name]
+
+    def identity(self, tree: Tree):
+        assert color(tree) == "c", "closed-color algebra evaluates closed words only"
+        return PaCDMorphism.identity(tree, self.degree)
+
+    def compose(self, g: PaCDMorphism, f: PaCDMorphism):
+        return f.compose(g)
+
+    def invert(self, v: PaCDMorphism):
+        return v.inverse()
+
+    def insert_closed(self, outer: PaCDMorphism, i: int, inner: PaCDMorphism):
+        return pacd_insert(outer, i, inner)
+
+    def relabel(self, v: PaCDMorphism, open_map, closed_map):
+        assert not open_map
+        return pacd_relabel(v, closed_map or {})
 
 
 def tree_differences(assoc: Associator) -> dict:
@@ -83,7 +116,7 @@ def _then(subs: dict, table: list) -> dict:
                            for key, c in subs.items()))
 
 
-class SubstitutionAlgebra(CDAlgebra):
+class SubstitutionAlgebra(ProductAlgebra):
     """Evaluate closed-color generator words to their degree-d part at (mu, Phi) = (0, 1 + w).
 
     A morphism is (strands, {letter images of t12, t13, t23: multiplicity}),
@@ -214,8 +247,6 @@ def test_word_choice_independence():
         whole = f.compose(g)
         w1 = pab_to_word(whole)
         w2 = w_comp(pab_to_word(g), pab_to_word(f))
-        from braidops.associator import CDAlgebra
-
         alg = CDAlgebra(a)
         e1 = evaluate_word(w1, alg)
         e2 = evaluate_word(w2, alg)
@@ -232,6 +263,41 @@ def test_phi_respects_insertion():
         lhs = phi_eval(a, pab_insert(outer, i, inner))
         rhs_elem = dk_insert(phi_eval(a, outer).element, i, phi_eval(a, inner).element)
         assert lhs.element == rhs_elem
+
+
+def assert_matches_tree_oracle(assoc: Associator, mor: PaBMorphism, degree: int | None) -> None:
+    got = phi_eval(assoc, mor, degree)
+    expected = evaluate_word(pab_to_word(mor), CDAlgebra(assoc, degree))
+    assert (got.src, got.tgt, got.element) == (expected.src, expected.tgt, expected.element)
+
+
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(-1, 2), Fraction(3)])
+def test_phi_eval_matches_tree_oracle(mu):
+    # the integer product of substituted generators equals the node-by-node
+    # chord evaluation, from the recorded words and from the normal form
+    a = solve_associator(mu, 4)
+    rng = random.Random(f"oracle {mu}")
+    for m in range(1, 6):
+        for _ in range(2):
+            mor = rand_closed_morphism(rng, m, max_len=4)
+            for assoc in (a, Associator(a.mu, a.degree, a.phi)):
+                for degree in (None, 2):
+                    assert_matches_tree_oracle(assoc, mor, degree)
+
+
+def test_phi_eval_matches_tree_oracle_on_6_strands():
+    src = mc(mc(x(1), x(2)), mc(x(3), mc(mc(x(4), x(5)), x(6))))
+    tgt = mc(mc(mc(x(2), x(4)), x(5)), mc(x(1), mc(x(3), x(6))))
+    mor = PaBMorphism(src, tgt, BraidWord(6, [1, 3, -4, 2, -3]))
+    assert_matches_tree_oracle(solve_associator(1, 4), mor, None)
+
+
+def test_product_algebra_refuses_open_words():
+    algebra = ProductAlgebra()
+    with pytest.raises(ValueError, match="no generator 'alpha_o'"):
+        evaluate_word(("gen", "alpha_o", 1), algebra)
+    with pytest.raises(ValueError, match="open insertion"):
+        evaluate_word(("io", ("gen", "tau", 1), 1, ("gen", "tau", 1)), algebra)
 
 
 def test_functoriality_of_lift():

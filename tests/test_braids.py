@@ -125,7 +125,7 @@ def test_braids_equal_is_congruence():
 
 
 def test_underlying_permutation():
-    assert BraidWord(3).permutation().is_identity()
+    assert BraidWord(3).permutation() == Permutation((1, 2, 3))
     assert BraidWord(2, [1]).permutation() == Permutation((2, 1))
     b = BraidWord(3, [1, 2])
     perm = b.permutation()

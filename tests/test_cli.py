@@ -385,8 +385,10 @@ def test_bad_morphism_json_under_optimize(argv, data, message):
 # past a resource limit: a tree nested 1,200 deep (the parser would exhaust the
 # interpreter's recursion), a chord dimension with 9,000 digits, a tree
 # enumeration over 7 inputs, and an associator above the solver's target
-# degree, solved, checked or evaluated (the check is about x4 per degree)
+# degree, solved, checked or evaluated (the check is about x4 per degree), and
+# an evaluation on 9 strands, one past the evaluator's strand limit
 ASSOC_9 = {"mu": "1", "degree": 9, "phi": {"terms": [{"coef": "1", "word": []}]}}
+COMB_9 = "mc(" * 8 + "x1," + ",".join(f"x{i})" for i in range(2, 10))
 OVER_LIMIT = [
     (["tree", "omega", "mc(" * 1200 + "x1" + ",x1)" * 1200], ""),
     (["cd", "dims", "--strands", "4", "--degree", "20000"], ""),
@@ -395,9 +397,11 @@ OVER_LIMIT = [
     (["assoc", "check"], json.dumps(ASSOC_9)),
     (["assoc", "eval"], json.dumps({"associator": ASSOC_9, "morphism": {
         "src": "mc(x1,x2)", "tgt": "mc(x2,x1)", "braid": {"strands": 2, "word": [1]}}})),
+    (["assoc", "eval"], json.dumps({"associator": {**ASSOC_9, "degree": 2}, "morphism": {
+        "src": COMB_9, "tgt": COMB_9, "braid": {"strands": 9, "word": []}}})),
 ]
 OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "solve-degree", "check-degree",
-                  "eval-degree"]
+                  "eval-degree", "eval-strands"]
 
 
 @pytest.mark.parametrize("argv, stdin", OVER_LIMIT, ids=OVER_LIMIT_IDS)

@@ -164,7 +164,7 @@ def test_phi_eval_arity_guard():
     big = leftcomb_closed(tuple(range(1, 10)))
     from braidops.braids import BraidWord
 
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(ValueError, match="exceeds the limit"):
         phi_eval(a, PaBMorphism(big, big, BraidWord(9)))
 
 

@@ -6,18 +6,17 @@ from braidops.chords import DKElement, PaCDMorphism, grouplike_check
 from braidops.colored import copb_insert_closed, copb_insert_open
 from braidops.mixed import (
     PaPBPrimeElement,
+    _canonical_carrier,
     apply_phi,
-    canonical_objects,
     compose_papcd,
     compose_prime,
     identity_labeled,
     plug_units,
-    prime_insert_closed,
     rho,
     rho_phi,
     to_copb,
 )
-from braidops.parenthesized import PaBMorphism
+from braidops.parenthesized import PaBMorphism, pab_insert, pab_relabel
 from braidops.trees import (
     UNIT_C,
     UNIT_O,
@@ -25,6 +24,7 @@ from braidops.trees import (
     enumerate_shuffle_objects,
     enumerate_trees,
     f,
+    graft_closed,
     mc,
     mo,
     omega,
@@ -35,6 +35,22 @@ from braidops.trees import (
 )
 
 from test_parenthesized import rand_closed_morphism
+
+
+def canonical_objects(n: int, m: int):
+    """Canonical object triples (u shape, carrier object, shuffle tree)."""
+    u_shapes = enumerate_trees(n, 0) if n else [UNIT_O]
+    u_identity = [u for u in u_shapes if open_labels(u) == tuple(range(1, n + 1))]
+    return [(u, identity_labeled(u_flatten(plug_units(mu))), mu)
+            for mu in enumerate_trees(n, m) for u in u_identity]
+
+
+def prime_insert_closed(e: PaPBPrimeElement, i: int, y: PaBMorphism) -> PaPBPrimeElement:
+    """Right-module action of the aerial braid operad (slot = aerial label i)."""
+    pos = omega(e.mu_src).aerial.index(i) + 1  # the carrier's input at that point
+    x = _canonical_carrier(pab_insert(e.x, pos, y), pab_relabel)
+    return PaPBPrimeElement(e.u_src, e.u_tgt, x, graft_closed(e.mu_src, i, y.src),
+                            graft_closed(e.mu_tgt, i, y.tgt))
 
 
 def rand_prime(rng, n, m, max_len=5):
@@ -355,9 +371,6 @@ def test_rho_right_module_formula():
     # plugging a composed carrier equals plugging then inserting at the
     # corresponding slot of the payload, up to the canonical relabeling
     rng = random.Random(11)
-    from braidops.mixed import _canonical_carrier
-    from braidops.parenthesized import pab_insert, pab_relabel
-
     for _ in range(25):
         outer = rand_prime(rng, 1, rng.randint(0, 2), max_len=3)
         inner = rand_prime(rng, 0, rng.randint(1, 2), max_len=3)

