@@ -19,16 +19,20 @@ factor, and only the result, or the difference of two paths, is divided, by one
 denominator.
 
 The solver works degree by degree (Drinfeld 1990, Bar-Natan 1998).  At degree
-d the unknown homogeneous piece w enters every constraint linearly, so exact
-linear solving applies; free coordinates are set to zero.  Everything is
-truncated at degree d and w has degree d, so the column of w is the degree-d
-residual at (mu, Phi) = (0, 1 + w), where tau is 1 and alpha_c^{+-1} is 1 +- w:
-the factor lists give the signed letter substitutions of w, for the pentagon
-Drinfeld's differential w^{2,3,4} - w^{12,3,4} + w^{1,23,4} - w^{1,2,34} +
-w^{1,2,3}, for each hexagon three signed relabelings.  A column normalises
-those substitutions of one word in ``int``; the grouplike column is
-Delta w - w (x) 1 - 1 (x) w.  Only the right-hand side, one full residual per
-degree, depends on mu and Phi_{<d}.
+d the piece is E_d + psi: E_d, the degree-d part of exp(log Phi_{<d}), makes
+Phi_{<d} + E_d grouplike through degree d, and psi is Lie, written on the
+standard bracketings of the degree-d Lyndon words in t12 < t13 (Reutenauer
+1993, ch. 5).  psi has degree d and everything is truncated there, so psi
+enters every constraint linearly: its column is the residual at
+(mu, Phi) = (0, 1 + psi), where the factor lists give the signed letter
+substitutions of psi, for the pentagon Drinfeld's differential
+psi^{2,3,4} - psi^{12,3,4} + psi^{1,23,4} - psi^{1,2,34} + psi^{1,2,3}, for
+each hexagon three signed relabelings.  A substitution acts on a bracketing
+factor by factor, normalised in ``int``.  Only the right-hand side, one full
+residual of Phi_{<d} + E_d per degree, depends on mu and Phi_{<d}.  The
+solution goes back to words canonically: each kernel vector, expanded into
+words, clears the coefficient of its highest word (in echelon form), which
+gives the solution over all 2^d words with free coordinates set to zero.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from .chords import (
     DKElement,
     PaCDMorphism,
     _reduce_terms,
-    _splits,
-    _tensor_normalize,
+    _rref_insert,
+    dimension_of_degree,
     dk_coproduct,
     dk_terms_from_json,
     dk_terms_to_json,
@@ -63,7 +67,9 @@ from .exact import (
     fraction_to_str,
     int_from_json,
     mul_terms,
+    series_exp,
     series_inverse,
+    series_log,
     solve_exact,
 )
 from .parenthesized import PaBMorphism, evaluate_word, pab_to_word
@@ -168,6 +174,9 @@ def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> 
         raise ValueError(f"arity {mor.strands} exceeds the limit of {MAX_EVAL_STRANDS} strands "
                          "for associator evaluation")
     d = assoc.degree if degree is None else degree
+    if dimension_of_degree(mor.strands, d) > MAX_EVAL_DIMENSION:
+        raise ValueError(f"the {mor.strands}-strand chord algebra in degree {d} exceeds the limit of "
+                         f"{MAX_EVAL_DIMENSION} dimensions for associator evaluation")
     r, factors = evaluate_word(pab_to_word(mor), ProductAlgebra())
     denom, terms = _path(_generators(assoc, d), factors, r, d)
     element = DKElement(r, d, {w: Fraction(c, denom) for w, c in terms.items()}, _normalized=True)
@@ -254,52 +263,101 @@ def _substitutions() -> tuple:
                  for tag, r, left, right in _products())
 
 
-@functools.cache
-def _columns(d: int) -> tuple[dict, ...]:
-    """Column of each degree-d word: the residual entries' linear part in it, in ``int``.
+def _lyndon_words(d: int) -> list[tuple[int, ...]]:
+    """Degree-d Lyndon words in t12 < t13: those below each of their proper rotations."""
+    return [w for w in _free_words(d) if all(w < w[i:] + w[:i] for i in range(1, d))]
 
-    Keyed like ``_residual_entries`` and shared by every mu; never mutate.
+
+def _bracketings(words: list, leaf, reduce) -> dict:
+    """{w: reduce(image of the standard bracketing of w)} for Lyndon words of one length.
+
+    A letter l goes to ``leaf(l)``, and w = uv, v its smallest proper suffix,
+    to reduce(u'v' - v'u'); the images of shorter factors are memoised.
     """
-    columns = []
-    for w in _free_words(d):
-        entries: dict = {}
-        for tag, r, subs in _substitutions():
-            terms = accumulate({}, (kv for images, m in subs.items()
-                                    for kv in substitute_letters({w: m}, images).items()))
-            entries.update(((tag, k), c) for k, c in _reduce_terms(terms, r).items())
-        splits = accumulate({}, ((split, 1) for split in _splits(w) if all(split)))
-        entries.update((("grp", key), c) for key, c in _tensor_normalize(splits, 3).items())
-        columns.append(entries)
-    return tuple(columns)
+    memo: dict = {}
+
+    def image(w):
+        if len(w) == 1:
+            return leaf(w[0])
+        if w not in memo:
+            v = min(w[i:] for i in range(1, len(w)))
+            a, b = image(w[:len(w) - len(v)]), image(v)
+            ba = mul_terms(b, a, len(w))
+            out = reduce(accumulate(mul_terms(a, b, len(w)), ((k, -c) for k, c in ba.items())))
+            if len(w) == len(words[0]):
+                return out
+            memo[w] = out
+        return memo[w]
+
+    return {w: image(w) for w in words}
+
+
+def _lie_columns(lyndon: list) -> list[dict]:
+    """Column of each Lyndon word: the constraint entries' linear part in its bracketing, in ``int``."""
+    columns: list[dict] = [{} for _ in lyndon]
+    for tag, r, subs in _substitutions():
+        for images, m in subs.items():
+            brackets = _bracketings(lyndon, lambda l: accumulate({}, (((g,), 1) for g in images[l])),
+                                    lambda terms: _reduce_terms(terms, r))
+            for col, w in zip(columns, lyndon):
+                accumulate(col, (((tag, k), m * c) for k, c in brackets[w].items()))
+    return columns
+
+
+def _grouplike_part(phi_terms: dict, d: int) -> dict:
+    """E_d over (t12, t13) words: the degree-d part of exp(L), L = log Phi_{<d} cut below degree d."""
+    log = series_log(NCSeries(2, d, phi_terms)).terms
+    exp = series_exp(NCSeries(2, d, {w: c for w, c in log.items() if len(w) < d})).terms
+    return {w: c for w, c in exp.items() if len(w) == d}
 
 
 def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
-    """Homogeneous degree-d piece extending a solution below degree d.
+    """Homogeneous degree-d piece E_d + psi extending a solution below degree d.
 
-    The right-hand side is minus the residual of ``phi_terms`` at truncation
-    d; free coordinates are set to zero.
+    psi is solved for against minus the residual of Phi_{<d} + E_d; free
+    coordinates of the word system are set to zero.
     """
-    base = _residual_entries(mu, phi_terms, d)
-    columns = _columns(d)
+    e_d = _grouplike_part(phi_terms, d)
+    base = _residual_entries(mu, {**phi_terms, **e_d}, d)
+    if any(tag == "grp" for tag, _key in base):
+        raise ArithmeticError(f"the degree-{d} exp-log extension of the associator is not grouplike")
+    lyndon = _lyndon_words(d)
     rows: dict = {}
-    for ci, col in enumerate(columns):
+    for ci, col in enumerate(_lie_columns(lyndon)):
         for key, c in col.items():
             rows.setdefault(key, {})[ci] = c
-    system = LinearSystem(len(columns))
+    system = LinearSystem(len(lyndon))
     for key in sorted(rows.keys() | base.keys(), key=repr):
         system.add_row(rows.get(key, {}), -base.get(key, 0))
     sol = solve_exact(system)
     if not sol.consistent:
         raise ArithmeticError(f"degree-{d} associator system inconsistent")
-    return {w: c for w, c in zip(_free_words(d), sol.particular) if c != 0}
+    words = _bracketings(lyndon, lambda l: {(l,): 1}, lambda terms: terms)
+
+    def expand(vec) -> dict:
+        return accumulate({}, ((u, c * k) for w, c in zip(lyndon, vec) if c for u, k in words[w].items()))
+
+    piece, kernel = accumulate(e_d, expand(sol.particular).items()), {}
+    for vec in sol.nullspace:
+        _rref_insert(kernel, expand(vec))
+    for top, row in kernel.items():
+        c = piece.get(top, 0)
+        accumulate(piece, ((u, -c * k) for u, k in row.items()))
+    return {w: piece[w] for w in sorted(piece)}
 
 
-#: highest degree ``solve_associator`` accepts, the solver's target degree
-MAX_SOLVE_DEGREE = 8
+#: highest degree ``solve_associator`` accepts, the solver's target degree: degree 9
+#: takes about 100 s at a 1.4 GB peak on a 2-vCPU host
+MAX_SOLVE_DEGREE = 9
 
 #: largest strand count ``phi_eval`` accepts: desk scale is <= 4 strands, and
 #: 8 strands at degree 5 already take seconds
 MAX_EVAL_STRANDS = 8
+
+#: largest chord-algebra dimension, at the morphism's strand count and the
+#: evaluation degree, that ``phi_eval`` accepts: 8 strands pass at degree 5
+#: (627,396) and fail at degree 6 (5,715,424), where memory runs out
+MAX_EVAL_DIMENSION = 10**6
 
 
 def _check_degree(degree: int) -> None:

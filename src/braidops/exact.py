@@ -161,42 +161,43 @@ def series_mul(a: NCSeries, b: NCSeries, degree: int | None = None) -> NCSeries:
     return NCSeries(a.alphabet, degree, mul_terms(a.terms, b.terms, degree))
 
 
-def series_exp(x: NCSeries, degree: int | None = None) -> NCSeries:
-    """exp(x) truncated; requires zero constant term."""
-    if degree is None:
-        degree = x.degree
-    if x.constant_term() != 0:
-        raise ValueError("series_exp requires zero constant term")
-    out = NCSeries.one(x.alphabet, degree)
+def _power_sum(x: NCSeries, degree: int, coef) -> NCSeries:
+    """sum_k coef(k) x^k truncated at ``degree``, for x without constant term: it ends where x^k is zero."""
+    out = NCSeries.zero(x.alphabet, degree)
     power = NCSeries.one(x.alphabet, degree)
-    fact = 1
-    for k in range(1, degree + 1):
+    for k in range(degree + 1):
+        out = out + power.scale(coef(k))
         power = series_mul(power, x, degree)
         if power.is_zero():
             break
-        fact *= k
-        out = out + power.scale(Fraction(1, fact))
     return out
+
+
+def _minus_one(g: NCSeries, degree: int, name: str) -> NCSeries:
+    """g - 1 truncated, for g with constant term 1."""
+    if g.constant_term() != 1:
+        raise ValueError(f"{name} expects constant term 1")
+    return NCSeries(g.alphabet, degree, {w: c for w, c in g.terms.items() if w != ()})
+
+
+def series_exp(x: NCSeries, degree: int | None = None) -> NCSeries:
+    """exp(x) truncated; requires zero constant term."""
+    if x.constant_term() != 0:
+        raise ValueError("series_exp requires zero constant term")
+    return _power_sum(x, x.degree if degree is None else degree, lambda k: Fraction(1, math.factorial(k)))
+
+
+def series_log(g: NCSeries, degree: int | None = None) -> NCSeries:
+    """log(g) truncated, for g with constant term 1: sum_{k>0} (-1)^(k+1) (g - 1)^k / k."""
+    degree = g.degree if degree is None else degree
+    return _power_sum(_minus_one(g, degree, "series_log"), degree,
+                      lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def series_inverse(g: NCSeries, degree: int | None = None) -> NCSeries:
-    """Inverse of a series with constant term 1, via the geometric series."""
-    if degree is None:
-        degree = g.degree
-    c0 = g.constant_term()
-    if c0 != 1:
-        raise ValueError("series_inverse expects constant term 1")
-    h = NCSeries(g.alphabet, degree, {w: c for w, c in g.terms.items() if w != ()})
-    # sum_k (-h)^k, finite at this truncation
-    out = NCSeries.one(g.alphabet, degree)
-    power = NCSeries.one(g.alphabet, degree)
-    neg_h = -h
-    for _ in range(degree):
-        power = series_mul(power, neg_h, degree)
-        if power.is_zero():
-            break
-        out = out + power
-    return out
+    """Inverse of a series with constant term 1: the geometric series sum_k (1 - g)^k."""
+    degree = g.degree if degree is None else degree
+    return _power_sum(-_minus_one(g, degree, "series_inverse"), degree, lambda k: 1)
 
 
 # -- exact linear algebra ---------------------------------------------------

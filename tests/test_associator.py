@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -9,9 +10,11 @@ from braidops.associator import (
     _T12,
     Associator,
     ProductAlgebra,
-    _columns,
     _diagrams,
     _free_words,
+    _grouplike_part,
+    _lie_columns,
+    _lyndon_words,
     _residual_entries,
     _substitutions,
     associator_from_json,
@@ -28,6 +31,9 @@ from braidops.braids import BraidWord
 from braidops.chords import (
     DKElement,
     PaCDMorphism,
+    _reduce_terms,
+    _splits,
+    _tensor_normalize,
     dk_insert,
     grouplike_check,
     insert_tables,
@@ -36,7 +42,7 @@ from braidops.chords import (
     relabel_table,
     substitute_letters,
 )
-from braidops.exact import LinearSystem, accumulate, solve_exact
+from braidops.exact import LinearSystem, accumulate, mul_terms, solve_exact
 from braidops.parenthesized import (
     GENERATOR_SHAPES,
     PaBMorphism,
@@ -108,6 +114,40 @@ def probe_columns(mu, phi_terms: dict, basis: list, d: int):
         probe = accumulate(dict(phi_terms), ((w, Fraction(1)),))
         columns.append(accumulate(tree_residual_entries(mu, probe, d), ((k, -c) for k, c in base.items())))
     return base, columns
+
+
+@functools.cache
+def _columns(d: int) -> tuple[dict, ...]:
+    """Column of each degree-d word: the residual entries' linear part in it, in ``int``.
+
+    Keyed like ``_residual_entries``, grouplike rows included; the word-basis
+    system the Lyndon solver replaces.  Never mutate.
+    """
+    columns = []
+    for w in _free_words(d):
+        entries: dict = {}
+        for tag, r, subs in _substitutions():
+            terms = accumulate({}, (kv for images, m in subs.items()
+                                    for kv in substitute_letters({w: m}, images).items()))
+            entries.update(((tag, k), c) for k, c in _reduce_terms(terms, r).items())
+        splits = accumulate({}, ((split, 1) for split in _splits(w) if all(split)))
+        entries.update((("grp", key), c) for key, c in _tensor_normalize(splits, 3).items())
+        columns.append(entries)
+    return tuple(columns)
+
+
+def is_lyndon(w: tuple) -> bool:
+    """Strictly smaller than each of its proper suffixes."""
+    return all(w < w[i:] for i in range(1, len(w)))
+
+
+def standard_bracketing(w: tuple) -> dict:
+    """[u, v] expanded into words, v the longest proper Lyndon suffix of w."""
+    if len(w) == 1:
+        return {w: 1}
+    i = min(i for i in range(1, len(w)) if is_lyndon(w[i:]))
+    u, v = standard_bracketing(w[:i]), standard_bracketing(w[i:])
+    return accumulate(mul_terms(u, v, len(w)), ((k, -c) for k, c in mul_terms(v, u, len(w)).items()))
 
 
 def _then(subs: dict, table: list) -> dict:
@@ -404,8 +444,7 @@ def test_solver_shapes_pinned(monkeypatch):
 
     monkeypatch.setattr(associator, "solve_exact", recording)
     solve_associator(1, 6)
-    assert shapes == [(8, 2, 0), (26, 4, 0), (88, 8, 1), (276, 16, 0), (832, 32, 1),
-                      (2464, 64, 0)]
+    assert shapes == [(8, 2, 0), (4, 1, 0), (18, 2, 1), (60, 3, 0), (210, 6, 1), (646, 9, 0)]
 
 
 @pytest.mark.parametrize("mu,top", [(Fraction(1), 5), (Fraction(-1, 2), 4)])
@@ -417,6 +456,42 @@ def test_linear_columns_equal_probe_columns(mu, top):
         _base, probes = probe_columns(mu, phi_terms, _free_words(d), d)
         assert list(_columns(d)) == probes
         phi_terms.update(solve_degree(mu, phi_terms, d))
+
+
+def test_lyndon_words_are_witt_many():
+    # Witt's formula: 2, 1, 2, 3, 6, 9, 18, 30 Lyndon words of length 1..8 in two letters
+    for d, count in enumerate((2, 1, 2, 3, 6, 9, 18, 30), start=1):
+        assert _lyndon_words(d) == [w for w in _free_words(d) if is_lyndon(w)]
+        assert len(_lyndon_words(d)) == count
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_lie_columns_equal_word_columns(d):
+    # each Lie column is the word columns combined along the bracketing's words:
+    # the same constraint rows, and no grouplike row, since a bracketing is primitive
+    lyndon = _lyndon_words(d)
+    words = {w: i for i, w in enumerate(_free_words(d))}
+    for w, column in zip(lyndon, _lie_columns(lyndon)):
+        combined = accumulate({}, ((key, k * c) for u, k in standard_bracketing(w).items()
+                                   for key, c in _columns(d)[words[u]].items()))
+        assert combined == column
+
+
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(-1, 2), Fraction(3)])
+def test_exp_log_extension_is_grouplike(mu):
+    # the right-hand side of each degree, at Phi_{<d} + E_d, has no grouplike entry
+    phi_terms = {(): Fraction(1)}
+    for d in range(1, 7):
+        base = _residual_entries(mu, {**phi_terms, **_grouplike_part(phi_terms, d)}, d)
+        assert not [key for key in base if key[0] == "grp"]
+        phi_terms.update(solve_degree(mu, phi_terms, d))
+
+
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(-1, 2), Fraction(3)])
+def test_solved_associator_is_even(mu):
+    # the solver's associator has no odd-degree word (Bar-Natan 1998: even associators exist)
+    phi = solve_associator(mu, 6).phi_free
+    assert phi[()] == 1 and not [w for w in phi if len(w) % 2]
 
 
 def test_pentagon_is_drinfeld_differential():
@@ -537,7 +612,7 @@ def test_degree_6_and_7_outputs_pinned(monkeypatch, capsys):
         7: "83840686147ed677103cfdaa9448b7141332780d5dad7504dc0a4fb578e2d634",
     }
     degree7 = shapes[6:]
-    assert degree7[-1] == (7252, 128, 1)
+    assert degree7[-1] == (2058, 18, 1)
     assert [nullity for _rows, _cols, nullity in degree7] == [0, 0, 1, 0, 1, 0, 1]
 
 
@@ -547,5 +622,15 @@ def test_degree_8_output_pinned(monkeypatch, capsys):
     # degree is dim grt_1 through degree 8
     digests, shapes = solve_outputs(monkeypatch, capsys, (8,))
     assert digests == {8: "8ac0467a3845d01734df2ac00a3930beb6c09f5f793f2670654d87430299d5e8"}
-    assert shapes[-1] == (21332, 256, 1)
+    assert shapes[-1] == (6240, 30, 1)
     assert [nullity for _rows, _cols, nullity in shapes] == [0, 0, 1, 0, 1, 0, 1, 1]
+
+
+@pytest.mark.slow
+def test_degree_9_output_pinned(monkeypatch, capsys):
+    # stdout digest recorded from the Lyndon-basis solver, which passed the
+    # closing re-check; nullity per degree is dim grt_1 through degree 9
+    digests, shapes = solve_outputs(monkeypatch, capsys, (9,))
+    assert digests == {9: "5bf6a826d06ecb755be6c4b9a40aa02ce464ed8b58d572a9784c556b5603c1f3"}
+    assert shapes[-1] == (19170, 56, 1)
+    assert [nullity for _rows, _cols, nullity in shapes] == [0, 0, 1, 0, 1, 0, 1, 1, 1]

@@ -385,23 +385,31 @@ def test_bad_morphism_json_under_optimize(argv, data, message):
 # past a resource limit: a tree nested 1,200 deep (the parser would exhaust the
 # interpreter's recursion), a chord dimension with 9,000 digits, a tree
 # enumeration over 7 inputs, and an associator above the solver's target
-# degree, solved, checked or evaluated (the check is about x4 per degree), and
-# an evaluation on 9 strands, one past the evaluator's strand limit
-ASSOC_9 = {"mu": "1", "degree": 9, "phi": {"terms": [{"coef": "1", "word": []}]}}
-COMB_9 = "mc(" * 8 + "x1," + ",".join(f"x{i})" for i in range(2, 10))
+# degree, solved, checked or evaluated (the check is about x4 per degree), an
+# evaluation on 9 strands, one past the evaluator's strand limit, and one on 8
+# strands at degree 6, where the chord algebra has 5,715,424 dimensions
+ASSOC_10 = {"mu": "1", "degree": 10, "phi": {"terms": [{"coef": "1", "word": []}]}}
+
+
+def left_comb(n: int) -> str:
+    return "mc(" * (n - 1) + "x1," + ",".join(f"x{i})" for i in range(2, n + 1))
+
+
 OVER_LIMIT = [
     (["tree", "omega", "mc(" * 1200 + "x1" + ",x1)" * 1200], ""),
     (["cd", "dims", "--strands", "4", "--degree", "20000"], ""),
     (["tree", "enum", "--open", "4", "--closed", "3"], ""),
-    (["assoc", "solve", "--degree", "9"], ""),
-    (["assoc", "check"], json.dumps(ASSOC_9)),
-    (["assoc", "eval"], json.dumps({"associator": ASSOC_9, "morphism": {
+    (["assoc", "solve", "--degree", "10"], ""),
+    (["assoc", "check"], json.dumps(ASSOC_10)),
+    (["assoc", "eval"], json.dumps({"associator": ASSOC_10, "morphism": {
         "src": "mc(x1,x2)", "tgt": "mc(x2,x1)", "braid": {"strands": 2, "word": [1]}}})),
-    (["assoc", "eval"], json.dumps({"associator": {**ASSOC_9, "degree": 2}, "morphism": {
-        "src": COMB_9, "tgt": COMB_9, "braid": {"strands": 9, "word": []}}})),
+    (["assoc", "eval"], json.dumps({"associator": {**ASSOC_10, "degree": 2}, "morphism": {
+        "src": left_comb(9), "tgt": left_comb(9), "braid": {"strands": 9, "word": []}}})),
+    (["assoc", "eval"], json.dumps({"associator": {**ASSOC_10, "degree": 6}, "morphism": {
+        "src": left_comb(8), "tgt": left_comb(8), "braid": {"strands": 8, "word": []}}})),
 ]
 OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "solve-degree", "check-degree",
-                  "eval-degree", "eval-strands"]
+                  "eval-degree", "eval-strands", "eval-dimension"]
 
 
 @pytest.mark.parametrize("argv, stdin", OVER_LIMIT, ids=OVER_LIMIT_IDS)
