@@ -30,9 +30,10 @@ psi^{2,3,4} - psi^{12,3,4} + psi^{1,23,4} - psi^{1,2,34} + psi^{1,2,3}, for
 each hexagon three signed relabelings.  A substitution acts on a bracketing
 factor by factor, normalised in ``int``.  Only the right-hand side, one full
 residual of Phi_{<d} + E_d per degree, depends on mu and Phi_{<d}.  The
-solution goes back to words canonically: each kernel vector, expanded into
-words, clears the coefficient of its highest word (in echelon form), which
-gives the solution over all 2^d words with free coordinates set to zero.
+solution goes back to words canonically: the kernel, expanded into words and
+put in reduced echelon form by highest word (``exact.insert_row``), clears
+the coefficient of each row's highest word, which gives the solution over all
+2^d words with free coordinates set to zero.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .chords import (
     DKElement,
     PaCDMorphism,
     _reduce_terms,
-    _rref_insert,
     dimension_of_degree,
     dk_coproduct,
     dk_terms_from_json,
@@ -63,8 +63,10 @@ from .exact import (
     LinearSystem,
     NCSeries,
     accumulate,
+    clear_denominators,
     fraction_from_str,
     fraction_to_str,
+    insert_row,
     int_from_json,
     mul_terms,
     series_exp,
@@ -84,7 +86,7 @@ class Associator:
     mu: Fraction
     degree: int
     phi: DKElement                      # normal form, 3 strands
-    phi_free: dict[tuple[int, ...], Fraction] | None = None  # raw (t12, t13) words
+    phi_free: dict[tuple[int, ...], Fraction]  # raw (t12, t13) words
 
     def __post_init__(self):
         self.mu = Fraction(self.mu)
@@ -135,22 +137,16 @@ class ProductAlgebra:
         return v[0], _then(v[1], relabel_table(v[0], closed_map or {}))
 
 
-def _scaled(terms: dict) -> tuple[int, dict]:
-    """(D, D * terms) with D the lcm of the denominators, so that every coefficient is an int."""
-    denom = math.lcm(*(c.denominator for c in terms.values()))
-    return denom, {w: int(c * denom) for w, c in terms.items() if c}
-
-
 def _generators(assoc: Associator, d: int) -> dict:
     """{(name, sign): (D, D * terms)} of tau^{+-1} and Phi^{+-1} at truncation d, each scaled to ``int``.
 
-    Phi is read from its recorded words if any, else from its normal form.
+    Phi is read from its recorded words.
     """
-    phi = NCSeries(3, d, assoc.phi_free if assoc.phi_free is not None else assoc.phi.series.terms)
+    phi = NCSeries(3, d, assoc.phi_free)
     braiding = {(_T12,) * k: (assoc.mu / 2) ** k / math.factorial(k) for k in range(d + 1)}
     gens = {("tau", 1): braiding, ("tau", -1): {w: (-1) ** len(w) * c for w, c in braiding.items()},
             ("alpha_c", 1): phi.terms, ("alpha_c", -1): series_inverse(phi).terms}
-    return {key: _scaled(terms) for key, terms in gens.items()}
+    return {key: clear_denominators(terms) for key, terms in gens.items()}
 
 
 def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
@@ -339,9 +335,9 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
 
     piece, kernel = accumulate(e_d, expand(sol.particular).items()), {}
     for vec in sol.nullspace:
-        _rref_insert(kernel, expand(vec))
+        insert_row(kernel, expand(vec), max)
     for top, row in kernel.items():
-        c = piece.get(top, 0)
+        c = Fraction(piece.get(top, 0), row[top])
         accumulate(piece, ((u, -c * k) for u, k in row.items()))
     return {w: piece[w] for w in sorted(piece)}
 
@@ -385,9 +381,8 @@ def solve_associator(mu, degree: int) -> Associator:
 
 
 def associator_to_json(assoc: Associator) -> dict:
-    # serialize the raw words, not the normal form, so both sides reload exactly
-    phi_raw = assoc.phi_free if assoc.phi_free is not None else assoc.phi.series.terms
-    phi = {"strands": 3, "degree": assoc.degree, "terms": dk_terms_to_json(3, phi_raw)}
+    # serialize the recorded words, not the normal form, so both sides reload exactly
+    phi = {"strands": 3, "degree": assoc.degree, "terms": dk_terms_to_json(3, assoc.phi_free)}
     return {"mu": fraction_to_str(assoc.mu), "degree": assoc.degree, "phi": phi}
 
 

@@ -7,8 +7,9 @@ weight 1) modulo the two-sided ideal generated by
     [t_ik, t_ij + t_jk]    for distinct i, j, k,
 
 truncated above a fixed total degree N.  Normal forms come from quadratic
-rewriting: the cached echelon rows of the degree-2 relations, under the deglex
-order of words, rewrite their leading pair of letters anywhere in a word, and
+rewriting: the cached reduced echelon rows of the degree-2 relations
+(``exact.insert_row`` with the largest word as lead), under the deglex order
+of words, rewrite their leading pair of letters anywhere in a word, and
 the normal form of every word met is memoised per (strands, word).  These
 rules are a Groebner basis of the whole ideal: the words avoiding every
 leading pair number [t^d] prod_{k<r} 1/(1 - k t), Kohno's Hilbert series, in
@@ -33,6 +34,7 @@ from .exact import (
     accumulate,
     fraction_from_str,
     fraction_to_str,
+    insert_row,
     int_from_json,
     series_exp,
     series_inverse,
@@ -49,13 +51,13 @@ def _gen_index(r: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(dk_generators(r))}
 
 
-def _relations(r: int) -> list[dict[tuple[int, ...], Fraction]]:
+def _relations(r: int) -> list[dict[tuple[int, ...], int]]:
     """Degree-2 generators of the relation ideal, as word vectors."""
     idx = _gen_index(r)
     rels = []
 
     def comm(a, b):
-        return {(idx[a], idx[b]): Fraction(1), (idx[b], idx[a]): Fraction(-1)}
+        return {(idx[a], idx[b]): 1, (idx[b], idx[a]): -1}
 
     pairs = dk_generators(r)
     for p1, p2 in itertools.combinations(pairs, 2):
@@ -93,10 +95,11 @@ _NORMAL_FORMS: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {
 
 
 def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """RREF rows of the ideal's degree-2 piece, keyed by leading (max) word.
+    """Reduced echelon rows of the ideal's degree-2 piece, keyed by leading (max) word.
 
     Each row rewrites its leading pair as minus the rest of the row; the rules
-    are quadratic, so ``d`` is always 2, and integral with leading coefficient 1.
+    are quadratic, so ``d`` is always 2, and integral: every primitive row has
+    leading coefficient 1.
     """
     _check_strands(r)
     assert d == 2, "the rewrite rules are quadratic"
@@ -104,35 +107,13 @@ def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]
     cached = _REDUCER_CACHE.get(key)
     if cached is not None:
         return cached
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for rel in _relations(r):
-        _rref_insert(rows, rel)
-    if any(c.denominator != 1 for row in rows.values() for c in row.values()):
+        insert_row(rows, rel, max)
+    if any(row[lead] != 1 for lead, row in rows.items()):
         raise ArithmeticError(f"a {r}-strand rewrite rule has a non-integral coefficient")
-    rows = {lead: {w: int(c) for w, c in row.items()} for lead, row in rows.items()}
     _REDUCER_CACHE[key] = rows
     return rows
-
-
-def _rref_insert(rows: dict, row: dict) -> None:
-    row = dict(row)
-    while row:
-        lead = max(row)
-        pivot = rows.get(lead)
-        if pivot is None:
-            break
-        c = -row[lead]
-        accumulate(row, ((w, c * pc) for w, pc in pivot.items()))
-    if not row:
-        return
-    lead = max(row)
-    inv = Fraction(1) / row[lead]
-    row = {w: c * inv for w, c in row.items()}
-    for other in rows.values():
-        if lead in other:
-            c = -other[lead]
-            accumulate(other, ((w, c * pc) for w, pc in row.items()))
-    rows[lead] = row
 
 
 def _normal_form(r: int, w: tuple[int, ...]) -> dict[tuple[int, ...], int]:

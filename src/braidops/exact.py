@@ -2,13 +2,16 @@
 
 Scalars are `fractions.Fraction`, except that the chord rewrite rules and
 normal forms, and so the associator columns and scaled constraint products,
-are integral and kept in `int`, and that ``solve_exact`` eliminates
-fraction-free over `int` (Bareiss 1968), returning Fractions; there is no
-floating point anywhere in this package, and ``fraction_from_str`` and
-``int_from_json`` refuse a JSON float at the boundary.  A noncommutative
-series is a finite map from generator words (tuples of generator indices) to
-nonzero rationals, truncated at a fixed total degree.  Equality of series is
-structural equality of the normalized term maps.
+are integral and kept in `int`, and that exact elimination is fraction-free
+over `int` (Bareiss 1968): ``insert_row`` keeps a reduced echelon form of
+primitive integer rows, keyed by any ordered column type, and builds the
+chord rewrite rules, ``solve_exact`` (which returns Fractions) and the
+associator kernel's echelon form.  There is no floating point anywhere in
+this package, and ``fraction_from_str`` and ``int_from_json`` refuse a JSON
+float at the boundary.  A noncommutative series is a finite map from
+generator words (tuples of generator indices) to nonzero rationals, truncated
+at a fixed total degree.  Equality of series is structural equality of the
+normalized term maps.
 
 Every sparse map in the package (series terms, chord normal forms, tensors,
 solver rows) stores no zero coefficient.  The invariant is kept in one place:
@@ -237,15 +240,21 @@ class Solution:
         return len(self.nullspace)
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """``row`` divided by the gcd of its entries, signed so that its lead is positive."""
+def clear_denominators(terms: Mapping) -> tuple[int, dict]:
+    """(D, D * terms) with D the lcm of the denominators, so that every coefficient is an int."""
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    return denom, {k: c.numerator * (denom // c.denominator) for k, c in terms.items() if c}
+
+
+def _primitive(row: dict, lead) -> dict:
+    """``row`` divided by the gcd of its entries, signed so that its entry at ``lead`` is positive."""
     g = math.gcd(*row.values())
-    if row[min(row)] < 0:
+    if row[lead] < 0:
         g = -g
     return row if g == 1 else {j: c // g for j, c in row.items()}
 
 
-def _eliminate(row: dict[int, int], col: int, prow: dict[int, int]) -> dict[int, int]:
+def _eliminate(row: dict, col, prow: dict) -> dict:
     """(a/g)*row - (b/g)*prow with a = prow[col], b = row[col], g = gcd(a, b): zero at ``col``."""
     a, b = prow[col], row[col]
     g = math.gcd(a, b)
@@ -255,39 +264,48 @@ def _eliminate(row: dict[int, int], col: int, prow: dict[int, int]) -> dict[int,
     return accumulate(row, ((j, b * c) for j, c in prow.items()))
 
 
+def insert_row(pivots: dict, row: Mapping, lead=min):
+    """Insert ``row`` into the fraction-free reduced echelon form ``pivots``; return its lead, or None.
+
+    ``pivots`` maps each pivot column to its row: an ``int`` row, primitive,
+    positive at that column, which is its ``lead`` (``min`` or ``max`` of the
+    row's columns), and zero at every other pivot column.  ``row`` (``int`` or
+    ``Fraction`` entries) is scaled once by the lcm of its denominators,
+    cleared at every pivot column, made primitive, and back-substituted into
+    the older pivot rows, which keeps ``pivots`` reduced.  A row that reduces
+    to zero leaves ``pivots`` as it was.
+    """
+    row = clear_denominators(row)[1]
+    # every pivot row is zero at every other pivot column, so eliminating
+    # one only rescales the row's other pivot entries: one pass clears them all
+    for col in [j for j in row if j in pivots]:
+        row = _eliminate(row, col, pivots[col])
+    if not row:
+        return None
+    top = lead(row)
+    row = _primitive(row, top)
+    for col, prow in pivots.items():
+        if top in prow:
+            pivots[col] = _primitive(_eliminate(prow, top, row), col)
+    pivots[top] = row
+    return top
+
+
 def solve_exact(system: LinearSystem) -> Solution:
     """Fraction-free Gauss-Jordan elimination over the integers (Bareiss 1968).
 
-    Each row is scaled once by the lcm of its denominators, its rhs kept at
-    column ``num_columns``.  Pivot rows are primitive with a positive lead and
-    zero at every other pivot column, so the result is the reduced row-echelon
-    form up to one positive scalar per row.  Returns a particular solution
-    with all free coordinates set to zero, plus a basis of the homogeneous
-    solution space, every entry a Fraction.  Inconsistency is reported in the
-    returned object; it is not an error.
+    Each row, its rhs kept at column ``num_columns``, goes through
+    ``insert_row``, so the pivot rows are the reduced row-echelon form up to
+    one positive scalar per row.  Returns a particular solution with all free
+    coordinates set to zero, plus a basis of the homogeneous solution space,
+    every entry a Fraction.  Inconsistency, a pivot at the rhs column, is
+    reported in the returned object; it is not an error.
     """
     n = system.num_columns
     pivots: dict[int, dict[int, int]] = {}
     for coeffs, rhs in system.rows:
-        scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        row = {j: c.numerator * (scale // c.denominator) for j, c in coeffs.items()}
-        if rhs:
-            row[n] = rhs.numerator * (scale // rhs.denominator)
-        # every pivot row is zero at every other pivot column, so eliminating
-        # one only rescales the row's other pivot entries: one pass clears them all
-        for col in [j for j in row if j in pivots]:
-            row = _eliminate(row, col, pivots[col])
-        if not row:
-            continue
-        lead = min(row)
-        if lead == n:
+        if insert_row(pivots, {**coeffs, n: rhs}) == n:
             return Solution(False, None, [])
-        row = _primitive(row)
-        # back-substitute into existing pivot rows
-        for col, prow in pivots.items():
-            if lead in prow:
-                pivots[col] = _primitive(_eliminate(prow, lead, row))
-        pivots[lead] = row
 
     particular = [Fraction(0)] * n
     for col, row in pivots.items():

@@ -170,7 +170,7 @@ def echelon(r, d):
         while vec:
             lead = max(vec)
             if lead not in rows:
-                inv = 1 / vec[lead]
+                inv = 1 / Fraction(vec[lead])  # the relations are integral
                 rows[lead] = {w: c * inv for w, c in vec.items()}
                 break
             c = vec[lead]
@@ -225,11 +225,14 @@ def test_normal_forms_match_echelon_oracle():
 
 
 def test_rewrite_rules_and_normal_forms_integral():
-    # every rule is integral with leading coefficient 1, so normal forms stay in int
+    # every rule is integral with leading coefficient 1, so normal forms stay in int,
+    # and reduced: no rule contains another rule's lead
     for r in range(MAX_STRANDS + 1):
-        for lead, row in _reducer(r, 2).items():
+        rules = _reducer(r, 2)
+        for lead, row in rules.items():
             assert lead == max(row) and row[lead] == 1, r
             assert all(type(c) is int for c in row.values()), r
+            assert all(w == lead or w not in rules for w in row), r
     rng = random.Random(13)
     for _ in range(30):
         w = tuple(rng.randrange(6) for _ in range(5))

@@ -1,11 +1,13 @@
+import itertools
 import json
+import math
 import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidops.exact import (
@@ -15,6 +17,7 @@ from braidops.exact import (
     accumulate,
     fraction_from_str,
     fraction_to_str,
+    insert_row,
     series_exp,
     series_from_json,
     series_inverse,
@@ -228,6 +231,57 @@ def test_solve_matches_fraction_reference(system):
     if sol.consistent:
         entries = sol.particular + [x for vec in sol.nullspace for x in vec]
         assert all(type(x) is Fraction for x in entries)
+
+
+WORD_KEYS = [w for k in range(3) for w in itertools.product(range(3), repeat=k)]
+
+
+@st.composite
+def insert_cases(draw):
+    """Sparse rows over int or word columns, mixing int and Fraction entries,
+    with zero entries, scaled copies and sums of earlier rows; and a lead."""
+    keys = draw(st.sampled_from((st.integers(0, 5), st.sampled_from(WORD_KEYS))))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("fresh", "fresh", "multiple", "sum")), max_size=8)):
+        if kind == "multiple" and rows:
+            k = draw(st.sampled_from((1, -2, Fraction(3, 4))))
+            rows.append({key: k * c for key, c in draw(st.sampled_from(rows)).items()})
+        elif kind == "sum" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append(accumulate(dict(a), b.items()))
+        else:
+            rows.append(draw(st.dictionaries(keys, scalars, max_size=4)))
+    return rows, draw(st.sampled_from((min, max)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(insert_cases())
+@example(([{(1,): 1, (0,): 1}, {(2,): 1, (1,): 1}], max))
+def test_insert_row_keeps_a_reduced_echelon_form(case):
+    rows, lead = case
+    pivots: dict = {}
+    for row in rows:
+        before = len(pivots)
+        top = insert_row(pivots, row, lead)
+        assert (top is None) == (len(pivots) == before)
+    for col, prow in pivots.items():
+        # primitive, in int, with a positive lead at its own column
+        assert all(type(c) is int and c for c in prow.values())
+        assert lead(prow) == col and prow[col] > 0 and math.gcd(*prow.values()) == 1
+        # reduced: no other pivot row has an entry at this lead
+        assert all(col not in other for c2, other in pivots.items() if c2 != col)
+    columns = sorted({k for row in rows for k in row})
+    index = {k: j for j, k in enumerate(columns)}
+    system = LinearSystem(len(columns))
+    for row in rows:
+        system.add_row({index[k]: c for k, c in row.items()}, 0)
+    assert len(pivots) == len(columns) - reference_solve(system).nullity
+    for row in rows:
+        rest = accumulate({}, row.items())
+        for col, prow in pivots.items():
+            c = Fraction(rest.get(col, 0), prow[col])
+            accumulate(rest, ((k, -c * v) for k, v in prow.items()))
+        assert not rest
 
 
 def test_add_row_keeps_coefficients():
