@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chords import (
@@ -75,14 +74,13 @@ from .exact import (
     solve_exact,
 )
 from .parenthesized import PaBMorphism, evaluate_word, pab_to_word
-from .trees import Tree, closed_labels
+from .trees import Record, Tree, closed_labels
 
 _T12 = 0  # generator indices in the 3-strand alphabet (1,2), (1,3), (2,3)
 _T13 = 1
 
 
-@dataclass
-class Associator:
+class Associator(Record):
     mu: Fraction
     degree: int
     phi: DKElement                      # normal form, 3 strands

@@ -11,15 +11,28 @@ Conventions, fixed once for the whole package:
   strand's starting position to its ending position and is a homomorphism for
   word concatenation.
 
-Equality of braids is decided with the faithful action on the free group
-(sigma_i sends x_i to x_i x_{i+1} x_i^{-1} and x_{i+1} to x_i).
+Equality of braids a, b is decided on the quotient c = a b^-1 in three steps:
+
+1. Cancellation: a letter cancels an earlier inverse when every letter between
+   them is a far generator (``|i - j| >= 2``), which commutes with it; this is
+   the trivial case of Dehornoy's handle reduction.
+2. The cyclic step: c = 1 exactly when a conjugate of c is 1, so the first
+   letter moves to the end, where it may cancel, until a full turn cancels
+   nothing.  This shortens the word the action gets.  An empty word is the
+   identity and needs no action.
+3. What is left goes through the faithful action on the free group (sigma_i
+   sends x_i to x_i x_{i+1} x_i^{-1} and x_{i+1} to x_i), which decides it
+   exactly.  A free word longer than ``MAX_FREE_WORD`` letters is refused
+   with ``ValueError``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .exact import int_from_json
+
+MAX_FREE_WORD = 2 ** 22
 
 
 class Permutation:
@@ -192,7 +205,45 @@ def artin_action(braid: BraidWord, word: Iterable[int]) -> tuple[int, ...]:
         assert 1 <= abs(l) <= braid.strands, "alphabet mismatch"
     for letter in braid.letters:
         w = _act_letter(letter, w)
+        if len(w) > MAX_FREE_WORD:
+            raise ValueError(f"free word exceeds the limit of {MAX_FREE_WORD} letters "
+                             f"for braid equality")
     return w
+
+
+def _push(out: list[int], letter: int) -> bool:
+    """Cancel ``letter`` against the last earlier inverse behind far letters, else append it."""
+    i = abs(letter)
+    for k in range(len(out) - 1, -1, -1):
+        l = out[k]
+        if l == -letter:
+            del out[k]
+            return True
+        if -2 < abs(l) - i < 2:
+            break
+    out.append(letter)
+    return False
+
+
+def cancel_letters(letters: Iterable[int]) -> tuple[int, ...]:
+    """The same braid, no longer: each letter cancels an earlier inverse across far letters."""
+    out: list[int] = []
+    for l in letters:
+        _push(out, l)
+    return tuple(out)
+
+
+def cancel_cyclic(letters: Iterable[int]) -> tuple[int, ...]:
+    """A conjugate of ``cancel_letters(letters)``, no longer, trivial exactly when it is.
+
+    The first letter moves to the end, where it may cancel; a full turn that
+    cancels nothing ends the loop.
+    """
+    out = list(cancel_letters(letters))
+    turns = 0
+    while turns < len(out):
+        turns = 0 if _push(out, out.pop(0)) else turns + 1
+    return tuple(out)
 
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -203,7 +254,10 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
         return True
     if a.permutation() != b.permutation():
         return False
-    c = a * b.inverse()
+    letters = cancel_cyclic((a * b.inverse()).letters)
+    if not letters:
+        return True
+    c = BraidWord(a.strands, letters)
     return all(artin_action(c, (i,)) == (i,) for i in range(1, a.strands + 1))
 
 

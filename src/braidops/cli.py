@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import random
 import sys
@@ -485,8 +486,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built on the first run, not at import, and shared by every later run in the process
-_shared_parser = functools.cache(build_parser)
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first run, not at import, and shared by every later run.
+
+    What is alive when the first run starts (modules, classes, their tables)
+    lives as long as the process, so it is frozen out of every later garbage
+    collection; otherwise the first command pays for walking it.
+    """
+    gc.freeze()
+    return build_parser()
 
 
 def run(argv=None) -> int:

@@ -19,11 +19,10 @@ families guarantee.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .diagrams import family_word_pairs
 from .parenthesized import GENERATOR_SHAPES, evaluate_word
-from .trees import Tree, arity, color
+from .trees import Record, Tree, arity, color
 
 
 class CoherenceTypeError(Exception):
@@ -89,8 +88,7 @@ class FiniteCategory:
         raise CoherenceTypeError(f"{self.name}: morphism {f!r} is not invertible")
 
 
-@dataclass
-class FunctorTable:
+class FunctorTable(Record):
     """A functor of several typed arguments, given by total tables."""
 
     name: str
@@ -407,11 +405,11 @@ class FinCatAlgebra:
 # -- the checker --------------------------------------------------------------------
 
 
-@dataclass
-class CoherenceReport:
+class CoherenceReport(Record):
     passed: bool
-    families: dict = field(default_factory=dict)   # name -> list of failing (instance, tuple)
-    instances_checked: dict = field(default_factory=dict)
+    families: dict           # name -> list of failing (instance, tuple)
+    instances_checked: dict
+    _defaults = {"families": dict, "instances_checked": dict}
 
     def failing_families(self):
         return sorted(name for name, fails in self.families.items() if fails)

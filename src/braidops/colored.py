@@ -20,14 +20,11 @@ Insertion conventions (validated by the operad-axiom suite, not assumed):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braids import BraidWord, Permutation, braids_equal, delete_strand, permute_seq, splice, weave
-from .trees import ShuffleObject
+from .trees import Record, ShuffleObject
 
 
-@dataclass(frozen=True)
-class CoBMorphism:
+class CoBMorphism(Record, frozen=True):
     """Colored-braid morphism: label sequences at both ends and the braid."""
 
     src_seq: tuple[int, ...]
@@ -60,8 +57,7 @@ class CoBMorphism:
         return CoBMorphism(self.tgt_seq, self.src_seq, self.braid.inverse())
 
 
-@dataclass(frozen=True)
-class ShuffleMorphism:
+class ShuffleMorphism(Record, frozen=True):
     """The unique order-compatible morphism between two configurations."""
 
     src: ShuffleObject
@@ -72,8 +68,7 @@ class ShuffleMorphism:
         assert self.src.aerial == self.tgt.aerial, "aerial orders differ"
 
 
-@dataclass(frozen=True)
-class CoPBMorphism:
+class CoPBMorphism(Record, frozen=True):
     src: ShuffleObject
     tgt: ShuffleObject
     braid: BraidWord

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 Word = tuple[int, ...]
 

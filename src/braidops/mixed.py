@@ -22,8 +22,6 @@ which realizes the relabeling twist of the coinvariant formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .associator import Associator, phi_eval
 from .braids import BraidWord, comb_word, weave
 from .chords import (
@@ -39,6 +37,7 @@ from .chords import (
 from .colored import CoPBMorphism
 from .parenthesized import PaBMorphism, pab_insert, pab_relabel
 from .trees import (
+    Record,
     Tree,
     UNIT_C,
     UNIT_O,
@@ -79,8 +78,7 @@ def identity_labeled(tree: Tree) -> Tree:
     return relabel_tree(tree, None, {lab: k + 1 for k, lab in enumerate(seq)})
 
 
-@dataclass(frozen=True)
-class ShiftedElement:
+class ShiftedElement(Record, frozen=True):
     """Morphism of a shifted operad: payload in arity (shifted + ordinary)."""
 
     shifted: int

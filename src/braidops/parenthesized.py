@@ -24,8 +24,6 @@ left-combed shapes, emit one crossing per braid letter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braids import BraidWord, braids_equal, permute_seq, splice
 from .colored import (
     CoBMorphism,
@@ -37,6 +35,7 @@ from .colored import (
     shuffle_type_morphism,
 )
 from .trees import (
+    Record,
     Tree,
     UNIT_C,
     UNIT_O,
@@ -54,8 +53,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class PaBMorphism:
+class PaBMorphism(Record, frozen=True):
     """Morphism of the closed (braid) component: trees plus a braid."""
 
     src: Tree
@@ -120,8 +118,7 @@ def pab_restrict(mor: PaBMorphism, i: int) -> PaBMorphism:
                        delete_strand(mor.braid, p))
 
 
-@dataclass(frozen=True)
-class PaPBMorphism:
+class PaPBMorphism(Record, frozen=True):
     """Morphism of the parenthesized two-colored operad."""
 
     source: Tree

@@ -19,13 +19,69 @@ interval pattern of terrestrial (open) and aerial (closed) points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 Tree = tuple
 
 UNIT_C: Tree = ("uc",)
 UNIT_O: Tree = ("uo",)
+
+
+class Record:
+    """Base of the package's record classes, in place of ``dataclasses``.
+
+    The fields are the subclass's own annotations, in order, and an instance's
+    dictionary holds exactly its fields.  Construction is positional or by
+    keyword, then runs ``__post_init__``; a field missing from the call takes
+    ``_defaults[name]()``.  ``repr`` has the dataclass format and ``==``
+    compares the fields of two instances of one class.  A ``frozen=True``
+    subclass refuses assignment and hashes its fields; any other is unhashable.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse_assignment
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._arguments(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _arguments(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from a call with keywords or defaults."""
+        rest = self._fields[len(args):]
+        if (len(args) > len(self._fields) or not kwargs.keys() <= set(rest)
+                or any(name not in kwargs and name not in self._defaults for name in rest)):
+            raise TypeError(f"{type(self).__name__}{self._fields} called with {args}, {kwargs}")
+        return [*args, *(kwargs[name] if name in kwargs else self._defaults[name]()
+                         for name in rest)]
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+
+def _refuse_assignment(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
 def x(i: int) -> Tree:
@@ -200,8 +256,7 @@ def graft_all_open(outer: Tree, inners: Sequence[Tree]) -> Tree:
 # -- interval configurations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShuffleObject:
+class ShuffleObject(Record, frozen=True):
     """Interval configuration: pattern of terrestrial/aerial slots with labels."""
 
     pattern: tuple[str, ...]

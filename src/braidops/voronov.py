@@ -15,10 +15,8 @@ permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chords import DKElement, dk_insert, dk_relabel
-from .trees import Tree, arity, color, graft_open, leftcomb_open, open_labels, relabel_tree
+from .trees import Record, Tree, arity, color, graft_open, leftcomb_open, open_labels, relabel_tree
 
 
 class ChordStrandOperad:
@@ -50,8 +48,7 @@ class ChordStrandOperad:
         return p == q
 
 
-@dataclass(frozen=True)
-class PaPMorphismPair:
+class PaPMorphismPair(Record, frozen=True):
     """Open part: the unique reparenthesization between order-equal trees."""
 
     src: Tree
@@ -82,8 +79,7 @@ class PaPOperad:
         return q == q2
 
 
-@dataclass(frozen=True)
-class VoronovElement:
+class VoronovElement(Record, frozen=True):
     p_part: object
     q_part: object
 

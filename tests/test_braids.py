@@ -1,6 +1,14 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Sequence
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from braidops import braids
 from braidops.braids import (
     BraidWord,
     Permutation,
@@ -9,6 +17,8 @@ from braidops.braids import (
     braid_to_json,
     braids_equal,
     cable,
+    cancel_cyclic,
+    cancel_letters,
     comb_word,
     crossings,
     delete_strand,
@@ -263,3 +273,168 @@ def test_text_and_json():
         except ValueError:
             continue
         raise AssertionError("invalid braid accepted")
+
+
+# -- braid equality on the cancelled quotient ---------------------------------
+
+
+def artin_equal(a, b):
+    """Oracle: the faithful action on the whole quotient a b^-1, with no cancellation."""
+    if a.permutation() != b.permutation():
+        return False
+    c = a * b.inverse()
+    return all(artin_action(c, (i,)) == (i,) for i in range(1, a.strands + 1))
+
+
+def apply_move(letters, strands, move):
+    """One relation move at the first place at or after ``start`` where it applies.
+
+    kind 0 inserts s_i^e s_i^-e; kind 1 swaps two adjacent far letters; kind 2
+    turns s_i s_i+1 s_i into s_i+1 s_i s_i+1 or back, with either sign.  A
+    swap or braid move that applies nowhere inserts instead.
+    """
+    kind, start, i, sign = move
+    i = 1 + i % (strands - 1)
+    w = list(letters)
+    for k in range(len(w)):
+        p = (start + k) % len(w)
+        if kind == 1 and p + 1 < len(w) and abs(abs(w[p]) - abs(w[p + 1])) >= 2:
+            w[p], w[p + 1] = w[p + 1], w[p]
+            return w
+        if kind == 2 and p + 2 < len(w):
+            x, y, z = w[p:p + 3]
+            if x == z and y * x > 0 and abs(abs(x) - abs(y)) == 1:
+                w[p:p + 3] = [y, x, y]
+                return w
+    p = start % (len(w) + 1)
+    return w[:p] + [sign * i, -sign * i] + w[p:]
+
+
+def permutation_word(perm):
+    """Positive letters whose braid has permutation ``perm`` (bubble sort by target)."""
+    target = list(perm.images)  # target[q-1]: end position of the strand now at q
+    letters = []
+    for _ in range(len(target)):
+        for q in range(1, len(target)):
+            if target[q - 1] > target[q]:
+                target[q - 1], target[q] = target[q], target[q - 1]
+                letters.append(q)
+    return letters
+
+
+strands_st = st.integers(2, 6)
+
+
+@st.composite
+def braid_words(draw, strands, max_len=12):
+    return draw(st.lists(st.integers(1, strands - 1).flatmap(
+        lambda i: st.sampled_from((i, -i))), max_size=max_len))
+
+
+@st.composite
+def equal_pairs(draw):
+    n = draw(strands_st)
+    a = draw(braid_words(n))
+    b = a
+    for move in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40),
+                                         st.integers(0, 4), st.sampled_from((1, -1))),
+                              max_size=8)):
+        b = apply_move(b, n, move)
+    return BraidWord(n, a), BraidWord(n, b)
+
+
+@st.composite
+def same_permutation_pairs(draw):
+    n = draw(strands_st)
+    a = BraidWord(n, draw(braid_words(n)))
+    r = BraidWord(n, draw(braid_words(n)))
+    fix = permutation_word(r.permutation().inverse() * a.permutation())
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(fix), max_size=len(fix)))
+    b = r * BraidWord(n, [s * l for s, l in zip(signs, fix)])
+    assert b.permutation() == a.permutation()
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_pairs())
+@example((BraidWord(3, [1, 2, 1]), BraidWord(3, [2, 1, 2])))
+def test_braids_equal_after_relation_moves(pair):
+    a, b = pair
+    assert braids_equal(a, b) and artin_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_permutation_pairs())
+@example((BraidWord(3, [1, 2, 2, -1]), BraidWord(3, [2, 2])))     # conjugate, not equal
+@example((BraidWord(3, [1, 2, 2, -1, -2, -2]), BraidWord(3)))     # no cancel past s_2
+def test_braids_equal_matches_artin_oracle(pair):
+    a, b = pair
+    assert braids_equal(a, b) == artin_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strands_st.flatmap(lambda n: st.tuples(st.just(n), braid_words(n), braid_words(n, 8))))
+def test_cancellation_shortens_and_keeps_the_braid(case):
+    n, u, v = case
+    for w in (u, v):
+        once = cancel_letters(w)
+        assert len(cancel_cyclic(w)) <= len(once) <= len(w)
+        assert artin_equal(BraidWord(n, once), BraidWord(n, w))
+        assert cancel_letters(once) == once
+    # a conjugate cancels to the same length as the word itself
+    conjugate = u + v + [-l for l in reversed(u)]
+    assert len(cancel_cyclic(conjugate)) == len(cancel_cyclic(v))
+
+
+def test_cancellation_examples():
+    assert cancel_letters([1, 3, -1]) == (3,)          # across a far letter
+    assert cancel_letters([1, 2, -1]) == (1, 2, -1)    # never across a neighbour
+    assert cancel_letters([1, 1, -1]) == (1,)
+    assert cancel_cyclic([1, 2, -1]) == (2,)           # the cyclic step
+    assert cancel_cyclic([1, 2, -1, 2]) == (1, 2, -1, 2)
+
+
+def test_braids_equal_acts_on_the_cyclic_residue(monkeypatch):
+    seen = []
+
+    def recording(braid, word):
+        seen.append(braid.letters)
+        return artin_action(braid, word)
+
+    monkeypatch.setattr(braids, "artin_action", recording)
+    assert not braids_equal(BraidWord(3, [1, 2, 2, -1]), BraidWord(3))
+    assert seen and all(len(letters) == 2 for letters in seen)
+    seen.clear()
+    assert braids_equal(BraidWord(4, [1, 3, 2, -2, -1, -3]), BraidWord(4))
+    assert seen == []                                   # cancelled to the empty word
+
+
+# -- the free-word guard -------------------------------------------------------
+
+WIDE = "s1 s2 S3 s2 s1 s3 S2 s1 s2 s3 s1 s2"
+
+
+SAME_PERMUTATION = format_braid(BraidWord(4, permutation_word(parse_braid(WIDE, 4).permutation())))
+
+
+def test_free_word_guard(monkeypatch):
+    b = parse_braid(WIDE, 4)
+    other = parse_braid(SAME_PERMUTATION, 4)
+    assert not braids_equal(b, other)
+    monkeypatch.setattr(braids, "MAX_FREE_WORD", 8)
+    with pytest.raises(ValueError, match="limit of 8 letters"):
+        braids_equal(b, other)
+    assert braids_equal(b, b * BraidWord(4, [2, -2]))
+
+
+def test_free_word_guard_under_optimize():
+    script = ("import braidops.braids as braids, braidops.cli as cli\n"
+              "braids.MAX_FREE_WORD = 8\n"
+              f"print(cli.run(['braid', 'eq', {WIDE!r}, {SAME_PERMUTATION!r}, '--strands', '4']))\n"
+              f"print(cli.run(['braid', 'eq', {WIDE!r}, {WIDE!r} + ' s1 S1', '--strands', '4']))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0
+    assert out.stderr == "error: free word exceeds the limit of 8 letters for braid equality\n"
+    assert out.stdout.splitlines()[0] == "2" and out.stdout.splitlines()[-1] == "0"

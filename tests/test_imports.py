@@ -1,9 +1,22 @@
-"""Import hygiene: every top-level import of the package is used in its module."""
+"""Import hygiene: every top-level import is used, and the CLI loads neither dataclasses nor typing.
+
+The record classes that replace ``dataclasses`` keep its construction,
+``repr``, equality, hashing and frozen assignment.
+"""
 
 import ast
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from braidops.associator import Associator
+from braidops.chords import DKElement
+from braidops.coherence import CoherenceReport
+from braidops.colored import ShuffleMorphism
+from braidops.trees import ShuffleObject
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "braidops"
 
@@ -31,3 +44,43 @@ def test_unused_import_detected():
               "import os.path\nimport sys as system\nfrom math import gcd, lcm\n"
               "def f(x):\n    return os.path.join(x) + str(lcm(x, 2))\n")
     assert unused_imports(source) == ["system", "gcd"]
+
+
+def test_cli_import_skips_dataclasses_and_typing():
+    script = ("import sys, braidops.cli\n"
+              "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(PACKAGE.parent), "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def test_frozen_record():
+    s = ShuffleObject(("t", "a"), (1,), (1,))
+    assert repr(s) == "ShuffleObject(pattern=('t', 'a'), terrestrial=(1,), aerial=(1,))"
+    same = ShuffleObject(pattern=("t", "a"), aerial=(1,), terrestrial=(1,))
+    assert s == same and hash(s) == hash(same) == hash((("t", "a"), (1,), (1,)))
+    assert s != ShuffleObject(("a", "t"), (1,), (1,))
+    assert ShuffleObject.__eq__(s, ShuffleMorphism(s, s)) is NotImplemented
+    with pytest.raises(AttributeError):
+        s.pattern = ("a", "t")
+    with pytest.raises(AttributeError):
+        del s.aerial
+    with pytest.raises(ValueError):             # __post_init__ still validates
+        ShuffleObject(("t",), (), (1,))
+    with pytest.raises(TypeError):
+        ShuffleObject(("t",), (1,))
+
+
+def test_mutable_records():
+    report = CoherenceReport(True)
+    assert repr(report) == "CoherenceReport(passed=True, families={}, instances_checked={})"
+    assert report.families is not CoherenceReport(True).families
+    assert report == CoherenceReport(passed=True, families={}, instances_checked={})
+    report.passed = False
+    assert report != CoherenceReport(True)
+    assoc = Associator(1, 1, DKElement.one(3, 1), {})
+    assert assoc.mu == Fraction(1) and type(assoc.mu) is Fraction     # __post_init__
+    for record in (report, assoc):
+        with pytest.raises(TypeError):
+            hash(record)
