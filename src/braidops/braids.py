@@ -33,6 +33,9 @@ from collections.abc import Iterable, Sequence
 from .exact import int_from_json
 
 MAX_FREE_WORD = 2 ** 22
+#: largest strand count of a braid word, and most letters a cabling may build
+MAX_BRAID_STRANDS = 1000
+MAX_BRAID_LETTERS = 100_000
 
 
 class Permutation:
@@ -102,6 +105,8 @@ class BraidWord:
     def __init__(self, strands: int, letters: Iterable[int] = ()):
         if strands < 0:
             raise ValueError(f"negative strand count {strands}")
+        if strands > MAX_BRAID_STRANDS:
+            raise ValueError(f"a braid on {strands} strands exceeds the limit of {MAX_BRAID_STRANDS}")
         letters = tuple(letters)
         for l in letters:
             if l == 0 or abs(l) >= strands:
@@ -273,20 +278,18 @@ def inflate(b: BraidWord, widths: Sequence[int]) -> BraidWord:
     """
     widths = list(widths)
     assert len(widths) == b.strands and all(w >= 0 for w in widths)
-    total = sum(widths)
     cur = widths[:]  # widths indexed by current geometric position
-    letters: list[int] = []
+    blocks = []      # per letter: sign, strands left of the block crossing, both widths
     for l in b.letters:
         i = abs(l)
-        sign = 1 if l > 0 else -1
-        a_w = cur[i - 1]
-        b_w = cur[i]
-        s = sum(cur[: i - 1])
-        for ii in range(a_w, 0, -1):
-            for jj in range(1, b_w + 1):
-                letters.append(sign * (s + ii + jj - 1))
+        blocks.append((1 if l > 0 else -1, sum(cur[: i - 1]), cur[i - 1], cur[i]))
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    return BraidWord(total, letters)
+    size = sum(a_w * b_w for _, _, a_w, b_w in blocks)
+    if size > MAX_BRAID_LETTERS:
+        raise ValueError(f"a cabled braid of {size} letters exceeds the limit of "
+                         f"{MAX_BRAID_LETTERS}")
+    return BraidWord(sum(widths), [sign * (s + ii + jj - 1) for sign, s, a_w, b_w in blocks
+                                   for ii in range(a_w, 0, -1) for jj in range(1, b_w + 1)])
 
 
 def cable(b: BraidWord, position: int, width: int) -> BraidWord:

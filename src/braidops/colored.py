@@ -1,10 +1,16 @@
 """Colored permutation-and-braid groupoids on interval configurations.
 
-Morphisms are stored in their split normal form (source object, target
-object, aerial braid).  The terrestrial points of a configuration never cross
-anything, so the terrestrial label order is invariant along any morphism and
-the braid carries all the content; bringing terrestrial points to the left and
-back contributes nothing to the aerial braid.
+All four braid groupoids of the package share one morphism class,
+``BraidMorphism``: a source object, a target object and an aerial braid.  A
+subclass says only how an object projects to labels, through ``ends(obj)``,
+which returns the terrestrial labels and the aerial labels in left-to-right
+order.  ``CoBMorphism`` has label sequences as objects and ``CoPBMorphism``
+interval configurations; the parenthesized ``PaBMorphism`` and
+``PaPBMorphism`` are their pullbacks along ``omega``, with trees as objects.
+The terrestrial points of a configuration never cross anything, so the
+terrestrial label order is invariant along any morphism and the braid carries
+all the content; bringing terrestrial points to the left and back contributes
+nothing to the aerial braid.
 
 Insertion conventions (validated by the operad-axiom suite, not assumed):
 
@@ -24,63 +30,71 @@ from .braids import BraidWord, Permutation, braids_equal, delete_strand, permute
 from .trees import Record, ShuffleObject
 
 
-class CoBMorphism(Record, frozen=True):
-    """Colored-braid morphism: label sequences at both ends and the braid."""
+class BraidMorphism(Record, frozen=True):
+    """Morphism of a braid groupoid: source object, target object and aerial braid.
 
-    src_seq: tuple[int, ...]
-    tgt_seq: tuple[int, ...]
+    A subclass defines the static method ``ends(obj)``: the terrestrial and
+    the aerial labels of an object, left to right.  Construction checks that
+    the braid has one strand per aerial label, that the terrestrial order is
+    kept and that the braid's permutation moves the source's aerial labels
+    onto the target's.
+    """
+
+    src: object
+    tgt: object
     braid: BraidWord
 
+    #: what a permutation-mismatch error calls the ends
+    ends_name = "objects"
+
     def __post_init__(self):
-        m = len(self.src_seq)
-        if self.braid.strands != m or len(self.tgt_seq) != m or \
-                sorted(self.src_seq) != list(range(1, m + 1)):
-            raise ValueError(f"label sequences {self.src_seq}, {self.tgt_seq} do not number "
-                             f"{self.braid.strands} strands")
-        if self.tgt_seq != permute_seq(self.src_seq, self.braid.permutation()):
-            raise ValueError("braid permutation does not match label sequences")
+        (src_t, src_a), (tgt_t, tgt_a) = self.ends(self.src), self.ends(self.tgt)
+        if self.braid.strands != len(src_a) or len(tgt_a) != len(src_a):
+            raise ValueError(f"{self.braid.strands} braid strands between {len(src_a)} "
+                             f"and {len(tgt_a)} aerial points")
+        if src_t != tgt_t:
+            raise ValueError("terrestrial strands cannot cross: label order must be preserved")
+        if tgt_a != permute_seq(src_a, self.braid.permutation()):
+            raise ValueError(f"aerial braid permutation does not match {self.ends_name}")
 
     @classmethod
-    def identity(cls, seq: tuple[int, ...]) -> "CoBMorphism":
-        return cls(tuple(seq), tuple(seq), BraidWord(len(seq)))
+    def identity(cls, obj):
+        return cls(obj, obj, BraidWord(len(cls.ends(obj)[1])))
 
     @property
     def strands(self) -> int:
-        return len(self.src_seq)
+        return self.braid.strands
 
-    def compose(self, other: "CoBMorphism") -> "CoBMorphism":
+    def compose(self, other):
         """self then other (diagram order)."""
-        assert self.tgt_seq == other.src_seq, "object mismatch"
-        return CoBMorphism(self.src_seq, other.tgt_seq, self.braid * other.braid)
+        if self.tgt != other.src:
+            raise ValueError("object mismatch")
+        return type(self)(self.src, other.tgt, self.braid * other.braid)
 
-    def inverse(self) -> "CoBMorphism":
-        return CoBMorphism(self.tgt_seq, self.src_seq, self.braid.inverse())
+    def inverse(self):
+        return type(self)(self.tgt, self.src, self.braid.inverse())
 
-
-class ShuffleMorphism(Record, frozen=True):
-    """The unique order-compatible morphism between two configurations."""
-
-    src: ShuffleObject
-    tgt: ShuffleObject
-
-    def __post_init__(self):
-        assert self.src.terrestrial == self.tgt.terrestrial, "terrestrial orders differ"
-        assert self.src.aerial == self.tgt.aerial, "aerial orders differ"
+    def equals(self, other) -> bool:
+        return (self.src == other.src and self.tgt == other.tgt
+                and braids_equal(self.braid, other.braid))
 
 
-class CoPBMorphism(Record, frozen=True):
-    src: ShuffleObject
-    tgt: ShuffleObject
-    braid: BraidWord
+class CoBMorphism(BraidMorphism, frozen=True):
+    """Colored-braid morphism: label sequences at both ends and the braid."""
 
-    def __post_init__(self):
-        if self.braid.strands != self.src.m or self.tgt.m != self.src.m:
-            raise ValueError(f"{self.braid.strands} braid strands between {self.src.m} "
-                             f"and {self.tgt.m} aerial points")
-        if self.src.terrestrial != self.tgt.terrestrial:
-            raise ValueError("terrestrial strands cannot cross: label order must be preserved")
-        if self.tgt.aerial != permute_seq(self.src.aerial, self.braid.permutation()):
-            raise ValueError("aerial braid permutation does not match objects")
+    @staticmethod
+    def ends(seq: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if sorted(seq) != list(range(1, len(seq) + 1)):
+            raise ValueError(f"label sequence {seq} does not number 1..{len(seq)}")
+        return (), seq
+
+
+class CoPBMorphism(BraidMorphism, frozen=True):
+    """Morphism between interval configurations."""
+
+    @staticmethod
+    def ends(obj: ShuffleObject) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return obj.terrestrial, obj.aerial
 
     @property
     def n(self) -> int:
@@ -90,34 +104,21 @@ class CoPBMorphism(Record, frozen=True):
     def m(self) -> int:
         return self.src.m
 
-    @classmethod
-    def identity(cls, obj: ShuffleObject) -> "CoPBMorphism":
-        return cls(obj, obj, BraidWord(obj.m))
-
-    def inverse(self) -> "CoPBMorphism":
-        return CoPBMorphism(self.tgt, self.src, self.braid.inverse())
-
-    def equals(self, other: "CoPBMorphism") -> bool:
-        return (self.src == other.src and self.tgt == other.tgt
-                and braids_equal(self.braid, other.braid))
-
 
 def copb_compose(g: CoPBMorphism, f: CoPBMorphism) -> CoPBMorphism:
     """Composite g after f."""
-    if f.tgt != g.src:
-        raise ValueError("object mismatch")
-    return CoPBMorphism(f.src, g.tgt, f.braid * g.braid)
+    return f.compose(g)
 
 
-def copb_insert_closed(outer: CoPBMorphism, i: int, inner: CoBMorphism) -> CoPBMorphism:
-    """Insert a colored braid into the tubular neighborhood of aerial strand i."""
-    if not (1 <= i <= outer.m):
-        raise ValueError("slot out of range")
-    src = outer.src.insert_closed(i, inner.src_seq)
-    tgt = outer.tgt.insert_closed(i, inner.tgt_seq)
-    p = outer.src.aerial.index(i) + 1      # starting aerial position of the strand
-    q = outer.braid.permutation()(p)       # its ending position
-    return CoPBMorphism(src, tgt, splice(outer.braid, p, q, inner.braid))
+def closed_insert_braid(aerial: tuple[int, ...], i: int, braid: BraidWord,
+                        inner: BraidWord) -> BraidWord:
+    """Braid of a closed insertion at aerial label i, given the source's aerial labels.
+
+    The strand that starts at label i is cabled and ``inner`` is spliced
+    where it ends.
+    """
+    p = aerial.index(i) + 1
+    return splice(braid, p, braid.permutation()(p), inner)
 
 
 def _corridor_flags(obj: ShuffleObject, j: int) -> tuple[bool, ...]:
@@ -133,18 +134,33 @@ def _corridor_flags(obj: ShuffleObject, j: int) -> tuple[bool, ...]:
     return tuple(pos == left_aerials for pos in range(obj.m + 1))
 
 
+def open_insert_braid(src: ShuffleObject, tgt: ShuffleObject, j: int, braid: BraidWord,
+                      inner: BraidWord) -> BraidWord:
+    """Braid of an open insertion at terrestrial point j between configurations src and tgt.
+
+    The corridor of j is woven through ``braid`` and ``inner`` is spliced
+    along it.
+    """
+    src_flags = _corridor_flags(src, j)
+    tgt_flags = _corridor_flags(tgt, j)
+    woven = weave(braid, src_flags, tgt_flags)
+    return splice(woven, src_flags.index(True) + 1, tgt_flags.index(True) + 1, inner)
+
+
+def copb_insert_closed(outer: CoPBMorphism, i: int, inner: CoBMorphism) -> CoPBMorphism:
+    """Insert a colored braid into the tubular neighborhood of aerial strand i."""
+    if not (1 <= i <= outer.m):
+        raise ValueError("slot out of range")
+    return CoPBMorphism(outer.src.insert_closed(i, inner.src), outer.tgt.insert_closed(i, inner.tgt),
+                        closed_insert_braid(outer.src.aerial, i, outer.braid, inner.braid))
+
+
 def copb_insert_open(outer: CoPBMorphism, j: int, inner: CoPBMorphism) -> CoPBMorphism:
     """Insert a configuration into the corridor of terrestrial point j."""
     if not (1 <= j <= outer.n):
         raise ValueError("slot out of range")
-    src = outer.src.insert_open(j, inner.src)
-    tgt = outer.tgt.insert_open(j, inner.tgt)
-    src_flags = _corridor_flags(outer.src, j)
-    tgt_flags = _corridor_flags(outer.tgt, j)
-    woven = weave(outer.braid, src_flags, tgt_flags)
-    p = src_flags.index(True) + 1
-    q = tgt_flags.index(True) + 1
-    return CoPBMorphism(src, tgt, splice(woven, p, q, inner.braid))
+    return CoPBMorphism(outer.src.insert_open(j, inner.src), outer.tgt.insert_open(j, inner.tgt),
+                        open_insert_braid(outer.src, outer.tgt, j, outer.braid, inner.braid))
 
 
 def restrict_unit_closed(mor: CoPBMorphism, i: int) -> CoPBMorphism:
@@ -180,10 +196,11 @@ def relabel_morphism(mor: CoPBMorphism, open_perm: Permutation | None = None,
 # -- split form ---------------------------------------------------------------
 
 
-def zeta(u: tuple[int, ...], x: CoBMorphism, s: ShuffleMorphism) -> CoPBMorphism:
+def zeta(u: tuple[int, ...], x: CoBMorphism, s: CoPBMorphism) -> CoPBMorphism:
     """Assemble a morphism from terrestrial, braid and shuffle data.
 
-    The shuffle part carries the interleaving patterns; its labels are read
+    The shuffle part, a shuffle-type morphism between identity-labeled
+    configurations, carries the interleaving patterns; its labels are read
     through ``u`` (terrestrial) and through the ends of ``x`` (aerial), which
     is the coinvariant folding.
     """
@@ -196,18 +213,18 @@ def zeta(u: tuple[int, ...], x: CoBMorphism, s: ShuffleMorphism) -> CoPBMorphism
                              tuple(u[t - 1] for t in obj.terrestrial),
                              tuple(aseq[a - 1] for a in obj.aerial))
 
-    return CoPBMorphism(fold(s.src, x.src_seq), fold(s.tgt, x.tgt_seq), x.braid)
+    return CoPBMorphism(fold(s.src, x.src), fold(s.tgt, x.tgt), x.braid)
 
 
-def zeta_inverse(mor: CoPBMorphism) -> tuple[tuple[int, ...], CoBMorphism, ShuffleMorphism]:
+def zeta_inverse(mor: CoPBMorphism) -> tuple[tuple[int, ...], CoBMorphism, CoPBMorphism]:
     """Extract (terrestrial data, aerial braid, shuffle data); inverse to zeta."""
     n, m = mor.n, mor.m
     ident_t = tuple(range(1, n + 1))
     ident_a = tuple(range(1, m + 1))
     u = mor.src.terrestrial
     x = CoBMorphism(mor.src.aerial, mor.tgt.aerial, mor.braid)
-    s = ShuffleMorphism(ShuffleObject(mor.src.pattern, ident_t, ident_a),
-                        ShuffleObject(mor.tgt.pattern, ident_t, ident_a))
+    s = shuffle_type_morphism(ShuffleObject(mor.src.pattern, ident_t, ident_a),
+                              ShuffleObject(mor.tgt.pattern, ident_t, ident_a))
     return u, x, s
 
 

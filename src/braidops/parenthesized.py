@@ -1,8 +1,10 @@
 """Parenthesized permutation-braid operads and their generator calculus.
 
 Morphisms between trees are the morphisms between their interval
-configurations (a pullback along the translation ``omega``), so a morphism is
-(source tree, target tree, underlying configuration morphism).
+configurations (a pullback along the translation ``omega``, which forgets
+parenthesization), so a morphism is (source tree, target tree, braid), a
+``colored.BraidMorphism`` whose configuration morphism has the ``omega`` of
+each tree as its ends.
 
 The five morphism generators (tau, alpha_c, alpha_o, p, psi) are presented
 once, in ``GENERATOR_SHAPES``: source tree, target tree and braid letters.
@@ -24,18 +26,17 @@ left-combed shapes, emit one crossing per braid letter).
 
 from __future__ import annotations
 
-from .braids import BraidWord, braids_equal, permute_seq, splice
+from .braids import BraidWord, braids_equal, delete_strand
 from .colored import (
-    CoBMorphism,
+    BraidMorphism,
     CoPBMorphism,
-    copb_compose,
-    copb_insert_closed,
-    copb_insert_open,
-    relabel_morphism,
+    closed_insert_braid,
+    copb_from_json,
+    copb_to_json,
+    open_insert_braid,
     shuffle_type_morphism,
 )
 from .trees import (
-    Record,
     Tree,
     UNIT_C,
     UNIT_O,
@@ -48,58 +49,28 @@ from .trees import (
     leftcomb_open,
     omega,
     open_labels,
+    parse_tree,
     relabel_tree,
     show_tree,
 )
 
 
-class PaBMorphism(Record, frozen=True):
-    """Morphism of the closed (braid) component: trees plus a braid."""
+class PaBMorphism(BraidMorphism, frozen=True):
+    """Morphism of the closed (braid) component: closed trees and a braid."""
 
-    src: Tree
-    tgt: Tree
-    braid: BraidWord
+    ends_name = "endpoint labels"
 
-    def __post_init__(self):
-        if color(self.src) != "c" or color(self.tgt) != "c":
+    @staticmethod
+    def ends(tree: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if color(tree) != "c":
             raise ValueError("closed-component morphism needs closed trees")
-        sseq, tseq = closed_labels(self.src), closed_labels(self.tgt)
-        if self.braid.strands != len(sseq):
-            raise ValueError(f"{self.braid.strands} braid strands for {len(sseq)} leaves")
-        if tseq != permute_seq(sseq, self.braid.permutation()):
-            raise ValueError("braid permutation does not match endpoint labels")
-
-    @classmethod
-    def identity(cls, tree: Tree) -> "PaBMorphism":
-        return cls(tree, tree, BraidWord(len(closed_labels(tree))))
-
-    @property
-    def strands(self) -> int:
-        return self.braid.strands
-
-    def compose(self, other: "PaBMorphism") -> "PaBMorphism":
-        """self then other."""
-        assert self.tgt == other.src, "object mismatch"
-        return PaBMorphism(self.src, other.tgt, self.braid * other.braid)
-
-    def inverse(self) -> "PaBMorphism":
-        return PaBMorphism(self.tgt, self.src, self.braid.inverse())
-
-    def equals(self, other: "PaBMorphism") -> bool:
-        return (self.src == other.src and self.tgt == other.tgt
-                and braids_equal(self.braid, other.braid))
-
-    def as_cob(self) -> CoBMorphism:
-        return CoBMorphism(closed_labels(self.src), closed_labels(self.tgt), self.braid)
+        return (), closed_labels(tree)
 
 
 def pab_insert(outer: PaBMorphism, i: int, inner: PaBMorphism) -> PaBMorphism:
     """Operadic insertion in the closed component (cable and splice)."""
-    src = graft_closed(outer.src, i, inner.src)
-    tgt = graft_closed(outer.tgt, i, inner.tgt)
-    p = closed_labels(outer.src).index(i) + 1
-    q = outer.braid.permutation()(p)
-    return PaBMorphism(src, tgt, splice(outer.braid, p, q, inner.braid))
+    return PaBMorphism(graft_closed(outer.src, i, inner.src), graft_closed(outer.tgt, i, inner.tgt),
+                       closed_insert_braid(closed_labels(outer.src), i, outer.braid, inner.braid))
 
 
 def pab_relabel(mor: PaBMorphism, closed_map: dict[int, int]) -> PaBMorphism:
@@ -109,99 +80,55 @@ def pab_relabel(mor: PaBMorphism, closed_map: dict[int, int]) -> PaBMorphism:
 
 def pab_restrict(mor: PaBMorphism, i: int) -> PaBMorphism:
     """Compose with the closed unit at slot i: delete that strand everywhere."""
-    from .braids import delete_strand
-
-    seq = closed_labels(mor.src)
-    p = seq.index(i) + 1
-    return PaBMorphism(graft_closed(mor.src, i, UNIT_C),
-                       graft_closed(mor.tgt, i, UNIT_C),
-                       delete_strand(mor.braid, p))
+    return PaBMorphism(graft_closed(mor.src, i, UNIT_C), graft_closed(mor.tgt, i, UNIT_C),
+                       delete_strand(mor.braid, closed_labels(mor.src).index(i) + 1))
 
 
-class PaPBMorphism(Record, frozen=True):
-    """Morphism of the parenthesized two-colored operad."""
+class PaPBMorphism(BraidMorphism, frozen=True):
+    """Morphism of the parenthesized two-colored operad: open trees and a braid."""
 
-    source: Tree
-    target: Tree
-    underlying: CoPBMorphism
-
-    def __post_init__(self):
-        if color(self.source) != "o" or color(self.target) != "o":
+    @staticmethod
+    def ends(tree: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if color(tree) != "o":
             raise ValueError("morphism needs open trees")
-        if omega(self.source) != self.underlying.src:
-            raise ValueError("source does not project to the underlying source")
-        if omega(self.target) != self.underlying.tgt:
-            raise ValueError("target does not project to the underlying target")
-
-    @classmethod
-    def identity(cls, tree: Tree) -> "PaPBMorphism":
-        return cls(tree, tree, CoPBMorphism.identity(omega(tree)))
-
-    @property
-    def braid(self) -> BraidWord:
-        return self.underlying.braid
+        ob = omega(tree)
+        return ob.terrestrial, ob.aerial
 
     def narity(self) -> tuple[int, int]:
-        return arity(self.source)
-
-    def compose(self, other: "PaPBMorphism") -> "PaPBMorphism":
-        """self then other."""
-        assert self.target == other.source, "object mismatch"
-        return PaPBMorphism(self.source, other.target,
-                            copb_compose(other.underlying, self.underlying))
-
-    def inverse(self) -> "PaPBMorphism":
-        return PaPBMorphism(self.target, self.source, self.underlying.inverse())
-
-    def equals(self, other: "PaPBMorphism") -> bool:
-        return (self.source == other.source and self.target == other.target
-                and self.underlying.equals(other.underlying))
+        return arity(self.src)
 
 
 def papb_insert_closed(outer: PaPBMorphism, i: int, inner: PaBMorphism) -> PaPBMorphism:
-    return PaPBMorphism(graft_closed(outer.source, i, inner.src),
-                        graft_closed(outer.target, i, inner.tgt),
-                        copb_insert_closed(outer.underlying, i, inner.as_cob()))
+    return PaPBMorphism(graft_closed(outer.src, i, inner.src), graft_closed(outer.tgt, i, inner.tgt),
+                        closed_insert_braid(closed_labels(outer.src), i, outer.braid, inner.braid))
 
 
 def papb_insert_open(outer: PaPBMorphism, j: int, inner: PaPBMorphism) -> PaPBMorphism:
-    return PaPBMorphism(graft_open(outer.source, j, inner.source),
-                        graft_open(outer.target, j, inner.target),
-                        copb_insert_open(outer.underlying, j, inner.underlying))
+    return PaPBMorphism(graft_open(outer.src, j, inner.src), graft_open(outer.tgt, j, inner.tgt),
+                        open_insert_braid(omega(outer.src), omega(outer.tgt), j,
+                                          outer.braid, inner.braid))
 
 
 def papb_restrict_closed(mor: PaPBMorphism, i: int) -> PaPBMorphism:
     """Forget the aerial strand labeled i (unitary extension)."""
-    from .colored import restrict_unit_closed
-
-    return PaPBMorphism(graft_closed(mor.source, i, UNIT_C),
-                        graft_closed(mor.target, i, UNIT_C),
-                        restrict_unit_closed(mor.underlying, i))
+    return PaPBMorphism(graft_closed(mor.src, i, UNIT_C), graft_closed(mor.tgt, i, UNIT_C),
+                        delete_strand(mor.braid, closed_labels(mor.src).index(i) + 1))
 
 
 def papb_restrict_open(mor: PaPBMorphism, j: int) -> PaPBMorphism:
     """Forget the terrestrial point labeled j (unitary extension)."""
-    from .colored import restrict_unit_open
-
-    return PaPBMorphism(graft_open(mor.source, j, UNIT_O),
-                        graft_open(mor.target, j, UNIT_O),
-                        restrict_unit_open(mor.underlying, j))
+    return PaPBMorphism(graft_open(mor.src, j, UNIT_O), graft_open(mor.tgt, j, UNIT_O), mor.braid)
 
 
 def papb_relabel(mor: PaPBMorphism, open_map: dict[int, int] | None,
                  closed_map: dict[int, int] | None) -> PaPBMorphism:
-    operm = (lambda l: open_map.get(l, l)) if open_map else None
-    cperm = (lambda l: closed_map.get(l, l)) if closed_map else None
-    return PaPBMorphism(relabel_tree(mor.source, open_map, closed_map),
-                        relabel_tree(mor.target, open_map, closed_map),
-                        relabel_morphism(mor.underlying, operm, cperm))
+    return PaPBMorphism(relabel_tree(mor.src, open_map, closed_map),
+                        relabel_tree(mor.tgt, open_map, closed_map), mor.braid)
 
 
 def papb_shuffle_type(src: Tree, tgt: Tree) -> PaPBMorphism | None:
     under = shuffle_type_morphism(omega(src), omega(tgt))
-    if under is None:
-        return None
-    return PaPBMorphism(src, tgt, under)
+    return None if under is None else PaPBMorphism(src, tgt, under.braid)
 
 
 # -- the named generators ------------------------------------------------------
@@ -225,11 +152,8 @@ def generators() -> dict:
     """The three object generators and five morphism generators."""
     out = {"mu_c": ("mc", _X1, _X2), "mu_o": ("mo", _Y1, _Y2), "f": ("f", _X1)}
     for name, (src, tgt, letters) in GENERATOR_SHAPES.items():
-        braid = BraidWord(len(closed_labels(src)), letters)
-        if color(src) == "c":
-            out[name] = PaBMorphism(src, tgt, braid)
-        else:
-            out[name] = PaPBMorphism(src, tgt, CoPBMorphism(omega(src), omega(tgt), braid))
+        cls = PaBMorphism if color(src) == "c" else PaPBMorphism
+        out[name] = cls(src, tgt, BraidWord(len(closed_labels(src)), letters))
     return out
 
 
@@ -625,14 +549,14 @@ def decompose(mor: PaPBMorphism, x1p: Tree | None = None, x2p: Tree | None = Non
     reparenthesization and x_closed carries the whole braid.
     """
     if x1p is None:
-        x1p = concat_form(mor.source)
+        x1p = concat_form(mor.src)
     if x2p is None:
-        x2p = concat_form(mor.target)
-    mu = papb_shuffle_type(mor.source, x1p)
-    mu_prime = papb_shuffle_type(x2p, mor.target)
-    assert mu is not None and mu_prime is not None, "intermediates must preserve both orders"
-    ob1, ob2 = omega(mor.source), omega(mor.target)
+        x2p = concat_form(mor.tgt)
+    ob1, ob2 = omega(mor.src), omega(mor.tgt)
     n, m = ob1.n, ob1.m
+    # shuffle-type: no crossings, so the intermediates must keep both label orders
+    mu = PaPBMorphism(mor.src, x1p, BraidWord(m))
+    mu_prime = PaPBMorphism(x2p, mor.tgt, BraidWord(m))
     if n > 0:
         u1 = subtree_at(x1p, (1,)) if m > 0 else x1p
         u2 = subtree_at(x2p, (1,)) if m > 0 else x2p
@@ -659,28 +583,23 @@ def _concat_morphism(x_open, x_closed) -> PaPBMorphism:
     if x_open is None and x_closed is None:
         return PaPBMorphism.identity(UNIT_O)
     if x_open is None:
-        src, tgt = ("f", x_closed.src), ("f", x_closed.tgt)
-        under = CoPBMorphism(omega(src), omega(tgt), x_closed.braid)
-        return PaPBMorphism(src, tgt, under)
+        return PaPBMorphism(("f", x_closed.src), ("f", x_closed.tgt), x_closed.braid)
     u1, u2 = x_open
     if x_closed is None:
-        under = CoPBMorphism(omega(u1), omega(u2), BraidWord(0))
-        return PaPBMorphism(u1, u2, under)
-    src = ("mo", u1, ("f", x_closed.src))
-    tgt = ("mo", u2, ("f", x_closed.tgt))
-    under = CoPBMorphism(omega(src), omega(tgt), x_closed.braid)
-    return PaPBMorphism(src, tgt, under)
+        return PaPBMorphism(u1, u2, BraidWord(0))
+    return PaPBMorphism(("mo", u1, ("f", x_closed.src)), ("mo", u2, ("f", x_closed.tgt)),
+                        x_closed.braid)
 
 
 def to_generator_word(mor: PaPBMorphism, x1p: Tree | None = None, x2p: Tree | None = None) -> Word:
     """Express a morphism in the eight generators; evaluation reproduces it."""
     if x1p is None:
-        x1p = concat_form(mor.source)
+        x1p = concat_form(mor.src)
     if x2p is None:
-        x2p = concat_form(mor.target)
+        x2p = concat_form(mor.tgt)
     mu, x_open, x_closed, mu_prime = decompose(mor, x1p, x2p)
-    w_mu = shuffle_word(mor.source, x1p)
-    w_mu_prime = shuffle_word(x2p, mor.target)
+    w_mu = shuffle_word(mor.src, x1p)
+    w_mu_prime = shuffle_word(x2p, mor.tgt)
 
     if x_open is None and x_closed is None:
         middle = w_id(UNIT_O)
@@ -698,15 +617,16 @@ def to_generator_word(mor: PaPBMorphism, x1p: Tree | None = None, x2p: Tree | No
 
 
 def papb_to_json(mor: PaPBMorphism) -> dict:
-    from .colored import copb_to_json
-
-    return {"src": show_tree(mor.source), "tgt": show_tree(mor.target),
-            "underlying": copb_to_json(mor.underlying)}
+    return {"src": show_tree(mor.src), "tgt": show_tree(mor.tgt),
+            "underlying": copb_to_json(CoPBMorphism(omega(mor.src), omega(mor.tgt), mor.braid))}
 
 
 def papb_from_json(data: dict) -> PaPBMorphism:
-    from .colored import copb_from_json
-    from .trees import parse_tree
-
-    return PaPBMorphism(parse_tree(data["src"]), parse_tree(data["tgt"]),
-                        copb_from_json(data["underlying"]))
+    """Read a morphism written with its underlying configuration morphism, checking both agree."""
+    src, tgt = parse_tree(data["src"]), parse_tree(data["tgt"])
+    under = copb_from_json(data["underlying"])
+    if omega(src) != under.src:
+        raise ValueError("source does not project to the underlying source")
+    if omega(tgt) != under.tgt:
+        raise ValueError("target does not project to the underlying target")
+    return PaPBMorphism(src, tgt, under.braid)

@@ -30,9 +30,10 @@ UNIT_O: Tree = ("uo",)
 class Record:
     """Base of the package's record classes, in place of ``dataclasses``.
 
-    The fields are the subclass's own annotations, in order, and an instance's
-    dictionary holds exactly its fields.  Construction is positional or by
-    keyword, then runs ``__post_init__``; a field missing from the call takes
+    The fields are the subclass's own annotations, in order, or its base's
+    fields when it declares none; an instance's dictionary holds exactly its
+    fields.  Construction is positional or by keyword, then runs
+    ``__post_init__``; a field missing from the call takes
     ``_defaults[name]()``.  ``repr`` has the dataclass format and ``==``
     compares the fields of two instances of one class.  A ``frozen=True``
     subclass refuses assignment and hashes its fields; any other is unhashable.
@@ -43,7 +44,7 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__annotations__)
+        cls._fields = tuple(cls.__annotations__) or cls._fields
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse_assignment
         else:
@@ -363,14 +364,15 @@ def omega(t: Tree) -> ShuffleObject:
     """Forget parenthesization: leaves in left-to-right order, x aerial, y terrestrial."""
     if t in (UNIT_O, UNIT_C):
         return ShuffleObject((), (), ())
-    slots: list[tuple[str, int]] = []
+    pattern: list[str] = []
+    labels = {"a": [], "t": []}
 
     def walk(s: Tree):
         tag = s[0]
-        if tag == "x":
-            slots.append(("a", s[1]))
-        elif tag == "y":
-            slots.append(("t", s[1]))
+        if tag in ("x", "y"):
+            kind = "a" if tag == "x" else "t"
+            pattern.append(kind)
+            labels[kind].append(s[1])
         elif tag == "f":
             walk(s[1])
         elif tag in ("mc", "mo"):
@@ -380,7 +382,7 @@ def omega(t: Tree) -> ShuffleObject:
             raise ValueError("unit leaf inside a tree; normalize first")
 
     walk(t)
-    return ShuffleObject.from_slots(slots)
+    return ShuffleObject(tuple(pattern), tuple(labels["t"]), tuple(labels["a"]))
 
 
 def u_flatten(t: Tree) -> Tree:

@@ -37,11 +37,11 @@ from braidops.coherence import (
 from braidops.colored import (
     CoBMorphism,
     CoPBMorphism,
-    ShuffleMorphism,
     copb_compose,
     copb_insert_closed,
     copb_insert_open,
     relabel_morphism,
+    shuffle_type_morphism,
     zeta,
     zeta_inverse,
 )
@@ -313,10 +313,10 @@ def test_criterion_4_zeta_isomorphism():
         comp = copb_compose(g, f)
         uf, xf, sf = zeta_inverse(f)
         ug, xg, sg = zeta_inverse(g)
-        xcomp = CoBMorphism(xf.src_seq,
-                            permute_seq(xf.src_seq, (xf.braid * xg.braid).permutation()),
+        xcomp = CoBMorphism(xf.src,
+                            permute_seq(xf.src, (xf.braid * xg.braid).permutation()),
                             xf.braid * xg.braid)
-        transported = zeta(uf, xcomp, ShuffleMorphism(sf.src, sg.tgt))
+        transported = zeta(uf, xcomp, shuffle_type_morphism(sf.src, sg.tgt))
         ok = ok and transported.src == comp.src and transported.tgt == comp.tgt \
             and braids_equal(transported.braid, comp.braid)
     report(4, f"zeta round-trip ({count} exhaustive cases) and transported composition", ok)

@@ -29,6 +29,7 @@ from braidops.braids import (
     permute_seq,
     weave,
 )
+from braidops.cli import run as cli_run
 
 
 def block_inflation(perm: Permutation, widths: Sequence[int]) -> Permutation:
@@ -438,3 +439,38 @@ def test_free_word_guard_under_optimize():
     assert out.returncode == 0
     assert out.stderr == "error: free word exceeds the limit of 8 letters for braid equality\n"
     assert out.stdout.splitlines()[0] == "2" and out.stdout.splitlines()[-1] == "0"
+
+
+# -- the braid size guards -------------------------------------------------------
+#
+# Both caps are lowered here, so no oversized braid is ever built: a braid on
+# 7 strands is past a strand cap of 6, and cabling s1 s2 with width 5 at
+# position 1 builds 5 + 5 = 10 letters, past a letter cap of 9 (width 4 builds 8).
+
+SIZE_REQUESTS = [
+    (["braid", "perm", "", "--strands", "7"], "a braid on 7 strands exceeds the limit of 6"),
+    (["braid", "cable", "s1 s2", "--strands", "3", "--position", "1", "--width", "5"],
+     "a cabled braid of 10 letters exceeds the limit of 9"),
+]
+
+
+def test_braid_size_guards(monkeypatch, capsys):
+    monkeypatch.setattr(braids, "MAX_BRAID_STRANDS", 6)
+    monkeypatch.setattr(braids, "MAX_BRAID_LETTERS", 9)
+    assert BraidWord(6).strands == 6
+    assert len(cable(parse_braid("s1 s2", 3), 1, 4)) == 8
+    for argv, message in SIZE_REQUESTS:
+        assert cli_run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_braid_size_guards_under_optimize():
+    script = ("import braidops.braids as braids, braidops.cli as cli\n"
+              "braids.MAX_BRAID_STRANDS, braids.MAX_BRAID_LETTERS = 6, 9\n"
+              + "".join(f"print(cli.run({argv!r}))\n" for argv, _ in SIZE_REQUESTS))
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         timeout=60, env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0 and out.stdout.split() == ["2", "2"]
+    assert out.stderr == "".join(f"error: {message}\n" for _, message in SIZE_REQUESTS)

@@ -98,7 +98,7 @@ def test_theta_well_defined_on_decompositions():
             continue
         mor = rand_papb_morphism(rng, n, m, max_len=4)
         w1 = to_generator_word(mor)
-        ob1, ob2 = omega(mor.source), omega(mor.target)
+        ob1, ob2 = omega(mor.src), omega(mor.tgt)
         if m > 0 and n > 0:
             x1p = mo(leftcomb_open(ob1.terrestrial), f(rightcomb_closed(ob1.aerial)))
             x2p = mo(leftcomb_open(ob2.terrestrial), f(rightcomb_closed(ob2.aerial)))

@@ -5,7 +5,6 @@ from braidops.braids import BraidWord, Permutation, braids_equal, permute_seq
 from braidops.colored import (
     CoBMorphism,
     CoPBMorphism,
-    ShuffleMorphism,
     copb_compose,
     copb_from_json,
     copb_insert_closed,
@@ -212,10 +211,10 @@ def test_zeta_transports_composition():
         ug, xg, sg = zeta_inverse(g)
         # composite in split form: terrestrial parts agree, braids concatenate
         assert uf == ug == comp.src.terrestrial
-        xcomp = CoBMorphism(xf.src_seq,
-                            permute_seq(xf.src_seq, (xf.braid * xg.braid).permutation()),
+        xcomp = CoBMorphism(xf.src,
+                            permute_seq(xf.src, (xf.braid * xg.braid).permutation()),
                             xf.braid * xg.braid)
-        scomp = ShuffleMorphism(sf.src, sg.tgt)
+        scomp = shuffle_type_morphism(sf.src, sg.tgt)
         transported = zeta(uf, xcomp, scomp)
         assert transported.src == comp.src and braids_equal(transported.braid, comp.braid)
         assert transported.tgt == comp.tgt

@@ -15,7 +15,7 @@ import pytest
 from braidops.associator import Associator
 from braidops.chords import DKElement
 from braidops.coherence import CoherenceReport
-from braidops.colored import ShuffleMorphism
+from braidops.colored import CoPBMorphism
 from braidops.trees import ShuffleObject
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "braidops"
@@ -61,7 +61,8 @@ def test_frozen_record():
     same = ShuffleObject(pattern=("t", "a"), aerial=(1,), terrestrial=(1,))
     assert s == same and hash(s) == hash(same) == hash((("t", "a"), (1,), (1,)))
     assert s != ShuffleObject(("a", "t"), (1,), (1,))
-    assert ShuffleObject.__eq__(s, ShuffleMorphism(s, s)) is NotImplemented
+    assert ShuffleObject.__eq__(s, CoPBMorphism.identity(s)) is NotImplemented
+    assert CoPBMorphism._fields == ("src", "tgt", "braid")  # a subclass without annotations inherits
     with pytest.raises(AttributeError):
         s.pattern = ("a", "t")
     with pytest.raises(AttributeError):

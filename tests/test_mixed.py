@@ -4,7 +4,7 @@ from fractions import Fraction
 from braidops.associator import Associator, solve_associator
 from braidops.braids import BraidWord, braids_equal, crossings, permute_seq
 from braidops.chords import DKElement, PaCDMorphism, grouplike_check
-from braidops.colored import copb_insert_closed, copb_insert_open
+from braidops.colored import CoBMorphism, copb_insert_closed, copb_insert_open
 from braidops.mixed import (
     PaPBPrimeElement,
     _canonical_carrier,
@@ -227,7 +227,8 @@ def test_right_module_law():
         i = rng.randint(1, m)
         grown = prime_insert_closed(e, i, yy)
         lhs = to_copb(grown)
-        rhs = copb_insert_closed(to_copb(e), i, yy.as_cob())
+        inner = CoBMorphism(closed_labels(yy.src), closed_labels(yy.tgt), yy.braid)
+        rhs = copb_insert_closed(to_copb(e), i, inner)
         assert lhs.src == rhs.src and lhs.tgt == rhs.tgt
         assert braids_equal(lhs.braid, rhs.braid)
 

@@ -1,7 +1,18 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from braidops.braids import BraidWord, braids_equal, permute_seq
-from braidops.colored import CoPBMorphism
+from braidops.colored import (
+    CoBMorphism,
+    CoPBMorphism,
+    copb_insert_closed,
+    copb_insert_open,
+    relabel_morphism,
+    restrict_unit_closed,
+    restrict_unit_open,
+)
 from braidops.parenthesized import (
     GENERATOR_SHAPES,
     PaBMorphism,
@@ -17,6 +28,9 @@ from braidops.parenthesized import (
     papb_from_json,
     papb_insert_closed,
     papb_insert_open,
+    papb_relabel,
+    papb_restrict_closed,
+    papb_restrict_open,
     papb_shuffle_type,
     papb_to_json,
     recompose,
@@ -26,6 +40,7 @@ from braidops.parenthesized import (
     word_to_sexpr,
 )
 from braidops.trees import (
+    closed_labels,
     enumerate_closed_trees,
     enumerate_trees,
     mc,
@@ -45,16 +60,14 @@ def rand_closed_morphism(rng, m, max_len=5):
     letters = [rng.choice([1, -1]) * rng.randint(1, m - 1)
                for _ in range(rng.randint(0, max_len))] if m >= 2 else []
     braid = BraidWord(m, letters)
-    from braidops.trees import closed_labels
-
     tseq = permute_seq(closed_labels(src), braid.permutation())
     # choose a target tree whose leaf sequence matches
     candidates = [t for t in enumerate_closed_trees(m) if closed_labels(t) == tseq]
     return PaBMorphism(src, rng.choice(candidates), braid)
 
 
-def rand_papb_morphism(rng, n, m, max_len=5):
-    src = rng.choice(enumerate_trees(n, m))
+def rand_papb_morphism(rng, n, m, max_len=5, src=None):
+    src = src or rng.choice(enumerate_trees(n, m))
     letters = [rng.choice([1, -1]) * rng.randint(1, m - 1)
                for _ in range(rng.randint(0, max_len))] if m >= 2 else []
     braid = BraidWord(m, letters)
@@ -63,7 +76,7 @@ def rand_papb_morphism(rng, n, m, max_len=5):
     candidates = [t for t in enumerate_trees(n, m)
                   if omega(t).terrestrial == ob1.terrestrial and omega(t).aerial == aer]
     tgt = rng.choice(candidates)
-    return PaPBMorphism(src, tgt, CoPBMorphism(ob1, omega(tgt), braid))
+    return PaPBMorphism(src, tgt, braid)
 
 
 def test_generator_signatures():
@@ -72,18 +85,18 @@ def test_generator_signatures():
     assert g["tau"].braid.permutation().images == (2, 1)
     assert g["alpha_c"].src == mc(mc(x(1), x(2)), x(3))
     assert g["alpha_c"].tgt == mc(x(1), mc(x(2), x(3)))
-    assert g["psi"].source == mo(f(x(1)), y(1))
-    assert g["psi"].target == mo(y(1), f(x(1)))
+    assert g["psi"].src == mo(f(x(1)), y(1))
+    assert g["psi"].tgt == mo(y(1), f(x(1)))
     assert g["psi"].braid == BraidWord(1)
-    assert g["p"].source == mo(f(x(1)), f(x(2)))
-    assert g["p"].target == f(mc(x(1), x(2)))
-    assert g["alpha_o"].source == mo(mo(y(1), y(2)), y(3))
+    assert g["p"].src == mo(f(x(1)), f(x(2)))
+    assert g["p"].tgt == f(mc(x(1), x(2)))
+    assert g["alpha_o"].src == mo(mo(y(1), y(2)), y(3))
 
 
 def test_psi_roundtrip_and_tau_square():
     g = generators()
     psi = g["psi"]
-    assert psi.compose(psi.inverse()).equals(PaPBMorphism.identity(psi.source))
+    assert psi.compose(psi.inverse()).equals(PaPBMorphism.identity(psi.src))
     tau = g["tau"]
     relabeled = __import__("braidops.parenthesized", fromlist=["pab_relabel"]) \
         .pab_relabel(tau, {1: 2, 2: 1})
@@ -104,8 +117,8 @@ def test_psi_insert_open_is_f_tau_conjugate():
     # single positive crossing, the same braid letter as tau
     g = generators()
     out = papb_insert_open(g["psi"], 1, PaPBMorphism.identity(f(x(1))))
-    assert out.source == mo(f(x(2)), f(x(1)))
-    assert out.target == mo(f(x(1)), f(x(2)))
+    assert out.src == mo(f(x(2)), f(x(1)))
+    assert out.tgt == mo(f(x(1)), f(x(2)))
     assert out.braid.letters == (1,)
 
 
@@ -138,7 +151,7 @@ def test_context_apply_psi_mixed():
     tree = mo(y(2), mo(f(mc(x(1), x(2))), y(1)))
     word, nxt = context_apply(tree, (2,), "psi", 1)
     mor = evaluate_word(word, ALG)
-    assert mor.source == tree and mor.target == nxt
+    assert mor.src == tree and mor.tgt == nxt
     assert nxt == mo(y(2), mo(y(1), f(mc(x(1), x(2)))))
 
 
@@ -167,7 +180,7 @@ def test_shuffle_word_selfeval():
         word = shuffle_word(src, tgt)
         ev = evaluate_word(word, ALG)
         expected = papb_shuffle_type(src, tgt)
-        assert ev.source == src and ev.target == tgt
+        assert ev.src == src and ev.tgt == tgt
         assert ev.equals(expected)
 
 
@@ -224,7 +237,7 @@ def test_to_generator_word_selfeval():
 
 def test_to_generator_word_sigma_squared_counts_taus():
     src = f(mc(x(1), x(2)))
-    mor = PaPBMorphism(src, src, CoPBMorphism(omega(src), omega(src), BraidWord(2, [1, 1])))
+    mor = PaPBMorphism(src, src, BraidWord(2, [1, 1]))
     word = to_generator_word(mor)
     assert word_to_sexpr(word).count("tau") == 2
     assert evaluate_word(word, ALG).equals(mor)
@@ -242,7 +255,7 @@ def test_to_generator_word_alternate_intermediates():
 
     for _ in range(20):
         mor = rand_papb_morphism(rng, 1, 2, max_len=4)
-        ob1, ob2 = omega(mor.source), omega(mor.target)
+        ob1, ob2 = omega(mor.src), omega(mor.tgt)
         x1p = mo(leftcomb_open(ob1.terrestrial), f(rightcomb_closed(ob1.aerial)))
         x2p = mo(leftcomb_open(ob2.terrestrial), f(rightcomb_closed(ob2.aerial)))
         word = to_generator_word(mor, x1p, x2p)
@@ -290,15 +303,12 @@ def test_pab_restrict():
 
 
 def test_papb_restrict():
-    from braidops.parenthesized import papb_restrict_closed, papb_restrict_open
-
     g = generators()
     psi = g["psi"]
     no_aerial = papb_restrict_closed(psi, 1)
-    assert no_aerial.source == no_aerial.target == __import__("braidops.trees",
-                                                              fromlist=["y"]).y(1)
+    assert no_aerial.src == no_aerial.tgt == y(1)
     no_ground = papb_restrict_open(psi, 1)
-    assert no_ground.source == no_ground.target == f(x(1))
+    assert no_ground.src == no_ground.tgt == f(x(1))
     rng = random.Random(8)
     for _ in range(15):
         mor = rand_papb_morphism(rng, 1, 2, max_len=4)
@@ -306,3 +316,71 @@ def test_papb_restrict():
         assert out.narity() == (1, 1)
         out2 = papb_restrict_open(mor, 1)
         assert out2.narity() == (0, 2)
+
+
+# -- the projection to configurations ---------------------------------------------
+
+
+def project(mor: PaPBMorphism) -> CoPBMorphism:
+    """The configuration morphism of a tree morphism: omega of both ends, the same braid."""
+    return CoPBMorphism(omega(mor.src), omega(mor.tgt), mor.braid)
+
+
+def test_projection_commutes_with_every_operation():
+    """omega is a map of operads: projecting then operating is operating then projecting."""
+    rng = random.Random(11)
+    for _ in range(60):
+        n, m = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+        f = rand_papb_morphism(rng, n, m)
+        g = rand_papb_morphism(rng, n, m, src=f.tgt)
+        assert project(f.compose(g)) == project(f).compose(project(g))
+        assert project(f.inverse()) == project(f).inverse()
+
+        i, j = rng.randint(1, m), rng.randint(1, n)
+        closed = rand_closed_morphism(rng, rng.randint(1, 3))
+        cob = CoBMorphism(closed_labels(closed.src), closed_labels(closed.tgt), closed.braid)
+        assert project(papb_insert_closed(f, i, closed)) == copb_insert_closed(project(f), i, cob)
+        n2, m2 = rng.choice([(0, 1), (0, 2), (1, 0), (1, 1), (2, 1), (1, 2)])
+        inner = rand_papb_morphism(rng, n2, m2)
+        assert project(papb_insert_open(f, j, inner)) == \
+            copb_insert_open(project(f), j, project(inner))
+
+        assert project(papb_restrict_closed(f, i)) == restrict_unit_closed(project(f), i)
+        assert project(papb_restrict_open(f, j)) == restrict_unit_open(project(f), j)
+
+        open_map = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+        closed_map = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
+        assert project(papb_relabel(f, open_map, closed_map)) == \
+            relabel_morphism(project(f), open_map.get, closed_map.get)
+
+
+NOT_COMPOSABLE = """
+from braidops.colored import CoBMorphism, CoPBMorphism
+from braidops.parenthesized import PaBMorphism, PaPBMorphism
+from braidops.trees import ShuffleObject, parse_tree
+
+pairs = [
+    (CoBMorphism.identity((1, 2)), CoBMorphism.identity((2, 1))),
+    (CoPBMorphism.identity(ShuffleObject(("t", "a"), (1,), (1,))),
+     CoPBMorphism.identity(ShuffleObject(("a", "t"), (1,), (1,)))),
+    (PaBMorphism.identity(parse_tree("mc(x1,mc(x2,x3))")),
+     PaBMorphism.identity(parse_tree("mc(mc(x1,x2),x3)"))),
+    (PaPBMorphism.identity(parse_tree("mo(y1,mo(y2,y3))")),
+     PaPBMorphism.identity(parse_tree("mo(mo(y1,y2),y3)"))),
+]
+for f, g in pairs:
+    try:
+        print(type(f).__name__, f.compose(g))
+    except ValueError as exc:
+        print(type(f).__name__, "ValueError:", exc)
+"""
+
+
+def test_compose_not_composable_under_optimize():
+    """Composing morphisms whose middle objects differ raises, also where asserts are stripped."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", NOT_COMPOSABLE], capture_output=True,
+                         text=True, timeout=60, env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.splitlines() == [f"{name} ValueError: object mismatch" for name in (
+        "CoBMorphism", "CoPBMorphism", "PaBMorphism", "PaPBMorphism")]

@@ -5,7 +5,8 @@
 requests in process through ``cli.run`` with the benchmark worker's own
 ``run_request``, so a change that moves any recorded output fails here too.
 Run as a script, the module replays ``cli-mix`` and prints the request count
-and the mismatches as JSON.
+and the mismatches as JSON.  One more test installs the benchmark's tracer and
+checks that every name it wraps still exists.
 """
 
 import importlib.util
@@ -24,14 +25,14 @@ def _load(name: str) -> dict:
         return json.load(fh)
 
 
-def _worker():
-    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKER = _worker()
+WORKER = _perfbench_module("worker")
 
 
 def replay_cli_mix() -> tuple[int, list[str]]:
@@ -70,6 +71,17 @@ def test_assoc_solve_recorded_digest():
     rc, out, _ = WORKER.run_request(run, {"argv": argv}, [], WORKER.plain_clock)
     assert rc == 0
     assert WORKER.digest(out) == recorded["digests"]["1"]
+
+
+def test_every_tracer_target_exists():
+    """Every name the benchmark's tracer wraps is still defined, so no traced metric reads null."""
+    tracer_module = _perfbench_module("tracer")
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        assert not tracer.missing, sorted(tracer.missing)
+    finally:
+        tracer.uninstall()
 
 
 if __name__ == "__main__":
