@@ -6,10 +6,9 @@ Conventions, fixed once for the whole package:
 * The generator ``i`` (written ``s<i>``) crosses the strand at position ``i``
   over the strand at position ``i+1``; ``-i`` (written ``S<i>``) is its
   inverse.
-* ``Permutation`` multiplication is diagrammatic: ``(p * q)(x) = q(p(x))``,
-  i.e. ``p`` acts first.  With this convention ``b.permutation()`` maps a
-  strand's starting position to its ending position and is a homomorphism for
-  word concatenation.
+* A permutation is its tuple of images: entry ``p-1`` of ``b.permutation()``
+  is the end position of the strand that starts at position ``p``, so the
+  permutation of ``a * b`` is that of ``a`` followed by that of ``b``.
 
 Equality of braids a, b is decided on the quotient c = a b^-1 in three steps:
 
@@ -38,62 +37,12 @@ MAX_BRAID_STRANDS = 1000
 MAX_BRAID_LETTERS = 100_000
 
 
-class Permutation:
-    """Bijection of {1..n}; images[i-1] is the image of i."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Sequence[int]):
-        images = tuple(images)
-        n = len(images)
-        assert sorted(images) == list(range(1, n + 1)), f"not a permutation: {images}"
-        self.images = images
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def transposition(cls, n: int, i: int) -> "Permutation":
-        assert 1 <= i < n
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(images)
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # self first, then other
-        assert self.size == other.size
-        return Permutation(tuple(other(self(i)) for i in range(1, self.size + 1)))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.size
-        for i, j in enumerate(self.images, start=1):
-            images[j - 1] = i
-        return Permutation(images)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation{self.images}"
-
-
-def permute_seq(seq: Sequence, perm: Permutation) -> tuple:
-    """Move seq entries along the permutation: out[perm(i)] = seq[i] (1-based)."""
-    assert len(seq) == perm.size
+def permute_seq(seq: Sequence, images: Sequence[int]) -> tuple:
+    """Move seq entries along a permutation's images: out[images[p-1]-1] = seq[p-1]."""
+    assert len(seq) == len(images)
     out = [None] * len(seq)
-    for p in range(1, len(seq) + 1):
-        out[perm(p) - 1] = seq[p - 1]
+    for item, q in zip(seq, images):
+        out[q - 1] = item
     return tuple(out)
 
 
@@ -132,11 +81,13 @@ class BraidWord:
         assert strands >= self.strands + k
         return BraidWord(strands, tuple(l + k if l > 0 else l - k for l in self.letters))
 
-    def permutation(self) -> Permutation:
-        perm = Permutation.identity(self.strands)
+    def permutation(self) -> tuple[int, ...]:
+        """Image tuple: entry p-1 is the end position of the strand that starts at p."""
+        order = list(range(1, self.strands + 1))  # order[q-1]: start of the strand now at q
         for l in self.letters:
-            perm = perm * Permutation.transposition(self.strands, abs(l))
-        return perm
+            i = abs(l)
+            order[i - 1], order[i] = order[i], order[i - 1]
+        return permute_seq(range(1, self.strands + 1), order)
 
     def __eq__(self, other):
         return (isinstance(other, BraidWord)
@@ -168,38 +119,26 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
 
 def _act_letter(letter: int, word: tuple[int, ...]) -> tuple[int, ...]:
     """Image of a free word under one Artin generator, freely reduced."""
-    i = abs(letter)
+    i, j = abs(letter), abs(letter) + 1
+    # images of x_i and x_{i+1}, then of their inverses (reversed and negated)
+    if letter > 0:  # x_i -> x_i x_{i+1} x_i^{-1}, x_{i+1} -> x_i
+        img_i, img_j, inv_i, inv_j = (i, j, -i), (i,), (i, -j, -i), (-i,)
+    else:           # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^{-1} x_i x_{i+1}
+        img_i, img_j, inv_i, inv_j = (j,), (-j, i, j), (-j,), (-j, -i, j)
     out: list[int] = []
-    if letter > 0:
-        # x_i -> x_i x_{i+1} x_i^{-1}, x_{i+1} -> x_i
-        for l in word:
-            a = abs(l)
-            if a == i:
-                seq = (i, i + 1, -i) if l > 0 else (i, -(i + 1), -i)
-            elif a == i + 1:
-                seq = (i,) if l > 0 else (-i,)
+    for l in word:
+        a = abs(l)
+        if a == i:
+            seq = img_i if l > 0 else inv_i
+        elif a == j:
+            seq = img_j if l > 0 else inv_j
+        else:
+            seq = (l,)
+        for s in seq:
+            if out and out[-1] == -s:
+                out.pop()
             else:
-                seq = (l,)
-            for s in seq:
-                if out and out[-1] == -s:
-                    out.pop()
-                else:
-                    out.append(s)
-    else:
-        # inverse: x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^{-1} x_i x_{i+1}
-        for l in word:
-            a = abs(l)
-            if a == i:
-                seq = (i + 1,) if l > 0 else (-(i + 1),)
-            elif a == i + 1:
-                seq = (-(i + 1), i, i + 1) if l > 0 else (-(i + 1), -i, i + 1)
-            else:
-                seq = (l,)
-            for s in seq:
-                if out and out[-1] == -s:
-                    out.pop()
-                else:
-                    out.append(s)
+                out.append(s)
     return tuple(out)
 
 

@@ -97,9 +97,8 @@ def cmd_braid_eq(args) -> int:
 
 def cmd_braid_perm(args) -> int:
     b = braids.parse_braid(args.word, args.strands)
-    perm = b.permutation()
-    _emit(args, {"images": list(perm.images)},
-          " ".join(f"{i}->{perm(i)}" for i in range(1, args.strands + 1)))
+    images = b.permutation()
+    _emit(args, {"images": list(images)}, " ".join(f"{p}->{q}" for p, q in enumerate(images, 1)))
     return 0
 
 
@@ -158,9 +157,11 @@ def cmd_copb_insert(args) -> int:
         inner = colored.CoBMorphism(tuple(data["inner"]["src"]), tuple(data["inner"]["tgt"]),
                                     braids.braid_from_json(data["inner"]["braid"]))
         out = colored.copb_insert_closed(outer, int_from_json(data["slot"], "slot"), inner)
-    else:
+    elif data["color"] == "o":
         out = colored.copb_insert_open(outer, int_from_json(data["slot"], "slot"),
                                        colored.copb_from_json(data["inner"]))
+    else:
+        raise ValueError(f'color must be "c" or "o", got {data["color"]!r}')
     _emit(args, colored.copb_to_json(out), json.dumps(colored.copb_to_json(out), sort_keys=True))
     return 0
 
@@ -170,8 +171,10 @@ def cmd_copb_restrict(args) -> int:
     mor = colored.copb_from_json(data["morphism"])
     if data["which"] == "c":
         out = colored.restrict_unit_closed(mor, int_from_json(data["slot"], "slot"))
-    else:
+    elif data["which"] == "o":
         out = colored.restrict_unit_open(mor, int_from_json(data["slot"], "slot"))
+    else:
+        raise ValueError(f'which must be "c" or "o", got {data["which"]!r}')
     _emit(args, colored.copb_to_json(out), json.dumps(colored.copb_to_json(out), sort_keys=True))
     return 0
 

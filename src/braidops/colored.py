@@ -26,7 +26,7 @@ Insertion conventions (validated by the operad-axiom suite, not assumed):
 
 from __future__ import annotations
 
-from .braids import BraidWord, Permutation, braids_equal, delete_strand, permute_seq, splice, weave
+from .braids import BraidWord, braids_equal, delete_strand, permute_seq, splice, weave
 from .trees import Record, ShuffleObject
 
 
@@ -118,7 +118,7 @@ def closed_insert_braid(aerial: tuple[int, ...], i: int, braid: BraidWord,
     where it ends.
     """
     p = aerial.index(i) + 1
-    return splice(braid, p, braid.permutation()(p), inner)
+    return splice(braid, p, braid.permutation()[p - 1], inner)
 
 
 def _corridor_flags(obj: ShuffleObject, j: int) -> tuple[bool, ...]:
@@ -186,11 +186,11 @@ def shuffle_type_morphism(x: ShuffleObject, y: ShuffleObject) -> CoPBMorphism | 
     return CoPBMorphism(x, y, BraidWord(x.m))
 
 
-def relabel_morphism(mor: CoPBMorphism, open_perm: Permutation | None = None,
-                     closed_perm: Permutation | None = None) -> CoPBMorphism:
+def relabel_morphism(mor: CoPBMorphism, open_map: dict[int, int] | None = None,
+                     closed_map: dict[int, int] | None = None) -> CoPBMorphism:
     """Symmetric-group action on input labels (braid content unchanged)."""
-    return CoPBMorphism(mor.src.relabel(open_perm, closed_perm),
-                        mor.tgt.relabel(open_perm, closed_perm), mor.braid)
+    return CoPBMorphism(mor.src.relabel(open_map, closed_map),
+                        mor.tgt.relabel(open_map, closed_map), mor.braid)
 
 
 # -- split form ---------------------------------------------------------------

@@ -35,7 +35,7 @@ from .chords import (
     substitute_letters,
 )
 from .colored import CoPBMorphism
-from .parenthesized import PaBMorphism, pab_insert, pab_relabel
+from .parenthesized import PaBMorphism, pa_insert_closed, pa_relabel
 from .trees import (
     Record,
     Tree,
@@ -180,7 +180,7 @@ def _compose(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement], payload,
 
 def compose_prime(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement]) -> PaPBPrimeElement:
     """Full operadic composition of split-form elements with braid carriers."""
-    return _compose(outer, inners, rho(outer).payload, pab_insert, pab_relabel)
+    return _compose(outer, inners, rho(outer).payload, pa_insert_closed, pa_relabel)
 
 
 # -- the chord-diagram variant -----------------------------------------------------

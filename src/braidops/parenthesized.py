@@ -3,8 +3,10 @@
 Morphisms between trees are the morphisms between their interval
 configurations (a pullback along the translation ``omega``, which forgets
 parenthesization), so a morphism is (source tree, target tree, braid), a
-``colored.BraidMorphism`` whose configuration morphism has the ``omega`` of
-each tree as its ends.
+``colored.BraidMorphism`` whose ends are the leaf labels of each tree: for a
+unit-normal tree these are the terrestrial and aerial labels of its
+``omega``.  Closed insertion, closed restriction and relabeling are one
+function each for the closed and the open trees.
 
 The five morphism generators (tau, alpha_c, alpha_o, p, psi) are presented
 once, in ``GENERATOR_SHAPES``: source tree, target tree and braid letters.
@@ -45,6 +47,7 @@ from .trees import (
     color,
     graft_closed,
     graft_open,
+    leaves,
     leftcomb_closed,
     leftcomb_open,
     omega,
@@ -55,6 +58,14 @@ from .trees import (
 )
 
 
+def _tree_ends(tree: Tree, col: str, message: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The open and the closed leaf labels of a unit-normal tree of color ``col``."""
+    if color(tree) != col:
+        raise ValueError(message)
+    labels = leaves(tree)
+    return tuple(l for k, l in labels if k == "y"), tuple(l for k, l in labels if k == "x")
+
+
 class PaBMorphism(BraidMorphism, frozen=True):
     """Morphism of the closed (braid) component: closed trees and a braid."""
 
@@ -62,26 +73,7 @@ class PaBMorphism(BraidMorphism, frozen=True):
 
     @staticmethod
     def ends(tree: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if color(tree) != "c":
-            raise ValueError("closed-component morphism needs closed trees")
-        return (), closed_labels(tree)
-
-
-def pab_insert(outer: PaBMorphism, i: int, inner: PaBMorphism) -> PaBMorphism:
-    """Operadic insertion in the closed component (cable and splice)."""
-    return PaBMorphism(graft_closed(outer.src, i, inner.src), graft_closed(outer.tgt, i, inner.tgt),
-                       closed_insert_braid(closed_labels(outer.src), i, outer.braid, inner.braid))
-
-
-def pab_relabel(mor: PaBMorphism, closed_map: dict[int, int]) -> PaBMorphism:
-    return PaBMorphism(relabel_tree(mor.src, None, closed_map),
-                       relabel_tree(mor.tgt, None, closed_map), mor.braid)
-
-
-def pab_restrict(mor: PaBMorphism, i: int) -> PaBMorphism:
-    """Compose with the closed unit at slot i: delete that strand everywhere."""
-    return PaBMorphism(graft_closed(mor.src, i, UNIT_C), graft_closed(mor.tgt, i, UNIT_C),
-                       delete_strand(mor.braid, closed_labels(mor.src).index(i) + 1))
+        return _tree_ends(tree, "c", "closed-component morphism needs closed trees")
 
 
 class PaPBMorphism(BraidMorphism, frozen=True):
@@ -89,18 +81,29 @@ class PaPBMorphism(BraidMorphism, frozen=True):
 
     @staticmethod
     def ends(tree: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if color(tree) != "o":
-            raise ValueError("morphism needs open trees")
-        ob = omega(tree)
-        return ob.terrestrial, ob.aerial
+        return _tree_ends(tree, "o", "morphism needs open trees")
 
     def narity(self) -> tuple[int, int]:
         return arity(self.src)
 
 
-def papb_insert_closed(outer: PaPBMorphism, i: int, inner: PaBMorphism) -> PaPBMorphism:
-    return PaPBMorphism(graft_closed(outer.src, i, inner.src), graft_closed(outer.tgt, i, inner.tgt),
-                        closed_insert_braid(closed_labels(outer.src), i, outer.braid, inner.braid))
+def pa_insert_closed(outer: BraidMorphism, i: int, inner: PaBMorphism) -> BraidMorphism:
+    """Closed insertion in PaB or PaPB: cable the strand of label i, splice the inner braid."""
+    return type(outer)(graft_closed(outer.src, i, inner.src), graft_closed(outer.tgt, i, inner.tgt),
+                       closed_insert_braid(closed_labels(outer.src), i, outer.braid, inner.braid))
+
+
+def pa_restrict_closed(mor: BraidMorphism, i: int) -> BraidMorphism:
+    """Compose a PaB or PaPB morphism with the closed unit at slot i: delete that strand."""
+    return type(mor)(graft_closed(mor.src, i, UNIT_C), graft_closed(mor.tgt, i, UNIT_C),
+                     delete_strand(mor.braid, closed_labels(mor.src).index(i) + 1))
+
+
+def pa_relabel(mor: BraidMorphism, closed_map: dict[int, int] | None,
+               open_map: dict[int, int] | None = None) -> BraidMorphism:
+    """Relabel the leaves of a PaB or PaPB morphism's trees (braid unchanged)."""
+    return type(mor)(relabel_tree(mor.src, open_map, closed_map),
+                     relabel_tree(mor.tgt, open_map, closed_map), mor.braid)
 
 
 def papb_insert_open(outer: PaPBMorphism, j: int, inner: PaPBMorphism) -> PaPBMorphism:
@@ -109,21 +112,9 @@ def papb_insert_open(outer: PaPBMorphism, j: int, inner: PaPBMorphism) -> PaPBMo
                                           outer.braid, inner.braid))
 
 
-def papb_restrict_closed(mor: PaPBMorphism, i: int) -> PaPBMorphism:
-    """Forget the aerial strand labeled i (unitary extension)."""
-    return PaPBMorphism(graft_closed(mor.src, i, UNIT_C), graft_closed(mor.tgt, i, UNIT_C),
-                        delete_strand(mor.braid, closed_labels(mor.src).index(i) + 1))
-
-
 def papb_restrict_open(mor: PaPBMorphism, j: int) -> PaPBMorphism:
     """Forget the terrestrial point labeled j (unitary extension)."""
     return PaPBMorphism(graft_open(mor.src, j, UNIT_O), graft_open(mor.tgt, j, UNIT_O), mor.braid)
-
-
-def papb_relabel(mor: PaPBMorphism, open_map: dict[int, int] | None,
-                 closed_map: dict[int, int] | None) -> PaPBMorphism:
-    return PaPBMorphism(relabel_tree(mor.src, open_map, closed_map),
-                        relabel_tree(mor.tgt, open_map, closed_map), mor.braid)
 
 
 def papb_shuffle_type(src: Tree, tgt: Tree) -> PaPBMorphism | None:
@@ -275,20 +266,13 @@ class PaPBAlgebra:
         return v.inverse()
 
     def insert_closed(self, outer, i: int, inner):
-        assert isinstance(inner, PaBMorphism)
-        if isinstance(outer, PaBMorphism):
-            return pab_insert(outer, i, inner)
-        return papb_insert_closed(outer, i, inner)
+        return pa_insert_closed(outer, i, inner)
 
     def insert_open(self, outer, j: int, inner):
-        assert isinstance(outer, PaPBMorphism) and isinstance(inner, PaPBMorphism)
         return papb_insert_open(outer, j, inner)
 
     def relabel(self, v, open_map, closed_map):
-        if isinstance(v, PaBMorphism):
-            assert not open_map
-            return pab_relabel(v, closed_map or {})
-        return papb_relabel(v, open_map, closed_map)
+        return pa_relabel(v, closed_map, open_map)
 
 
 # -- elementary localized moves --------------------------------------------------
@@ -517,8 +501,7 @@ def _shuffle_route(tree: Tree) -> tuple[list[Word], Tree]:
 
 def shuffle_word(src: Tree, tgt: Tree) -> Word:
     """Word for the unique shuffle-type morphism (orders must agree)."""
-    assert omega(src).terrestrial == omega(tgt).terrestrial
-    assert omega(src).aerial == omega(tgt).aerial
+    assert PaPBMorphism.ends(src) == PaPBMorphism.ends(tgt)
     down, nf1 = _shuffle_route(src)
     up, nf2 = _shuffle_route(tgt)
     assert nf1 == nf2, f"normal forms differ: {show_tree(nf1)} vs {show_tree(nf2)}"
@@ -529,16 +512,16 @@ def shuffle_word(src: Tree, tgt: Tree) -> Word:
 # -- decomposition ----------------------------------------------------------------
 
 
-def concat_form(tree: Tree, combed: bool = True) -> Tree:
+def concat_form(tree: Tree) -> Tree:
     """The standard intermediate: terrestrial part next to one aerial block."""
-    ob = omega(tree)
-    if ob.n == 0 and ob.m == 0:
+    terrestrial, aerial = PaPBMorphism.ends(tree)
+    if not terrestrial and not aerial:
         return UNIT_O
-    if ob.n == 0:
-        return ("f", leftcomb_closed(ob.aerial))
-    if ob.m == 0:
-        return leftcomb_open(ob.terrestrial)
-    return ("mo", leftcomb_open(ob.terrestrial), ("f", leftcomb_closed(ob.aerial)))
+    if not terrestrial:
+        return ("f", leftcomb_closed(aerial))
+    if not aerial:
+        return leftcomb_open(terrestrial)
+    return ("mo", leftcomb_open(terrestrial), ("f", leftcomb_closed(aerial)))
 
 
 def decompose(mor: PaPBMorphism, x1p: Tree | None = None, x2p: Tree | None = None):
@@ -552,15 +535,14 @@ def decompose(mor: PaPBMorphism, x1p: Tree | None = None, x2p: Tree | None = Non
         x1p = concat_form(mor.src)
     if x2p is None:
         x2p = concat_form(mor.tgt)
-    ob1, ob2 = omega(mor.src), omega(mor.tgt)
-    n, m = ob1.n, ob1.m
+    n, m = mor.narity()
     # shuffle-type: no crossings, so the intermediates must keep both label orders
     mu = PaPBMorphism(mor.src, x1p, BraidWord(m))
     mu_prime = PaPBMorphism(x2p, mor.tgt, BraidWord(m))
     if n > 0:
         u1 = subtree_at(x1p, (1,)) if m > 0 else x1p
         u2 = subtree_at(x2p, (1,)) if m > 0 else x2p
-        assert open_labels(u1) == ob1.terrestrial and open_labels(u2) == ob2.terrestrial
+        assert open_labels(u1) == open_labels(u2) == open_labels(mor.src)
         x_open = (u1, u2)
     else:
         x_open = None

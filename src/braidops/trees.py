@@ -345,44 +345,39 @@ class ShuffleObject(Record, frozen=True):
                 out.append((kind, label))
         return ShuffleObject.from_slots(out)
 
-    def relabel(self, open_perm=None, closed_perm=None) -> "ShuffleObject":
-        out = []
-        for kind, label in self.slots():
-            if kind == "t" and open_perm is not None:
-                out.append(("t", open_perm(label)))
-            elif kind == "a" and closed_perm is not None:
-                out.append(("a", closed_perm(label)))
-            else:
-                out.append((kind, label))
-        return ShuffleObject.from_slots(out)
+    def relabel(self, open_map: dict[int, int] | None = None,
+                closed_map: dict[int, int] | None = None) -> "ShuffleObject":
+        """Relabel along label dicts; a missing or empty dict keeps that color's labels."""
+        return ShuffleObject(self.pattern,
+                             tuple(open_map[l] for l in self.terrestrial) if open_map else self.terrestrial,
+                             tuple(closed_map[l] for l in self.aerial) if closed_map else self.aerial)
 
     def __str__(self):
         return " ".join(f"{k}{l}" for k, l in self.slots())
 
 
-def omega(t: Tree) -> ShuffleObject:
-    """Forget parenthesization: leaves in left-to-right order, x aerial, y terrestrial."""
+def leaves(t: Tree) -> list[Tree]:
+    """Input leaves in left-to-right order; a unit leaf may only be the whole tree."""
     if t in (UNIT_O, UNIT_C):
-        return ShuffleObject((), (), ())
-    pattern: list[str] = []
-    labels = {"a": [], "t": []}
-
-    def walk(s: Tree):
+        return []
+    out, stack = [], [t]
+    while stack:
+        s = stack.pop()
         tag = s[0]
         if tag in ("x", "y"):
-            kind = "a" if tag == "x" else "t"
-            pattern.append(kind)
-            labels[kind].append(s[1])
+            out.append(s)
         elif tag == "f":
-            walk(s[1])
+            stack.append(s[1])
         elif tag in ("mc", "mo"):
-            walk(s[1])
-            walk(s[2])
+            stack += (s[2], s[1])
         else:
             raise ValueError("unit leaf inside a tree; normalize first")
+    return out
 
-    walk(t)
-    return ShuffleObject(tuple(pattern), tuple(labels["t"]), tuple(labels["a"]))
+
+def omega(t: Tree) -> ShuffleObject:
+    """Forget parenthesization: leaves in left-to-right order, x aerial, y terrestrial."""
+    return ShuffleObject.from_slots(("a" if tag == "x" else "t", label) for tag, label in leaves(t))
 
 
 def u_flatten(t: Tree) -> Tree:

@@ -132,19 +132,16 @@ def _copb_axiom_instance(rng) -> bool:
         return left.src == right.src and left.tgt == right.tgt and \
             braids_equal(left.braid, right.braid)
     # equivariance of the inner element
-    from braidops.braids import Permutation
-
     outer = rand_morphism(rng, rng.randint(1, 2), rng.randint(0, 2), max_len=8)
     ni, mi = rng.randint(1, 2), rng.randint(1, 2)
     inner = rand_morphism(rng, ni, mi, max_len=6)
     j = rng.randint(1, outer.n)
-    g = Permutation(tuple(rng.sample(range(1, ni + 1), ni)))
-    h = Permutation(tuple(rng.sample(range(1, mi + 1), mi)))
+    g = dict(zip(range(1, ni + 1), rng.sample(range(1, ni + 1), ni)))
+    h = dict(zip(range(1, mi + 1), rng.sample(range(1, mi + 1), mi)))
     lhs = copb_insert_open(outer, j, relabel_morphism(inner, g, h))
     base = copb_insert_open(outer, j, inner)
-    block_g = Permutation(tuple(
-        j - 1 + g(l - j + 1) if j <= l < j + ni else l for l in range(1, base.n + 1)))
-    block_h = Permutation(tuple(h(l) if l <= mi else l for l in range(1, base.m + 1)))
+    block_g = {l: j - 1 + g[l - j + 1] if j <= l < j + ni else l for l in range(1, base.n + 1)}
+    block_h = {l: h[l] if l <= mi else l for l in range(1, base.m + 1)}
     rhs = relabel_morphism(base, block_g, block_h)
     return lhs.src == rhs.src and lhs.tgt == rhs.tgt and braids_equal(lhs.braid, rhs.braid)
 

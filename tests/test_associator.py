@@ -46,7 +46,7 @@ from braidops.exact import LinearSystem, accumulate, mul_terms, solve_exact
 from braidops.parenthesized import (
     GENERATOR_SHAPES,
     PaBMorphism,
-    pab_insert,
+    pa_insert_closed,
     pab_to_word,
     w_comp,
     evaluate_word,
@@ -243,9 +243,9 @@ def test_phi_eval_basics():
     img = phi_eval(a, tau)
     assert img.element == t(2, 3, 1, 2).scale(Fraction(1, 2)).exp()
 
-    from braidops.parenthesized import pab_relabel
+    from braidops.parenthesized import pa_relabel
 
-    square = tau.compose(pab_relabel(tau, {1: 2, 2: 1}))
+    square = tau.compose(pa_relabel(tau, {1: 2, 2: 1}))
     img2 = phi_eval(a, square)
     assert img2.element == t(2, 3, 1, 2).exp()
 
@@ -299,7 +299,7 @@ def test_phi_respects_insertion():
         outer = rand_closed_morphism(rng, rng.randint(2, 3), max_len=3)
         inner = rand_closed_morphism(rng, rng.randint(1, 2), max_len=3)
         i = rng.randint(1, outer.strands)
-        lhs = phi_eval(a, pab_insert(outer, i, inner))
+        lhs = phi_eval(a, pa_insert_closed(outer, i, inner))
         rhs_elem = dk_insert(phi_eval(a, outer).element, i, phi_eval(a, inner).element)
         assert lhs.element == rhs_elem
 
@@ -391,7 +391,7 @@ def test_phi_compatible_with_restriction():
     # evaluating then forgetting a strand equals forgetting then evaluating:
     # the unitary-operad morphism property of the evaluation
     from braidops.chords import dk_restrict
-    from braidops.parenthesized import pab_restrict
+    from braidops.parenthesized import pa_restrict_closed
 
     a = solve_associator(1, 3)
     rng = random.Random(5)
@@ -399,7 +399,7 @@ def test_phi_compatible_with_restriction():
         m = rng.randint(2, 3)
         mor = rand_closed_morphism(rng, m, max_len=4)
         i = rng.randint(1, m)
-        lhs = phi_eval(a, pab_restrict(mor, i))
+        lhs = phi_eval(a, pa_restrict_closed(mor, i))
         rhs = dk_restrict(phi_eval(a, mor).element, i)
         assert lhs.element == rhs
 

@@ -335,8 +335,11 @@ def test_functor_law_failure_under_optimize(tmp_path):
 
 
 _AA = {"pattern": ["a", "a"], "terrestrial": [], "aerial": [1, 2]}
+_AT = {"pattern": ["a", "t"], "terrestrial": [1], "aerial": [1]}
+_ID_AT = {"src": _AT, "tgt": _AT, "braid": {"strands": 1, "word": []}}
 
-# morphism and element JSON whose endpoints do not fit the braid or the trees
+# morphism and element JSON that does not fit: endpoints against the braid or
+# the trees, a unit leaf below a root, a color other than c and o
 BAD_MORPHISM_JSON = [
     (["assoc", "eval"], {
         "associator": {"mu": "1", "degree": 1, "phi": {"strands": 3, "degree": 1, "terms": [
@@ -363,6 +366,23 @@ BAD_MORPHISM_JSON = [
             {"coef": "1", "word": []}]}},
         "morphism": {"src": "mc(x1,x2)", "tgt": "mc(x2,x1)", "braid": {"strands": 2, "word": [1.0]}}},
      "a braid letter must be an integer, got float"),
+    (["assoc", "eval"], {
+        "associator": {"mu": "1", "degree": 1, "phi": {"strands": 3, "degree": 1, "terms": [
+            {"coef": "1", "word": []}]}},
+        "morphism": {"src": "mc(mc(x1,uc),x2)", "tgt": "mc(x2,x1)", "braid": {"strands": 2, "word": [1]}}},
+     "unit leaf inside a tree; normalize first"),
+    (["papb", "decompose"], {
+        "src": "mo(mo(y1,uo),f(x1))", "tgt": "mo(y1,f(x1))", "underlying": {
+            "braid": {"strands": 1, "word": []},
+            "src": {"aerial": [1], "pattern": ["t", "a"], "terrestrial": [1]},
+            "tgt": {"aerial": [1], "pattern": ["t", "a"], "terrestrial": [1]}}},
+     "unit leaf inside a tree; normalize first"),
+    (["copb", "insert"], {"color": "x", "slot": 1, "outer": _ID_AT, "inner": _ID_AT},
+     'color must be "c" or "o", got \'x\''),
+    (["copb", "insert"], {"color": None, "slot": 1, "outer": _ID_AT, "inner": _ID_AT},
+     'color must be "c" or "o", got None'),
+    (["copb", "restrict"], {"which": "x", "slot": 1, "morphism": _ID_AT},
+     'which must be "c" or "o", got \'x\''),
 ]
 
 

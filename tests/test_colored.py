@@ -1,7 +1,7 @@
 import itertools
 import random
 
-from braidops.braids import BraidWord, Permutation, braids_equal, permute_seq
+from braidops.braids import BraidWord, braids_equal, permute_seq
 from braidops.colored import (
     CoBMorphism,
     CoPBMorphism,
@@ -281,15 +281,13 @@ def test_equivariance_of_insertion():
         ni, mi = rng.randint(1, 2), rng.randint(1, 2)
         inner = rand_morphism(rng, ni, mi, max_len=3)
         j = rng.randint(1, 2)
-        g = Permutation(tuple(rng.sample(range(1, ni + 1), ni)))
-        h = Permutation(tuple(rng.sample(range(1, mi + 1), mi)))
+        g = dict(zip(range(1, ni + 1), rng.sample(range(1, ni + 1), ni)))
+        h = dict(zip(range(1, mi + 1), rng.sample(range(1, mi + 1), mi)))
         lhs = copb_insert_open(outer, j, relabel_morphism(inner, g, h))
         base = copb_insert_open(outer, j, inner)
         n_tot, m_tot = base.n, base.m
-        block_g = Permutation(tuple(
-            j - 1 + g(l - j + 1) if j <= l < j + ni else l for l in range(1, n_tot + 1)))
-        block_h = Permutation(tuple(
-            h(l) if l <= mi else l for l in range(1, m_tot + 1)))
+        block_g = {l: j - 1 + g[l - j + 1] if j <= l < j + ni else l for l in range(1, n_tot + 1)}
+        block_h = {l: h[l] if l <= mi else l for l in range(1, m_tot + 1)}
         rhs = relabel_morphism(base, block_g, block_h)
         assert lhs.src == rhs.src and lhs.tgt == rhs.tgt
         assert braids_equal(lhs.braid, rhs.braid)

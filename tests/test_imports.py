@@ -1,4 +1,5 @@
-"""Import hygiene: every top-level import is used, and the CLI loads neither dataclasses nor typing.
+"""Import hygiene: every top-level import is used, every import is of the standard
+library or the package itself, and the CLI loads neither dataclasses nor typing.
 
 The record classes that replace ``dataclasses`` keep its construction,
 ``repr``, equality, hashing and frozen assignment.
@@ -44,6 +45,30 @@ def test_unused_import_detected():
               "import os.path\nimport sys as system\nfrom math import gcd, lcm\n"
               "def f(x):\n    return os.path.join(x) + str(lcm(x, 2))\n")
     assert unused_imports(source) == ["system", "gcd"]
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Modules imported anywhere in the source, function bodies included, that are
+    neither relative nor in the standard library."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [name for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_stdlib_only(path):
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_non_stdlib_import_detected():
+    source = ("import os.path\nfrom . import trees\nfrom .exact import int_from_json\n"
+              "def f():\n    import numpy.linalg\n    from hypothesis import given\n"
+              "    from fractions import Fraction\n")
+    assert non_stdlib_imports(source) == ["numpy.linalg", "hypothesis"]
 
 
 def test_cli_import_skips_dataclasses_and_typing():

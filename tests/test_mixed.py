@@ -17,7 +17,7 @@ from braidops.mixed import (
     rho_phi,
     to_copb,
 )
-from braidops.parenthesized import PaBMorphism, pab_insert, pab_relabel
+from braidops.parenthesized import PaBMorphism, pa_insert_closed, pa_relabel
 from braidops.trees import (
     UNIT_C,
     UNIT_O,
@@ -49,7 +49,7 @@ def canonical_objects(n: int, m: int):
 def prime_insert_closed(e: PaPBPrimeElement, i: int, y: PaBMorphism) -> PaPBPrimeElement:
     """Right-module action of the aerial braid operad (slot = aerial label i)."""
     pos = omega(e.mu_src).aerial.index(i) + 1  # the carrier's input at that point
-    x = _canonical_carrier(pab_insert(e.x, pos, y), pab_relabel)
+    x = _canonical_carrier(pa_insert_closed(e.x, pos, y), pa_relabel)
     return PaPBPrimeElement(e.u_src, e.u_tgt, x, graft_closed(e.mu_src, i, y.src),
                             graft_closed(e.mu_tgt, i, y.tgt))
 
@@ -236,7 +236,6 @@ def test_right_module_law():
 def test_equivariance_small():
     # swapping the two terrestrial slots of the outer element and the inner list
     rng = random.Random(6)
-    from braidops.braids import Permutation
 
     for _ in range(20):
         outer = rand_prime(rng, 2, rng.randint(0, 1), max_len=3)
@@ -380,9 +379,9 @@ def test_rho_right_module_formula():
         i = rng.randint(1, inner.narity()[1])
         payload = rho(outer).payload
         lhs = _canonical_carrier(
-            pab_insert(payload, 1, prime_insert_closed(inner, i, z).x), pab_relabel)
+            pa_insert_closed(payload, 1, prime_insert_closed(inner, i, z).x), pa_relabel)
         pos = omega(inner.mu_src).aerial.index(i) + 1
         rhs = _canonical_carrier(
-            pab_insert(pab_insert(payload, 1, inner.x), pos, z), pab_relabel)
+            pa_insert_closed(pa_insert_closed(payload, 1, inner.x), pos, z), pa_relabel)
         assert lhs.src == rhs.src and lhs.tgt == rhs.tgt
         assert braids_equal(lhs.braid, rhs.braid)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from braidops.braids import BraidWord, braids_equal, permute_seq
 from braidops.colored import (
     CoBMorphism,
@@ -23,13 +25,12 @@ from braidops.parenthesized import (
     decompose,
     evaluate_word,
     generators,
-    pab_insert,
+    pa_insert_closed,
+    pa_relabel,
+    pa_restrict_closed,
     pab_to_word,
     papb_from_json,
-    papb_insert_closed,
     papb_insert_open,
-    papb_relabel,
-    papb_restrict_closed,
     papb_restrict_open,
     papb_shuffle_type,
     papb_to_json,
@@ -82,7 +83,7 @@ def rand_papb_morphism(rng, n, m, max_len=5, src=None):
 def test_generator_signatures():
     g = generators()
     assert g["tau"].src == mc(x(1), x(2)) and g["tau"].tgt == mc(x(2), x(1))
-    assert g["tau"].braid.permutation().images == (2, 1)
+    assert g["tau"].braid.permutation() == (2, 1)
     assert g["alpha_c"].src == mc(mc(x(1), x(2)), x(3))
     assert g["alpha_c"].tgt == mc(x(1), mc(x(2), x(3)))
     assert g["psi"].src == mo(f(x(1)), y(1))
@@ -98,9 +99,7 @@ def test_psi_roundtrip_and_tau_square():
     psi = g["psi"]
     assert psi.compose(psi.inverse()).equals(PaPBMorphism.identity(psi.src))
     tau = g["tau"]
-    relabeled = __import__("braidops.parenthesized", fromlist=["pab_relabel"]) \
-        .pab_relabel(tau, {1: 2, 2: 1})
-    square = tau.compose(relabeled)
+    square = tau.compose(pa_relabel(tau, {1: 2, 2: 1}))
     assert square.src == square.tgt == mc(x(1), x(2))
     assert square.braid.letters == (1, 1)
     assert not square.equals(PaBMorphism.identity(square.src))
@@ -266,10 +265,10 @@ def test_insert_unit_laws():
     rng = random.Random(5)
     for _ in range(20):
         mor = rand_papb_morphism(rng, 1, 2, max_len=4)
-        assert papb_insert_closed(mor, 1, PaBMorphism.identity(x(1))).equals(mor)
+        assert pa_insert_closed(mor, 1, PaBMorphism.identity(x(1))).equals(mor)
         assert papb_insert_open(mor, 1, PaPBMorphism.identity(y(1))).equals(mor)
         cm = rand_closed_morphism(rng, 2, max_len=4)
-        assert pab_insert(cm, 1, PaBMorphism.identity(x(1))).equals(cm)
+        assert pa_insert_closed(cm, 1, PaBMorphism.identity(x(1))).equals(cm)
 
 
 def test_json_roundtrip():
@@ -280,39 +279,44 @@ def test_json_roundtrip():
 
 
 def test_pab_restrict():
-    from braidops.parenthesized import pab_restrict
-
     g = generators()
     tau = g["tau"]
-    out = pab_restrict(tau, 1)
+    out = pa_restrict_closed(tau, 1)
     assert out.src == out.tgt == x(1) and out.braid == BraidWord(1)
     rng = random.Random(7)
     for _ in range(20):
         mor = rand_closed_morphism(rng, 3, max_len=5)
         i = rng.randint(1, 3)
-        out = pab_restrict(mor, i)
+        out = pa_restrict_closed(mor, i)
         assert out.strands == 2
         # forgetting twice in either order agrees (labels shift after the first)
         j = rng.randint(1, 3)
         if j == i:
             continue
-        a = pab_restrict(pab_restrict(mor, i), j if j < i else j - 1)
-        b = pab_restrict(pab_restrict(mor, j), i if i < j else i - 1)
+        a = pa_restrict_closed(pa_restrict_closed(mor, i), j if j < i else j - 1)
+        b = pa_restrict_closed(pa_restrict_closed(mor, j), i if i < j else i - 1)
         assert a.src == b.src and a.tgt == b.tgt
         assert braids_equal(a.braid, b.braid)
+
+
+def test_unit_leaf_below_root_refused():
+    for cls, tree in ((PaBMorphism, mc(x(1), ("uc",))), (PaPBMorphism, mo(("uo",), y(1)))):
+        with pytest.raises(ValueError, match="unit leaf inside a tree; normalize first"):
+            cls.identity(tree)
+    assert PaBMorphism.identity(("uc",)).strands == PaPBMorphism.identity(("uo",)).strands == 0
 
 
 def test_papb_restrict():
     g = generators()
     psi = g["psi"]
-    no_aerial = papb_restrict_closed(psi, 1)
+    no_aerial = pa_restrict_closed(psi, 1)
     assert no_aerial.src == no_aerial.tgt == y(1)
     no_ground = papb_restrict_open(psi, 1)
     assert no_ground.src == no_ground.tgt == f(x(1))
     rng = random.Random(8)
     for _ in range(15):
         mor = rand_papb_morphism(rng, 1, 2, max_len=4)
-        out = papb_restrict_closed(mor, rng.randint(1, 2))
+        out = pa_restrict_closed(mor, rng.randint(1, 2))
         assert out.narity() == (1, 1)
         out2 = papb_restrict_open(mor, 1)
         assert out2.narity() == (0, 2)
@@ -339,19 +343,19 @@ def test_projection_commutes_with_every_operation():
         i, j = rng.randint(1, m), rng.randint(1, n)
         closed = rand_closed_morphism(rng, rng.randint(1, 3))
         cob = CoBMorphism(closed_labels(closed.src), closed_labels(closed.tgt), closed.braid)
-        assert project(papb_insert_closed(f, i, closed)) == copb_insert_closed(project(f), i, cob)
+        assert project(pa_insert_closed(f, i, closed)) == copb_insert_closed(project(f), i, cob)
         n2, m2 = rng.choice([(0, 1), (0, 2), (1, 0), (1, 1), (2, 1), (1, 2)])
         inner = rand_papb_morphism(rng, n2, m2)
         assert project(papb_insert_open(f, j, inner)) == \
             copb_insert_open(project(f), j, project(inner))
 
-        assert project(papb_restrict_closed(f, i)) == restrict_unit_closed(project(f), i)
+        assert project(pa_restrict_closed(f, i)) == restrict_unit_closed(project(f), i)
         assert project(papb_restrict_open(f, j)) == restrict_unit_open(project(f), j)
 
         open_map = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
         closed_map = dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m)))
-        assert project(papb_relabel(f, open_map, closed_map)) == \
-            relabel_morphism(project(f), open_map.get, closed_map.get)
+        assert project(pa_relabel(f, closed_map, open_map)) == \
+            relabel_morphism(project(f), open_map, closed_map)
 
 
 NOT_COMPOSABLE = """
