@@ -333,10 +333,14 @@ def fraction_to_str(c: Fraction) -> str:
 def fraction_from_str(s: str | int) -> Fraction:
     """The one parser of JSON scalars: a string such as "-3/4", or an integer.
 
-    A JSON float is refused, since it is not the rational that was written.
+    A JSON float is refused, since it is not the rational that was written, and
+    so is a zero denominator.
     """
     if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"a rational must have a nonzero denominator, got {s!r}") from None
     raise ValueError(f"a rational must be a string or an integer, got {s!r}")
 
 

@@ -1,9 +1,11 @@
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
-from braidops.cli import run
+from braidops.cli import COMMANDS, run
 
 
 def run_capture(capsys, argv):
@@ -123,13 +125,47 @@ def test_determinism(capsys):
 
 
 def test_usage_error(capsys):
-    assert run(["braid", "eq", "s1"]) == 2
-    assert run(["nonsense"]) == 2
+    usage_errors = [["braid", "eq", "s1"], [], ["nonsense"], ["braid"], ["braid", "nonsense"],
+                    ["braid", "--json", "eq"], ["--", "cd", "dims"]]
+    for argv in usage_errors:
+        assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == len(usage_errors)
+
+
+@pytest.mark.parametrize("group, name", list(COMMANDS))
+def test_command_help(capsys, group, name):
+    assert run([group, name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: braidops {group} {name} ")
+
+
+def test_group_help(capsys):
+    groups = {}
+    for group, name in COMMANDS:
+        groups.setdefault(group, []).append(name)
+    assert run(["-h"]) == 0
+    assert "{" + ",".join(groups) + "}" in capsys.readouterr().out
+    for group, names in groups.items():
+        assert run([group, "-h"]) == 0
+        assert "{" + ",".join(names) + "}" in capsys.readouterr().out
+
+
+def test_help_ignores_terminal_width():
+    for argv in (["--help"], ["cd", "dims", "--help"]):
+        outs = [subprocess.run([sys.executable, "-m", "braidops", *argv], capture_output=True,
+                               env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin", "COLUMNS": columns})
+                for columns in ("40", "200")]
+        assert [out.returncode for out in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
+
+
+def test_coherence_builtin_excludes_infile(capsys, tmp_path):
+    assert run(["coherence", "check", "--builtin", "z2", "--in", broken_functor_algebra(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument --builtin" in captured.err
+
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     out = subprocess.run([sys.executable, "-m", "braidops", "cd", "dims",
                           "--strands", "3", "--degree", "2"],
                          capture_output=True, text=True,
@@ -146,9 +182,6 @@ def test_cd_dims_rejects_negative(capsys):
 
 def run_optimized(argv, stdin=""):
     """Run the CLI under python -O: input validation must not rest on assert, which -O strips."""
-    import subprocess
-    import sys
-
     return subprocess.run([sys.executable, "-O", "-m", "braidops", *argv], input=stdin,
                           capture_output=True, text=True, timeout=60,
                           env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
@@ -245,6 +278,12 @@ BAD_CHORD_JSON = [
     (["assoc", "check"], {"mu": "1", "degree": "3", "phi": {"terms": []}}, "degree must be an integer, got str"),
     (["cd", "insert"], {"outer": {"strands": 2, "degree": 1, "terms": []}, "strand": 1.0,
                         "inner": {"strands": 2, "degree": 1, "terms": []}}, "strand must be an integer, got float"),
+    # a rational with a zero denominator, on the command line or in JSON
+    (["assoc", "solve", "--mu=1/0"], {}, "nonzero denominator"),
+    (["assoc", "check"], {"mu": "1/0", "degree": 1,
+                          "phi": {"terms": [{"coef": "1", "word": []}]}}, "nonzero denominator"),
+    (["cd", "normalize"], {"strands": 3, "degree": 2,
+                           "terms": [{"coef": "1/0", "word": [[1, 2]]}]}, "nonzero denominator"),
 ]
 
 
@@ -404,10 +443,11 @@ def test_bad_morphism_json_under_optimize(argv, data, message):
 
 # past a resource limit: a tree nested 1,200 deep (the parser would exhaust the
 # interpreter's recursion), a chord dimension with 9,000 digits, a tree
-# enumeration over 7 inputs, and an associator above the solver's target
-# degree, solved, checked or evaluated (the check is about x4 per degree), an
-# evaluation on 9 strands, one past the evaluator's strand limit, and one on 8
-# strands at degree 6, where the chord algebra has 5,715,424 dimensions
+# enumeration over 7 inputs, a Voronov check one degree past its chord limit,
+# and an associator above the solver's target degree, solved, checked or
+# evaluated (the check is about x4 per degree), an evaluation on 9 strands, one
+# past the evaluator's strand limit, and one on 8 strands at degree 6, where the
+# chord algebra has 5,715,424 dimensions
 ASSOC_10 = {"mu": "1", "degree": 10, "phi": {"terms": [{"coef": "1", "word": []}]}}
 
 
@@ -419,6 +459,7 @@ OVER_LIMIT = [
     (["tree", "omega", "mc(" * 1200 + "x1" + ",x1)" * 1200], ""),
     (["cd", "dims", "--strands", "4", "--degree", "20000"], ""),
     (["tree", "enum", "--open", "4", "--closed", "3"], ""),
+    (["voronov", "check", "--degree", "11", "--count", "1"], ""),
     (["assoc", "solve", "--degree", "10"], ""),
     (["assoc", "check"], json.dumps(ASSOC_10)),
     (["assoc", "eval"], json.dumps({"associator": ASSOC_10, "morphism": {
@@ -428,8 +469,8 @@ OVER_LIMIT = [
     (["assoc", "eval"], json.dumps({"associator": {**ASSOC_10, "degree": 6}, "morphism": {
         "src": left_comb(8), "tgt": left_comb(8), "braid": {"strands": 8, "word": []}}})),
 ]
-OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "solve-degree", "check-degree",
-                  "eval-degree", "eval-strands", "eval-dimension"]
+OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "voronov-degree", "solve-degree",
+                  "check-degree", "eval-degree", "eval-strands", "eval-dimension"]
 
 
 @pytest.mark.parametrize("argv, stdin", OVER_LIMIT, ids=OVER_LIMIT_IDS)

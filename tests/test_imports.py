@@ -1,5 +1,6 @@
 """Import hygiene: every top-level import is used, every import is of the standard
-library or the package itself, and the CLI loads neither dataclasses nor typing.
+library or the package itself, the CLI loads neither dataclasses nor typing, and
+a cold CLI run loads no shutil.
 
 The record classes that replace ``dataclasses`` keep its construction,
 ``repr``, equality, hashing and frozen assignment.
@@ -78,6 +79,17 @@ def test_cli_import_skips_dataclasses_and_typing():
                          env={"PYTHONPATH": str(PACKAGE.parent), "PATH": "/usr/bin:/bin"})
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+def test_cold_cli_run_skips_shutil():
+    """argparse's terminal-width lookup imports shutil, and shutil bz2 and lzma."""
+    script = ("import sys, braidops.cli\n"
+              "braidops.cli.run(['cd', 'dims', '--strands', '3', '--degree', '2'])\n"
+              "print(sorted({'shutil', 'bz2', 'lzma'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(PACKAGE.parent), "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "7\n[]\n"
 
 
 def test_frozen_record():
