@@ -28,7 +28,15 @@ enters every constraint linearly: its column is the residual at
 substitutions of psi, for the pentagon Drinfeld's differential
 psi^{2,3,4} - psi^{12,3,4} + psi^{1,23,4} - psi^{1,2,34} + psi^{1,2,3}, for
 each hexagon three signed relabelings.  A substitution acts on a bracketing
-factor by factor, normalised in ``int``.  Only the right-hand side, one full
+factor by factor, in ``int``, and no column is rewritten to normal form.  Block
+i of the 4-strand chords holds the t_ij with j > i, and block 1 (t12, t13,
+t14) generates a free Lie ideal (Drinfeld 1990, §5; Alekseev-Torossian 2012,
+t_n = F_{n-1} ⋊ t_{n-1}), so a pentagon substitution with its images in one
+block brackets among normal words, and the one mixed substitution,
+psi^{12,3,4}, is psi^{2,3,4}, which cancels, plus a block-1 part bracketed with
+ad t23 and ad t24 acting on block 1.  t_3 is free on t12, t13 plus the central
+t12 + t13 + t23, so from degree 2 a hexagon bracket lies in Lie(t12, t13) and
+is bracketed modulo the centre.  Only the right-hand side, one full
 residual of Phi_{<d} + E_d per degree, depends on mu and Phi_{<d}.  The
 solution goes back to words canonically: the kernel, expanded into words and
 put in reduced echelon form by highest word (``exact.insert_row``), clears
@@ -46,9 +54,11 @@ from fractions import Fraction
 from .chords import (
     DKElement,
     PaCDMorphism,
+    _gen_index,
     _reduce_terms,
     dimension_of_degree,
     dk_coproduct,
+    dk_generators,
     dk_terms_from_json,
     dk_terms_to_json,
     grouplike_check,
@@ -262,11 +272,24 @@ def _lyndon_words(d: int) -> list[tuple[int, ...]]:
     return [w for w in _free_words(d) if all(w < w[i:] + w[:i] for i in range(1, d))]
 
 
-def _bracketings(words: list, leaf, reduce) -> dict:
-    """{w: reduce(image of the standard bracketing of w)} for Lyndon words of one length.
+def _standard_factors(w: tuple) -> tuple:
+    """(u, v) with w = uv and v the smallest proper suffix of the Lyndon word w."""
+    v = min(w[i:] for i in range(1, len(w)))
+    return w[:len(w) - len(v)], v
+
+
+def _commutator(a: dict, b: dict) -> dict:
+    """ab - ba of two term maps."""
+    return accumulate({}, itertools.chain(((u + v, x * y) for u, x in a.items() for v, y in b.items()),
+                                          ((v + u, -x * y) for u, x in a.items() for v, y in b.items())))
+
+
+def _bracketings(words: list, leaf, bracket=lambda u, v, a, b: _commutator(a, b)) -> dict:
+    """{w: image of the standard bracketing of w} for Lyndon words of one length.
 
     A letter l goes to ``leaf(l)``, and w = uv, v its smallest proper suffix,
-    to reduce(u'v' - v'u'); the images of shorter factors are memoised.
+    to bracket(u, v, u', v'), by default u'v' - v'u'; the images of shorter
+    factors are memoised.
     """
     memo: dict = {}
 
@@ -274,10 +297,8 @@ def _bracketings(words: list, leaf, reduce) -> dict:
         if len(w) == 1:
             return leaf(w[0])
         if w not in memo:
-            v = min(w[i:] for i in range(1, len(w)))
-            a, b = image(w[:len(w) - len(v)]), image(v)
-            ba = mul_terms(b, a, len(w))
-            out = reduce(accumulate(mul_terms(a, b, len(w)), ((k, -c) for k, c in ba.items())))
+            u, v = _standard_factors(w)
+            out = bracket(u, v, image(u), image(v))
             if len(w) == len(words[0]):
                 return out
             memo[w] = out
@@ -286,13 +307,89 @@ def _bracketings(words: list, leaf, reduce) -> dict:
     return {w: image(w) for w in words}
 
 
+def _letters(images: tuple, letter=lambda g: {(g,): 1}):
+    """Leaf of ``_bracketings`` sending letter l to the sum of ``letter`` over images[l]."""
+    return lambda l: accumulate({}, (kv for g in images[l] for kv in letter(g).items()))
+
+
+def _derive(derivation: dict, terms: dict, sign: int = 1):
+    """(word, coefficient) pairs of the derivation, given on letters, applied to ``terms``."""
+    return ((s[:i] + v + s[i + 1:], sign * c * k) for s, c in terms.items()
+            for i, g in enumerate(s) if g in derivation for v, k in derivation[g].items())
+
+
+def _block1_parts(r: int, low: tuple, high: tuple, lyndon: list) -> dict:
+    """{w: block-1 part of the bracketing of w} when letter l goes to low[l] + high[l].
+
+    Block i holds the chords t_ij with j > i; low[l] lies in block 1, which
+    generates a free Lie ideal, and high[l] in higher blocks, which act on it by
+    ad: [t_jk, t_1j] = [t_1j, t_1k], [t_jk, t_1k] = [t_1k, t_1j], and t_jk
+    commutes with every other t_1i.  So if u and v have block-1 parts a, b and
+    higher parts p, q, [u, v] has block-1 part [a, b] + ad p (b) - ad q (a),
+    and ad [p, q] = [ad p, ad q].
+    """
+    idx = _gen_index(r)
+
+    @functools.cache
+    def ad(w) -> dict:
+        """{block-1 letter: its image} under ad of the bracketing of w in the higher images."""
+        if len(w) == 1:
+            out: dict = {}
+            for j, k in (dk_generators(r)[g] for g in high[w[0]]):
+                for a, b in ((j, k), (k, j)):
+                    x, y = idx[1, a], idx[1, b]
+                    accumulate(out.setdefault(x, {}), (((x, y), 1), ((y, x), -1)))
+            return out
+        du, dv = map(ad, _standard_factors(w))
+        return {x: accumulate({}, itertools.chain(_derive(du, dv.get(x, {})), _derive(dv, du.get(x, {}), -1)))
+                for x in du.keys() | dv.keys()}
+
+    return _bracketings(lyndon, _letters(low), lambda u, v, a, b: accumulate(
+        _commutator(a, b), itertools.chain(_derive(ad(u), b), _derive(ad(v), a, -1))))
+
+
+def _pentagon_brackets(subs: dict, lyndon: list):
+    """(multiplicity, {w: column part}) of the pentagon substitutions, in block form.
+
+    A substitution with every image in one block brackets in the free algebra
+    on that block, whose words are normal.  A mixed one is its block-1 part
+    plus the substitution of its higher images alone, which is merged into the
+    one-block multiplicities: in the pentagon it cancels psi^{2,3,4}.
+    """
+    first = [i for i, _j in dk_generators(4)]
+    one_block, mixed = {}, {}
+    for images, m in subs.items():
+        if len({first[g] for g in images[_T12] + images[_T13]}) == 1:
+            accumulate(one_block, ((images, m),))
+        else:
+            low = tuple(tuple(g for g in image if first[g] == 1) for image in images)
+            high = tuple(tuple(g for g in image if first[g] > 1) for image in images)
+            accumulate(one_block, ((high, m),))
+            mixed[low, high] = m
+    for images, m in one_block.items():
+        yield m, _bracketings(lyndon, _letters(images))
+    for (low, high), m in mixed.items():
+        yield m, _block1_parts(4, low, high, lyndon)
+
+
+def _hexagon_brackets(subs: dict, lyndon: list):
+    """(multiplicity, {w: column part}) of the hexagon substitutions, from degree 2 modulo the centre."""
+    centre = {_T12: {(_T12,): 1}, _T13: {(_T13,): 1}, 2: {(_T12,): -1, (_T13,): -1}}
+    for images, m in subs.items():
+        yield m, _bracketings(lyndon, _letters(images, centre.__getitem__) if len(lyndon[0]) > 1 else
+                              _letters(images))
+
+
 def _lie_columns(lyndon: list) -> list[dict]:
-    """Column of each Lyndon word: the constraint entries' linear part in its bracketing, in ``int``."""
+    """Column of each Lyndon word: the constraint entries' linear part in its bracketing, in ``int``.
+
+    No column is rewritten to normal form: the pentagon's are bracketed in
+    block form, and each hexagon's, at d >= 2 a bracket in Lie(t12, t13),
+    modulo the centre t12 + t13 + t23, which is injective there.
+    """
     columns: list[dict] = [{} for _ in lyndon]
     for tag, r, subs in _substitutions():
-        for images, m in subs.items():
-            brackets = _bracketings(lyndon, lambda l: accumulate({}, (((g,), 1) for g in images[l])),
-                                    lambda terms: _reduce_terms(terms, r))
+        for m, brackets in (_pentagon_brackets if r == 4 else _hexagon_brackets)(subs, lyndon):
             for col, w in zip(columns, lyndon):
                 accumulate(col, (((tag, k), m * c) for k, c in brackets[w].items()))
     return columns
@@ -326,7 +423,7 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
     sol = solve_exact(system)
     if not sol.consistent:
         raise ArithmeticError(f"degree-{d} associator system inconsistent")
-    words = _bracketings(lyndon, lambda l: {(l,): 1}, lambda terms: terms)
+    words = _bracketings(lyndon, lambda l: {(l,): 1})
 
     def expand(vec) -> dict:
         return accumulate({}, ((u, c * k) for w, c in zip(lyndon, vec) if c for u, k in words[w].items()))
@@ -341,7 +438,7 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
 
 
 #: highest degree ``solve_associator`` accepts, the solver's target degree: degree 9
-#: takes about 100 s at a 1.4 GB peak on a 2-vCPU host
+#: takes about 34 s at a 0.9 GB peak on a 2-vCPU host
 MAX_SOLVE_DEGREE = 9
 
 #: largest strand count ``phi_eval`` accepts: desk scale is <= 4 strands, and

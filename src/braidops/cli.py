@@ -326,10 +326,12 @@ def cmd_mixed_apply_phi(args) -> int:
 
 def cmd_voronov_check(args) -> int:
     from .chords import grouplike_check
-    from .voronov import PaPOperad, build_cd_pap_instance
+    from .voronov import MAX_CHECK_COUNT, PaPOperad, build_cd_pap_instance
 
     if args.count < 0:
         raise ValueError(f"count must be nonnegative, got {args.count}")
+    if args.count > MAX_CHECK_COUNT:
+        raise ValueError(f"count {args.count} exceeds the limit of {MAX_CHECK_COUNT} instances")
     vp = build_cd_pap_instance(args.degree)
     rng = random.Random(args.seed)
     failures = 0

@@ -24,6 +24,10 @@ from .trees import Record, Tree, arity, color, graft_open, leftcomb_open, open_l
 #: degree 10, and a single instance 0.58 s at degree 12 and 2.7 s at degree 14
 MAX_CHORD_DEGREE = 10
 
+#: largest ``voronov check --count``: the run is linear in the count; at degree
+#: 10 on a 2-vCPU host ``--count 20`` took 1.3 s and ``--count 1000`` 40 s
+MAX_CHECK_COUNT = 1000
+
 
 class ChordStrandOperad:
     """Closed part: grouplike chord series at a fixed truncation."""

@@ -8,6 +8,7 @@ import pytest
 
 from braidops.associator import (
     _T12,
+    _T13,
     Associator,
     ProductAlgebra,
     _diagrams,
@@ -148,6 +149,32 @@ def standard_bracketing(w: tuple) -> dict:
     i = min(i for i in range(1, len(w)) if is_lyndon(w[i:]))
     u, v = standard_bracketing(w[:i]), standard_bracketing(w[i:])
     return accumulate(mul_terms(u, v, len(w)), ((k, -c) for k, c in mul_terms(v, u, len(w)).items()))
+
+
+def normal_form_lie_columns(lyndon: list) -> list[dict]:
+    """Column of each Lyndon word, each substitution bracketed factor by factor through chord normal forms."""
+    def bracketings(images, r):
+        memo: dict = {}
+
+        def image(w):
+            if len(w) == 1:
+                return accumulate({}, (((g,), 1) for g in images[w[0]]))
+            if w not in memo:
+                v = min(w[i:] for i in range(1, len(w)))
+                a, b = image(w[:len(w) - len(v)]), image(v)
+                ba = mul_terms(b, a, len(w))
+                memo[w] = _reduce_terms(accumulate(mul_terms(a, b, len(w)), ((k, -c) for k, c in ba.items())), r)
+            return memo[w]
+
+        return {w: image(w) for w in lyndon}
+
+    columns: list[dict] = [{} for _ in lyndon]
+    for tag, r, subs in _substitutions():
+        for images, m in subs.items():
+            brackets = bracketings(images, r)
+            for col, w in zip(columns, lyndon):
+                accumulate(col, (((tag, k), m * c) for k, c in brackets[w].items()))
+    return columns
 
 
 def _then(subs: dict, table: list) -> dict:
@@ -474,6 +501,27 @@ def test_lie_columns_equal_word_columns(d):
         combined = accumulate({}, ((key, k * c) for u, k in standard_bracketing(w).items()
                                    for key, c in _columns(d)[words[u]].items()))
         assert combined == column
+
+
+@pytest.mark.parametrize("d", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_lie_columns_equal_normal_form_columns(d):
+    # the block-form pentagon and the hexagons modulo the centre give exactly
+    # the columns of the brackets rewritten through the chord normal forms
+    lyndon = _lyndon_words(d)
+    assert _lie_columns(lyndon) == normal_form_lie_columns(lyndon)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_lie_column_words_lie_in_block_1(d):
+    # pentagon column words use only t12, t13, t14 (4-strand letters 0, 1, 2);
+    # from degree 2 on, hexagon column words use only t12 and t13
+    letters: dict = {"pent": set(), "hex1": set(), "hex2": set()}
+    for column in _lie_columns(_lyndon_words(d)):
+        for (tag, word), _c in column.items():
+            letters[tag].update(word)
+    assert letters["pent"] <= {0, 1, 2} and letters["hex1"] and letters["hex2"]
+    if d > 1:
+        assert letters["hex1"] | letters["hex2"] <= {_T12, _T13}
 
 
 @pytest.mark.parametrize("mu", [Fraction(1), Fraction(-1, 2), Fraction(3)])

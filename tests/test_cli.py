@@ -443,11 +443,12 @@ def test_bad_morphism_json_under_optimize(argv, data, message):
 
 # past a resource limit: a tree nested 1,200 deep (the parser would exhaust the
 # interpreter's recursion), a chord dimension with 9,000 digits, a tree
-# enumeration over 7 inputs, a Voronov check one degree past its chord limit,
-# and an associator above the solver's target degree, solved, checked or
-# evaluated (the check is about x4 per degree), an evaluation on 9 strands, one
-# past the evaluator's strand limit, and one on 8 strands at degree 6, where the
-# chord algebra has 5,715,424 dimensions
+# enumeration over 7 inputs, a Voronov check one degree past its chord limit or
+# one instance past its count limit, and an associator above the solver's
+# target degree, solved, checked or evaluated (the check is about x4 per
+# degree), an evaluation on 9 strands, one past the evaluator's strand limit,
+# and one on 8 strands at degree 6, where the chord algebra has 5,715,424
+# dimensions
 ASSOC_10 = {"mu": "1", "degree": 10, "phi": {"terms": [{"coef": "1", "word": []}]}}
 
 
@@ -460,6 +461,7 @@ OVER_LIMIT = [
     (["cd", "dims", "--strands", "4", "--degree", "20000"], ""),
     (["tree", "enum", "--open", "4", "--closed", "3"], ""),
     (["voronov", "check", "--degree", "11", "--count", "1"], ""),
+    (["voronov", "check", "--count", "1001"], ""),
     (["assoc", "solve", "--degree", "10"], ""),
     (["assoc", "check"], json.dumps(ASSOC_10)),
     (["assoc", "eval"], json.dumps({"associator": ASSOC_10, "morphism": {
@@ -469,8 +471,8 @@ OVER_LIMIT = [
     (["assoc", "eval"], json.dumps({"associator": {**ASSOC_10, "degree": 6}, "morphism": {
         "src": left_comb(8), "tgt": left_comb(8), "braid": {"strands": 8, "word": []}}})),
 ]
-OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "voronov-degree", "solve-degree",
-                  "check-degree", "eval-degree", "eval-strands", "eval-dimension"]
+OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "voronov-degree", "voronov-count",
+                  "solve-degree", "check-degree", "eval-degree", "eval-strands", "eval-dimension"]
 
 
 @pytest.mark.parametrize("argv, stdin", OVER_LIMIT, ids=OVER_LIMIT_IDS)
