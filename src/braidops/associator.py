@@ -376,8 +376,8 @@ def _hexagon_brackets(subs: dict, lyndon: list):
     """(multiplicity, {w: column part}) of the hexagon substitutions, from degree 2 modulo the centre."""
     centre = {_T12: {(_T12,): 1}, _T13: {(_T13,): 1}, 2: {(_T12,): -1, (_T13,): -1}}
     for images, m in subs.items():
-        yield m, _bracketings(lyndon, _letters(images, centre.__getitem__) if len(lyndon[0]) > 1 else
-                              _letters(images))
+        leaf = _letters(images, centre.__getitem__) if len(lyndon[0]) > 1 else _letters(images)
+        yield m, _bracketings(lyndon, leaf)
 
 
 def _lie_columns(lyndon: list) -> list[dict]:

@@ -163,7 +163,8 @@ def normal_form_lie_columns(lyndon: list) -> list[dict]:
                 v = min(w[i:] for i in range(1, len(w)))
                 a, b = image(w[:len(w) - len(v)]), image(v)
                 ba = mul_terms(b, a, len(w))
-                memo[w] = _reduce_terms(accumulate(mul_terms(a, b, len(w)), ((k, -c) for k, c in ba.items())), r)
+                ab_ba = accumulate(mul_terms(a, b, len(w)), ((k, -c) for k, c in ba.items()))
+                memo[w] = _reduce_terms(ab_ba, r)
             return memo[w]
 
         return {w: image(w) for w in lyndon}
