@@ -28,20 +28,20 @@ enters every constraint linearly: its column is the residual at
 substitutions of psi, for the pentagon Drinfeld's differential
 psi^{2,3,4} - psi^{12,3,4} + psi^{1,23,4} - psi^{1,2,34} + psi^{1,2,3}, for
 each hexagon three signed relabelings.  A substitution acts on a bracketing
-factor by factor, in ``int``, and no column is rewritten to normal form.  Block
-i of the 4-strand chords holds the t_ij with j > i, and block 1 (t12, t13,
-t14) generates a free Lie ideal (Drinfeld 1990, §5; Alekseev-Torossian 2012,
-t_n = F_{n-1} ⋊ t_{n-1}), so a pentagon substitution with its images in one
-block brackets among normal words, and the one mixed substitution,
-psi^{12,3,4}, is psi^{2,3,4}, which cancels, plus a block-1 part bracketed with
-ad t23 and ad t24 acting on block 1.  t_3 is free on t12, t13 plus the central
-t12 + t13 + t23, so from degree 2 a hexagon bracket lies in Lie(t12, t13) and
-is bracketed modulo the centre.  Only the right-hand side, one full
-residual of Phi_{<d} + E_d per degree, depends on mu and Phi_{<d}.  The
-solution goes back to words canonically: the kernel, expanded into words and
-put in reduced echelon form by highest word (``exact.insert_row``), clears
-the coefficient of each row's highest word, which gives the solution over all
-2^d words with free coordinates set to zero.
+factor by factor, in ``int``, and no column is rewritten to normal form.
+Block i of the 4-strand chords holds the t_ij with j > i, and block 1 (t12,
+t13, t14) generates a free Lie ideal (Drinfeld 1990, section 5;
+Alekseev-Torossian 2012: t_n is F_{n-1} semidirect t_{n-1}), so a pentagon
+substitution with its images in one block brackets among normal words, and
+the one mixed substitution, psi^{12,3,4}, is psi^{2,3,4}, which cancels, plus
+a block-1 part bracketed with ad t23 and ad t24 acting on block 1.  t_3 is
+free on t12, t13 plus the central t12 + t13 + t23, so from degree 2 a hexagon
+bracket lies in Lie(t12, t13) and is bracketed modulo the centre.  Only the
+right-hand side, one full residual of Phi_{<d} + E_d per degree, depends on mu
+and Phi_{<d}.  The solution goes back to words canonically: the kernel,
+expanded into words and put in reduced echelon form by highest word
+(``exact.insert_row``), clears the coefficient of each row's highest word,
+which gives the solution over all 2^d words with free coordinates set to zero.
 """
 
 from __future__ import annotations
