@@ -48,7 +48,8 @@ class BraidMorphism(Record, frozen=True):
     ends_name = "objects"
 
     def __post_init__(self):
-        (src_t, src_a), (tgt_t, tgt_a) = self.ends(self.src), self.ends(self.tgt)
+        src_t, src_a = ends = self.ends(self.src)
+        tgt_t, tgt_a = ends if self.tgt is self.src else self.ends(self.tgt)
         if self.braid.strands != len(src_a) or len(tgt_a) != len(src_a):
             raise ValueError(f"{self.braid.strands} braid strands between {len(src_a)} "
                              f"and {len(tgt_a)} aerial points")
@@ -121,28 +122,25 @@ def closed_insert_braid(aerial: tuple[int, ...], i: int, braid: BraidWord,
     return splice(braid, p, braid.permutation()[p - 1], inner)
 
 
-def _corridor_flags(obj: ShuffleObject, j: int) -> tuple[bool, ...]:
-    """Flags over (aerial strands + corridor j) marking the corridor position."""
-    left_aerials = 0
-    for kind, label in obj.slots():
-        if kind == "t" and label == j:
-            break
-        if kind == "a":
-            left_aerials += 1
-    else:
+def _corridor_flags(slots: list[tuple[str, int]], corridor: tuple[str, int]) -> tuple[bool, ...]:
+    """Flags over (aerial strands + the corridor) marking the corridor position;
+    ``slots`` are an object's (kind, label) pairs and ``corridor`` one of them."""
+    kind = corridor[0]
+    flags = tuple(slot == corridor for slot in slots if slot[0] != kind or slot == corridor)
+    if True not in flags:
         raise ValueError("slot out of range")
-    return tuple(pos == left_aerials for pos in range(obj.m + 1))
+    return flags
 
 
-def open_insert_braid(src: ShuffleObject, tgt: ShuffleObject, j: int, braid: BraidWord,
-                      inner: BraidWord) -> BraidWord:
-    """Braid of an open insertion at terrestrial point j between configurations src and tgt.
+def open_insert_braid(src: list[tuple[str, int]], tgt: list[tuple[str, int]],
+                      corridor: tuple[str, int], braid: BraidWord, inner: BraidWord) -> BraidWord:
+    """Braid of an open insertion at the terrestrial slot ``corridor`` between
+    objects with the (kind, label) slots ``src`` and ``tgt``.
 
-    The corridor of j is woven through ``braid`` and ``inner`` is spliced
-    along it.
+    The corridor is woven through ``braid`` and ``inner`` is spliced along it.
     """
-    src_flags = _corridor_flags(src, j)
-    tgt_flags = _corridor_flags(tgt, j)
+    src_flags = _corridor_flags(src, corridor)
+    tgt_flags = _corridor_flags(tgt, corridor)
     woven = weave(braid, src_flags, tgt_flags)
     return splice(woven, src_flags.index(True) + 1, tgt_flags.index(True) + 1, inner)
 
@@ -160,7 +158,8 @@ def copb_insert_open(outer: CoPBMorphism, j: int, inner: CoPBMorphism) -> CoPBMo
     if not (1 <= j <= outer.n):
         raise ValueError("slot out of range")
     return CoPBMorphism(outer.src.insert_open(j, inner.src), outer.tgt.insert_open(j, inner.tgt),
-                        open_insert_braid(outer.src, outer.tgt, j, outer.braid, inner.braid))
+                        open_insert_braid(outer.src.slots(), outer.tgt.slots(), ("t", j),
+                                          outer.braid, inner.braid))
 
 
 def restrict_unit_closed(mor: CoPBMorphism, i: int) -> CoPBMorphism:

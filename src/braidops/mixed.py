@@ -45,6 +45,8 @@ from .trees import (
     closed_labels,
     graft_all_open,
     graft_open,
+    leaf_ends,
+    leaves,
     omega,
     open_labels,
     relabel_tree,
@@ -107,13 +109,14 @@ class PaPBPrimeElement:
                 raise ValueError(f"u must be identity-labeled of arity ({n}, 0)")
         if closed_labels(self.x.src) != tuple(range(1, m + 1)):
             raise ValueError("x source must be identity-labeled")
-        ob1, ob2 = omega(self.mu_src), omega(self.mu_tgt)
-        if ob1.terrestrial != ob2.terrestrial:
+        (t1, a1), (t2, a2) = leaf_ends(self.mu_src), leaf_ends(self.mu_tgt)
+        if any(sorted(labels) != list(range(1, len(labels) + 1)) for labels in (t1, a1, t2, a2)):
+            raise ValueError(f"mu labels {t1}, {a1} and {t2}, {a2} do not number their leaves")
+        if t1 != t2:
             raise ValueError("terrestrial strands cannot cross: label order must be preserved")
         # mu's target labels fold the carrier's target labeling into mu's source
         lam = closed_labels(self.x.tgt)
-        if sorted(lam) != list(range(1, m + 1)) or \
-                ob2.aerial != tuple(ob1.aerial[k - 1] for k in lam):
+        if sorted(lam) != list(range(1, m + 1)) or a2 != tuple(a1[k - 1] for k in lam):
             raise ValueError("mu target labels must fold the carrier's target labeling")
         for end, mu, x in (("source", self.mu_src, self.x.src), ("target", self.mu_tgt, self.x.tgt)):
             if aerial_shape(mu) != strip_labels(x):
@@ -139,11 +142,15 @@ class PaPBPrimeElement:
                                 relabel_tree(self.mu_tgt, open_map, closed_map))
 
 
+def _terrestrial_flags(tree: Tree) -> tuple[bool, ...]:
+    """Per leaf, left to right: whether it is terrestrial (the corridors of rho)."""
+    return tuple(kind == "y" for kind, _ in leaves(tree))
+
+
 def rho(e: PaPBPrimeElement) -> ShiftedElement:
     """Flatten to a single braid payload on n+m strands (shifted slots first)."""
     n, m = e.narity()
-    flags = tuple(s == "t" for s in omega(e.mu_src).pattern)
-    tgt_flags = tuple(s == "t" for s in omega(e.mu_tgt).pattern)
+    flags, tgt_flags = _terrestrial_flags(e.mu_src), _terrestrial_flags(e.mu_tgt)
     braid = weave(e.x.braid, flags, tgt_flags)
     payload = PaBMorphism(starred_flatten(e.mu_src), starred_flatten(e.mu_tgt), braid)
     return ShiftedElement(n, m, payload)
@@ -168,7 +175,7 @@ def _compose(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement], payload,
         raise ValueError("arity mismatch")
     # u's k-th input is the k-th terrestrial point in reading order, which
     # carries the configuration label T[k]
-    T = omega(outer.mu_src).terrestrial
+    T = open_labels(outer.mu_src)
     u_src = graft_all_open(outer.u_src, [inners[T[k] - 1].u_src for k in range(r)])
     u_tgt = graft_all_open(outer.u_tgt, [inners[T[k] - 1].u_tgt for k in range(r)])
     mu_src = graft_all_open(outer.mu_src, [inn.mu_src for inn in inners])
@@ -201,10 +208,8 @@ def rho_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -
     """Chord-series payload: corridor conjugators pass through the associator."""
     n, m = e.narity()
     N = degree if degree is not None else e.x.element.degree
-    ob1 = omega(e.mu_src)
-    flags = tuple(s == "t" for s in ob1.pattern)
-    tgt_flags = tuple(s == "t" for s in omega(e.mu_tgt).pattern)
-    T, A = ob1.terrestrial, ob1.aerial
+    flags, tgt_flags = _terrestrial_flags(e.mu_src), _terrestrial_flags(e.mu_tgt)
+    T, A = leaf_ends(e.mu_src)
 
     src_flat = starred_flatten(e.mu_src)
     tgt_flat = starred_flatten(e.mu_tgt)

@@ -47,6 +47,7 @@ from .trees import (
     color,
     graft_closed,
     graft_open,
+    leaf_ends,
     leaves,
     leftcomb_closed,
     leftcomb_open,
@@ -62,8 +63,7 @@ def _tree_ends(tree: Tree, col: str, message: str) -> tuple[tuple[int, ...], tup
     """The open and the closed leaf labels of a unit-normal tree of color ``col``."""
     if color(tree) != col:
         raise ValueError(message)
-    labels = leaves(tree)
-    return tuple(l for k, l in labels if k == "y"), tuple(l for k, l in labels if k == "x")
+    return leaf_ends(tree)
 
 
 class PaBMorphism(BraidMorphism, frozen=True):
@@ -108,7 +108,7 @@ def pa_relabel(mor: BraidMorphism, closed_map: dict[int, int] | None,
 
 def papb_insert_open(outer: PaPBMorphism, j: int, inner: PaPBMorphism) -> PaPBMorphism:
     return PaPBMorphism(graft_open(outer.src, j, inner.src), graft_open(outer.tgt, j, inner.tgt),
-                        open_insert_braid(omega(outer.src), omega(outer.tgt), j,
+                        open_insert_braid(leaves(outer.src), leaves(outer.tgt), ("y", j),
                                           outer.braid, inner.braid))
 
 

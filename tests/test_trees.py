@@ -1,11 +1,19 @@
+import itertools
 import math
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from braidops.trees import (
+    MAX_TREE_DEPTH,
     UNIT_C,
     UNIT_O,
     ShuffleObject,
     arity,
+    closed_labels,
+    color,
     enumerate_closed_trees,
     enumerate_shuffle_objects,
     enumerate_trees,
@@ -17,15 +25,118 @@ from braidops.trees import (
     mc,
     mo,
     omega,
+    open_labels,
     parse_tree,
+    relabel_tree,
     show_tree,
     starred_flatten,
     u_flatten,
-    unit_normalize,
     validate,
     x,
     y,
 )
+
+
+# -- oracles: grafting as relabel, substitute, normalise; enumeration by plain recursion
+
+
+def unit_normalize(t):
+    """Unique normal form under mc(uc,s)=mc(s,uc)=s, mo(uo,s)=mo(s,uo)=s, f(uc)=uo."""
+    tag = t[0]
+    if tag in ("x", "y", "uc", "uo"):
+        return t
+    if tag == "f":
+        c = unit_normalize(t[1])
+        return UNIT_O if c == UNIT_C else ("f", c)
+    a = unit_normalize(t[1])
+    b = unit_normalize(t[2])
+    unit = UNIT_C if tag == "mc" else UNIT_O
+    if a == unit:
+        return b
+    if b == unit:
+        return a
+    return (tag, a, b)
+
+
+def substitute(t, slot, replacement):
+    if t == slot:
+        return replacement
+    tag = t[0]
+    if tag in ("x", "y", "uc", "uo"):
+        return t
+    if tag == "f":
+        return ("f", substitute(t[1], slot, replacement))
+    return (tag, substitute(t[1], slot, replacement), substitute(t[2], slot, replacement))
+
+
+def graft_closed_oracle(outer, i, inner):
+    if color(inner) != "c":
+        raise ValueError("color mismatch: closed slot needs a closed tree")
+    labels, inner_labels = closed_labels(outer), closed_labels(inner)
+    if not (1 <= i <= len(labels)):
+        raise ValueError("slot out of range")
+    mi = len(inner_labels)
+    outer_map = {l: (l if l < i else l + mi - 1) for l in labels if l != i}
+    inner_map = {l: l + i - 1 for l in inner_labels}
+    outer_re = relabel_tree(outer, None, {**outer_map, i: 0})
+    inner_re = relabel_tree(inner, None, inner_map)
+    return unit_normalize(substitute(outer_re, ("x", 0), inner_re))
+
+
+def graft_open_oracle(outer, j, inner):
+    if color(inner) != "o":
+        raise ValueError("color mismatch: open slot needs an open tree")
+    labels, inner_labels = open_labels(outer), open_labels(inner)
+    if not (1 <= j <= len(labels)):
+        raise ValueError("slot out of range")
+    ni, mi = len(inner_labels), len(closed_labels(inner))
+    outer_open = {l: (l if l < j else l + ni - 1) for l in labels if l != j}
+    outer_closed = {l: l + mi for l in closed_labels(outer)}
+    inner_open = {l: l + j - 1 for l in inner_labels}
+    outer_re = relabel_tree(outer, {**outer_open, j: 0}, outer_closed)
+    inner_re = relabel_tree(inner, inner_open, None)
+    return unit_normalize(substitute(outer_re, ("y", 0), inner_re))
+
+
+def closed_trees_oracle(labels):
+    if len(labels) == 1:
+        return [("x", next(iter(labels)))]
+    out = []
+    items = sorted(labels)
+    for r in range(1, len(items)):
+        for left in itertools.combinations(items, r):
+            lset = frozenset(left)
+            for a in closed_trees_oracle(lset):
+                for b in closed_trees_oracle(labels - lset):
+                    out.append(("mc", a, b))
+    return out
+
+
+def open_trees_oracle(olabels, clabels):
+    out = []
+    if len(olabels) == 1 and not clabels:
+        out.append(("y", next(iter(olabels))))
+    if not olabels and clabels:
+        out.extend(("f", t) for t in closed_trees_oracle(clabels))
+    oitems, citems = sorted(olabels), sorted(clabels)
+    for ro in range(len(oitems) + 1):
+        for oleft in itertools.combinations(oitems, ro):
+            for rc in range(len(citems) + 1):
+                for cleft in itertools.combinations(citems, rc):
+                    ol, cl = frozenset(oleft), frozenset(cleft)
+                    orr, crr = olabels - ol, clabels - cl
+                    if not (ol or cl) or not (orr or crr):
+                        continue
+                    for a in open_trees_oracle(ol, cl):
+                        for b in open_trees_oracle(orr, crr):
+                            out.append(("mo", a, b))
+    return out
+
+
+def enumerate_trees_oracle(n, m, with_units=False):
+    if n == 0 and m == 0:
+        return [UNIT_O] if with_units else []
+    return open_trees_oracle(frozenset(range(1, n + 1)), frozenset(range(1, m + 1)))
 
 
 def rand_tree(rng, n, m):
@@ -144,8 +255,6 @@ def test_omega_graft_compatibility():
 
 
 def omega_closed_seq(t):
-    from braidops.trees import closed_labels
-
     return closed_labels(t)
 
 
@@ -213,8 +322,6 @@ def test_graft_associativity_random():
         assert left == right
         # disjoint open slots commute up to the closed-block swap: the later
         # insertion's closed labels always land first
-        from braidops.trees import relabel_tree
-
         t1 = graft_open(graft_open(outer, 2, a), 1, b)
         t2 = graft_open(graft_open(outer, 1, b), 1, a)
         ma, mb = 1, 2  # closed arities of a and b
@@ -253,8 +360,6 @@ def test_shuffle_object_ops():
 def test_graft_equivariance():
     # relabeling the inner tree relabels its block in the composite
     rng = random.Random(4)
-    from braidops.trees import relabel_tree
-
     for _ in range(30):
         outer = rand_tree(rng, 2, 1)
         ni, mi = rng.randint(1, 2), rng.randint(1, 2)
@@ -273,3 +378,109 @@ def test_graft_equivariance():
         for l in range(1, mi + 1):
             block_h[l] = h[l]
         assert lhs == relabel_tree(base, block_g, block_h)
+
+
+# -- one-walk grafting and shared enumeration against the oracles ---------------
+
+
+def build_tree(draw, col, items):
+    """A random valid tree of color ``col`` on the leaves ``items``, littered with units."""
+    if not items:
+        t = UNIT_C if col == "c" else draw(st.sampled_from([UNIT_O, ("f", UNIT_C)]))
+    elif len(items) == 1 and (col == "c" or items[0][0] == "y"):
+        t = items[0]
+    elif col == "o" and all(kind == "x" for kind, _ in items) and draw(st.booleans()):
+        t = ("f", build_tree(draw, "c", items))
+    elif len(items) == 1:
+        t = ("f", items[0])
+    else:
+        k = draw(st.integers(1, len(items) - 1))
+        t = ("mc" if col == "c" else "mo", build_tree(draw, col, items[:k]),
+             build_tree(draw, col, items[k:]))
+    if draw(st.integers(0, 4)) == 0:
+        unit = UNIT_C if col == "c" else draw(st.sampled_from([UNIT_O, ("f", UNIT_C)]))
+        tag = "mc" if col == "c" else "mo"
+        t = (tag, unit, t) if draw(st.booleans()) else (tag, t, unit)
+    return t
+
+
+@st.composite
+def unitary_trees(draw, col):
+    n = draw(st.integers(0, 3)) if col == "o" else 0
+    m = draw(st.integers(0, 3))
+    items = [("y", l) for l in draw(st.permutations(range(1, n + 1)))]
+    items += [("x", l) for l in draw(st.permutations(range(1, m + 1)))]
+    t = build_tree(draw, col, draw(st.permutations(items)))
+    validate(t, unitary=True)
+    return t
+
+
+def any_tree():
+    return st.sampled_from("co").flatmap(unitary_trees)
+
+
+def outcome(graft, outer, slot, inner):
+    try:
+        return graft(outer, slot, inner)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_tree(), st.sampled_from("co"), st.integers(-1, 4),
+       st.one_of(st.just(UNIT_C), st.just(UNIT_O), any_tree()))
+def test_graft_equals_relabel_substitute_normalise(outer, kind, slot, inner):
+    graft, oracle = ((graft_closed, graft_closed_oracle) if kind == "c"
+                     else (graft_open, graft_open_oracle))
+    assert outcome(graft, outer, slot, inner) == outcome(oracle, outer, slot, inner)
+
+
+def test_graft_errors_keep_their_messages():
+    outer = mo(f(x(1)), y(1))
+    for graft, slot, inner, message in [
+            (graft_closed, 1, y(1), "color mismatch: closed slot needs a closed tree"),
+            (graft_open, 1, x(1), "color mismatch: open slot needs an open tree"),
+            (graft_closed, 0, x(1), "slot out of range"),
+            (graft_closed, 2, UNIT_C, "slot out of range"),
+            (graft_open, 2, UNIT_O, "slot out of range"),
+            (graft_open, -1, y(1), "slot out of range")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            graft(outer, slot, inner)
+    with pytest.raises(ValueError, match="^slot out of range$"):
+        graft_open(UNIT_O, 1, UNIT_O)
+
+
+def test_graft_at_the_depth_limit():
+    deep_open = leftcomb_open(tuple(range(1, MAX_TREE_DEPTH + 2)))
+    deep_aerial = f(leftcomb_closed(tuple(range(1, MAX_TREE_DEPTH + 1))))
+    deep_closed = leftcomb_closed(tuple(range(MAX_TREE_DEPTH + 1, 0, -1)))
+    for t in (deep_open, deep_aerial, deep_closed):
+        assert parse_tree(show_tree(t)) == t
+    with pytest.raises(ValueError, match="deeper than"):
+        parse_tree(show_tree(mo(deep_open, y(MAX_TREE_DEPTH + 2))))
+    for j in (1, 50, MAX_TREE_DEPTH + 1):
+        for inner in (deep_open, deep_aerial, UNIT_O):
+            assert graft_open(deep_open, j, inner) == graft_open_oracle(deep_open, j, inner)
+    for i in (1, MAX_TREE_DEPTH):
+        for inner in (deep_closed, UNIT_C):
+            assert graft_closed(deep_aerial, i, inner) == graft_closed_oracle(deep_aerial, i, inner)
+    plugged = deep_open
+    for j in range(MAX_TREE_DEPTH + 1, 0, -1):
+        plugged = graft_open(plugged, j, UNIT_O)
+    assert plugged == UNIT_O
+
+
+@pytest.mark.parametrize("units", [False, True])
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(6) for m in range(6) if n + m <= 5])
+def test_enumerate_trees_equals_plain_recursion(n, m, units):
+    # the same trees in the same order
+    assert enumerate_trees(n, m, units) == enumerate_trees_oracle(n, m, units)
+
+
+def test_enumerate_closed_trees_equals_plain_recursion():
+    for m in range(1, 6):
+        assert enumerate_closed_trees(m) == closed_trees_oracle(frozenset(range(1, m + 1)))
+
+
+def test_enumeration_at_the_input_limit():
+    assert len(enumerate_trees(0, 6)) == 231840
