@@ -124,7 +124,7 @@ def color(t: Tree) -> str:
 def _walk_leaves(t: Tree) -> tuple[list[Tree], list[int], list[int], bool]:
     """One walk: the input leaves left to right, their open and their closed
     labels, and whether a unit (or unknown) leaf sits below the root."""
-    leaves, opens, closeds, stack = [], [], [], [t]
+    inputs, opens, closeds, stack = [], [], [], [t]
     stray = False
     while stack:
         s = stack.pop()
@@ -137,15 +137,15 @@ def _walk_leaves(t: Tree) -> tuple[list[Tree], list[int], list[int], bool]:
                 s = s[1]
             else:
                 if tag == "y":
-                    leaves.append(s)
+                    inputs.append(s)
                     opens.append(s[1])
                 elif tag == "x":
-                    leaves.append(s)
+                    inputs.append(s)
                     closeds.append(s[1])
                 elif s is not t or (tag != "uc" and tag != "uo"):
                     stray = True
                 break
-    return leaves, opens, closeds, stray
+    return inputs, opens, closeds, stray
 
 
 def closed_labels(t: Tree) -> tuple[int, ...]:
