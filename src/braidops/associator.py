@@ -13,10 +13,12 @@ word into a product of letter-substituted generators.  Each diagram path is
 evaluated once so: the pentagon is 3 against 2 factors of Phi, each hexagon 3
 against 3 factors.  ``phi_eval`` evaluates the word of a braid morphism the
 same way.  Both multiply in ``int`` through ``_path``: each generator and its
-inverse is scaled once by the lcm of its denominators, each substituted
-generator is normalised before it is multiplied in and the product after every
-factor, and only the result, or the difference of two paths, is divided, by one
-denominator.
+inverse is scaled once by the lcm of its denominators; the product runs over
+the factors from the right in standard words, which are block-ordered, and each
+substituted generator multiplies it on the left by Horner over its words' first
+letters, one letter of an image at a time (``chords.left_multiply``), so no
+word is rewritten to normal form; only the result, or the difference of two
+paths, is divided, by one denominator.
 
 The solver works degree by degree (Drinfeld 1990, Bar-Natan 1998).  At degree
 d the piece is E_d + psi: E_d, the degree-d part of exp(log Phi_{<d}), makes
@@ -55,7 +57,6 @@ from .chords import (
     DKElement,
     PaCDMorphism,
     _gen_index,
-    _reduce_terms,
     dimension_of_degree,
     dk_coproduct,
     dk_generators,
@@ -63,8 +64,8 @@ from .chords import (
     dk_terms_to_json,
     grouplike_check,
     insert_tables,
+    left_multiply,
     relabel_table,
-    substitute_letters,
     tensor_square,
 )
 from .diagrams import CLOSED_FAMILIES, family_word_pairs
@@ -77,7 +78,6 @@ from .exact import (
     fraction_to_str,
     insert_row,
     int_from_json,
-    mul_terms,
     series_exp,
     series_inverse,
     series_log,
@@ -157,19 +157,38 @@ def _generators(assoc: Associator, d: int) -> dict:
     return {key: clear_denominators(terms) for key, terms in gens.items()}
 
 
+def _horner(terms: dict, images: tuple, levels: list, r: int, d: int) -> list:
+    """Levels 0..d of ``terms``, letter l read as the sum of images[l], times the standard words ``levels``.
+
+    The words are grouped by first letter: each group's tail product is
+    multiplied on the left by each letter of that letter's image.
+    """
+    tails: dict = {}
+    for w, c in terms.items():
+        if 0 < len(w) <= d:
+            tails.setdefault(w[0], {})[w[1:]] = c
+    c = terms.get((), 0)
+    out = [{s: c * v for s, v in level.items()} if c else {} for level in levels[:d + 1]]
+    for l, tail in tails.items():
+        for k, level in enumerate(_horner(tail, images, levels, r, d - 1)):
+            for g in images[l]:
+                left_multiply(g, level, r, out[k + 1])
+    return out
+
+
 def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
     """(D, D * product) of the letter-substituted ``factors`` on r strands, normal and truncated at d.
 
-    Each substituted generator is normalised before it is multiplied in, and
-    the product after every factor; D is the product of their denominators.
+    The product runs over the factors from the right and stays standard: each
+    substituted generator multiplies it on the left (``_horner``).  D is the
+    product of the generators' denominators.
     """
-    denom, terms = 1, {(): 1}
-    for name, sign, images in factors:
+    denom, levels = 1, [{(): 1}] + [{} for _ in range(d)]
+    for name, sign, images in reversed(factors):
         scale, gen = gens[name, sign]
-        factor = _reduce_terms(substitute_letters(gen, images), r)
-        terms = _reduce_terms(mul_terms(terms, factor, d), r)
+        levels = _horner(gen, images, levels, r, d)
         denom *= scale
-    return denom, terms
+    return denom, {s: c for level in levels for s, c in level.items()}
 
 
 def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> PaCDMorphism:
@@ -437,17 +456,18 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
     return {w: piece[w] for w in sorted(piece)}
 
 
-#: highest degree ``solve_associator`` accepts, the solver's target degree: degree 9
-#: takes about 34 s at a 0.9 GB peak on a 2-vCPU host
-MAX_SOLVE_DEGREE = 9
+#: highest degree ``solve_associator`` accepts, the solver's target degree: degree 10
+#: takes about 1 min at a 1.5 GB peak on a 2-vCPU host
+MAX_SOLVE_DEGREE = 10
 
 #: largest strand count ``phi_eval`` accepts: desk scale is <= 4 strands, and
-#: 8 strands at degree 5 already take seconds
+#: 8 strands at degree 5 take about 0.5 s
 MAX_EVAL_STRANDS = 8
 
 #: largest chord-algebra dimension, at the morphism's strand count and the
 #: evaluation degree, that ``phi_eval`` accepts: 8 strands pass at degree 5
-#: (627,396) and fail at degree 6 (5,715,424), where memory runs out
+#: (627,396) and fail at degree 6 (5,715,424), where one evaluation takes
+#: about 1 min at a 0.7 GB peak on a 2-vCPU host
 MAX_EVAL_DIMENSION = 10**6
 
 
@@ -484,5 +504,7 @@ def associator_to_json(assoc: Associator) -> dict:
 def associator_from_json(data: dict) -> Associator:
     degree = int_from_json(data["degree"], "degree")
     _check_degree(degree)
+    if "strands" in data["phi"] and int_from_json(data["phi"]["strands"], "strands") != 3:
+        raise ValueError(f"associator on {data['phi']['strands']} strands, not 3")
     phi_free = dk_terms_from_json(3, data["phi"]["terms"])
     return Associator(fraction_from_str(data["mu"]), degree, DKElement(3, degree, phi_free), phi_free)

@@ -17,6 +17,18 @@ degree 3 for every r up to MAX_STRANDS, so every overlap resolves and, by the
 diamond lemma, normal forms are unique in every degree.  Equality of elements
 is structural equality of normal forms and everything stays exact.
 
+The standard words are block-ordered.  Block i holds the chords t_ij with
+j > i; a leading pair is a letter followed by one of a lower block, so a
+standard word is w_1 w_2 ... w_{r-1} with w_i any word in block i (Drinfeld
+1990, section 5: U(t_r) = U(F_{r-1}) (x) ... (x) U(F_1)), and every split of
+a standard word is standard.  A letter x moves right past a lower-block letter
+u by xu = ux + [x, u], with a closed-form bracket table, so ``left_multiply``
+takes a letter times a standard word to standard words in one step:
+x s = sum_{m<p} s[:m] [x, s_m] s[m+1:] + s[:p] x s[p:], with p the length of
+the prefix of s in blocks below x's.  The associator's constraint and
+evaluation products multiply this way, with no rewriting and no memo;
+``DKElement`` and the chord commands rewrite through the rules above.
+
 Strand conventions: the strand index of a chord generator is the input label
 it touches; operadic insertion at strand k doubles the strand into a block
 (t_ik becomes a sum over the block) and multiplies by the shifted inserted
@@ -26,6 +38,7 @@ removed strand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -148,6 +161,41 @@ def _normal_form(r: int, w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 def _reduce_terms(terms: dict, r: int) -> dict:
     return accumulate({}, ((w2, c * c2) for w, c in terms.items()
                            for w2, c2 in _normal_form(r, w).items()))
+
+
+@functools.cache
+def _letter_brackets(r: int) -> tuple[tuple[int, ...], list[dict]]:
+    """(block of each letter, per letter x {u: [x, u] as (word, coefficient) pairs}) on r strands.
+
+    Only lower-block letters u are listed: for i < j < k, [t_jk, t_ij] =
+    [t_ij, t_ik] and [t_jk, t_ik] = [t_ik, t_ij], and t_jk commutes with every
+    other lower-block letter.
+    """
+    idx = _gen_index(r)
+    table: list[dict] = [{} for _ in idx]
+    for i, j, k in itertools.combinations(range(1, r + 1), 3):
+        a, b = idx[i, j], idx[i, k]
+        table[idx[j, k]].update({a: (((a, b), 1), ((b, a), -1)), b: (((b, a), 1), ((a, b), -1))})
+    return tuple(i for i, _j in idx), table
+
+
+def left_multiply(x: int, terms: dict, r: int, out: dict) -> dict:
+    """Add the letter x times ``terms``, whose words are standard, into ``out``; every word added is standard.
+
+    With p the length of the prefix of s in blocks below x's,
+    x s = sum_{m<p} s[:m] [x, s_m] s[m+1:] + s[:p] x s[p:].
+    """
+    blocks, table = _letter_brackets(r)
+    b, row = blocks[x], table[x]
+    pairs = []
+    for s, c in terms.items():
+        p = 0
+        while p < len(s) and blocks[s[p]] < b:
+            p += 1
+        if p:
+            pairs += [(s[:m] + w + s[m + 1:], k * c) for m in range(p) for w, k in row.get(s[m], ())]
+        pairs.append((s[:p] + (x,) + s[p:], c))
+    return accumulate(out, pairs)
 
 
 class DKElement:
@@ -325,9 +373,8 @@ def dk_restrict(e: DKElement, k: int) -> DKElement:
 
 
 def dk_coproduct(e: DKElement) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
-    """Truncated coproduct with every generator primitive, factorwise-normalized."""
-    raw = accumulate({}, ((split, c) for w, c in e.series.terms.items() for split in _splits(w)))
-    return _tensor_normalize(raw, e.strands)
+    """Truncated coproduct with every generator primitive; each factor is normal, as a split of a normal word."""
+    return accumulate({}, ((split, c) for w, c in e.series.terms.items() for split in _splits(w)))
 
 
 def _splits(w: tuple[int, ...]):
@@ -336,19 +383,11 @@ def _splits(w: tuple[int, ...]):
         yield (tuple(l for l, b in zip(w, bits) if not b), tuple(l for l, b in zip(w, bits) if b))
 
 
-def _tensor_normalize(tensor: dict, r: int) -> dict:
-    stage = accumulate({}, (((w1n, w2), c1) for (w1, w2), c in tensor.items()
-                            for w1n, c1 in _reduce_terms({w1: c}, r).items()))
-    return accumulate({}, (((w1, w2n), c2) for (w1, w2), c in stage.items()
-                           for w2n, c2 in _reduce_terms({w2: c}, r).items()))
-
-
 def tensor_square(g: DKElement, h: DKElement) -> dict:
-    """g (x) h truncated at total degree, factorwise-normalized."""
+    """g (x) h truncated at total degree; each factor is a normal word."""
     assert g.strands == h.strands and g.degree == h.degree
-    out = {(w1, w2): c1 * c2 for w1, c1 in g.series.terms.items()
-           for w2, c2 in h.series.terms.items() if len(w1) + len(w2) <= g.degree}
-    return _tensor_normalize(out, g.strands)
+    return {(w1, w2): c1 * c2 for w1, c1 in g.series.terms.items()
+            for w2, c2 in h.series.terms.items() if len(w1) + len(w2) <= g.degree}
 
 
 def grouplike_check(g: DKElement) -> bool:

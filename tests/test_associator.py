@@ -34,7 +34,6 @@ from braidops.chords import (
     PaCDMorphism,
     _reduce_terms,
     _splits,
-    _tensor_normalize,
     dk_insert,
     grouplike_check,
     insert_tables,
@@ -54,6 +53,7 @@ from braidops.parenthesized import (
 )
 from braidops.trees import Tree, closed_labels, color, enumerate_closed_trees, mc, x
 
+from test_chords import _tensor_normalize
 from test_parenthesized import rand_closed_morphism
 
 
@@ -440,6 +440,16 @@ def test_failed_reverification_raises(monkeypatch):
         solve_associator(1, 2)
 
 
+def test_constraint_products_leave_no_4_strand_normal_forms(monkeypatch):
+    # the constraint paths multiply by block-ordered left multiplication, so a
+    # solve and a pentagon check rewrite no 4-strand word through the memo
+    import braidops.chords as chords
+
+    monkeypatch.setattr(chords, "_NORMAL_FORMS", {})
+    check_pentagon(solve_associator(1, 6))
+    assert chords._NORMAL_FORMS and not [key for key in chords._NORMAL_FORMS if key[0] == 4]
+
+
 def test_failed_reverification_under_optimize():
     # the closing re-check must not be an assert, which -O strips
     import subprocess
@@ -684,3 +694,35 @@ def test_degree_9_output_pinned(monkeypatch, capsys):
     assert digests == {9: "5bf6a826d06ecb755be6c4b9a40aa02ce464ed8b58d572a9784c556b5603c1f3"}
     assert shapes[-1] == (19170, 56, 1)
     assert [nullity for _rows, _cols, nullity in shapes] == [0, 0, 1, 0, 1, 0, 1, 1, 1]
+
+
+@pytest.mark.slow
+def test_degree_10_output_pinned(monkeypatch, capsys):
+    # stdout digest recorded from the block-ordered constraint products, which
+    # passed the closing re-check; nullity per degree is dim grt_1 through degree 10
+    digests, shapes = solve_outputs(monkeypatch, capsys, (10,))
+    assert digests == {10: "8c4faf8965a9d9df1fb8bf82e37d60554f0a24e78d473e41c502a888016a3348"}
+    assert shapes[-1] == (57814, 99, 1)
+    assert [nullity for _rows, _cols, nullity in shapes] == [0, 0, 1, 0, 1, 0, 1, 1, 1, 1]
+
+
+@pytest.mark.slow
+def test_degree_9_peak_memory():
+    # the constraint products keep no normal-form memo of 4-strand words: a
+    # degree-9 solve peaks near 220 MB, where the memo took it to 878 MB.  The
+    # solve runs under a small launcher, since a child's ru_maxrss starts from
+    # the peak of the process that starts it, here the test run itself
+    import subprocess
+    import sys
+
+    script = ("import hashlib, resource, subprocess, sys\n"
+              "run = subprocess.run([sys.executable, '-m', 'braidops', 'assoc', 'solve', '--mu', '1',\n"
+              "                      '--degree', '9'], capture_output=True)\n"
+              "print(run.returncode, hashlib.sha256(run.stdout).hexdigest(),\n"
+              "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    rc, digest, peak_kb = out.stdout.split()
+    assert out.stderr == "" and rc == "0"
+    assert digest == "5bf6a826d06ecb755be6c4b9a40aa02ce464ed8b58d572a9784c556b5603c1f3"
+    assert int(peak_kb) < 512 * 1024

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidops.chords import (
     MAX_STRANDS,
@@ -15,6 +17,7 @@ from braidops.chords import (
     _reduce_terms,
     _reducer,
     _relations,
+    _splits,
     dimension_of_degree,
     dk_coproduct,
     dk_from_json,
@@ -25,9 +28,11 @@ from braidops.chords import (
     dk_to_json,
     format_dk,
     grouplike_check,
+    left_multiply,
     pacd_insert,
     tensor_square,
 )
+from braidops.exact import accumulate
 from braidops.trees import enumerate_closed_trees
 
 
@@ -260,6 +265,52 @@ def test_every_placement_reduces_to_zero():
         assert _reduce_terms(vec, 4) == {}
         count += 1
     assert count == 3 * 6 ** 2 * 15
+
+
+def _tensor_normalize(tensor: dict, r: int) -> dict:
+    """Both factors of a tensor rewritten to chord normal forms: the oracle for splits of normal words."""
+    stage = accumulate({}, (((w1n, w2), c1) for (w1, w2), c in tensor.items()
+                            for w1n, c1 in _reduce_terms({w1: c}, r).items()))
+    return accumulate({}, (((w1, w2n), c2) for (w1, w2), c in stage.items()
+                           for w2n, c2 in _reduce_terms({w2: c}, r).items()))
+
+
+@st.composite
+def standard_words(draw, max_strands=8, max_length=7):
+    """(strands, a standard word, a letter): blocks never decrease along a standard word."""
+    r = draw(st.integers(2, max_strands))
+    pairs = dk_generators(r)
+    # a stable sort by block keeps the drawn order within each block, whose letters are free
+    word = tuple(sorted(draw(st.lists(st.integers(0, len(pairs) - 1), max_size=max_length)),
+                        key=lambda g: pairs[g][0]))
+    return r, word, draw(st.integers(0, len(pairs) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(standard_words())
+def test_left_multiply_equals_normal_form(case):
+    # block-ordered left multiplication is the Groebner normal form of the longer word
+    r, s, x = case
+    assert _normal_form(r, s) == {s: 1}
+    assert left_multiply(x, {s: 3}, r, {}) == {w: 3 * c for w, c in _normal_form(r, (x,) + s).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(standard_words())
+def test_splits_of_normal_words_are_normal(case):
+    # every subsequence of a block-ordered word is block-ordered, so the
+    # coproduct and tensor square need no normalisation of their factors
+    r, s, x = case
+    splits = accumulate({}, ((split, 1) for w in left_multiply(x, {s: 1}, r, {}) for split in _splits(w)))
+    assert _tensor_normalize(splits, r) == splits
+
+
+def test_coproduct_and_tensor_square_are_factorwise_normal():
+    rng = random.Random(3)
+    for r in range(2, 6):
+        g, h = rand_dk(rng, r, 4), rand_dk(rng, r, 4)
+        assert _tensor_normalize(dk_coproduct(g), r) == dk_coproduct(g)
+        assert _tensor_normalize(tensor_square(g, h), r) == tensor_square(g, h)
 
 
 def test_coproduct_grouplike():

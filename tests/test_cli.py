@@ -284,6 +284,11 @@ BAD_CHORD_JSON = [
                           "phi": {"terms": [{"coef": "1", "word": []}]}}, "nonzero denominator"),
     (["cd", "normalize"], {"strands": 3, "degree": 2,
                            "terms": [{"coef": "1/0", "word": [[1, 2]]}]}, "nonzero denominator"),
+    # an associator lives on 3 strands: a declared strand count is read, not ignored
+    (["assoc", "check"], {"mu": "1", "degree": 1, "phi": {"strands": 4, "degree": 1, "terms": [
+        {"coef": "1", "word": []}]}}, "associator on 4 strands, not 3"),
+    (["assoc", "check"], {"mu": "1", "degree": 1, "phi": {"strands": 3.0, "degree": 1, "terms": [
+        {"coef": "1", "word": []}]}}, "strands must be an integer, got float"),
 ]
 
 
@@ -449,7 +454,7 @@ def test_bad_morphism_json_under_optimize(argv, data, message):
 # degree), an evaluation on 9 strands, one past the evaluator's strand limit,
 # and one on 8 strands at degree 6, where the chord algebra has 5,715,424
 # dimensions
-ASSOC_10 = {"mu": "1", "degree": 10, "phi": {"terms": [{"coef": "1", "word": []}]}}
+ASSOC_11 = {"mu": "1", "degree": 11, "phi": {"terms": [{"coef": "1", "word": []}]}}
 
 
 def left_comb(n: int) -> str:
@@ -462,13 +467,13 @@ OVER_LIMIT = [
     (["tree", "enum", "--open", "4", "--closed", "3"], ""),
     (["voronov", "check", "--degree", "11", "--count", "1"], ""),
     (["voronov", "check", "--count", "1001"], ""),
-    (["assoc", "solve", "--degree", "10"], ""),
-    (["assoc", "check"], json.dumps(ASSOC_10)),
-    (["assoc", "eval"], json.dumps({"associator": ASSOC_10, "morphism": {
+    (["assoc", "solve", "--degree", "11"], ""),
+    (["assoc", "check"], json.dumps(ASSOC_11)),
+    (["assoc", "eval"], json.dumps({"associator": ASSOC_11, "morphism": {
         "src": "mc(x1,x2)", "tgt": "mc(x2,x1)", "braid": {"strands": 2, "word": [1]}}})),
-    (["assoc", "eval"], json.dumps({"associator": {**ASSOC_10, "degree": 2}, "morphism": {
+    (["assoc", "eval"], json.dumps({"associator": {**ASSOC_11, "degree": 2}, "morphism": {
         "src": left_comb(9), "tgt": left_comb(9), "braid": {"strands": 9, "word": []}}})),
-    (["assoc", "eval"], json.dumps({"associator": {**ASSOC_10, "degree": 6}, "morphism": {
+    (["assoc", "eval"], json.dumps({"associator": {**ASSOC_11, "degree": 6}, "morphism": {
         "src": left_comb(8), "tgt": left_comb(8), "braid": {"strands": 8, "word": []}}})),
 ]
 OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "voronov-degree", "voronov-count",
