@@ -157,22 +157,23 @@ def _generators(assoc: Associator, d: int) -> dict:
     return {key: clear_denominators(terms) for key, terms in gens.items()}
 
 
-def _horner(terms: dict, images: tuple, levels: list, r: int, d: int) -> list:
-    """Levels 0..d of ``terms``, letter l read as the sum of images[l], times the standard words ``levels``.
+def _horner(terms: dict, images: tuple, levels: list, r: int, d: int) -> dict:
+    """``terms``, letter l read as the sum of images[l], times ``levels``, truncated at d.
 
-    The words are grouped by first letter: each group's tail product is
-    multiplied on the left by each letter of that letter's image.
+    ``levels[k]`` holds standard words of length k, and the result is
+    standard: the words are grouped by first letter, and each group's tail
+    product is multiplied on the left by each letter of that letter's image.
     """
     tails: dict = {}
     for w, c in terms.items():
         if 0 < len(w) <= d:
             tails.setdefault(w[0], {})[w[1:]] = c
     c = terms.get((), 0)
-    out = [{s: c * v for s, v in level.items()} if c else {} for level in levels[:d + 1]]
+    out = {s: c * v for level in levels[:d + 1] for s, v in level.items()} if c else {}
     for l, tail in tails.items():
-        for k, level in enumerate(_horner(tail, images, levels, r, d - 1)):
-            for g in images[l]:
-                left_multiply(g, level, r, out[k + 1])
+        inner = _horner(tail, images, levels, r, d - 1)
+        for g in images[l]:
+            left_multiply(g, inner, r, out)
     return out
 
 
@@ -183,12 +184,15 @@ def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
     substituted generator multiplies it on the left (``_horner``).  D is the
     product of the generators' denominators.
     """
-    denom, levels = 1, [{(): 1}] + [{} for _ in range(d)]
+    denom, terms = 1, {(): 1}
     for name, sign, images in reversed(factors):
+        levels: list = [{} for _ in range(d + 1)]
+        for s, c in terms.items():
+            levels[len(s)][s] = c
         scale, gen = gens[name, sign]
-        levels = _horner(gen, images, levels, r, d)
+        terms = _horner(gen, images, levels, r, d)
         denom *= scale
-    return denom, {s: c for level in levels for s, c in level.items()}
+    return denom, terms
 
 
 def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> PaCDMorphism:
