@@ -709,7 +709,7 @@ def test_degree_10_output_pinned(monkeypatch, capsys):
 @pytest.mark.slow
 def test_degree_9_peak_memory():
     # the constraint products keep no normal-form memo of 4-strand words: a
-    # degree-9 solve peaks near 220 MB, where the memo took it to 878 MB.  The
+    # degree-9 solve peaks near 240 MB, where the memo took it to 877 MB.  The
     # solve runs under a small launcher, since a child's ru_maxrss starts from
     # the peak of the process that starts it, here the test run itself
     import subprocess

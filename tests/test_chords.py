@@ -305,14 +305,6 @@ def test_splits_of_normal_words_are_normal(case):
     assert _tensor_normalize(splits, r) == splits
 
 
-def test_coproduct_and_tensor_square_are_factorwise_normal():
-    rng = random.Random(3)
-    for r in range(2, 6):
-        g, h = rand_dk(rng, r, 4), rand_dk(rng, r, 4)
-        assert _tensor_normalize(dk_coproduct(g), r) == dk_coproduct(g)
-        assert _tensor_normalize(tensor_square(g, h), r) == tensor_square(g, h)
-
-
 def test_coproduct_grouplike():
     assert grouplike_check(DKElement.one(3, 3))
     e = t(3, 4, 1, 2).exp()
