@@ -13,7 +13,9 @@ tuple and reports each failing instance.
 Generator words evaluate to natural-transformation tables, so two different
 generator-word decompositions of the same morphism can be compared on the
 nose; well-definedness of that evaluation is exactly what the six diagram
-families guarantee.
+families guarantee.  A tree's functor is compiled once per evaluator into a
+function of the open and the closed argument tuples, and validation uses the
+same compiled functors; an insertion splits its arguments by slices.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 
 from .diagrams import family_word_pairs
 from .parenthesized import GENERATOR_SHAPES, evaluate_word
-from .trees import Record, Tree, arity, color
+from .trees import Record, Tree, arity, color, graft_closed, graft_open, relabel_tree
 
 
 class CoherenceTypeError(Exception):
@@ -198,19 +200,16 @@ class AlgebraData:
         self.f_functor.validate()
         for name, (src_tree, tgt_tree, _) in GENERATOR_SHAPES.items():
             label, table = self.tables()[name]
-            src, tgt = TreeFunctor(self, src_tree), TreeFunctor(self, tgt_tree)
-            cat = src.target
+            cat = self.m_cat if color(src_tree) == "c" else self.n_cat
+            src, tgt = _compile(self, src_tree, True), _compile(self, tgt_tree, True)
+            src_mor, tgt_mor = _compile(self, src_tree, False), _compile(self, tgt_tree, False)
             n, m = arity(src_tree)
             slot_cats = [self.m_cat] * m + [self.n_cat] * n
-
-            def args(key):
-                return dict(enumerate(key[m:], 1)), dict(enumerate(key[:m], 1))
-
             for key in itertools.product(*(c.objects for c in slot_cats)):
                 comp = table.get(key)
                 if comp is None:
                     raise CoherenceTypeError(f"{label}: no component at {key!r}")
-                a, b = src.on_objects(*args(key)), tgt.on_objects(*args(key))
+                a, b = src(key[m:], key[:m]), tgt(key[m:], key[:m])
                 if comp not in cat.morphisms or cat.src[comp] != a or cat.tgt[comp] != b:
                     raise CoherenceTypeError(
                         f"{label}: component at {key!r} must be a morphism {a!r} -> {b!r}")
@@ -218,46 +217,31 @@ class AlgebraData:
             for mors in itertools.product(*(c.morphisms for c in slot_cats)):
                 key_src = tuple(c.src[f] for c, f in zip(slot_cats, mors))
                 key_tgt = tuple(c.tgt[f] for c, f in zip(slot_cats, mors))
-                if cat.comp(table[key_tgt], src.on_morphisms(*args(mors))) != \
-                        cat.comp(tgt.on_morphisms(*args(mors)), table[key_src]):
+                if cat.comp(table[key_tgt], src_mor(mors[m:], mors[:m])) != \
+                        cat.comp(tgt_mor(mors[m:], mors[:m]), table[key_src]):
                     raise CoherenceTypeError(f"naturality of {label} fails at {key_src!r}")
 
 
 # -- evaluation of generator words -------------------------------------------------
 
 
-class TreeFunctor:
-    """The multi-argument functor carved out by an object tree."""
-
-    def __init__(self, data: AlgebraData, tree: Tree):
-        self.data = data
-        self.tree = tree
-        n, m = arity(tree)
-        self.n, self.m = n, m
-        self.target = data.m_cat if color(tree) == "c" else data.n_cat
-
-    def on_objects(self, oargs: dict, cargs: dict):
-        return self._eval(self.tree, oargs, cargs, objects=True)
-
-    def on_morphisms(self, oargs: dict, cargs: dict):
-        return self._eval(self.tree, oargs, cargs, objects=False)
-
-    def _eval(self, t: Tree, oargs, cargs, objects: bool):
-        tag = t[0]
-        if tag == "x":
-            return cargs[t[1]]
-        if tag == "y":
-            return oargs[t[1]]
-        if tag == "f":
-            inner = self._eval(t[1], oargs, cargs, objects)
-            table = self.data.f_functor
-            return table.on_objects((inner,)) if objects else table.on_morphisms((inner,))
-        if tag in ("mc", "mo"):
-            a = self._eval(t[1], oargs, cargs, objects)
-            b = self._eval(t[2], oargs, cargs, objects)
-            table = self.data.m_c if tag == "mc" else self.data.m_o
-            return table.on_objects((a, b)) if objects else table.on_morphisms((a, b))
-        raise CoherenceTypeError(f"cannot evaluate tree node {tag!r}")
+def _compile(data: AlgebraData, tree: Tree, objects: bool):
+    """The functor that ``tree`` carves out, on objects or on morphisms, as a
+    function of the open and the closed argument tuples."""
+    tag = tree[0]
+    if tag == "x" or tag == "y":
+        k = tree[1] - 1
+        return (lambda o, c: c[k]) if tag == "x" else (lambda o, c: o[k])
+    if tag == "f":
+        inner = _compile(data, tree[1], objects)
+        table = data.f_functor.on_objects if objects else data.f_functor.on_morphisms
+        return lambda o, c: table((inner(o, c),))
+    if tag == "mc" or tag == "mo":
+        a, b = _compile(data, tree[1], objects), _compile(data, tree[2], objects)
+        functor = data.m_c if tag == "mc" else data.m_o
+        table = functor.on_objects if objects else functor.on_morphisms
+        return lambda o, c: table((a(o, c), b(o, c)))
+    raise CoherenceTypeError(f"cannot evaluate tree node {tag!r}")
 
 
 class NatTransTable:
@@ -277,23 +261,30 @@ class NatTransTable:
         return self.components[(tuple(oargs), tuple(cargs))]
 
 
-def _arg_tuples(data: AlgebraData, n: int, m: int):
-    return itertools.product(itertools.product(data.n_cat.objects, repeat=n),
-                             itertools.product(data.m_cat.objects, repeat=m))
-
-
 class FinCatAlgebra:
-    """Evaluate generator words against candidate structure data."""
+    """Evaluate generator words against candidate structure data.
+
+    Each tree's functor is compiled once, on first use, and kept by tree.
+    """
 
     def __init__(self, data: AlgebraData):
         self.data = data
+        self._functors: dict = {}
+
+    def _functor(self, tree: Tree, objects: bool):
+        key = (tree, objects)
+        if key not in self._functors:
+            self._functors[key] = _compile(self.data, tree, objects)
+        return self._functors[key]
+
+    def _category(self, tree: Tree) -> FiniteCategory:
+        return self.data.m_cat if color(tree) == "c" else self.data.n_cat
 
     def _table(self, src_tree: Tree, tgt_tree: Tree, fn) -> NatTransTable:
         n, m = arity(src_tree)
-        comps = {}
-        for oargs, cargs in _arg_tuples(self.data, n, m):
-            comps[(oargs, cargs)] = fn(oargs, cargs)
-        return NatTransTable(self.data, src_tree, tgt_tree, comps)
+        args = itertools.product(itertools.product(self.data.n_cat.objects, repeat=n),
+                                 itertools.product(self.data.m_cat.objects, repeat=m))
+        return NatTransTable(self.data, src_tree, tgt_tree, {key: fn(*key) for key in args})
 
     def generator(self, name: str) -> NatTransTable:
         src, tgt, _ = GENERATOR_SHAPES[name]
@@ -301,103 +292,71 @@ class FinCatAlgebra:
         return self._table(src, tgt, lambda oargs, cargs: table[cargs + oargs])
 
     def identity(self, tree: Tree) -> NatTransTable:
-        functor = TreeFunctor(self.data, tree)
-
-        def fn(oargs, cargs):
-            obj = functor.on_objects(dict(enumerate(oargs, 1)), dict(enumerate(cargs, 1)))
-            return functor.target.identity(obj)
-
-        return self._table(tree, tree, fn)
+        functor, identity = self._functor(tree, True), self._category(tree).identity
+        return self._table(tree, tree, lambda oargs, cargs: identity(functor(oargs, cargs)))
 
     def compose(self, g: NatTransTable, f: NatTransTable) -> NatTransTable:
         assert f.tgt_tree == g.src_tree, "object mismatch"
-        cat = self.data.m_cat if color(f.src_tree) == "c" else self.data.n_cat
-
-        def fn(oargs, cargs):
-            return cat.comp(g.component(oargs, cargs), f.component(oargs, cargs))
-
-        return self._table(f.src_tree, g.tgt_tree, fn)
+        comp, gs, fs = self._category(f.src_tree).comp, g.components, f.components
+        return self._table(f.src_tree, g.tgt_tree,
+                           lambda oargs, cargs: comp(gs[oargs, cargs], fs[oargs, cargs]))
 
     def invert(self, v: NatTransTable) -> NatTransTable:
-        cat = self.data.m_cat if color(v.src_tree) == "c" else self.data.n_cat
-
-        def fn(oargs, cargs):
-            return cat.inverse(v.component(oargs, cargs))
-
-        return self._table(v.tgt_tree, v.src_tree, fn)
+        inverse, vs = self._category(v.src_tree).inverse, v.components
+        return self._table(v.tgt_tree, v.src_tree, lambda oargs, cargs: inverse(vs[oargs, cargs]))
 
     def insert_closed(self, outer: NatTransTable, i: int, inner: NatTransTable) -> NatTransTable:
-        from .trees import graft_closed
-
         src_tree = graft_closed(outer.src_tree, i, inner.src_tree)
         tgt_tree = graft_closed(outer.tgt_tree, i, inner.tgt_tree)
         return self._insert(outer, inner, src_tree, tgt_tree, i, "c")
 
     def insert_open(self, outer: NatTransTable, j: int, inner: NatTransTable) -> NatTransTable:
-        from .trees import graft_open
-
         src_tree = graft_open(outer.src_tree, j, inner.src_tree)
         tgt_tree = graft_open(outer.tgt_tree, j, inner.tgt_tree)
         return self._insert(outer, inner, src_tree, tgt_tree, j, "o")
 
     def _insert(self, outer, inner, src_tree, tgt_tree, slot, col) -> NatTransTable:
-        n_out, m_out = arity(outer.src_tree)
-        n_in, m_in = arity(inner.src_tree)
-        inner_src = TreeFunctor(self.data, inner.src_tree)
-        inner_tgt = TreeFunctor(self.data, inner.tgt_tree)
-        outer_tgt = TreeFunctor(self.data, outer.tgt_tree)
-        cat = outer_tgt.target
+        """The outer component at the inner source object, then the inner
+        component whiskered through the outer target functor.
 
-        def fn(oargs, cargs):
-            # split the composite arguments per the canonical relabeling
-            if col == "o":
-                in_o = oargs[slot - 1: slot - 1 + n_in]
-                out_o = oargs[: slot - 1] + oargs[slot - 1 + n_in:]
-                in_c = cargs[:m_in]
-                out_c = cargs[m_in:]
-            else:
-                in_o = ()
-                out_o = oargs
-                in_c = cargs[slot - 1: slot - 1 + m_in]
-                out_c = cargs[: slot - 1] + cargs[slot - 1 + m_in:]
-            in_odict = dict(enumerate(in_o, 1))
-            in_cdict = dict(enumerate(in_c, 1))
-            inner_comp = inner.component(in_o, in_c)
-            plug_src = inner_src.on_objects(in_odict, in_cdict)
-            # outer component at (args with the inner source object at the slot)
-            if col == "o":
-                oo = dict(enumerate(out_o[: slot - 1] + (plug_src,) + out_o[slot - 1:], 1))
-                occ = dict(enumerate(out_c, 1))
-            else:
-                oo = dict(enumerate(out_o, 1))
-                occ = dict(enumerate(out_c[: slot - 1] + (plug_src,) + out_c[slot - 1:], 1))
-            theta = outer.component(tuple(oo[k] for k in sorted(oo)),
-                                    tuple(occ[k] for k in sorted(occ)))
-            # whisker the inner component through the outer target functor
-            if col == "o":
-                mor_o = {k: self.data.n_cat.identity(v) for k, v in oo.items()}
-                mor_o[slot] = inner_comp
-                mor_c = {k: self.data.m_cat.identity(v) for k, v in occ.items()}
-            else:
-                mor_o = {k: self.data.n_cat.identity(v) for k, v in oo.items()}
-                mor_c = {k: self.data.m_cat.identity(v) for k, v in occ.items()}
-                mor_c[slot] = inner_comp
-            whisker = outer_tgt.on_morphisms(mor_o, mor_c)
-            return cat.comp(whisker, theta)
+        The composite's arguments of the slot's color are (before, inner,
+        after) by slices; an open insertion's inner closed arguments come first.
+        """
+        n_in, m_in = arity(inner.src_tree)
+        plug, whisker = self._functor(inner.src_tree, True), self._functor(outer.tgt_tree, False)
+        comp, outs, ins = self._category(outer.tgt_tree).comp, outer.components, inner.components
+        o_id, c_id = self.data.n_cat.identity, self.data.m_cat.identity
+        lo = slot - 1
+        if col == "o":
+            hi = lo + n_in
+
+            def fn(oargs, cargs):
+                in_o, in_c, out_c = oargs[lo:hi], cargs[:m_in], cargs[m_in:]
+                before, after = oargs[:lo], oargs[hi:]
+                theta = outs[before + (plug(in_o, in_c),) + after, out_c]
+                mor_o = (*map(o_id, before), ins[in_o, in_c], *map(o_id, after))
+                return comp(whisker(mor_o, tuple(map(c_id, out_c))), theta)
+        else:
+            hi = lo + m_in
+
+            def fn(oargs, cargs):
+                in_c, before, after = cargs[lo:hi], cargs[:lo], cargs[hi:]
+                theta = outs[oargs, before + (plug((), in_c),) + after]
+                mor_c = (*map(c_id, before), ins[(), in_c], *map(c_id, after))
+                return comp(whisker(tuple(map(o_id, oargs)), mor_c), theta)
 
         return self._table(src_tree, tgt_tree, fn)
 
     def relabel(self, v: NatTransTable, open_map, closed_map) -> NatTransTable:
-        from .trees import relabel_tree
-
         src_tree = relabel_tree(v.src_tree, open_map, closed_map)
         tgt_tree = relabel_tree(v.tgt_tree, open_map, closed_map)
         n, m = arity(src_tree)
+        o_at = tuple((open_map or {}).get(k, k) - 1 for k in range(1, n + 1))
+        c_at = tuple((closed_map or {}).get(k, k) - 1 for k in range(1, m + 1))
+        vs = v.components
 
         def fn(oargs, cargs):
-            old_o = tuple(oargs[(open_map or {}).get(k, k) - 1] for k in range(1, n + 1))
-            old_c = tuple(cargs[(closed_map or {}).get(k, k) - 1] for k in range(1, m + 1))
-            return v.component(old_o, old_c)
+            return vs[tuple(oargs[k] for k in o_at), tuple(cargs[k] for k in c_at)]
 
         return self._table(src_tree, tgt_tree, fn)
 
@@ -564,7 +523,10 @@ def algebra_from_json(payload: dict) -> AlgebraData:
     import ast
 
     def parse(s):
-        return ast.literal_eval(s)
+        try:
+            return ast.literal_eval(s)
+        except (SyntaxError, ValueError, MemoryError, RecursionError):
+            raise ValueError(f"cannot read {s!r} as a literal value") from None
 
     def category(d):
         objects = [parse(o) for o in d["objects"]]

@@ -16,10 +16,17 @@ unit rules on the way back up.
 
 The translation ``omega`` forgets parenthesization, keeping the left-to-right
 interval pattern of terrestrial (open) and aerial (closed) points.
+
+Leaf reads (``leaves``, ``leaf_ends``, ``arity`` and the label tuples) share one
+walk, memoised by tree value: trees are immutable tuples, so a memo hit returns
+what the walk would.  A word evaluation reads the same few dozen trees hundreds
+of times (90 distinct trees in the largest recorded request); the memo's bound,
+``LEAF_MEMO_SIZE``, keeps many such working sets and caps its memory.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Sequence
 
@@ -121,9 +128,15 @@ def color(t: Tree) -> str:
     raise ValueError(f"bad tree tag {tag!r}")
 
 
-def _walk_leaves(t: Tree) -> tuple[list[Tree], list[int], list[int], bool]:
+#: trees whose leaf walk is memoised; the largest recorded request reads 90
+LEAF_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=LEAF_MEMO_SIZE)
+def _walk_leaves(t: Tree) -> tuple[tuple[Tree, ...], tuple[int, ...], tuple[int, ...], bool]:
     """One walk: the input leaves left to right, their open and their closed
-    labels, and whether a unit (or unknown) leaf sits below the root."""
+    labels, and whether a unit (or unknown) leaf sits below the root.  Tuples,
+    so that no caller can change a memoised result."""
     inputs, opens, closeds, stack = [], [], [], [t]
     stray = False
     while stack:
@@ -145,17 +158,17 @@ def _walk_leaves(t: Tree) -> tuple[list[Tree], list[int], list[int], bool]:
                 elif s is not t or (tag != "uc" and tag != "uo"):
                     stray = True
                 break
-    return inputs, opens, closeds, stray
+    return tuple(inputs), tuple(opens), tuple(closeds), stray
 
 
 def closed_labels(t: Tree) -> tuple[int, ...]:
     """Closed input labels in left-to-right leaf order."""
-    return tuple(_walk_leaves(t)[2])
+    return _walk_leaves(t)[2]
 
 
 def open_labels(t: Tree) -> tuple[int, ...]:
     """Open input labels in left-to-right leaf order."""
-    return tuple(_walk_leaves(t)[1])
+    return _walk_leaves(t)[1]
 
 
 def arity(t: Tree) -> tuple[int, int]:
@@ -362,7 +375,7 @@ class ShuffleObject(Record, frozen=True):
         return " ".join(f"{k}{l}" for k, l in self.slots())
 
 
-def leaves(t: Tree) -> list[Tree]:
+def leaves(t: Tree) -> tuple[Tree, ...]:
     """Input leaves in left-to-right order; a unit leaf may only be the whole tree."""
     out, _, _, stray = _walk_leaves(t)
     if stray:
@@ -375,7 +388,7 @@ def leaf_ends(t: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     _, opens, closeds, stray = _walk_leaves(t)
     if stray:
         raise ValueError("unit leaf inside a tree; normalize first")
-    return tuple(opens), tuple(closeds)
+    return opens, closeds
 
 
 def omega(t: Tree) -> ShuffleObject:

@@ -378,6 +378,15 @@ def test_functor_law_failure_under_optimize(tmp_path):
     assert out.stdout == "rejected at typing: functor F: identity law fails at (1,)\n"
 
 
+def _with_unreadable_psi_value() -> dict:
+    """The z2-graded algebra JSON with one psi component that is not a literal."""
+    from braidops.coherence import algebra_to_json, build_z2_graded
+
+    data = algebra_to_json(build_z2_graded())
+    data["psi"][0][1] = "("
+    return data
+
+
 _AA = {"pattern": ["a", "a"], "terrestrial": [], "aerial": [1, 2]}
 _AT = {"pattern": ["a", "t"], "terrestrial": [1], "aerial": [1]}
 _ID_AT = {"src": _AT, "tgt": _AT, "braid": {"strands": 1, "word": []}}
@@ -427,6 +436,8 @@ BAD_MORPHISM_JSON = [
      'color must be "c" or "o", got None'),
     (["copb", "restrict"], {"which": "x", "slot": 1, "morphism": _ID_AT},
      'which must be "c" or "o", got \'x\''),
+    (["coherence", "check"], _with_unreadable_psi_value(),
+     "cannot read '(' as a literal value"),
 ]
 
 

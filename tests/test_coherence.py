@@ -5,10 +5,12 @@ import pytest
 
 from braidops.coherence import (
     AlgebraData,
+    CoherenceReport,
     CoherenceTypeError,
     FinCatAlgebra,
     FiniteCategory,
     FunctorTable,
+    NatTransTable,
     algebra_from_json,
     algebra_to_json,
     build_s3_discrete,
@@ -16,8 +18,9 @@ from braidops.coherence import (
     build_z2_graded,
     check_coherence,
 )
-from braidops.diagrams import check_papb_coherence
+from braidops.diagrams import check_papb_coherence, family_word_pairs
 from braidops.parenthesized import (
+    GENERATOR_SHAPES,
     PaPBAlgebra,
     evaluate_word,
     to_generator_word,
@@ -27,7 +30,7 @@ from braidops.parenthesized import (
     w_io,
     w_gen,
 )
-from braidops.trees import f, mc, mo, x, y
+from braidops.trees import arity, color, f, graft_closed, graft_open, mc, mo, relabel_tree, x, y
 
 from test_parenthesized import rand_papb_morphism
 
@@ -225,3 +228,238 @@ def test_naturality_failure_rejected():
     with pytest.raises(CoherenceTypeError) as exc:
         check_coherence(_s3_projection_algebra())
     assert str(exc.value) == "naturality of t fails at (0, 0)"
+
+
+# -- the table evaluator that the compiled tree functors replaced, as the oracle --
+
+
+class TreeFunctor:
+    """The functor carved out by an object tree, walked on every call over
+    argument dicts keyed by label."""
+
+    def __init__(self, data: AlgebraData, tree):
+        self.data = data
+        self.tree = tree
+        self.target = data.m_cat if color(tree) == "c" else data.n_cat
+
+    def on_objects(self, oargs: dict, cargs: dict):
+        return self._eval(self.tree, oargs, cargs, objects=True)
+
+    def on_morphisms(self, oargs: dict, cargs: dict):
+        return self._eval(self.tree, oargs, cargs, objects=False)
+
+    def _eval(self, t, oargs, cargs, objects: bool):
+        tag = t[0]
+        if tag == "x":
+            return cargs[t[1]]
+        if tag == "y":
+            return oargs[t[1]]
+        if tag == "f":
+            inner = self._eval(t[1], oargs, cargs, objects)
+            table = self.data.f_functor
+            return table.on_objects((inner,)) if objects else table.on_morphisms((inner,))
+        if tag in ("mc", "mo"):
+            a = self._eval(t[1], oargs, cargs, objects)
+            b = self._eval(t[2], oargs, cargs, objects)
+            table = self.data.m_c if tag == "mc" else self.data.m_o
+            return table.on_objects((a, b)) if objects else table.on_morphisms((a, b))
+        raise CoherenceTypeError(f"cannot evaluate tree node {tag!r}")
+
+
+class TableAlgebra:
+    """Generator words evaluated through ``TreeFunctor`` and per-component dicts."""
+
+    def __init__(self, data: AlgebraData):
+        self.data = data
+
+    def _table(self, src_tree, tgt_tree, fn) -> NatTransTable:
+        n, m = arity(src_tree)
+        comps = {}
+        for oargs, cargs in itertools.product(itertools.product(self.data.n_cat.objects, repeat=n),
+                                              itertools.product(self.data.m_cat.objects, repeat=m)):
+            comps[(oargs, cargs)] = fn(oargs, cargs)
+        return NatTransTable(self.data, src_tree, tgt_tree, comps)
+
+    def generator(self, name: str) -> NatTransTable:
+        src, tgt, _ = GENERATOR_SHAPES[name]
+        _, table = self.data.tables()[name]
+        return self._table(src, tgt, lambda oargs, cargs: table[cargs + oargs])
+
+    def identity(self, tree) -> NatTransTable:
+        functor = TreeFunctor(self.data, tree)
+
+        def fn(oargs, cargs):
+            obj = functor.on_objects(dict(enumerate(oargs, 1)), dict(enumerate(cargs, 1)))
+            return functor.target.identity(obj)
+
+        return self._table(tree, tree, fn)
+
+    def compose(self, g: NatTransTable, f: NatTransTable) -> NatTransTable:
+        assert f.tgt_tree == g.src_tree, "object mismatch"
+        cat = self.data.m_cat if color(f.src_tree) == "c" else self.data.n_cat
+        return self._table(f.src_tree, g.tgt_tree, lambda oargs, cargs: cat.comp(
+            g.component(oargs, cargs), f.component(oargs, cargs)))
+
+    def invert(self, v: NatTransTable) -> NatTransTable:
+        cat = self.data.m_cat if color(v.src_tree) == "c" else self.data.n_cat
+        return self._table(v.tgt_tree, v.src_tree,
+                           lambda oargs, cargs: cat.inverse(v.component(oargs, cargs)))
+
+    def insert_closed(self, outer, i, inner) -> NatTransTable:
+        return self._insert(outer, inner, graft_closed(outer.src_tree, i, inner.src_tree),
+                            graft_closed(outer.tgt_tree, i, inner.tgt_tree), i, "c")
+
+    def insert_open(self, outer, j, inner) -> NatTransTable:
+        return self._insert(outer, inner, graft_open(outer.src_tree, j, inner.src_tree),
+                            graft_open(outer.tgt_tree, j, inner.tgt_tree), j, "o")
+
+    def _insert(self, outer, inner, src_tree, tgt_tree, slot, col) -> NatTransTable:
+        n_in, m_in = arity(inner.src_tree)
+        inner_src = TreeFunctor(self.data, inner.src_tree)
+        outer_tgt = TreeFunctor(self.data, outer.tgt_tree)
+
+        def fn(oargs, cargs):
+            # split the composite arguments per the canonical relabeling
+            if col == "o":
+                in_o = oargs[slot - 1: slot - 1 + n_in]
+                out_o = oargs[: slot - 1] + oargs[slot - 1 + n_in:]
+                in_c, out_c = cargs[:m_in], cargs[m_in:]
+            else:
+                in_o, out_o = (), oargs
+                in_c = cargs[slot - 1: slot - 1 + m_in]
+                out_c = cargs[: slot - 1] + cargs[slot - 1 + m_in:]
+            inner_comp = inner.component(in_o, in_c)
+            plug_src = inner_src.on_objects(dict(enumerate(in_o, 1)), dict(enumerate(in_c, 1)))
+            # outer component at (args with the inner source object at the slot)
+            if col == "o":
+                oo = dict(enumerate(out_o[: slot - 1] + (plug_src,) + out_o[slot - 1:], 1))
+                occ = dict(enumerate(out_c, 1))
+            else:
+                oo = dict(enumerate(out_o, 1))
+                occ = dict(enumerate(out_c[: slot - 1] + (plug_src,) + out_c[slot - 1:], 1))
+            theta = outer.component(tuple(oo[k] for k in sorted(oo)),
+                                    tuple(occ[k] for k in sorted(occ)))
+            # whisker the inner component through the outer target functor
+            mor_o = {k: self.data.n_cat.identity(v) for k, v in oo.items()}
+            mor_c = {k: self.data.m_cat.identity(v) for k, v in occ.items()}
+            (mor_o if col == "o" else mor_c)[slot] = inner_comp
+            return outer_tgt.target.comp(outer_tgt.on_morphisms(mor_o, mor_c), theta)
+
+        return self._table(src_tree, tgt_tree, fn)
+
+    def relabel(self, v: NatTransTable, open_map, closed_map) -> NatTransTable:
+        src_tree = relabel_tree(v.src_tree, open_map, closed_map)
+        tgt_tree = relabel_tree(v.tgt_tree, open_map, closed_map)
+        n, m = arity(src_tree)
+
+        def fn(oargs, cargs):
+            old_o = tuple(oargs[(open_map or {}).get(k, k) - 1] for k in range(1, n + 1))
+            old_c = tuple(cargs[(closed_map or {}).get(k, k) - 1] for k in range(1, m + 1))
+            return v.component(old_o, old_c)
+
+        return self._table(src_tree, tgt_tree, fn)
+
+
+def oracle_validate(data: AlgebraData) -> None:
+    """``AlgebraData.validate`` with the structure isomorphisms typed through ``TreeFunctor``."""
+    for part in (data.m_cat, data.n_cat, data.m_c, data.m_o, data.f_functor):
+        part.validate()
+    for name, (src_tree, tgt_tree, _) in GENERATOR_SHAPES.items():
+        label, table = data.tables()[name]
+        src, tgt = TreeFunctor(data, src_tree), TreeFunctor(data, tgt_tree)
+        cat = src.target
+        n, m = arity(src_tree)
+        slot_cats = [data.m_cat] * m + [data.n_cat] * n
+
+        def args(key):
+            return dict(enumerate(key[m:], 1)), dict(enumerate(key[:m], 1))
+
+        for key in itertools.product(*(c.objects for c in slot_cats)):
+            comp = table.get(key)
+            if comp is None:
+                raise CoherenceTypeError(f"{label}: no component at {key!r}")
+            a, b = src.on_objects(*args(key)), tgt.on_objects(*args(key))
+            if comp not in cat.morphisms or cat.src[comp] != a or cat.tgt[comp] != b:
+                raise CoherenceTypeError(
+                    f"{label}: component at {key!r} must be a morphism {a!r} -> {b!r}")
+            cat.inverse(comp)
+        for mors in itertools.product(*(c.morphisms for c in slot_cats)):
+            key_src = tuple(c.src[f] for c, f in zip(slot_cats, mors))
+            key_tgt = tuple(c.tgt[f] for c, f in zip(slot_cats, mors))
+            if cat.comp(table[key_tgt], src.on_morphisms(*args(mors))) != \
+                    cat.comp(tgt.on_morphisms(*args(mors)), table[key_src]):
+                raise CoherenceTypeError(f"naturality of {label} fails at {key_src!r}")
+
+
+def oracle_check(data: AlgebraData) -> CoherenceReport:
+    """``check_coherence`` through ``oracle_validate`` and ``TableAlgebra``."""
+    oracle_validate(data)
+    algebra = TableAlgebra(data)
+    report = CoherenceReport(passed=True)
+    for name, pairs in family_word_pairs().items():
+        left_right = [(evaluate_word(wl, algebra), evaluate_word(wr, algebra))
+                      for wl, wr, _, _ in pairs]
+        report.families[name] = [(idx, key) for idx, (left, right) in enumerate(left_right)
+                                 for key in left.components
+                                 if left.components[key] != right.components[key]]
+        report.instances_checked[name] = sum(len(left.components) for left, _ in left_right)
+        report.passed = report.passed and not report.families[name]
+    return report
+
+
+def verdict(check, data):
+    try:
+        return check(data)
+    except CoherenceTypeError as exc:
+        return f"rejected: {exc}"
+
+
+def build_projection_tensors() -> AlgebraData:
+    """The z2-graded tables over tensors that keep one factor's sign, the closed
+    the first and the open the second.  The braiding is then not natural, but
+    every word evaluates, and which slot an inserted component fills shows."""
+    data = build_z2_graded()
+    cat = data.m_cat
+
+    def projection(k):
+        return FunctorTable("m", [cat, cat], cat, data.m_c.obj_map,
+                            {(g, h): ((g[0] + h[0]) % 2, (g, h)[k][1])
+                             for g in cat.morphisms for h in cat.morphisms})
+
+    data.m_c, data.m_o = projection(0), projection(1)
+    data.m_c.validate()
+    data.m_o.validate()
+    return data
+
+
+@pytest.mark.parametrize("build", [build_z2_discrete, build_z2_graded, build_projection_tensors])
+def test_compiled_functors_match_the_table_oracle(build):
+    data = build()
+    compiled, oracle = FinCatAlgebra(data), TableAlgebra(data)
+    words = [w for pairs in family_word_pairs().values() for wl, wr, _, _ in pairs for w in (wl, wr)]
+    rng = random.Random(1)
+    words += [to_generator_word(rand_papb_morphism(rng, n, m, max_len=4))
+              for n, m in [(0, 2), (1, 1), (2, 1), (1, 2), (2, 0), (0, 3)]]
+    for word in words:
+        got, want = evaluate_word(word, compiled), evaluate_word(word, oracle)
+        assert (got.src_tree, got.tgt_tree) == (want.src_tree, want.tgt_tree)
+        assert got.components == want.components
+
+
+def test_every_single_component_tamper_reports_as_the_oracle():
+    # every other morphism in place of each component of the five tables
+    verdicts = []
+    for attr in ("t", "p_iso", "psi", "a_c", "a_o"):
+        for key in getattr(build_z2_graded(), attr):
+            for mor in build_z2_graded().n_cat.morphisms:
+                data = build_z2_graded()
+                if getattr(data, attr)[key] == mor:
+                    continue
+                getattr(data, attr)[key] = mor
+                got = verdict(check_coherence, data)
+                assert got == verdict(oracle_check, data), (attr, key, mor)
+                verdicts.append(got)
+    assert len(verdicts) == 3 * (4 + 4 + 4 + 8 + 8)
+    reports = [v for v in verdicts if isinstance(v, CoherenceReport)]
+    # a sign flip keeps the typing, and every one but p at (1, 1) fails a family
+    assert len(reports) == 28 and sum(not r.passed for r in reports) == 27

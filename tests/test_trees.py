@@ -11,6 +11,7 @@ from braidops.trees import (
     UNIT_C,
     UNIT_O,
     ShuffleObject,
+    _walk_leaves,
     arity,
     closed_labels,
     color,
@@ -20,6 +21,8 @@ from braidops.trees import (
     f,
     graft_closed,
     graft_open,
+    leaf_ends,
+    leaves,
     leftcomb_closed,
     leftcomb_open,
     mc,
@@ -433,6 +436,28 @@ def test_graft_equals_relabel_substitute_normalise(outer, kind, slot, inner):
     graft, oracle = ((graft_closed, graft_closed_oracle) if kind == "c"
                      else (graft_open, graft_open_oracle))
     assert outcome(graft, outer, slot, inner) == outcome(oracle, outer, slot, inner)
+
+
+def read(fn, t):
+    try:
+        return fn(t)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_tree())
+def test_memoised_leaf_reads_equal_a_fresh_walk(t):
+    inputs, opens, closeds, stray = _walk_leaves.__wrapped__(t)
+    unit_error = "ValueError: unit leaf inside a tree; normalize first"
+    assert read(leaves, t) == (unit_error if stray else tuple(inputs))
+    assert read(leaf_ends, t) == (unit_error if stray else (tuple(opens), tuple(closeds)))
+    assert arity(t) == (len(opens), len(closeds))
+    assert open_labels(t) == tuple(opens) and closed_labels(t) == tuple(closeds)
+    memo = _walk_leaves(t)
+    assert all(type(part) is tuple for part in memo[:3])
+    # an equal tree built anew reads the same memo entry
+    assert _walk_leaves(relabel_tree(t)) is memo
 
 
 def test_graft_errors_keep_their_messages():
