@@ -68,7 +68,7 @@ from .chords import (
     relabel_table,
     tensor_square,
 )
-from .diagrams import CLOSED_FAMILIES, family_word_pairs
+from .diagrams import family_word_pairs
 from .exact import (
     LinearSystem,
     NCSeries,
@@ -241,10 +241,9 @@ def _free_words(d: int) -> list[tuple[int, ...]]:
     return list(itertools.product((_T12, _T13), repeat=d))
 
 
-@functools.cache
 def _diagrams():
-    """The tagged constraint diagrams: the pentagon and both hexagons."""
-    pairs = family_word_pairs(CLOSED_FAMILIES)
+    """The tagged constraint diagrams: the closed pentagon and both hexagons."""
+    pairs = family_word_pairs()
     return (("pent", pairs["pentagon"][0]), ("hex1", pairs["hexagon"][0]),
             ("hex2", pairs["hexagon"][1]))
 
@@ -252,8 +251,8 @@ def _diagrams():
 @functools.cache
 def _products() -> tuple:
     """(tag, strands, left factors, right factors) of each constraint diagram."""
-    algebra = ProductAlgebra()
-    return tuple((tag, *evaluate_word(wl, algebra), evaluate_word(wr, algebra)[1])
+    algebra, memo = ProductAlgebra(), {}
+    return tuple((tag, *evaluate_word(wl, algebra, memo), evaluate_word(wr, algebra, memo)[1])
                  for tag, (wl, wr, _s, _e) in _diagrams())
 
 

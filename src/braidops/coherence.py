@@ -378,14 +378,14 @@ def check_coherence(data: AlgebraData, strict_units: bool = False) -> CoherenceR
     data.validate()
     if strict_units:
         data.check_strict_units()
-    algebra = FinCatAlgebra(data)
+    algebra, memo = FinCatAlgebra(data), {}
     report = CoherenceReport(passed=True)
     for name, pairs in family_word_pairs().items():
         failures = []
         checked = 0
         for idx, (wl, wr, start, _end) in enumerate(pairs):
-            left = evaluate_word(wl, algebra)
-            right = evaluate_word(wr, algebra)
+            left = evaluate_word(wl, algebra, memo)
+            right = evaluate_word(wr, algebra, memo)
             for key in left.components:
                 checked += 1
                 if left.components[key] != right.components[key]:

@@ -10,6 +10,9 @@ braid model, the associator equations, and the finite-category checker.
 
 from __future__ import annotations
 
+import functools
+from types import MappingProxyType
+
 from .parenthesized import PaPBAlgebra, Word, context_apply, evaluate_word, w_path
 from .trees import Tree, f, mc, mo, x, y
 
@@ -72,11 +75,6 @@ FAMILIES: dict[str, list[tuple[Tree, list[Move], list[Move]]]] = {
     "f_monoid_center": [_F_MONOID_CENTER],
 }
 
-CLOSED_FAMILIES = {
-    "pentagon": [_PENTAGON_C],
-    "hexagon": [_HEXAGON_1, _HEXAGON_2],
-}
-
 
 def moves_to_word(start: Tree, moves: list[Move]) -> tuple[Word, Tree]:
     steps = []
@@ -87,29 +85,30 @@ def moves_to_word(start: Tree, moves: list[Move]) -> tuple[Word, Tree]:
     return w_path(steps, start), cur
 
 
-def family_word_pairs(families=None) -> dict[str, list[tuple[Word, Word, Tree, Tree]]]:
-    """Per family: (word_left, word_right, start tree, common end tree)."""
+@functools.cache
+def family_word_pairs() -> MappingProxyType[str, tuple[tuple[Word, Word, Tree, Tree], ...]]:
+    """Per family: (word_left, word_right, start tree, common end tree), folded once per process."""
     out = {}
-    for name, instances in (families or FAMILIES).items():
+    for name, instances in FAMILIES.items():
         pairs = []
         for start, left, right in instances:
             wl, endl = moves_to_word(start, left)
             wr, endr = moves_to_word(start, right)
             assert endl == endr, f"paths of {name} end at different objects"
             pairs.append((wl, wr, start, endl))
-        out[name] = pairs
-    return out
+        out[name] = tuple(pairs)
+    return MappingProxyType(out)
 
 
 def check_papb_coherence() -> dict[str, bool]:
     """Both composite paths of every family agree inside the operad itself."""
-    algebra = PaPBAlgebra()
+    algebra, memo = PaPBAlgebra(), {}
     results = {}
     for name, pairs in family_word_pairs().items():
         ok = True
         for wl, wr, _start, _end in pairs:
-            left = evaluate_word(wl, algebra)
-            right = evaluate_word(wr, algebra)
+            left = evaluate_word(wl, algebra, memo)
+            right = evaluate_word(wr, algebra, memo)
             ok = ok and left.equals(right)
         results[name] = ok
     return results

@@ -44,7 +44,6 @@ from .trees import (
     arity,
     closed_labels,
     graft_all_open,
-    graft_open,
     leaf_ends,
     leaves,
     omega,
@@ -56,12 +55,15 @@ from .trees import (
 
 
 def plug_units(tree: Tree) -> Tree:
-    """Graft the open unit into every terrestrial slot."""
-    n, _ = arity(tree)
-    out = tree
-    for j in range(n, 0, -1):
-        out = graft_open(out, j, UNIT_O)
-    return out
+    """Graft the open unit into every terrestrial slot of a unit-normal tree, in one
+    walk: each ``y`` leaf becomes the unit, and mo(uo, s) = mo(s, uo) = s applies
+    on the way up."""
+    if tree[0] == "y":
+        return UNIT_O
+    if tree[0] != "mo":
+        return tree
+    a, b = plug_units(tree[1]), plug_units(tree[2])
+    return b if a == UNIT_O else a if b == UNIT_O else ("mo", a, b)
 
 
 def aerial_shape(tree: Tree) -> Tree:

@@ -150,14 +150,15 @@ def generators() -> dict:
 
 # -- generator words -----------------------------------------------------------
 #
-# word grammar (nested tuples):
+# word grammar (nested tuples: immutable and hashable, so an evaluation can memoise subwords):
 #   ("gen", name, sign)            named generator or its inverse
 #   ("id", tree)                   identity of an object tree
 #   ("comp", w2, w1)               w1 first, then w2
 #   ("inv", w)
 #   ("ic", outer, slot, inner)     closed operadic insertion
 #   ("io", outer, slot, inner)     open operadic insertion
-#   ("rl", w, open_map, closed_map)  relabeling action (dicts or None)
+#   ("rl", w, open_map, closed_map)  relabeling action; each map is a sorted
+#                                    tuple of (label, label) pairs, or None
 
 Word = tuple
 
@@ -187,7 +188,7 @@ def w_io(outer: Word, slot: int, inner: Word) -> Word:
 
 
 def w_rl(w: Word, open_map: dict | None, closed_map: dict | None) -> Word:
-    return ("rl", w, open_map, closed_map)
+    return ("rl", w, *(None if m is None else tuple(sorted(m.items())) for m in (open_map, closed_map)))
 
 
 def w_path(steps: list[Word], fallback_tree: Tree | None = None) -> Word:
@@ -201,48 +202,63 @@ def w_path(steps: list[Word], fallback_tree: Tree | None = None) -> Word:
     return out
 
 
-def evaluate_word(word: Word, algebra):
+def evaluate_word(word: Word, algebra, memo: dict | None = None):
+    """The value of ``word`` in ``algebra``.  The ``comp`` spine that ``w_path``
+    builds is walked in a loop; every other subword is evaluated once per
+    ``memo``, which words evaluated in the same algebra may share."""
+    memo = {} if memo is None else memo
+    steps = []  # last step first, the order in which nested ``comp`` nodes were evaluated
+    while word[0] == "comp":
+        steps.append(evaluate_word(word[1], algebra, memo))
+        word = word[2]
+    try:
+        value = memo[word]
+    except KeyError:
+        value = memo[word] = _evaluate_node(word, algebra, memo)
+    for step in reversed(steps):
+        value = algebra.compose(step, value)
+    return value
+
+
+def _evaluate_node(word: Word, algebra, memo: dict):
     tag = word[0]
     if tag == "gen":
         g = algebra.generator(word[1])
         return algebra.invert(g) if word[2] < 0 else g
     if tag == "id":
         return algebra.identity(word[1])
-    if tag == "comp":
-        return algebra.compose(evaluate_word(word[1], algebra), evaluate_word(word[2], algebra))
     if tag == "inv":
-        return algebra.invert(evaluate_word(word[1], algebra))
-    if tag == "ic":
-        return algebra.insert_closed(evaluate_word(word[1], algebra), word[2],
-                                     evaluate_word(word[3], algebra))
-    if tag == "io":
-        return algebra.insert_open(evaluate_word(word[1], algebra), word[2],
-                                   evaluate_word(word[3], algebra))
+        return algebra.invert(evaluate_word(word[1], algebra, memo))
+    if tag == "ic" or tag == "io":
+        insert = algebra.insert_closed if tag == "ic" else algebra.insert_open
+        return insert(evaluate_word(word[1], algebra, memo), word[2], evaluate_word(word[3], algebra, memo))
     if tag == "rl":
-        return algebra.relabel(evaluate_word(word[1], algebra), word[2], word[3])
+        open_map, closed_map = (None if m is None else dict(m) for m in word[2:])
+        return algebra.relabel(evaluate_word(word[1], algebra, memo), open_map, closed_map)
     raise ValueError(f"bad word tag {tag!r}")
 
 
 def word_to_sexpr(word: Word) -> str:
+    spine = []
+    while word[0] == "comp":
+        spine.append(word_to_sexpr(word[1]))
+        word = word[2]
     tag = word[0]
     if tag == "gen":
-        name = word[1]
-        return name if word[2] > 0 else f"(inv {name})"
-    if tag == "id":
-        return f"(id {show_tree(word[1])})"
-    if tag == "comp":
-        return f"(compose {word_to_sexpr(word[1])} {word_to_sexpr(word[2])})"
-    if tag == "inv":
-        return f"(inv {word_to_sexpr(word[1])})"
-    if tag == "ic":
-        return f"(insert-c {word_to_sexpr(word[1])} {word[2]} {word_to_sexpr(word[3])})"
-    if tag == "io":
-        return f"(insert-o {word_to_sexpr(word[1])} {word[2]} {word_to_sexpr(word[3])})"
-    if tag == "rl":
-        om = ";".join(f"{k}>{v}" for k, v in sorted((word[2] or {}).items()))
-        cm = ";".join(f"{k}>{v}" for k, v in sorted((word[3] or {}).items()))
-        return f"(relabel {word_to_sexpr(word[1])} [{om}] [{cm}])"
-    raise ValueError(tag)
+        out = word[1] if word[2] > 0 else f"(inv {word[1]})"
+    elif tag == "id":
+        out = f"(id {show_tree(word[1])})"
+    elif tag == "inv":
+        out = f"(inv {word_to_sexpr(word[1])})"
+    elif tag == "ic" or tag == "io":
+        name = "insert-c" if tag == "ic" else "insert-o"
+        out = f"({name} {word_to_sexpr(word[1])} {word[2]} {word_to_sexpr(word[3])})"
+    elif tag == "rl":
+        om, cm = (";".join(f"{k}>{v}" for k, v in m or ()) for m in word[2:])
+        out = f"(relabel {word_to_sexpr(word[1])} [{om}] [{cm}])"
+    else:
+        raise ValueError(tag)
+    return "".join(f"(compose {s} " for s in spine) + out + ")" * len(spine)
 
 
 class PaPBAlgebra:

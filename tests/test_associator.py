@@ -49,12 +49,13 @@ from braidops.parenthesized import (
     pa_insert_closed,
     pab_to_word,
     w_comp,
+    w_rl,
     evaluate_word,
 )
 from braidops.trees import Tree, closed_labels, color, enumerate_closed_trees, mc, x
 
 from test_chords import _tensor_normalize
-from test_parenthesized import rand_closed_morphism
+from test_parenthesized import evaluate_word_oracle, rand_closed_morphism
 
 
 def t(r, n, i, j):
@@ -615,11 +616,20 @@ def rand_closed_word(rng: random.Random, depth: int, max_strands: int = 5):
     if kind == "inv":
         return ("inv", word)
     if kind == "rl":
-        return ("rl", word, None, dict(zip(range(1, r + 1), rng.sample(range(1, r + 1), r))))
+        return w_rl(word, None, dict(zip(range(1, r + 1), rng.sample(range(1, r + 1), r))))
     inner = rand_closed_word(rng, depth - 1, max_strands)
     if r + evaluate_word(inner, ProductAlgebra())[0] - 1 > max_strands:
         inner = ("gen", "tau", rng.choice((1, -1)))
     return ("ic", word, rng.randint(1, r), inner) if r < max_strands else word
+
+
+def test_memoised_evaluation_equals_the_recursive_oracle_on_products():
+    rng = random.Random(12)
+    algebra, memo = ProductAlgebra(), {}
+    for _ in range(60):
+        word = rand_closed_word(rng, 5)
+        want = evaluate_word_oracle(word, algebra)
+        assert evaluate_word(word, algebra) == want and evaluate_word(word, algebra, memo) == want
 
 
 def test_product_algebra_equals_tree_algebra_on_random_words(monkeypatch):

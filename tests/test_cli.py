@@ -94,6 +94,30 @@ def test_papb_words(capsys, tmp_path):
     assert "psi" in data["word"]
 
 
+# a path of generator words over a long braid is a spine of over a thousand
+# compositions; evaluating or printing it must not recurse along it
+def test_papb_words_on_a_long_braid(capsys, monkeypatch):
+    aerial = {"pattern": ["a", "a", "a"], "terrestrial": [], "aerial": [1, 2, 3]}
+    morphism = {"src": "f(mc(mc(x1,x2),x3))", "tgt": "f(mc(mc(x1,x2),x3))",
+                "underlying": {"src": aerial, "tgt": aerial,
+                               "braid": {"strands": 3, "word": [1, 2] * 249}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(morphism)))
+    code, out = run_capture(capsys, ["papb", "words", "--json"])
+    assert code == 0 and json.loads(out)["self_evaluation"] is True
+
+
+def test_assoc_eval_on_a_long_braid(capsys, monkeypatch):
+    phi = {"degree": 3, "strands": 3, "terms": [{"coef": "1", "word": []},
+                                                {"coef": "1/96", "word": [[1, 2], [1, 3]]},
+                                                {"coef": "-1/96", "word": [[1, 3], [1, 2]]}]}
+    request = {"associator": {"degree": 3, "mu": "1/2", "phi": phi},
+               "morphism": {"src": "mc(x1,x2)", "tgt": "mc(x1,x2)",
+                            "braid": {"strands": 2, "word": [1, -1] * 500}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(request)))
+    code, out = run_capture(capsys, ["assoc", "eval", "--json"])
+    assert code == 0 and json.loads(out)["terms"] == [{"coef": "1", "word": []}]
+
+
 def test_mixed_rho(capsys, tmp_path):
     element = {"u_src": "y1", "u_tgt": "y1",
                "x": {"src": "x1", "tgt": "x1", "braid": {"strands": 1, "word": []}},

@@ -32,7 +32,7 @@ from braidops.parenthesized import (
 )
 from braidops.trees import arity, color, f, graft_closed, graft_open, mc, mo, relabel_tree, x, y
 
-from test_parenthesized import rand_papb_morphism
+from test_parenthesized import evaluate_word_oracle, family_words, rand_papb_morphism
 
 
 def theta_eval(data: AlgebraData, word):
@@ -392,12 +392,12 @@ def oracle_validate(data: AlgebraData) -> None:
 
 
 def oracle_check(data: AlgebraData) -> CoherenceReport:
-    """``check_coherence`` through ``oracle_validate`` and ``TableAlgebra``."""
+    """``check_coherence`` through ``oracle_validate``, ``TableAlgebra`` and the recursive evaluator."""
     oracle_validate(data)
     algebra = TableAlgebra(data)
     report = CoherenceReport(passed=True)
     for name, pairs in family_word_pairs().items():
-        left_right = [(evaluate_word(wl, algebra), evaluate_word(wr, algebra))
+        left_right = [(evaluate_word_oracle(wl, algebra), evaluate_word_oracle(wr, algebra))
                       for wl, wr, _, _ in pairs]
         report.families[name] = [(idx, key) for idx, (left, right) in enumerate(left_right)
                                  for key in left.components
@@ -432,16 +432,31 @@ def build_projection_tensors() -> AlgebraData:
     return data
 
 
-@pytest.mark.parametrize("build", [build_z2_discrete, build_z2_graded, build_projection_tensors])
+def oracle_words() -> list:
+    """Both words of every family, and six random decomposition words."""
+    rng = random.Random(1)
+    return family_words() + [to_generator_word(rand_papb_morphism(rng, n, m, max_len=4))
+                             for n, m in [(0, 2), (1, 1), (2, 1), (1, 2), (2, 0), (0, 3)]]
+
+
+FINITE_ALGEBRAS = [build_z2_discrete, build_z2_graded, build_projection_tensors]
+
+
+@pytest.mark.parametrize("build", FINITE_ALGEBRAS)
 def test_compiled_functors_match_the_table_oracle(build):
     data = build()
     compiled, oracle = FinCatAlgebra(data), TableAlgebra(data)
-    words = [w for pairs in family_word_pairs().values() for wl, wr, _, _ in pairs for w in (wl, wr)]
-    rng = random.Random(1)
-    words += [to_generator_word(rand_papb_morphism(rng, n, m, max_len=4))
-              for n, m in [(0, 2), (1, 1), (2, 1), (1, 2), (2, 0), (0, 3)]]
-    for word in words:
+    for word in oracle_words():
         got, want = evaluate_word(word, compiled), evaluate_word(word, oracle)
+        assert (got.src_tree, got.tgt_tree) == (want.src_tree, want.tgt_tree)
+        assert got.components == want.components
+
+
+@pytest.mark.parametrize("build", FINITE_ALGEBRAS)
+def test_memoised_evaluation_equals_the_recursive_oracle_on_finite_categories(build):
+    algebra, memo = FinCatAlgebra(build()), {}
+    for word in oracle_words():
+        got, want = evaluate_word(word, algebra, memo), evaluate_word_oracle(word, algebra)
         assert (got.src_tree, got.tgt_tree) == (want.src_tree, want.tgt_tree)
         assert got.components == want.components
 

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from braidops.associator import Associator, solve_associator
 from braidops.braids import BraidWord, braids_equal, crossings, permute_seq
 from braidops.chords import DKElement, PaCDMorphism, grouplike_check
@@ -21,11 +24,13 @@ from braidops.parenthesized import PaBMorphism, pa_insert_closed, pa_relabel
 from braidops.trees import (
     UNIT_C,
     UNIT_O,
+    arity,
     closed_labels,
     enumerate_shuffle_objects,
     enumerate_trees,
     f,
     graft_closed,
+    graft_open,
     mc,
     mo,
     omega,
@@ -115,6 +120,23 @@ def assert_equal_up_to_aerial_relabel(lhs, rhs):
     corr = {a_r[k]: a_l[k] for k in range(len(a_l))}
     assert relabel_tree(rhs.mu_src, None, corr) == lhs.mu_src
     assert relabel_tree(rhs.mu_tgt, None, corr) == lhs.mu_tgt
+
+
+def plug_units_oracle(tree):
+    """One whole-tree graft of the open unit per terrestrial slot: the oracle of ``plug_units``."""
+    n, _ = arity(tree)
+    for j in range(n, 0, -1):
+        tree = graft_open(tree, j, UNIT_O)
+    return tree
+
+
+OPEN_TREES = [t for n in range(5) for m in range(5 - n) if n + m for t in enumerate_trees(n, m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(OPEN_TREES))
+def test_plug_units_equals_grafting_each_slot(tree):
+    assert plug_units(tree) == plug_units_oracle(tree)
 
 
 def test_unit_laws():

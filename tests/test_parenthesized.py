@@ -1,5 +1,6 @@
 import random
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from braidops.colored import (
     restrict_unit_closed,
     restrict_unit_open,
 )
+from braidops.diagrams import family_word_pairs
 from braidops.parenthesized import (
     GENERATOR_SHAPES,
     PaBMorphism,
@@ -48,6 +50,7 @@ from braidops.trees import (
     mo,
     f,
     omega,
+    show_tree,
     x,
     y,
 )
@@ -259,6 +262,114 @@ def test_to_generator_word_alternate_intermediates():
         x2p = mo(leftcomb_open(ob2.terrestrial), f(rightcomb_closed(ob2.aerial)))
         word = to_generator_word(mor, x1p, x2p)
         assert evaluate_word(word, ALG).equals(mor)
+
+
+def evaluate_word_oracle(word, algebra):
+    """The recursive evaluator, node by node with no memo: the oracle of ``evaluate_word``."""
+    tag = word[0]
+    if tag == "gen":
+        g = algebra.generator(word[1])
+        return algebra.invert(g) if word[2] < 0 else g
+    if tag == "id":
+        return algebra.identity(word[1])
+    if tag == "comp":
+        return algebra.compose(evaluate_word_oracle(word[1], algebra),
+                               evaluate_word_oracle(word[2], algebra))
+    if tag == "inv":
+        return algebra.invert(evaluate_word_oracle(word[1], algebra))
+    if tag == "ic":
+        return algebra.insert_closed(evaluate_word_oracle(word[1], algebra), word[2],
+                                     evaluate_word_oracle(word[3], algebra))
+    if tag == "io":
+        return algebra.insert_open(evaluate_word_oracle(word[1], algebra), word[2],
+                                   evaluate_word_oracle(word[3], algebra))
+    if tag == "rl":
+        open_map, closed_map = (None if m is None else dict(m) for m in word[2:])
+        return algebra.relabel(evaluate_word_oracle(word[1], algebra), open_map, closed_map)
+    raise ValueError(f"bad word tag {tag!r}")
+
+
+def word_to_sexpr_oracle(word) -> str:
+    """The recursive printer: the oracle of ``word_to_sexpr``."""
+    tag = word[0]
+    if tag == "gen":
+        return word[1] if word[2] > 0 else f"(inv {word[1]})"
+    if tag == "id":
+        return f"(id {show_tree(word[1])})"
+    if tag == "comp":
+        return f"(compose {word_to_sexpr_oracle(word[1])} {word_to_sexpr_oracle(word[2])})"
+    if tag == "inv":
+        return f"(inv {word_to_sexpr_oracle(word[1])})"
+    if tag in ("ic", "io"):
+        name = "insert-c" if tag == "ic" else "insert-o"
+        return f"({name} {word_to_sexpr_oracle(word[1])} {word[2]} {word_to_sexpr_oracle(word[3])})"
+    om, cm = (";".join(f"{k}>{v}" for k, v in sorted(dict(m or ()).items())) for m in word[2:])
+    return f"(relabel {word_to_sexpr_oracle(word[1])} [{om}] [{cm}])"
+
+
+def word_nodes(word):
+    """Every node of ``word``, once per occurrence, itself included."""
+    yield word
+    for i in {"comp": (1, 2), "inv": (1,), "rl": (1,), "ic": (1, 3), "io": (1, 3)}.get(word[0], ()):
+        yield from word_nodes(word[i])
+
+
+class CountingAlgebra:
+    """The operad's own algebra, counting the calls of each operation."""
+
+    def __init__(self):
+        self.inner, self.calls = PaPBAlgebra(), Counter()
+
+    def __getattr__(self, op):
+        fn = getattr(self.inner, op)
+
+        def counted(*args):
+            self.calls[op] += 1
+            return fn(*args)
+
+        return counted
+
+
+def family_words() -> list:
+    return [w for pairs in family_word_pairs().values() for wl, wr, _, _ in pairs for w in (wl, wr)]
+
+
+def test_memoised_evaluation_equals_the_recursive_oracle_in_the_operad():
+    rng = random.Random(11)
+    words = family_words()
+    words += [to_generator_word(rand_papb_morphism(rng, n, m, max_len=6))
+              for _ in range(8) for n, m in [(0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (0, 3)]]
+    memo = {}
+    for word in words:
+        want = evaluate_word_oracle(word, ALG)
+        assert evaluate_word(word, ALG) == want
+        assert evaluate_word(word, ALG, memo) == want
+        assert word_to_sexpr(word) == word_to_sexpr_oracle(word)
+
+
+def test_each_distinct_subword_reaches_the_algebra_once():
+    words = family_words()
+    nodes = [node for word in words for node in word_nodes(word)]
+    distinct = set(nodes)
+    assert (len(nodes), len(distinct)) == (446, 189)
+
+    def count(tag, pred=lambda node: True):
+        return sum(1 for node in distinct if node[0] == tag and pred(node))
+
+    shared = CountingAlgebra()
+    memo = {}
+    for word in words:
+        evaluate_word(word, shared, memo)
+    assert shared.calls == Counter(
+        generator=count("gen"), invert=count("inv") + count("gen", lambda node: node[2] < 0),
+        identity=count("id"), insert_closed=count("ic"), insert_open=count("io"),
+        relabel=count("rl"), compose=count("comp"))
+    # the family words share no composition, so every comp node is composed once
+    assert count("comp") == sum(1 for node in nodes if node[0] == "comp")
+    unshared = CountingAlgebra()
+    for word in words:
+        evaluate_word_oracle(word, unshared)
+    assert sum(unshared.calls.values()) > sum(shared.calls.values())
 
 
 def test_insert_unit_laws():
