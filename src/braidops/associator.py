@@ -68,7 +68,7 @@ from .chords import (
     relabel_table,
     tensor_square,
 )
-from .diagrams import family_word_pairs
+from .diagrams import family_words
 from .exact import (
     LinearSystem,
     NCSeries,
@@ -243,9 +243,8 @@ def _free_words(d: int) -> list[tuple[int, ...]]:
 
 def _diagrams():
     """The tagged constraint diagrams: the closed pentagon and both hexagons."""
-    pairs = family_word_pairs()
-    return (("pent", pairs["pentagon"][0]), ("hex1", pairs["hexagon"][0]),
-            ("hex2", pairs["hexagon"][1]))
+    (pent, _open), (hex1, hex2) = family_words("pentagon"), family_words("hexagon")
+    return ("pent", pent), ("hex1", hex1), ("hex2", hex2)
 
 
 @functools.cache

@@ -86,18 +86,22 @@ def moves_to_word(start: Tree, moves: list[Move]) -> tuple[Word, Tree]:
 
 
 @functools.cache
+def family_words(name: str) -> tuple[tuple[Word, Word, Tree, Tree], ...]:
+    """Per instance of family ``name``: (word_left, word_right, start tree, common end
+    tree), folded once per process on first use."""
+    pairs = []
+    for start, left, right in FAMILIES[name]:
+        wl, endl = moves_to_word(start, left)
+        wr, endr = moves_to_word(start, right)
+        assert endl == endr, f"paths of {name} end at different objects"
+        pairs.append((wl, wr, start, endl))
+    return tuple(pairs)
+
+
+@functools.cache
 def family_word_pairs() -> MappingProxyType[str, tuple[tuple[Word, Word, Tree, Tree], ...]]:
-    """Per family: (word_left, word_right, start tree, common end tree), folded once per process."""
-    out = {}
-    for name, instances in FAMILIES.items():
-        pairs = []
-        for start, left, right in instances:
-            wl, endl = moves_to_word(start, left)
-            wr, endr = moves_to_word(start, right)
-            assert endl == endr, f"paths of {name} end at different objects"
-            pairs.append((wl, wr, start, endl))
-        out[name] = tuple(pairs)
-    return MappingProxyType(out)
+    """Every family's ``family_words``, read-only."""
+    return MappingProxyType({name: family_words(name) for name in FAMILIES})
 
 
 def check_papb_coherence() -> dict[str, bool]:
