@@ -32,7 +32,7 @@ from braidops.parenthesized import (
 )
 from braidops.trees import arity, color, f, graft_closed, graft_open, mc, mo, relabel_tree, x, y
 
-from test_parenthesized import evaluate_word_oracle, family_words, rand_papb_morphism
+from test_parenthesized import all_family_words, evaluate_word_oracle, rand_papb_morphism
 
 
 def theta_eval(data: AlgebraData, word):
@@ -435,8 +435,8 @@ def build_projection_tensors() -> AlgebraData:
 def oracle_words() -> list:
     """Both words of every family, and six random decomposition words."""
     rng = random.Random(1)
-    return family_words() + [to_generator_word(rand_papb_morphism(rng, n, m, max_len=4))
-                             for n, m in [(0, 2), (1, 1), (2, 1), (1, 2), (2, 0), (0, 3)]]
+    return all_family_words() + [to_generator_word(rand_papb_morphism(rng, n, m, max_len=4))
+                                 for n, m in [(0, 2), (1, 1), (2, 1), (1, 2), (2, 0), (0, 3)]]
 
 
 FINITE_ALGEBRAS = [build_z2_discrete, build_z2_graded, build_projection_tensors]

@@ -1,7 +1,7 @@
 import random
 import subprocess
-from collections import Counter
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -330,13 +330,14 @@ class CountingAlgebra:
         return counted
 
 
-def family_words() -> list:
+def all_family_words() -> list:
+    """Both words of every instance of every family."""
     return [w for pairs in family_word_pairs().values() for wl, wr, _, _ in pairs for w in (wl, wr)]
 
 
 def test_memoised_evaluation_equals_the_recursive_oracle_in_the_operad():
     rng = random.Random(11)
-    words = family_words()
+    words = all_family_words()
     words += [to_generator_word(rand_papb_morphism(rng, n, m, max_len=6))
               for _ in range(8) for n, m in [(0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (0, 3)]]
     memo = {}
@@ -348,7 +349,7 @@ def test_memoised_evaluation_equals_the_recursive_oracle_in_the_operad():
 
 
 def test_each_distinct_subword_reaches_the_algebra_once():
-    words = family_words()
+    words = all_family_words()
     nodes = [node for word in words for node in word_nodes(word)]
     distinct = set(nodes)
     assert (len(nodes), len(distinct)) == (446, 189)
