@@ -56,8 +56,8 @@ from fractions import Fraction
 from .chords import (
     DKElement,
     PaCDMorphism,
-    _gen_index,
-    dimension_of_degree,
+    _reducer,
+    check_dimension,
     dk_coproduct,
     dk_generators,
     dk_terms_from_json,
@@ -157,7 +157,7 @@ def _generators(assoc: Associator, d: int) -> dict:
     return {key: clear_denominators(terms) for key, terms in gens.items()}
 
 
-def _horner(terms: dict, images: tuple, levels: list, r: int, d: int) -> dict:
+def _horner(terms: dict, images: tuple, levels: list, rules: dict, d: int) -> dict:
     """``terms``, letter l read as the sum of images[l], times ``levels``, truncated at d.
 
     ``levels[k]`` holds standard words of length k, and the result is
@@ -171,9 +171,9 @@ def _horner(terms: dict, images: tuple, levels: list, r: int, d: int) -> dict:
     c = terms.get((), 0)
     out = {s: c * v for level in levels[:d + 1] for s, v in level.items()} if c else {}
     for l, tail in tails.items():
-        inner = _horner(tail, images, levels, r, d - 1)
+        inner = _horner(tail, images, levels, rules, d - 1)
         for g in images[l]:
-            left_multiply(g, inner, r, out)
+            left_multiply(g, inner, rules, out)
     return out
 
 
@@ -184,13 +184,13 @@ def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
     substituted generator multiplies it on the left (``_horner``).  D is the
     product of the generators' denominators.
     """
-    denom, terms = 1, {(): 1}
+    denom, terms, rules = 1, {(): 1}, _reducer(r, 2)
     for name, sign, images in reversed(factors):
         levels: list = [{} for _ in range(d + 1)]
         for s, c in terms.items():
             levels[len(s)][s] = c
         scale, gen = gens[name, sign]
-        terms = _horner(gen, images, levels, r, d)
+        terms = _horner(gen, images, levels, rules, d)
         denom *= scale
     return denom, terms
 
@@ -201,9 +201,7 @@ def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> 
         raise ValueError(f"arity {mor.strands} exceeds the limit of {MAX_EVAL_STRANDS} strands "
                          "for associator evaluation")
     d = assoc.degree if degree is None else degree
-    if dimension_of_degree(mor.strands, d) > MAX_EVAL_DIMENSION:
-        raise ValueError(f"the {mor.strands}-strand chord algebra in degree {d} exceeds the limit of "
-                         f"{MAX_EVAL_DIMENSION} dimensions for associator evaluation")
+    check_dimension(mor.strands, d, "associator evaluation")
     r, factors = evaluate_word(pab_to_word(mor), ProductAlgebra())
     denom, terms = _path(_generators(assoc, d), factors, r, d)
     element = DKElement(r, d, {w: Fraction(c, denom) for w, c in terms.items()}, _normalized=True)
@@ -344,22 +342,21 @@ def _block1_parts(r: int, low: tuple, high: tuple, lyndon: list) -> dict:
 
     Block i holds the chords t_ij with j > i; low[l] lies in block 1, which
     generates a free Lie ideal, and high[l] in higher blocks, which act on it by
-    ad: [t_jk, t_1j] = [t_1j, t_1k], [t_jk, t_1k] = [t_1k, t_1j], and t_jk
-    commutes with every other t_1i.  So if u and v have block-1 parts a, b and
-    higher parts p, q, [u, v] has block-1 part [a, b] + ad p (b) - ad q (a),
-    and ad [p, q] = [ad p, ad q].
+    ad, read from the rewrite rules' brackets (``chords._reducer``).  So if u
+    and v have block-1 parts a, b and higher parts p, q, [u, v] has block-1
+    part [a, b] + ad p (b) - ad q (a), and ad [p, q] = [ad p, ad q].
     """
-    idx = _gen_index(r)
+    rules, block1 = _reducer(r, 2), range(r - 1)
 
     @functools.cache
     def ad(w) -> dict:
         """{block-1 letter: its image} under ad of the bracketing of w in the higher images."""
         if len(w) == 1:
             out: dict = {}
-            for j, k in (dk_generators(r)[g] for g in high[w[0]]):
-                for a, b in ((j, k), (k, j)):
-                    x, y = idx[1, a], idx[1, b]
-                    accumulate(out.setdefault(x, {}), (((x, y), 1), ((y, x), -1)))
+            for g in high[w[0]]:
+                for x, bracket in rules[g].items():
+                    if bracket and x in block1:
+                        accumulate(out.setdefault(x, {}), bracket)
             return out
         du, dv = map(ad, _standard_factors(w))
         return {x: accumulate({}, itertools.chain(_derive(du, dv.get(x, {})), _derive(dv, du.get(x, {}), -1)))
@@ -465,12 +462,6 @@ MAX_SOLVE_DEGREE = 10
 #: largest strand count ``phi_eval`` accepts: desk scale is <= 4 strands, and
 #: 8 strands at degree 5 take about 0.5 s
 MAX_EVAL_STRANDS = 8
-
-#: largest chord-algebra dimension, at the morphism's strand count and the
-#: evaluation degree, that ``phi_eval`` accepts: 8 strands pass at degree 5
-#: (627,396) and fail at degree 6 (5,715,424), where one evaluation takes
-#: about 1 min at a 0.7 GB peak on a 2-vCPU host
-MAX_EVAL_DIMENSION = 10**6
 
 
 def _check_degree(degree: int) -> None:

@@ -6,28 +6,18 @@ weight 1) modulo the two-sided ideal generated by
     [t_ij, t_kl]           for {i,j} and {k,l} disjoint,
     [t_ik, t_ij + t_jk]    for distinct i, j, k,
 
-truncated above a fixed total degree N.  Normal forms come from quadratic
-rewriting: the cached reduced echelon rows of the degree-2 relations
-(``exact.insert_row`` with the largest word as lead), under the deglex order
-of words, rewrite their leading pair of letters anywhere in a word, and
-the normal form of every word met is memoised per (strands, word).  These
-rules are a Groebner basis of the whole ideal: the words avoiding every
-leading pair number [t^d] prod_{k<r} 1/(1 - k t), Kohno's Hilbert series, in
-degree 3 for every r up to MAX_STRANDS, so every overlap resolves and, by the
-diamond lemma, normal forms are unique in every degree.  Equality of elements
-is structural equality of normal forms and everything stays exact.
-
-The standard words are block-ordered.  Block i holds the chords t_ij with
-j > i; a leading pair is a letter followed by one of a lower block, so a
-standard word is w_1 w_2 ... w_{r-1} with w_i any word in block i (Drinfeld
-1990, section 5: U(t_r) = U(F_{r-1}) (x) ... (x) U(F_1)), and every split of
-a standard word is standard.  A letter x moves right past a lower-block letter
-u by xu = ux + [x, u], with a closed-form bracket table, so ``left_multiply``
-takes a letter times a standard word to standard words in one step:
-x s = sum_{m<p} s[:m] [x, s_m] s[m+1:] + s[:p] x s[p:], with p the length of
-the prefix of s in blocks below x's.  The associator's constraint and
-evaluation products multiply this way, with no rewriting and no memo;
-``DKElement`` and the chord commands rewrite through the rules above.
+truncated above a fixed total degree N.  Block i holds the chords t_ij with
+j > i; the standard words are block-ordered, w_1 w_2 ... w_{r-1} with w_i a
+word in block i (Drinfeld 1990, section 5), so every split of one is standard.
+The rewrite rules xu = ux + [x, u], for u in a lower block than x, are the
+bracket table in closed form (``_reducer``), and ``left_multiply`` takes a
+letter times a standard word to standard words in one step.  It is the one
+way to a normal form, with no memo: ``_reduce_terms`` multiplies each word up
+from its last letter, and the associator's products multiply the same way.
+The tests hold the argument for uniqueness: the rules are the reduced echelon
+rows of the degree-2 relations under deglex, a Groebner basis by Kohno's
+Hilbert series and the diamond lemma.  Equality of elements is structural
+equality of normal forms and everything stays exact.
 
 Strand conventions: the strand index of a chord generator is the input label
 it touches; operadic insertion at strand k doubles the strand into a block
@@ -38,7 +28,6 @@ removed strand.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -47,7 +36,6 @@ from .exact import (
     accumulate,
     fraction_from_str,
     fraction_to_str,
-    insert_row,
     int_from_json,
     series_exp,
     series_inverse,
@@ -64,30 +52,9 @@ def _gen_index(r: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(dk_generators(r))}
 
 
-def _relations(r: int) -> list[dict[tuple[int, ...], int]]:
-    """Degree-2 generators of the relation ideal, as word vectors."""
-    idx = _gen_index(r)
-    rels = []
-
-    def comm(a, b):
-        return {(idx[a], idx[b]): 1, (idx[b], idx[a]): -1}
-
-    pairs = dk_generators(r)
-    for p1, p2 in itertools.combinations(pairs, 2):
-        if not set(p1) & set(p2):
-            rels.append(comm(p1, p2))
-    for a, b, c in itertools.combinations(range(1, r + 1), 3):
-        # [t_ab, t_ac + t_bc], rotated
-        for lead, s1, s2 in (((a, b), (a, c), (b, c)),
-                             ((a, c), (a, b), (b, c)),
-                             ((b, c), (a, b), (a, c))):
-            rels.append(accumulate({}, (wc for other in (s1, s2)
-                                        for wc in comm(lead, other).items())))
-    return rels
-
-
-#: largest strand count whose rewrite rules are built: 0.2 s at 12 strands,
-#: and the number of relations grows as the fourth power of the strand count
+#: largest strand count with chord normal forms: the rewrite table at 12
+#: strands has 1,925 rules and is built in about 1 ms on a 2-vCPU host; the
+#: number of rules grows as the fourth power of the strand count
 MAX_STRANDS = 12
 
 
@@ -100,19 +67,21 @@ def _check_strands(r: int) -> None:
 #: in 0.15 s on a 2-vCPU host; the count's time grows as the square of the degree
 MAX_DIMENSION_DEGREE = 1000
 
+#: largest chord-algebra dimension that an input element, an insertion or an
+#: associator evaluation may reach: 8 strands pass at degree 5 (627,396) and fail
+#: at degree 6 (5,715,424), where one evaluation takes 1 min at 0.7 GB (2 vCPUs)
+MAX_EVAL_DIMENSION = 10**6
 
-# Observationally transparent caches: concurrent builders may race but compute
-# identical entries, and reads after construction are safe.
+
+# Observationally transparent: concurrent builders may race but build identical tables.
 _REDUCER_CACHE: dict[tuple[int, int], dict] = {}
-_NORMAL_FORMS: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
 
 
-def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """Reduced echelon rows of the ideal's degree-2 piece, keyed by leading (max) word.
+def _reducer(r: int, d: int) -> dict[int, dict[int, tuple]]:
+    """Rewrite rules xu = ux + [x, u], u in a lower block, as {x: {u: [x, u] as (word, coefficient) pairs}}.
 
-    Each row rewrites its leading pair as minus the rest of the row; the rules
-    are quadratic, so ``d`` is always 2, and integral: every primitive row has
-    leading coefficient 1.
+    For i < j < k, [t_jk, t_ij] = [t_ij, t_ik] and [t_jk, t_ik] = [t_ik, t_ij];
+    every other bracket is ().  The rules are quadratic, so ``d`` is always 2.
     """
     _check_strands(r)
     assert d == 2, "the rewrite rules are quadratic"
@@ -120,82 +89,44 @@ def _reducer(r: int, d: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]
     cached = _REDUCER_CACHE.get(key)
     if cached is not None:
         return cached
-    rows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for rel in _relations(r):
-        insert_row(rows, rel, max)
-    if any(row[lead] != 1 for lead, row in rows.items()):
-        raise ArithmeticError(f"a {r}-strand rewrite rule has a non-integral coefficient")
-    _REDUCER_CACHE[key] = rows
-    return rows
-
-
-def _normal_form(r: int, w: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Integral normal form of one word, memoised per (r, word); the result is shared, never mutate it.
-
-    The tail w[1:] is normalised first; then only the pair of the first letter
-    with a standard word's first letter can be a leading pair.  Rewriting makes
-    a word lexicographically smaller, so the recursion ends.
-    """
-    key = (r, w)
-    nf = _NORMAL_FORMS.get(key)
-    if nf is not None:
-        return nf
-    if len(w) < 2:
-        nf = {w: 1}
-    else:
-        rules = _reducer(r, 2)
-        head = w[0]
-        nf = {}
-        for s, c in _normal_form(r, w[1:]).items():
-            lead = (head, s[0])
-            row = rules.get(lead)
-            if row is None:
-                accumulate(nf, (((head,) + s, c),))
-            else:
-                accumulate(nf, ((w2, -c * pc * c2) for pair, pc in row.items() if pair != lead
-                                for w2, c2 in _normal_form(r, pair + s[1:]).items()))
-    _NORMAL_FORMS[key] = nf
-    return nf
-
-
-def _reduce_terms(terms: dict, r: int) -> dict:
-    return accumulate({}, ((w2, c * c2) for w, c in terms.items()
-                           for w2, c2 in _normal_form(r, w).items()))
-
-
-@functools.cache
-def _letter_brackets(r: int) -> tuple[tuple[int, ...], list[dict]]:
-    """(block of each letter, per letter x {u: [x, u] as (word, coefficient) pairs}) on r strands.
-
-    Only lower-block letters u are listed: for i < j < k, [t_jk, t_ij] =
-    [t_ij, t_ik] and [t_jk, t_ik] = [t_ik, t_ij], and t_jk commutes with every
-    other lower-block letter.
-    """
     idx = _gen_index(r)
-    table: list[dict] = [{} for _ in idx]
+    rules: dict[int, dict[int, tuple]] = {x: {u: () for u in range(idx[a, a + 1])}
+                                          for (a, _b), x in idx.items() if a > 1}
     for i, j, k in itertools.combinations(range(1, r + 1), 3):
         a, b = idx[i, j], idx[i, k]
-        table[idx[j, k]].update({a: (((a, b), 1), ((b, a), -1)), b: (((b, a), 1), ((a, b), -1))})
-    return tuple(i for i, _j in idx), table
+        rules[idx[j, k]].update({a: (((a, b), 1), ((b, a), -1)), b: (((b, a), 1), ((a, b), -1))})
+    _REDUCER_CACHE[key] = rules
+    return rules
 
 
-def left_multiply(x: int, terms: dict, r: int, out: dict) -> dict:
+def left_multiply(x: int, terms: dict, rules: dict, out: dict) -> dict:
     """Add the letter x times ``terms``, whose words are standard, into ``out``; every word added is standard.
 
-    With p the length of the prefix of s in blocks below x's,
+    With p the length of the prefix of s whose letters x has a rule for (``_reducer``),
     x s = sum_{m<p} s[:m] [x, s_m] s[m+1:] + s[:p] x s[p:].
     """
-    blocks, table = _letter_brackets(r)
-    b, row = blocks[x], table[x]
+    row = rules.get(x, {})
     pairs = []
     for s, c in terms.items():
         p = 0
-        while p < len(s) and blocks[s[p]] < b:
+        while p < len(s) and s[p] in row:
             p += 1
         if p:
-            pairs += [(s[:m] + w + s[m + 1:], k * c) for m in range(p) for w, k in row.get(s[m], ())]
+            pairs += [(s[:m] + w + s[m + 1:], k * c) for m in range(p) for w, k in row[s[m]]]
         pairs.append((s[:p] + (x,) + s[p:], c))
     return accumulate(out, pairs)
+
+
+def _reduce_terms(terms: dict, r: int) -> dict:
+    """Normal form of a sum of words on r strands: each word multiplied up from its last letter."""
+    rules = _reducer(r, 2) if any(len(w) > 1 for w in terms) else {}
+    out: dict = {}
+    for w, c in terms.items():
+        nf = {w[-1:]: c}
+        for x in reversed(w[:-1]):
+            nf = left_multiply(x, nf, rules, {})
+        accumulate(out, nf.items())
+    return out
 
 
 class DKElement:
@@ -282,20 +213,33 @@ def _check_nonnegative(r: int, d: int) -> None:
 
 
 def dimension_of_degree(r: int, d: int) -> int:
-    """Number of standard words of degree d, those with no leading pair of a rewrite rule.
+    """Number of standard words of degree d, those with no pair xu that has a rewrite rule.
 
     ``ends[b]`` counts the standard words of the current length that end in letter b.
     """
     _check_nonnegative(r, d)
     if d > MAX_DIMENSION_DEGREE:
         raise ValueError(f"degree {d} exceeds the limit of {MAX_DIMENSION_DEGREE} for chord dimensions")
-    leads = _reducer(r, 2)
+    rules = _reducer(r, 2)
     g = len(dk_generators(r))
-    before = [[a for a in range(g) if (a, b) not in leads] for b in range(g)]
+    before = [[a for a in range(g) if b not in rules.get(a, ())] for b in range(g)]
     ends = [1] * g
     for _ in range(d - 1):
         ends = [sum(ends[a] for a in before[b]) for b in range(g)]
     return sum(ends) if d else 1
+
+
+def check_dimension(r: int, d: int, task: str, *factors: dict) -> None:
+    """Refuse work in the r-strand chord algebra in degree d past ``MAX_EVAL_DIMENSION`` dimensions.
+
+    With term maps ``factors``, d is the longest word their product truncated at d can hold.
+    """
+    if factors:
+        d = min(d, sum(max((len(w) for w in f if len(w) <= d), default=0) for f in factors))
+    # the dimension never falls as d grows, so it is read at MAX_DIMENSION_DEGREE at most
+    if d > 1 and dimension_of_degree(r, min(d, MAX_DIMENSION_DEGREE)) > MAX_EVAL_DIMENSION:
+        raise ValueError(f"the {r}-strand chord algebra in degree {d} exceeds the limit of "
+                         f"{MAX_EVAL_DIMENSION} dimensions for {task}")
 
 
 # -- operadic structure ----------------------------------------------------------
@@ -354,6 +298,7 @@ def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
     total = u.strands + v.strands - 1
     letters = len(dk_generators(total))
     degree = min(u.degree, v.degree)
+    check_dimension(total, degree, "chord insertion", u.series.terms, v.series.terms)
     expanded = NCSeries(letters, degree, substitute_letters(u.series.terms, images))
     vshift = NCSeries(letters, degree, substitute_letters(v.series.terms, table))
     return DKElement(total, degree, series_mul(expanded, vshift).terms)
@@ -502,4 +447,6 @@ def dk_from_json(data: dict) -> DKElement:
     r, degree = int_from_json(data["strands"], "strands"), int_from_json(data["degree"], "degree")
     _check_nonnegative(r, degree)
     _check_strands(r)
-    return DKElement(r, degree, dk_terms_from_json(r, data["terms"]))
+    terms = dk_terms_from_json(r, data["terms"])
+    check_dimension(r, degree, "chord normal forms", terms)
+    return DKElement(r, degree, terms)

@@ -4,9 +4,9 @@ Scalars are `fractions.Fraction`, except that the chord rewrite rules and
 normal forms, and so the associator columns and scaled constraint products,
 are integral and kept in `int`, and that exact elimination is fraction-free
 over `int` (Bareiss 1968): ``insert_row`` keeps a reduced echelon form of
-primitive integer rows, keyed by any ordered column type, and builds the
-chord rewrite rules, ``solve_exact`` (which returns Fractions) and the
-associator kernel's echelon form.  There is no floating point anywhere in
+primitive integer rows, keyed by any ordered column type, for ``solve_exact``
+(which returns Fractions) and the associator kernel's echelon form; the chord
+rewrite rules are in closed form.  There is no floating point anywhere in
 this package, and ``fraction_from_str`` and ``int_from_json`` refuse a JSON
 float at the boundary.  A noncommutative series is a finite map from
 generator words (tuples of generator indices) to nonzero rationals, truncated
@@ -145,13 +145,14 @@ class NCSeries:
 
 def mul_terms(a: Mapping, b: Mapping, degree: int) -> dict:
     """Product of two term maps truncated above ``degree``: the coefficient of w sums a(u)b(v) over w = uv."""
-    by_length: list[list] = [[] for _ in range(degree + 1)]
+    buckets: dict[int, list] = {}  # by the word lengths that occur, so the work does not grow with the degree
     for v, cv in b.items():
-        if len(v) <= degree:
-            by_length[len(v)].append((v, cv))
+        buckets.setdefault(len(v), []).append((v, cv))
+    by_length = sorted(buckets.items())
     out: dict = {}
     for u, cu in a.items():
-        accumulate(out, ((u + v, cu * cv) for n in range(degree + 1 - len(u)) for v, cv in by_length[n]))
+        room = degree - len(u)
+        accumulate(out, ((u + v, cu * cv) for n, vs in by_length if n <= room for v, cv in vs))
     return out
 
 
@@ -268,8 +269,9 @@ def insert_row(pivots: dict, row: Mapping, lead=min):
     """Insert ``row`` into the fraction-free reduced echelon form ``pivots``; return its lead, or None.
 
     ``pivots`` maps each pivot column to its row: an ``int`` row, primitive,
-    positive at that column, which is its ``lead`` (``min`` or ``max`` of the
-    row's columns), and zero at every other pivot column.  ``row`` (``int`` or
+    positive at that column, which is its ``lead`` (``min`` of the row's
+    columns in ``solve_exact``, ``max`` in the associator kernel's echelon
+    form), and zero at every other pivot column.  ``row`` (``int`` or
     ``Fraction`` entries) is scaled once by the lcm of its denominators,
     cleared at every pivot column, made primitive, and back-substituted into
     the older pivot rows, which keeps ``pivots`` reduced.  A row that reduces

@@ -441,16 +441,6 @@ def test_failed_reverification_raises(monkeypatch):
         solve_associator(1, 2)
 
 
-def test_constraint_products_leave_no_4_strand_normal_forms(monkeypatch):
-    # the constraint paths multiply by block-ordered left multiplication, so a
-    # solve and a pentagon check rewrite no 4-strand word through the memo
-    import braidops.chords as chords
-
-    monkeypatch.setattr(chords, "_NORMAL_FORMS", {})
-    check_pentagon(solve_associator(1, 6))
-    assert chords._NORMAL_FORMS and not [key for key in chords._NORMAL_FORMS if key[0] == 4]
-
-
 def test_failed_reverification_under_optimize():
     # the closing re-check must not be an assert, which -O strips
     import subprocess

@@ -1,8 +1,6 @@
 import functools
 import itertools
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -13,10 +11,9 @@ from braidops.chords import (
     MAX_STRANDS,
     DKElement,
     PaCDMorphism,
-    _normal_form,
+    _gen_index,
     _reduce_terms,
     _reducer,
-    _relations,
     _splits,
     dimension_of_degree,
     dk_coproduct,
@@ -32,7 +29,7 @@ from braidops.chords import (
     pacd_insert,
     tensor_square,
 )
-from braidops.exact import accumulate
+from braidops.exact import accumulate, insert_row
 from braidops.trees import enumerate_closed_trees
 
 
@@ -154,6 +151,82 @@ def test_strand_limit():
     assert format_dk(t(40, 2, 39, 40)) == "t3940"
 
 
+# -- the Groebner rules by elimination: the oracle of the closed-form rules ----------
+#
+# The relations' reduced echelon rows under the deglex order of words, each
+# keyed by its largest word, rewrite that leading pair of letters anywhere in
+# a word.  They are a Groebner basis of the whole ideal: the words avoiding
+# every leading pair number Kohno's Hilbert series in degree 3 for every r up
+# to MAX_STRANDS (test_dimensions_match_hilbert_series), so every overlap
+# resolves and, by the diamond lemma (Bergman 1978), normal forms are unique
+# in every degree.  The closed-form rules must be these rows.
+
+
+def relations(r):
+    """Degree-2 generators of the relation ideal, as word vectors."""
+    idx = _gen_index(r)
+    rels = []
+
+    def comm(a, b):
+        return {(idx[a], idx[b]): 1, (idx[b], idx[a]): -1}
+
+    pairs = dk_generators(r)
+    for p1, p2 in itertools.combinations(pairs, 2):
+        if not set(p1) & set(p2):
+            rels.append(comm(p1, p2))
+    for a, b, c in itertools.combinations(range(1, r + 1), 3):
+        # [t_ab, t_ac + t_bc], rotated
+        for lead, s1, s2 in (((a, b), (a, c), (b, c)),
+                             ((a, c), (a, b), (b, c)),
+                             ((b, c), (a, b), (a, c))):
+            rels.append(accumulate({}, (wc for other in (s1, s2)
+                                        for wc in comm(lead, other).items())))
+    return rels
+
+
+@functools.cache
+def elimination_rules(r):
+    """Reduced echelon rows of the ideal's degree-2 piece, keyed by leading (max) word."""
+    rows = {}
+    for rel in relations(r):
+        insert_row(rows, rel, max)
+    return rows
+
+
+def rule_rows(r):
+    """The closed-form rules as rows xu - ux - [x, u], keyed by their leading pair xu."""
+    return {(x, u): accumulate({(x, u): 1, (u, x): -1}, ((w, -k) for w, k in bracket))
+            for x, row in _reducer(r, 2).items() for u, bracket in row.items()}
+
+
+@functools.cache
+def groebner_normal_form(r, w):
+    """Normal form of one word by the elimination rules, memoised per (r, word).
+
+    The tail w[1:] is normalised first; then only the pair of the first letter
+    with a standard word's first letter can be a leading pair.  Rewriting makes
+    a word lexicographically smaller, so the recursion ends.
+    """
+    if len(w) < 2:
+        return {w: 1}
+    rules = elimination_rules(r)
+    nf = {}
+    for s, c in groebner_normal_form(r, w[1:]).items():
+        lead = (w[0], s[0])
+        row = rules.get(lead)
+        if row is None:
+            accumulate(nf, (((w[0],) + s, c),))
+        else:
+            accumulate(nf, ((w2, -c * pc * c2) for pair, pc in row.items() if pair != lead
+                            for w2, c2 in groebner_normal_form(r, pair + s[1:]).items()))
+    return nf
+
+
+def groebner_reduce(terms, r):
+    return accumulate({}, ((w2, c * c2) for w, c in terms.items()
+                           for w2, c2 in groebner_normal_form(r, w).items()))
+
+
 # -- the degree-d echelon table: the oracle the rewriting replaced ------------------
 
 
@@ -163,7 +236,7 @@ def placements(r, d):
     for k in range(d - 1):
         for u in itertools.product(range(g), repeat=k):
             for v in itertools.product(range(g), repeat=d - 2 - k):
-                for rel in _relations(r):
+                for rel in relations(r):
                     yield {u + w + v: c for w, c in rel.items()}
 
 
@@ -230,33 +303,46 @@ def test_normal_forms_match_echelon_oracle():
 
 
 def test_rewrite_rules_and_normal_forms_integral():
-    # every rule is integral with leading coefficient 1, so normal forms stay in int,
-    # and reduced: no rule contains another rule's lead
+    # the closed-form rules are the reduced echelon rows of the relations, so
+    # they are integral with leading coefficient 1 and normal forms stay in int
     for r in range(MAX_STRANDS + 1):
-        rules = _reducer(r, 2)
-        for lead, row in rules.items():
-            assert lead == max(row) and row[lead] == 1, r
-            assert all(type(c) is int for c in row.values()), r
-            assert all(w == lead or w not in rules for w in row), r
+        rows = rule_rows(r)
+        assert rows == elimination_rules(r), r
+        assert all(type(c) is int for row in rows.values() for c in row.values()), r
     rng = random.Random(13)
     for _ in range(30):
         w = tuple(rng.randrange(6) for _ in range(5))
-        assert all(type(c) is int for c in _normal_form(4, w).values()), w
+        assert all(type(c) is int for c in _reduce_terms({w: 1}, 4).values()), w
 
 
-def test_non_integral_rule_under_optimize():
-    # int() would truncate a fractional rule; the guard must raise, not assert, which -O strips
-    script = ("from fractions import Fraction\n"
-              "import braidops.chords as chords\n"
-              "chords._relations = lambda r: [{(1, 0): Fraction(2), (0, 1): Fraction(1)}]\n"
-              "try:\n"
-              "    chords._reducer(3, 2)\n"
-              "except ArithmeticError as exc:\n"
-              "    print('rejected:', exc)\n")
-    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
-                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
-    assert out.returncode == 0 and out.stderr == ""
-    assert out.stdout.startswith("rejected:") and "non-integral" in out.stdout
+@st.composite
+def chord_sums(draw, max_strands=8, max_length=7):
+    """(strands, a sum of words with Fraction coefficients, a sum of relation placements)."""
+    r = draw(st.integers(2, max_strands))
+    g = len(dk_generators(r))
+    words = st.lists(st.integers(0, g - 1), max_size=max_length).map(tuple)
+    coefs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = accumulate({}, draw(st.lists(st.tuples(words, coefs), max_size=8)))
+    rels = relations(r)
+    ideal = {}
+    for _ in range(draw(st.integers(0, 3))):
+        rel = rels[draw(st.integers(0, len(rels) - 1))] if rels else {}
+        u = draw(st.lists(st.integers(0, g - 1), max_size=max_length - 2).map(tuple))
+        v = draw(st.lists(st.integers(0, g - 1), max_size=max_length - 2 - len(u)).map(tuple))
+        c = draw(coefs)
+        accumulate(ideal, ((u + w + v, c * k) for w, k in rel.items()))
+    return r, terms, ideal
+
+
+@settings(max_examples=200, deadline=None)
+@given(chord_sums())
+def test_reduce_terms_equals_groebner_rewriting(case):
+    # the sum plus an element of the ideal, whose normal forms cancel
+    r, terms, ideal = case
+    total = accumulate(dict(terms), ideal.items())
+    assert _reduce_terms(total, r) == groebner_reduce(total, r)
+    assert _reduce_terms(total, r) == _reduce_terms(terms, r)
+    assert _reduce_terms(ideal, r) == {}
 
 
 def test_every_placement_reduces_to_zero():
@@ -270,9 +356,9 @@ def test_every_placement_reduces_to_zero():
 def _tensor_normalize(tensor: dict, r: int) -> dict:
     """Both factors of a tensor rewritten to chord normal forms: the oracle for splits of normal words."""
     stage = accumulate({}, (((w1n, w2), c1) for (w1, w2), c in tensor.items()
-                            for w1n, c1 in _reduce_terms({w1: c}, r).items()))
+                            for w1n, c1 in groebner_reduce({w1: c}, r).items()))
     return accumulate({}, (((w1, w2n), c2) for (w1, w2), c in stage.items()
-                           for w2n, c2 in _reduce_terms({w2: c}, r).items()))
+                           for w2n, c2 in groebner_reduce({w2: c}, r).items()))
 
 
 @st.composite
@@ -291,8 +377,9 @@ def standard_words(draw, max_strands=8, max_length=7):
 def test_left_multiply_equals_normal_form(case):
     # block-ordered left multiplication is the Groebner normal form of the longer word
     r, s, x = case
-    assert _normal_form(r, s) == {s: 1}
-    assert left_multiply(x, {s: 3}, r, {}) == {w: 3 * c for w, c in _normal_form(r, (x,) + s).items()}
+    assert groebner_normal_form(r, s) == {s: 1}
+    assert left_multiply(x, {s: 3}, _reducer(r, 2), {}) == {
+        w: 3 * c for w, c in groebner_normal_form(r, (x,) + s).items()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,7 +388,8 @@ def test_splits_of_normal_words_are_normal(case):
     # every subsequence of a block-ordered word is block-ordered, so the
     # coproduct and tensor square need no normalisation of their factors
     r, s, x = case
-    splits = accumulate({}, ((split, 1) for w in left_multiply(x, {s: 1}, r, {}) for split in _splits(w)))
+    product = left_multiply(x, {s: 1}, _reducer(r, 2), {})
+    splits = accumulate({}, ((split, 1) for w in product for split in _splits(w)))
     assert _tensor_normalize(splits, r) == splits
 
 

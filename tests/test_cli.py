@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -488,8 +489,13 @@ def test_bad_morphism_json_under_optimize(argv, data, message):
 # target degree, solved, checked or evaluated (the check is about x4 per
 # degree), an evaluation on 9 strands, one past the evaluator's strand limit,
 # and one on 8 strands at degree 6, where the chord algebra has 5,715,424
-# dimensions
+# dimensions; and two chord requests past the same dimension limit: a 16-letter
+# word on 4 strands (193,448,101 dimensions; its normal form has 1,629,117
+# terms) and t12^8 with t12 on 11 strands inserted at strand 1, whose letter
+# expansion alone makes 11^8 words
 ASSOC_11 = {"mu": "1", "degree": 11, "phi": {"terms": [{"coef": "1", "word": []}]}}
+WORD_16 = [[3, 4], [3, 4], [3, 4], [2, 4], [2, 4], [3, 4], [2, 4], [2, 3],
+           [1, 2], [1, 4], [1, 2], [1, 2], [1, 4], [1, 2], [1, 3], [1, 3]]
 
 
 def left_comb(n: int) -> str:
@@ -510,9 +516,14 @@ OVER_LIMIT = [
         "src": left_comb(9), "tgt": left_comb(9), "braid": {"strands": 9, "word": []}}})),
     (["assoc", "eval"], json.dumps({"associator": {**ASSOC_11, "degree": 6}, "morphism": {
         "src": left_comb(8), "tgt": left_comb(8), "braid": {"strands": 8, "word": []}}})),
+    (["cd", "normalize"], json.dumps({"strands": 4, "degree": 16, "terms": [{"coef": "1", "word": WORD_16}]})),
+    (["cd", "insert"], json.dumps({
+        "outer": {"strands": 2, "degree": 8, "terms": [{"coef": "1", "word": [[1, 2]] * 8}]},
+        "inner": {"strands": 11, "degree": 8, "terms": [{"coef": "1", "word": [[1, 2]]}]}, "strand": 1})),
 ]
 OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "voronov-degree", "voronov-count",
-                  "solve-degree", "check-degree", "eval-degree", "eval-strands", "eval-dimension"]
+                  "solve-degree", "check-degree", "eval-degree", "eval-strands", "eval-dimension",
+                  "normalize-dimension", "insert-dimension"]
 
 
 @pytest.mark.parametrize("argv, stdin", OVER_LIMIT, ids=OVER_LIMIT_IDS)
@@ -529,3 +540,28 @@ def test_over_limit_under_optimize(argv, stdin):
     out = run_optimized(argv, stdin)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error:") and "exceeds the limit" in out.stderr
+
+
+def test_chord_dimension_limits_answer_at_once(capsys, monkeypatch):
+    # the two chord requests are refused before any word is expanded or rewritten
+    for argv, stdin in OVER_LIMIT[-2:]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0, argv
+    assert capsys.readouterr().err.count("dimensions for chord") == 2
+
+
+def test_cd_insert_work_does_not_grow_with_the_degree(capsys, monkeypatch):
+    # a product touches only the word lengths that occur, not every length up to the degree
+    def insert(degree):
+        element = {"strands": 2, "degree": degree, "terms": [{"coef": "1", "word": [[1, 2]]}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+            {"outer": element, "inner": element, "strand": 1})))
+        start = time.perf_counter()
+        code, out = run_capture(capsys, ["cd", "insert"])
+        return code, out, time.perf_counter() - start
+
+    code, out, seconds = insert(10**9)
+    assert (code, out) == insert(2)[:2] == (0, "t12*t13 + t12*t23\n")
+    assert seconds < 1.0
