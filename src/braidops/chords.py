@@ -85,17 +85,15 @@ def _reducer(r: int, d: int) -> dict[int, dict[int, tuple]]:
     """
     _check_strands(r)
     assert d == 2, "the rewrite rules are quadratic"
-    key = (r, d)
-    cached = _REDUCER_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if (r, d) in _REDUCER_CACHE:
+        return _REDUCER_CACHE[r, d]
     idx = _gen_index(r)
     rules: dict[int, dict[int, tuple]] = {x: {u: () for u in range(idx[a, a + 1])}
                                           for (a, _b), x in idx.items() if a > 1}
     for i, j, k in itertools.combinations(range(1, r + 1), 3):
         a, b = idx[i, j], idx[i, k]
         rules[idx[j, k]].update({a: (((a, b), 1), ((b, a), -1)), b: (((b, a), 1), ((a, b), -1))})
-    _REDUCER_CACHE[key] = rules
+    _REDUCER_CACHE[r, d] = rules
     return rules
 
 
@@ -232,12 +230,14 @@ def dimension_of_degree(r: int, d: int) -> int:
 def check_dimension(r: int, d: int, task: str, *factors: dict) -> None:
     """Refuse work in the r-strand chord algebra in degree d past ``MAX_EVAL_DIMENSION`` dimensions.
 
-    With term maps ``factors``, d is the longest word their product truncated at d can hold.
+    With term maps ``factors``, d is the longest word their product truncated at d can hold.  The
+    dimension is at most the g^d words (2^20 is past the limit), so small algebras are not counted,
+    and it never falls as d grows, so it is counted at ``MAX_DIMENSION_DEGREE`` at most.
     """
     if factors:
         d = min(d, sum(max((len(w) for w in f if len(w) <= d), default=0) for f in factors))
-    # the dimension never falls as d grows, so it is read at MAX_DIMENSION_DEGREE at most
-    if d > 1 and dimension_of_degree(r, min(d, MAX_DIMENSION_DEGREE)) > MAX_EVAL_DIMENSION:
+    if (d > 1 and (r * (r - 1) // 2) ** min(d, 20) > MAX_EVAL_DIMENSION
+            and dimension_of_degree(r, min(d, MAX_DIMENSION_DEGREE)) > MAX_EVAL_DIMENSION):
         raise ValueError(f"the {r}-strand chord algebra in degree {d} exceeds the limit of "
                          f"{MAX_EVAL_DIMENSION} dimensions for {task}")
 

@@ -502,6 +502,12 @@ def left_comb(n: int) -> str:
     return "mc(" * (n - 1) + "x1," + ",".join(f"x{i})" for i in range(2, n + 1))
 
 
+CHORD_OVER_LIMIT = [
+    (["cd", "normalize"], json.dumps({"strands": 4, "degree": 16, "terms": [{"coef": "1", "word": WORD_16}]})),
+    (["cd", "insert"], json.dumps({
+        "outer": {"strands": 2, "degree": 8, "terms": [{"coef": "1", "word": [[1, 2]] * 8}]},
+        "inner": {"strands": 11, "degree": 8, "terms": [{"coef": "1", "word": [[1, 2]]}]}, "strand": 1})),
+]
 OVER_LIMIT = [
     (["tree", "omega", "mc(" * 1200 + "x1" + ",x1)" * 1200], ""),
     (["cd", "dims", "--strands", "4", "--degree", "20000"], ""),
@@ -516,10 +522,7 @@ OVER_LIMIT = [
         "src": left_comb(9), "tgt": left_comb(9), "braid": {"strands": 9, "word": []}}})),
     (["assoc", "eval"], json.dumps({"associator": {**ASSOC_11, "degree": 6}, "morphism": {
         "src": left_comb(8), "tgt": left_comb(8), "braid": {"strands": 8, "word": []}}})),
-    (["cd", "normalize"], json.dumps({"strands": 4, "degree": 16, "terms": [{"coef": "1", "word": WORD_16}]})),
-    (["cd", "insert"], json.dumps({
-        "outer": {"strands": 2, "degree": 8, "terms": [{"coef": "1", "word": [[1, 2]] * 8}]},
-        "inner": {"strands": 11, "degree": 8, "terms": [{"coef": "1", "word": [[1, 2]]}]}, "strand": 1})),
+    *CHORD_OVER_LIMIT,
 ]
 OVER_LIMIT_IDS = ["deep-tree", "dims-degree", "enum-inputs", "voronov-degree", "voronov-count",
                   "solve-degree", "check-degree", "eval-degree", "eval-strands", "eval-dimension",
@@ -544,7 +547,7 @@ def test_over_limit_under_optimize(argv, stdin):
 
 def test_chord_dimension_limits_answer_at_once(capsys, monkeypatch):
     # the two chord requests are refused before any word is expanded or rewritten
-    for argv, stdin in OVER_LIMIT[-2:]:
+    for argv, stdin in CHORD_OVER_LIMIT:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         start = time.perf_counter()
         assert run(argv) == 2
