@@ -16,7 +16,7 @@ same way.  Both multiply in ``int`` through ``_path``: each generator and its
 inverse is scaled once by the lcm of its denominators; the product runs over
 the factors from the right in standard words, which are block-ordered, and each
 substituted generator multiplies it on the left by Horner over its words' first
-letters, one letter of an image at a time (``chords.left_multiply``), so no
+letters, one letter of an image at a time (``chords._horner``), so no
 word is rewritten to normal form; only the result, or the difference of two
 paths, is divided, by one denominator.
 
@@ -56,6 +56,7 @@ from fractions import Fraction
 from .chords import (
     DKElement,
     PaCDMorphism,
+    _product,
     _reducer,
     check_dimension,
     dk_coproduct,
@@ -64,7 +65,6 @@ from .chords import (
     dk_terms_to_json,
     grouplike_check,
     insert_tables,
-    left_multiply,
     relabel_table,
     tensor_square,
 )
@@ -157,40 +157,17 @@ def _generators(assoc: Associator, d: int) -> dict:
     return {key: clear_denominators(terms) for key, terms in gens.items()}
 
 
-def _horner(terms: dict, images: tuple, levels: list, rules: dict, d: int) -> dict:
-    """``terms``, letter l read as the sum of images[l], times ``levels``, truncated at d.
-
-    ``levels[k]`` holds standard words of length k, and the result is
-    standard: the words are grouped by first letter, and each group's tail
-    product is multiplied on the left by each letter of that letter's image.
-    """
-    tails: dict = {}
-    for w, c in terms.items():
-        if 0 < len(w) <= d:
-            tails.setdefault(w[0], {})[w[1:]] = c
-    c = terms.get((), 0)
-    out = {s: c * v for level in levels[:d + 1] for s, v in level.items()} if c else {}
-    for l, tail in tails.items():
-        inner = _horner(tail, images, levels, rules, d - 1)
-        for g in images[l]:
-            left_multiply(g, inner, rules, out)
-    return out
-
-
 def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
     """(D, D * product) of the letter-substituted ``factors`` on r strands, normal and truncated at d.
 
     The product runs over the factors from the right and stays standard: each
-    substituted generator multiplies it on the left (``_horner``).  D is the
+    substituted generator multiplies it on the left (``chords._product``).  D is the
     product of the generators' denominators.
     """
-    denom, terms, rules = 1, {(): 1}, _reducer(r, 2)
+    denom, terms = 1, {(): 1}
     for name, sign, images in reversed(factors):
-        levels: list = [{} for _ in range(d + 1)]
-        for s, c in terms.items():
-            levels[len(s)][s] = c
         scale, gen = gens[name, sign]
-        terms = _horner(gen, images, levels, rules, d)
+        terms = _product(r, gen, terms, d, images)
         denom *= scale
     return denom, terms
 

@@ -67,12 +67,21 @@ class BraidWord:
     def identity(cls, strands: int) -> "BraidWord":
         return cls(strands)
 
+    @classmethod
+    def _unchecked(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":
+        """A word whose letters are already known to be in range for ``strands``."""
+        word = object.__new__(cls)
+        word.strands = strands
+        word.letters = letters
+        return word
+
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        assert self.strands == other.strands, "strand-count mismatch"
-        return BraidWord(self.strands, self.letters + other.letters)
+        if self.strands != other.strands:
+            raise ValueError(f"strand-count mismatch: {self.strands} and {other.strands} strands")
+        return BraidWord._unchecked(self.strands, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-l for l in reversed(self.letters)))
+        return BraidWord._unchecked(self.strands, tuple(-l for l in reversed(self.letters)))
 
     def shift(self, k: int, strands: int | None = None) -> "BraidWord":
         """Embed into a larger braid group, moving all positions up by k."""

@@ -12,8 +12,11 @@ word in block i (Drinfeld 1990, section 5), so every split of one is standard.
 The rewrite rules xu = ux + [x, u], for u in a lower block than x, are the
 bracket table in closed form (``_reducer``), and ``left_multiply`` takes a
 letter times a standard word to standard words in one step.  It is the one
-way to a normal form, with no memo: ``_reduce_terms`` multiplies each word up
-from its last letter, and the associator's products multiply the same way.
+way to a normal form, with no memo: ``_reduce_terms`` multiplies each raw word
+up from its last letter, and a product of a sum of words with a standard
+element (``_horner``: products, powers, insertions and the associator's paths)
+multiplies the right factor's words on the left, by Horner's scheme over the
+left factor's first letters, so no product word is rewritten again.
 The tests hold the argument for uniqueness: the rules are the reduced echelon
 rows of the degree-2 relations under deglex, a Groebner basis by Kohno's
 Hilbert series and the diamond lemma.  Equality of elements is structural
@@ -29,18 +32,10 @@ removed strand.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .exact import (
-    NCSeries,
-    accumulate,
-    fraction_from_str,
-    fraction_to_str,
-    int_from_json,
-    series_exp,
-    series_inverse,
-    series_mul,
-)
+from .exact import NCSeries, accumulate, fraction_from_str, fraction_to_str, int_from_json
 from .trees import Tree, closed_labels, color, relabel_tree
 
 
@@ -115,6 +110,45 @@ def left_multiply(x: int, terms: dict, rules: dict, out: dict) -> dict:
     return accumulate(out, pairs)
 
 
+def _horner(terms: dict, images, levels: dict, rules: dict, d: int) -> dict:
+    """``terms``, letter l read as the sum of images[l], times ``levels``, truncated at d.
+
+    ``levels`` maps each word length that occurs to standard words of that
+    length, and the result is standard: the words are grouped by first
+    letter, and each group's tail product is multiplied on the left by each
+    letter of that letter's image.
+    """
+    tails: dict = {}
+    for w, c in terms.items():
+        if 0 < len(w) <= d:
+            tails.setdefault(w[0], {})[w[1:]] = c
+    c = terms.get((), 0)
+    out = {s: c * v for n, level in levels.items() if n <= d for s, v in level.items()} if c else {}
+    for l, tail in tails.items():
+        inner = _horner(tail, images, levels, rules, d - 1)
+        for g in images[l]:
+            left_multiply(g, inner, rules, out)
+    return out
+
+
+def _product(r: int, terms: dict, right: dict, d: int, images=None) -> dict:
+    """Normal form of ``terms`` (letter l read as the sum of images[l], by default l) times the
+    standard ``right``, on r strands truncated at d.
+
+    Every split of a standard word is standard, so Horner's scheme over the
+    words of ``terms`` needs only ``left_multiply``.  The rewrite rules are read
+    only when a product word can have two letters, as ``_reduce_terms`` does.
+    """
+    levels: dict = {}
+    for s, c in right.items():
+        levels.setdefault(len(s), {})[s] = c
+    lengths = {len(w) for w in terms}
+    rules = _reducer(r, 2) if any(2 <= a + b <= d for a in lengths for b in levels) else {}
+    if images is None:
+        images = [(l,) for l in range(r * (r - 1) // 2)]
+    return _horner(terms, images, levels, rules, d)
+
+
 def _reduce_terms(terms: dict, r: int) -> dict:
     """Normal form of a sum of words on r strands: each word multiplied up from its last letter."""
     rules = _reducer(r, 2) if any(len(w) > 1 for w in terms) else {}
@@ -177,16 +211,33 @@ class DKElement:
     def scale(self, c) -> "DKElement":
         return DKElement(self.strands, self.degree, self.series.scale(c).terms, _normalized=True)
 
-    def mul(self, other: "DKElement", degree: int | None = None) -> "DKElement":
+    def mul(self, other: "DKElement") -> "DKElement":
         assert self.strands == other.strands
-        prod = series_mul(self.series, other.series, degree)
-        return DKElement(self.strands, prod.degree, prod.terms)
+        degree = min(self.degree, other.degree)
+        terms = _product(self.strands, self.series.terms, other.series.terms, degree)
+        return DKElement(self.strands, degree, terms, _normalized=True)
+
+    def _power_sum(self, x: dict, coef) -> "DKElement":
+        """sum_k coef(k) x^k truncated, for x without constant term: it ends where x^k is zero."""
+        out: dict = {}
+        power = {(): Fraction(1)}
+        for k in range(self.degree + 1):
+            accumulate(out, ((w, coef(k) * c) for w, c in power.items()))
+            power = _product(self.strands, x, power, self.degree)
+            if not power:
+                break
+        return DKElement(self.strands, self.degree, out, _normalized=True)
 
     def exp(self) -> "DKElement":
-        return DKElement(self.strands, self.degree, series_exp(self.series).terms)
+        if self.constant_term() != 0:
+            raise ValueError("exp requires zero constant term")
+        return self._power_sum(self.series.terms, lambda k: Fraction(1, math.factorial(k)))
 
     def inverse(self) -> "DKElement":
-        return DKElement(self.strands, self.degree, series_inverse(self.series).terms)
+        """The geometric series sum_k (1 - self)^k, for constant term 1."""
+        if self.constant_term() != 1:
+            raise ValueError("inverse expects constant term 1")
+        return self._power_sum({w: -c for w, c in self.series.terms.items() if w}, lambda k: 1)
 
     def is_zero(self) -> bool:
         return self.series.is_zero()
@@ -296,12 +347,12 @@ def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
     """Insertion of v at strand k: double the strand, then multiply by v shifted."""
     images, table = insert_tables(u.strands, k, v.strands)
     total = u.strands + v.strands - 1
-    letters = len(dk_generators(total))
     degree = min(u.degree, v.degree)
     check_dimension(total, degree, "chord insertion", u.series.terms, v.series.terms)
-    expanded = NCSeries(letters, degree, substitute_letters(u.series.terms, images))
-    vshift = NCSeries(letters, degree, substitute_letters(v.series.terms, table))
-    return DKElement(total, degree, series_mul(expanded, vshift).terms)
+    # the shift keeps each letter's block order, so v's standard words stay standard
+    vshift = substitute_letters(v.series.terms, table)
+    return DKElement(total, degree, _product(total, u.series.terms, vshift, degree, images),
+                     _normalized=True)
 
 
 def dk_restrict(e: DKElement, k: int) -> DKElement:

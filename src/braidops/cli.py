@@ -57,11 +57,17 @@ from .parenthesized import (
 )
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload, text) -> None:
+    """Print the JSON payload under ``--json``, else the text; a form given as a
+    callable is built only when it is printed."""
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload() if callable(payload) else payload, sort_keys=True))
     else:
-        print(text)
+        print(text() if callable(text) else text)
+
+
+def _emit_dk(args, e: DKElement) -> None:
+    _emit(args, lambda: dk_to_json(e), lambda: format_dk(e))
 
 
 def _read_json(args) -> dict:
@@ -129,8 +135,8 @@ def cmd_tree_graft(args) -> int:
     if kind not in ("c", "o") or not slot.isdigit():
         raise ValueError("slot must be c<k> or o<k>")
     graft = trees.graft_closed if kind == "c" else trees.graft_open
-    out = graft(outer, int(slot), inner)
-    _emit(args, {"tree": trees.show_tree(out)}, trees.show_tree(out))
+    out = trees.show_tree(graft(outer, int(slot), inner))
+    _emit(args, {"tree": out}, out)
     return 0
 
 
@@ -142,7 +148,8 @@ def cmd_tree_omega(args) -> int:
 
 def cmd_tree_enum(args) -> int:
     items = trees.enumerate_trees(args.open, args.closed, args.units)
-    payload = {"count": len(items), "trees": sorted(trees.show_tree(t) for t in items)}
+    memo: dict = {}  # valid while ``items`` holds every tree
+    payload = {"count": len(items), "trees": sorted(trees.show_tree(t, memo) for t in items)}
     _emit(args, payload, "\n".join(payload["trees"] + [f"count: {len(items)}"]))
     return 0
 
@@ -155,7 +162,7 @@ def cmd_copb_compose(args) -> int:
     f = colored.copb_from_json(data["f"])
     g = colored.copb_from_json(data["g"])
     out = colored.copb_compose(g, f)
-    _emit(args, colored.copb_to_json(out), json.dumps(colored.copb_to_json(out), sort_keys=True))
+    print(json.dumps(colored.copb_to_json(out), sort_keys=True))  # the text form is the JSON
     return 0
 
 
@@ -171,7 +178,7 @@ def cmd_copb_insert(args) -> int:
                                        colored.copb_from_json(data["inner"]))
     else:
         raise ValueError(f'color must be "c" or "o", got {data["color"]!r}')
-    _emit(args, colored.copb_to_json(out), json.dumps(colored.copb_to_json(out), sort_keys=True))
+    print(json.dumps(colored.copb_to_json(out), sort_keys=True))  # the text form is the JSON
     return 0
 
 
@@ -184,7 +191,7 @@ def cmd_copb_restrict(args) -> int:
         out = colored.restrict_unit_open(mor, int_from_json(data["slot"], "slot"))
     else:
         raise ValueError(f'which must be "c" or "o", got {data["which"]!r}')
-    _emit(args, colored.copb_to_json(out), json.dumps(colored.copb_to_json(out), sort_keys=True))
+    print(json.dumps(colored.copb_to_json(out), sort_keys=True))  # the text form is the JSON
     return 0
 
 
@@ -227,7 +234,7 @@ def cmd_papb_selftest(args) -> int:
 
 def cmd_cd_normalize(args) -> int:
     e = dk_from_json(_read_json(args))
-    _emit(args, dk_to_json(e), format_dk(e))
+    _emit_dk(args, e)
     return 0
 
 
@@ -235,14 +242,14 @@ def cmd_cd_insert(args) -> int:
     data = _read_json(args)
     out = dk_insert(dk_from_json(data["outer"]), int_from_json(data["strand"], "strand"),
                     dk_from_json(data["inner"]))
-    _emit(args, dk_to_json(out), format_dk(out))
+    _emit_dk(args, out)
     return 0
 
 
 def cmd_cd_restrict(args) -> int:
     data = _read_json(args)
     out = dk_restrict(dk_from_json(data["element"]), int_from_json(data["strand"], "strand"))
-    _emit(args, dk_to_json(out), format_dk(out))
+    _emit_dk(args, out)
     return 0
 
 
@@ -282,7 +289,7 @@ def cmd_assoc_eval(args) -> int:
     assoc = associator_from_json(data["associator"])
     mor = _pab_from_json(data["morphism"])
     out = phi_eval(assoc, mor)
-    _emit(args, dk_to_json(out.element), format_dk(out.element))
+    _emit_dk(args, out.element)
     return 0
 
 

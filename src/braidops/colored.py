@@ -26,7 +26,7 @@ Insertion conventions (validated by the operad-axiom suite, not assumed):
 
 from __future__ import annotations
 
-from .braids import BraidWord, braids_equal, delete_strand, permute_seq, splice, weave
+from .braids import BraidWord, braids_equal, delete_strand, splice, weave
 from .trees import Record, ShuffleObject
 
 
@@ -37,7 +37,8 @@ class BraidMorphism(Record, frozen=True):
     the aerial labels of an object, left to right.  Construction checks that
     the braid has one strand per aerial label, that the terrestrial order is
     kept and that the braid's permutation moves the source's aerial labels
-    onto the target's.
+    onto the target's.  ``compose`` and ``inverse`` check only that the
+    middle objects agree: their results are morphisms by construction.
     """
 
     src: object
@@ -55,8 +56,26 @@ class BraidMorphism(Record, frozen=True):
                              f"and {len(tgt_a)} aerial points")
         if src_t != tgt_t:
             raise ValueError("terrestrial strands cannot cross: label order must be preserved")
-        if tgt_a != permute_seq(src_a, self.braid.permutation()):
+        labels = list(src_a)  # labels[q-1]: the label of the strand now at position q
+        for l in self.braid.letters:
+            i = abs(l)
+            labels[i - 1], labels[i] = labels[i], labels[i - 1]
+        if tuple(labels) != tgt_a:
             raise ValueError(f"aerial braid permutation does not match {self.ends_name}")
+
+    @classmethod
+    def _composite(cls, src, tgt, braid: BraidWord):
+        """The morphism (src, tgt, braid) without the checks, which a composite or
+        an inverse of checked morphisms passes.  For checked f: A -> B and
+        g: B -> C, the strands compose (one per aerial label of A, B and C), so
+        does the terrestrial order (that of A, B and C), and so does the
+        permutation (f's letters move A's aerial labels to B's, then g's move
+        them to C's).  f^-1: B -> A has f's strands and terrestrial order, and
+        its letters, reversed and inverted, move B's aerial labels back to A's.
+        """
+        mor = object.__new__(cls)
+        mor.__dict__.update(zip(cls._fields, (src, tgt, braid)))
+        return mor
 
     @classmethod
     def identity(cls, obj):
@@ -70,10 +89,10 @@ class BraidMorphism(Record, frozen=True):
         """self then other (diagram order)."""
         if self.tgt != other.src:
             raise ValueError("object mismatch")
-        return type(self)(self.src, other.tgt, self.braid * other.braid)
+        return self._composite(self.src, other.tgt, self.braid * other.braid)
 
     def inverse(self):
-        return type(self)(self.tgt, self.src, self.braid.inverse())
+        return self._composite(self.tgt, self.src, self.braid.inverse())
 
     def equals(self, other) -> bool:
         return (self.src == other.src and self.tgt == other.tgt

@@ -66,14 +66,13 @@ def plug_units(tree: Tree) -> Tree:
     return b if a == UNIT_O else a if b == UNIT_O else ("mo", a, b)
 
 
-def aerial_shape(tree: Tree) -> Tree:
-    """Shape of the aerial parenthesization left after forgetting terrestrials."""
-    return strip_labels(u_flatten(plug_units(tree)))
-
-
-def strip_labels(tree: Tree) -> Tree:
-    return relabel_tree(tree, {l: 0 for l in open_labels(tree)},
-                        {l: 0 for l in closed_labels(tree)})
+def _same_shape(a: Tree, b: Tree) -> bool:
+    """Whether two trees have the same nodes, leaf labels aside."""
+    if a[0] != b[0]:
+        return False
+    if a[0] == "x" or a[0] == "y":
+        return True
+    return all(_same_shape(s, t) for s, t in zip(a[1:], b[1:]))
 
 
 def identity_labeled(tree: Tree) -> Tree:
@@ -121,7 +120,8 @@ class PaPBPrimeElement:
         if sorted(lam) != list(range(1, m + 1)) or a2 != tuple(a1[k - 1] for k in lam):
             raise ValueError("mu target labels must fold the carrier's target labeling")
         for end, mu, x in (("source", self.mu_src, self.x.src), ("target", self.mu_tgt, self.x.tgt)):
-            if aerial_shape(mu) != strip_labels(x):
+            # the aerial parenthesization left after forgetting terrestrials
+            if not _same_shape(u_flatten(plug_units(mu)), x):
                 raise ValueError(f"object condition fails at the {end}")
 
     def narity(self) -> tuple[int, int]:

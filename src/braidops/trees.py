@@ -524,15 +524,26 @@ def enumerate_shuffle_objects(n: int, m: int) -> list[ShuffleObject]:
 # -- s-expressions ----------------------------------------------------------------
 
 
-def show_tree(t: Tree) -> str:
+def show_tree(t: Tree, memo: dict | None = None) -> str:
+    """The s-expression of ``t``.  With ``memo``, each subtree below the root is
+    printed once per memo, and the root is not kept; the memo is keyed by
+    ``id()``, so it is valid only while every tree shown through it is alive."""
     tag = t[0]
     if tag == "x" or tag == "y":
         return f"{tag}{t[1]}"
-    if tag == "f":
-        return f"f({show_tree(t[1])})"
     if tag == "uc" or tag == "uo":
         return tag
-    return f"{tag}({show_tree(t[1])},{show_tree(t[2])})"
+    show = show_tree if memo is None else (lambda s: _show_subtree(s, memo))
+    if tag == "f":
+        return f"f({show(t[1])})"
+    return f"{tag}({show(t[1])},{show(t[2])})"
+
+
+def _show_subtree(t: Tree, memo: dict) -> str:
+    out = memo.get(id(t))
+    if out is None:
+        out = memo[id(t)] = show_tree(t, memo)
+    return out
 
 
 #: deepest nesting of products and ``f`` that ``parse_tree`` accepts; the tree
@@ -558,27 +569,29 @@ def parse_tree(text: str) -> Tree:
         nonlocal pos
         if depth > MAX_TREE_DEPTH:
             raise ValueError(f"tree nesting deeper than {MAX_TREE_DEPTH} levels exceeds the limit")
-        for tag in ("mc", "mo"):
-            if text.startswith(tag + "(", pos):
-                pos += len(tag) + 1
-                a = parse(depth + 1)
-                expect(",")
-                b = parse(depth + 1)
-                expect(")")
-                return (tag, a, b)
-        if text.startswith("f(", pos):
+        head = text[pos:pos + 3]  # read once per node
+        if head == "mc(" or head == "mo(":
+            tag = "mc" if head == "mc(" else "mo"
+            pos += 3
+            a = parse(depth + 1)
+            expect(",")
+            b = parse(depth + 1)
+            expect(")")
+            return (tag, a, b)
+        head = head[:2]
+        if head == "f(":
             pos += 2
             a = parse(depth + 1)
             expect(")")
             return ("f", a)
-        if text.startswith("uc", pos):
+        if head == "uc":
             pos += 2
             return UNIT_C
-        if text.startswith("uo", pos):
+        if head == "uo":
             pos += 2
             return UNIT_O
-        if text.startswith(("x", "y"), pos):
-            kind = text[pos]
+        kind = head[:1]
+        if kind == "x" or kind == "y":
             pos += 1
             start = pos
             while pos < len(text) and text[pos].isdigit():

@@ -482,3 +482,16 @@ def test_braid_size_guards_under_optimize():
                          timeout=60, env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
     assert out.returncode == 0 and out.stdout.split() == ["2", "2"]
     assert out.stderr == "".join(f"error: {message}\n" for _, message in SIZE_REQUESTS)
+
+
+def test_strand_mismatch_in_a_product_under_optimize():
+    script = ("from braidops.braids import BraidWord\n"
+              "try:\n"
+              "    BraidWord(2, [1]) * BraidWord(3, [2])\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         timeout=60, env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == "strand-count mismatch: 2 and 3 strands\n"

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -105,6 +106,26 @@ def test_papb_words_on_a_long_braid(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(morphism)))
     code, out = run_capture(capsys, ["papb", "words", "--json"])
     assert code == 0 and json.loads(out)["self_evaluation"] is True
+
+
+def test_papb_words_time_is_linear_in_the_path(capsys, monkeypatch):
+    # a composite of checked morphisms is not checked again, so doubling the
+    # path about doubles the time; re-checking each composite made it 3.5x
+    def seconds(letters):
+        aerial = {"pattern": ["a", "a", "a"], "terrestrial": [], "aerial": [1, 2, 3]}
+        morphism = {"src": "f(mc(mc(x1,x2),x3))", "tgt": "f(mc(mc(x1,x2),x3))",
+                    "underlying": {"src": aerial, "tgt": aerial,
+                                   "braid": {"strands": 3, "word": [1, 2] * (letters // 2)}}}
+        best = math.inf
+        for _ in range(2):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(morphism)))
+            start = time.perf_counter()
+            code, out = run_capture(capsys, ["papb", "words", "--json"])
+            best = min(best, time.perf_counter() - start)
+            assert code == 0 and json.loads(out)["self_evaluation"] is True
+        return best
+
+    assert seconds(6000) < 3 * seconds(3000)
 
 
 def test_assoc_eval_on_a_long_braid(capsys, monkeypatch):
@@ -473,6 +494,25 @@ def test_bad_morphism_json_rejected(capsys, monkeypatch, argv, data, message):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error:") and message in captured.err
+
+
+# a PaPB morphism whose braid does not fit its trees: a crossing between
+# unchanged ends, and three strands for two aerial points
+_FX12 = {"pattern": ["a", "a"], "terrestrial": [], "aerial": [1, 2]}
+PAPB_BAD_BRAIDS = [
+    ({"strands": 2, "word": [1]}, "aerial braid permutation does not match objects"),
+    ({"strands": 3, "word": []}, "3 braid strands between 2 and 2 aerial points"),
+]
+
+
+@pytest.mark.parametrize("braid, message", PAPB_BAD_BRAIDS)
+def test_papb_braid_mismatch_under_optimize(braid, message):
+    morphism = {"src": "f(mc(x1,x2))", "tgt": "f(mc(x1,x2))",
+                "underlying": {"src": _FX12, "tgt": _FX12, "braid": braid}}
+    for argv in (["papb", "words", "--json"], ["papb", "decompose"]):
+        out = run_optimized(argv, json.dumps(morphism))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, data, message", BAD_MORPHISM_JSON)

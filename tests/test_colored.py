@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from braidops.braids import BraidWord, braids_equal, permute_seq
 from braidops.colored import (
     CoBMorphism,
@@ -24,8 +26,8 @@ def rand_object(rng, n, m):
     return rng.choice(enumerate_shuffle_objects(n, m))
 
 
-def rand_morphism(rng, n, m, max_len=8):
-    src = rand_object(rng, n, m)
+def rand_morphism(rng, n, m, max_len=8, src=None):
+    src = src or rand_object(rng, n, m)
     letters = [rng.choice([1, -1]) * rng.randint(1, max(m - 1, 1))
                for _ in range(rng.randint(0, max_len))] if m >= 2 else []
     braid = BraidWord(m, letters)
@@ -52,6 +54,26 @@ def test_compose_identity_and_roundtrip():
         assert copb_compose(mor, ident).equals(mor)
         back = copb_compose(mor.inverse(), mor)
         assert back.equals(CoPBMorphism.identity(mor.src))
+
+
+def through_the_checks(mor):
+    """The same fields passed through the checking constructor."""
+    return type(mor)(mor.src, mor.tgt, mor.braid)
+
+
+def test_composites_and_inverses_are_morphisms_by_construction():
+    rng = random.Random(31)
+    for _ in range(300):
+        n, m = rng.randint(0, 2), rng.randint(1, 3)
+        f = rand_morphism(rng, n, m)
+        g = rand_morphism(rng, n, m, src=f.tgt)
+        for mor in (f.compose(g), f.inverse(), copb_compose(g, f).inverse(),
+                    g.inverse().compose(f.inverse())):
+            checked = through_the_checks(mor)
+            assert mor == checked and hash(mor) == hash(checked) and repr(mor) == repr(checked)
+        if f.tgt != f.src:
+            with pytest.raises(ValueError, match="^object mismatch$"):
+                f.compose(f)
 
 
 def test_shuffle_round_trip_is_identity():

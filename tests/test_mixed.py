@@ -11,6 +11,7 @@ from braidops.colored import CoBMorphism, copb_insert_closed, copb_insert_open
 from braidops.mixed import (
     PaPBPrimeElement,
     _canonical_carrier,
+    _same_shape,
     apply_phi,
     compose_papcd,
     compose_prime,
@@ -35,6 +36,7 @@ from braidops.trees import (
     mo,
     omega,
     open_labels,
+    relabel_tree,
     u_flatten,
     x,
     y,
@@ -106,14 +108,11 @@ def assert_equal_up_to_aerial_relabel(lhs, rhs):
     Everything else must agree on the nose, and the relabeling must transport
     both endpoint trees simultaneously.
     """
-    from braidops.mixed import strip_labels
-    from braidops.trees import relabel_tree
-
     assert lhs.u_src == rhs.u_src and lhs.u_tgt == rhs.u_tgt
     assert lhs.x.src == rhs.x.src and lhs.x.tgt == rhs.x.tgt
     assert braids_equal(lhs.x.braid, rhs.x.braid)
-    assert strip_labels(lhs.mu_src) == strip_labels(rhs.mu_src)
-    assert strip_labels(lhs.mu_tgt) == strip_labels(rhs.mu_tgt)
+    assert _same_shape(lhs.mu_src, rhs.mu_src)
+    assert _same_shape(lhs.mu_tgt, rhs.mu_tgt)
     assert omega(lhs.mu_src).terrestrial == omega(rhs.mu_src).terrestrial
     assert omega(lhs.mu_tgt).terrestrial == omega(rhs.mu_tgt).terrestrial
     a_l, a_r = omega(lhs.mu_src).aerial, omega(rhs.mu_src).aerial
@@ -137,6 +136,21 @@ OPEN_TREES = [t for n in range(5) for m in range(5 - n) if n + m for t in enumer
 @given(st.sampled_from(OPEN_TREES))
 def test_plug_units_equals_grafting_each_slot(tree):
     assert plug_units(tree) == plug_units_oracle(tree)
+
+
+def strip_labels(tree):
+    """Every leaf relabeled 0: the oracle of ``_same_shape``."""
+    return relabel_tree(tree, {l: 0 for l in open_labels(tree)}, {l: 0 for l in closed_labels(tree)})
+
+
+def test_same_shape_equals_comparing_stripped_trees():
+    rng = random.Random(5)
+    trees = OPEN_TREES + [UNIT_C, UNIT_O] + [u_flatten(plug_units(t)) for t in OPEN_TREES[:200]]
+    for _ in range(3000):
+        a, b = rng.choice(trees), rng.choice(trees)
+        if rng.random() < 0.3:  # the same shape under other labels
+            b = relabel_tree(a, {l: 0 for l in open_labels(a)}, {l: 0 for l in closed_labels(a)})
+        assert _same_shape(a, b) == (strip_labels(a) == strip_labels(b))
 
 
 def test_unit_laws():

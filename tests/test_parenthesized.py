@@ -470,6 +470,20 @@ def test_projection_commutes_with_every_operation():
             relabel_morphism(project(f), open_map, closed_map)
 
 
+def test_papb_composites_and_inverses_are_morphisms_by_construction():
+    rng = random.Random(31)
+    for _ in range(60):
+        n, m = rng.randint(0, 2), rng.randint(1, 3)
+        f = rand_papb_morphism(rng, n, m)
+        g = rand_papb_morphism(rng, n, m, src=f.tgt)
+        for mor in (f.compose(g), f.inverse(), g.inverse().compose(f.inverse())):
+            checked = PaPBMorphism(mor.src, mor.tgt, mor.braid)
+            assert mor == checked and hash(mor) == hash(checked) and repr(mor) == repr(checked)
+        if f.tgt != f.src:
+            with pytest.raises(ValueError, match="^object mismatch$"):
+                f.compose(f)
+
+
 NOT_COMPOSABLE = """
 from braidops.colored import CoBMorphism, CoPBMorphism
 from braidops.parenthesized import PaBMorphism, PaPBMorphism

@@ -509,3 +509,111 @@ def test_enumerate_closed_trees_equals_plain_recursion():
 
 def test_enumeration_at_the_input_limit():
     assert len(enumerate_trees(0, 6)) == 231840
+
+
+# -- the tree parser against the parser it replaced ----------------------------
+
+
+def parse_tree_oracle(text: str):
+    """The parser that tried each tag with ``startswith``: the oracle of ``parse_tree``."""
+    text = text.replace(" ", "")
+    pos = 0
+
+    def expect(token: str) -> None:
+        nonlocal pos
+        if not text.startswith(token, pos):
+            raise ValueError(f"expected {token!r} at {pos} in tree {text!r}")
+        pos += len(token)
+
+    def parse(depth: int):
+        nonlocal pos
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(f"tree nesting deeper than {MAX_TREE_DEPTH} levels exceeds the limit")
+        for tag in ("mc", "mo"):
+            if text.startswith(tag + "(", pos):
+                pos += len(tag) + 1
+                a = parse(depth + 1)
+                expect(",")
+                b = parse(depth + 1)
+                expect(")")
+                return (tag, a, b)
+        if text.startswith("f(", pos):
+            pos += 2
+            a = parse(depth + 1)
+            expect(")")
+            return ("f", a)
+        if text.startswith("uc", pos):
+            pos += 2
+            return UNIT_C
+        if text.startswith("uo", pos):
+            pos += 2
+            return UNIT_O
+        if text.startswith(("x", "y"), pos):
+            kind = text[pos]
+            pos += 1
+            start = pos
+            while pos < len(text) and text[pos].isdigit():
+                pos += 1
+            if pos == start:
+                raise ValueError(f"expected a label at {start} in tree {text!r}")
+            return (kind, int(text[start:pos]))
+        raise ValueError(f"cannot parse tree {text!r} at {pos}: {text[pos:] or 'end of input'}")
+
+    out = parse(0)
+    if pos != len(text):
+        raise ValueError(f"trailing input in tree {text!r}: {text[pos:]}")
+    validate(out, unitary=True)
+    return out
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_TOKENS = ["mc(", "mo(", "f(", "uc", "uo", "x1", "x2", "y1", "y2", "x", "y", "3", "0",
+           ",", ")", "(", " ", "m", "mc", "f", "u", "z"]
+_SHOWN = [show_tree(t) for n in range(4) for m in range(4 - n) if n + m
+          for t in enumerate_trees(n, m, True)]
+
+
+def _random_tree_text(rng: random.Random) -> str:
+    """A token soup, a printed tree, or a printed tree with one character changed."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return "".join(rng.choice(_TOKENS) for _ in range(rng.randrange(12)))
+    text = rng.choice(_SHOWN)
+    if kind == 1:
+        return text
+    k = rng.randrange(len(text) + 1)
+    return text[:k] + rng.choice(["", "(", ")", ",", "x", "y", "1", "c", "o", " "]) \
+        + text[k + rng.randrange(2):]
+
+
+def test_parse_tree_equals_the_startswith_parser():
+    rng = random.Random(31)
+    parsed = 0
+    for _ in range(100_000):
+        text = _random_tree_text(rng)
+        want = _outcome(parse_tree_oracle, text)
+        assert _outcome(parse_tree, text) == want, text
+        parsed += not isinstance(want, str)
+    assert 20_000 < parsed < 80_000  # both outcomes are well represented
+    for text in ("mc(", "f(", "mo(y1", "", "x1" * 3, "mo(" * 102 + "y1"):
+        assert _outcome(parse_tree, text) == _outcome(parse_tree_oracle, text)
+
+
+def test_show_tree_with_a_memo_prints_the_same():
+    items = enumerate_trees(2, 3)
+    memo: dict = {}
+    assert [show_tree(t, memo) for t in items] == [show_tree(t) for t in items]
+    assert len(memo) < sum(1 for t in items for _ in _inner_nodes(t))
+
+
+def _inner_nodes(t):
+    if t[0] in ("mc", "mo", "f"):
+        yield t
+        for child in t[1:]:
+            yield from _inner_nodes(child)
