@@ -1,27 +1,27 @@
 """Command-line entry point exposing every subsystem for batch computation.
 
-Exit codes: 0 success (or property verified), 1 verification failure,
-2 usage error.  All JSON output is key-sorted so identical inputs produce
-byte-identical results.
+Exit codes: 0 success (or property verified) and help, 1 verification
+failure, 2 usage error.  All JSON output is key-sorted so identical inputs
+produce byte-identical results.
 
 Every command is one row of ``COMMANDS``, its handler and its arguments, and
-a process builds the parser of the command it runs and no other.  Only help
-for the whole program or a group, and an unknown group or command, build the
-tree of group and command names.  On a 2-vCPU host a cold ``cd dims --strands
-3 --degree 2`` spends 1.7 ms in its first ``run`` instead of 7.7 ms with the
-whole parser tree (raw, median of 15 fresh ``python -S`` interpreters), and
-the benchmark's cold ``cd dims`` requests fell from 16.5 to 4.3 ms (median,
-reference ms).
+``run`` reads the command's arguments, its usage and its help from that row
+alone, with no argument-parser object: a cold run imports neither argparse
+nor gettext (whose translation lookup imports locale), and a usage error is
+the same ``error:`` line on stderr as a bad input.  On a 2-vCPU host the first
+``run`` of a fresh ``python -S`` for ``cd dims --strands 3 --degree 7 --json``
+takes 0.15 ms, against 1.9 ms when argparse built its parser (raw, median of
+20 interleaved interpreters).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
 import random
 import sys
+from types import SimpleNamespace
 
 from . import braids, chords, colored, trees
 from .associator import (
@@ -71,10 +71,13 @@ def _emit_dk(args, e: DKElement) -> None:
 
 
 def _read_json(args) -> dict:
-    if args.infile and args.infile != "-":
-        with open(args.infile) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+    try:
+        if args.infile and args.infile != "-":
+            with open(args.infile) as fh:
+                return json.load(fh)
+        return json.load(sys.stdin)
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ValueError("JSON input nested too deeply") from None
 
 
 def _pab_from_json(data: dict) -> PaBMorphism:
@@ -390,8 +393,10 @@ _JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
 _INFILE = ("--in", {"dest": "infile", "default": "-", "help": "input file (default stdin)"})
 _STRANDS = ("--strands", {"type": int, "required": True})
 
-#: (group, name) -> (handler, arguments).  An argument is a name and its
-#: ``add_argument`` keywords; a list of arguments is one mutually exclusive group.
+#: (group, name) -> (handler, arguments).  An argument is a name and its keywords,
+#: named as in argparse: ``type``, ``required``, ``default``, ``choices``, ``dest``,
+#: ``help`` and ``action`` (store_true); a list of arguments is one mutually
+#: exclusive group.  ``run`` parses, and ``-h`` prints, from this table alone.
 COMMANDS = {
     ("braid", "eq"): (cmd_braid_eq, [("word1", {}), ("word2", {}), _STRANDS, _JSON]),
     ("braid", "perm"): (cmd_braid_perm, [("word", {}), _STRANDS, _JSON]),
@@ -432,37 +437,87 @@ COMMANDS = {
         _JSON]),
 }
 
-# A fixed width: argparse otherwise asks the terminal, which imports shutil (and
-# with it bz2 and lzma) and makes the help text depend on where it is printed.
-_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+def _arguments(key: tuple) -> list:
+    """The command's (flag, keywords, its exclusive group or ()), in table order."""
+    return [(flag, kw, arg if isinstance(arg, list) else ()) for arg in COMMANDS[key][1]
+            for flag, kw in (arg if isinstance(arg, list) else [arg])]
 
 
-@functools.cache
-def _command_parser(group: str, name: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"braidops {group} {name}", formatter_class=_FORMATTER)
-    for arg in COMMANDS[group, name][1]:
-        if isinstance(arg, list):
-            exclusive = parser.add_mutually_exclusive_group()
-            for flag, kwargs in arg:
-                exclusive.add_argument(flag, **kwargs)
-        else:
-            parser.add_argument(arg[0], **arg[1])
-    return parser
+def _shown(flag: str, kw: dict) -> str:
+    """How an argument is written: ``word``, ``--json``, ``--strands STRANDS``."""
+    if flag[0] != "-" or "action" in kw:
+        return flag
+    metavar = "{" + ",".join(kw["choices"]) + "}" if "choices" in kw else (kw.get("dest") or flag[2:]).upper()
+    return f"{flag} {metavar}"
 
 
-def _name_tree() -> argparse.ArgumentParser:
-    """Groups and command names only: the top-level and group help and usage errors."""
-    parser = argparse.ArgumentParser(prog="braidops", formatter_class=_FORMATTER,
-                                     description="exact workbench for braid, chord and "
-                                                 "coherence computations")
-    groups = parser.add_subparsers(dest="command", required=True)
-    names = {}
-    for group, name in COMMANDS:
-        if group not in names:
-            names[group] = groups.add_parser(group, formatter_class=_FORMATTER).add_subparsers(
-                dest="sub", required=True)
-        names[group].add_parser(name, add_help=False)
-    return parser
+def _wrap(head: str, parts) -> str:
+    """``head`` and the parts in lines of at most 78 columns, each part whole."""
+    lines = [head]
+    for part in parts:
+        if len(lines[-1]) + 1 + len(part) > 78 and len(lines[-1]) > len(head):
+            lines.append(" " * len(head))
+        lines[-1] += " " + part
+    return "\n".join(lines).rstrip()
+
+
+def _help(argv: list) -> str:
+    """The usage and arguments of the command ``argv`` names, else every group's commands."""
+    key = tuple(argv[:2])
+    if key not in COMMANDS:
+        names = {group: [n for g, n in COMMANDS if g == group] for group, _ in COMMANDS}
+        return "\n".join([f"usage: braidops {{{','.join(names)}}} ...", "", "exact workbench for "
+                          "braid, chord and coherence computations; its commands:"]
+                         + [f"  {group} {{{','.join(cmds)}}}" for group, cmds in names.items()])
+    args, parts = _arguments(key), []
+    for flag, kw, exclusive in args:
+        shown = " | ".join(_shown(f, k) for f, k in exclusive) if exclusive else _shown(flag, kw)
+        if not exclusive or flag == exclusive[0][0]:
+            parts.append(shown if kw.get("required") or flag[0] != "-" else f"[{shown}]")
+    rows = [("-h, --help", "show this help and exit")]
+    rows += [(_shown(flag, kw), kw.get("help", "")) for flag, kw, _ in args]
+    width = max(len(shown) for shown, _ in rows) + 1
+    return "\n".join([_wrap(f"usage: braidops {key[0]} {key[1]}", parts), ""]
+                     + [_wrap("  " + shown.ljust(width), text.split()) for shown, text in rows])
+
+
+def _parse(key: tuple, tokens: list) -> SimpleNamespace:
+    """The handler's arguments from the tokens after the group and command
+    names.  Positionals fill in table order; an option is spelled in full, as
+    ``--opt value`` or ``--opt=value``, and one that takes a value takes the
+    next token, whatever it is.  A bad token raises ``ValueError``."""
+    specs = {flag: (kw, exclusive) for flag, kw, exclusive in _arguments(key)}
+    values, positionals, tokens = {}, [flag for flag in specs if flag[0] != "-"], iter(tokens)
+    for token in tokens:
+        flag, explicit, value = token.partition("=") if token.startswith("-") else ("", "", token)
+        if not flag and positionals:
+            flag = positionals.pop(0)
+        elif flag not in specs or explicit and "action" in specs[flag][0]:
+            raise ValueError(f"unrecognized arguments: {token}")
+        elif "action" in specs[flag][0]:
+            value = True
+        elif not explicit and (value := next(tokens, None)) is None:
+            raise ValueError(f"argument {flag}: expected one argument")
+        kw, exclusive = specs[flag]
+        clash = [other for other, _ in exclusive if other != flag and other in values]
+        if clash:
+            raise ValueError(f"argument {flag}: not allowed with argument {clash[0]}")
+        try:
+            value = kw["type"](value) if "type" in kw else value
+        except ValueError:
+            raise ValueError(f"argument {flag}: invalid {kw['type'].__name__} value: {value!r}") from None
+        if value not in kw.get("choices", (value,)):
+            raise ValueError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, kw['choices']))})")
+        values[flag] = value
+    missing = [flag for flag, (kw, _) in specs.items()
+               if (kw.get("required") or flag[0] != "-") and flag not in values]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**{kw.get("dest") or flag.lstrip("-").replace("-", "_"):
+                              values.get(flag, kw.get("default", False if "action" in kw else None))
+                              for flag, (kw, _) in specs.items()})
 
 
 @functools.cache
@@ -479,15 +534,12 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     key = tuple(argv[:2])
     try:
+        if "-h" in argv or "--help" in argv:
+            print(_help(argv))
+            return 0
         if key not in COMMANDS:
-            tree = _name_tree()
-            tree.parse_args(argv)  # exits with help or a usage error
-            tree.error("the group and command names must come first")
-        args = _command_parser(*key).parse_args(argv[2:])
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return COMMANDS[key][0](args)
+            raise ValueError(f"no command {' '.join(argv[:2])!r}: see braidops -h")
+        return COMMANDS[key][0](_parse(key, argv[2:]))
     except (ValueError, TypeError, AssertionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

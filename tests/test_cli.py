@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -608,3 +609,193 @@ def test_cd_insert_work_does_not_grow_with_the_degree(capsys, monkeypatch):
     code, out, seconds = insert(10**9)
     assert (code, out) == insert(2)[:2] == (0, "t12*t13 + t12*t23\n")
     assert seconds < 1.0
+
+
+# deeply nested JSON exhausts the decoder's recursion: a usage error, not a traceback
+DEEP_JSON = [
+    (["cd", "normalize"], "[" * 100_000 + "]" * 100_000),
+    (["copb", "compose"], '{"f": ' * 100_000 + "0" + "}" * 100_000),
+]
+
+
+@pytest.mark.parametrize("argv, text", DEEP_JSON, ids=["cd-normalize-file", "copb-compose-stdin"])
+def test_deep_json_rejected(capsys, monkeypatch, tmp_path, argv, text):
+    if argv[0] == "cd":
+        (tmp_path / "deep.json").write_text(text)
+        argv = [*argv, "--in", str(tmp_path / "deep.json")]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: JSON input nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv, text", DEEP_JSON, ids=["cd-normalize", "copb-compose"])
+def test_deep_json_under_optimize(argv, text):
+    out = run_optimized(argv, text)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: JSON input nested too deeply\n"
+
+
+# -- the argument parser, driven by the command table -------------------------------
+
+RECORDED = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "data"
+                       / "cli_mix.json").read_text())["classes"]
+# the commands with no recorded warm request
+UNRECORDED = {
+    ("cd", "dims"): (["--strands", "3", "--degree", "2"], ""),
+    ("assoc", "solve"): (["--mu", "-1/2", "--degree", "2"], ""),
+    ("assoc", "check"): (["--json"], json.dumps({"mu": "1", "degree": 1, "phi": {
+        "terms": [{"coef": "1", "word": []}]}})),
+}
+ROW_IDS = [" ".join(key) for key in COMMANDS]
+
+
+def flags(key) -> dict:
+    """Flag or positional name -> keywords, for every argument of the command."""
+    return {flag: kw for arg in COMMANDS[key][1]
+            for flag, kw in (arg if isinstance(arg, list) else [arg])}
+
+
+def sample_tokens(key, tmp_path) -> list:
+    """The tokens after the names of one valid request, its JSON input read through --in."""
+    recorded = [r for requests in RECORDED.values() for r in requests if tuple(r["argv"][:2]) == key]
+    tokens, stdin = (recorded[0]["argv"][2:], recorded[0]["stdin"]) if recorded else UNRECORDED[key]
+    if stdin:
+        (tmp_path / "input.json").write_text(stdin)
+        tokens = [*tokens, "--in", str(tmp_path / "input.json")]
+    return tokens
+
+
+def split_tokens(key, tokens) -> tuple:
+    """(positionals, options), each option a list of its flag and its value, if any."""
+    specs, positionals, options = flags(key), [], []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token.startswith("--"):
+            options.append([token] if "action" in specs[token] else [token, next(tokens)])
+        else:
+            positionals.append(token)
+    return positionals, options
+
+
+def joined(positionals, options) -> list:
+    return positionals + [token for option in options for token in option]
+
+
+def usage_errors(key, tokens) -> list:
+    """(case, tokens) pairs that must each be a usage error."""
+    positionals, options = split_tokens(key, tokens)
+    names = [flag for flag in flags(key) if not flag.startswith("-")]
+    cases = [("unknown-option", [*tokens, "--no-such-option"]), ("surplus-positional", [*tokens, "surplus"])]
+    for flag, kw in flags(key).items():
+        if flag in names:
+            i = names.index(flag)
+            cases.append((f"missing {flag}", joined(positionals[:i] + positionals[i + 1:], options)))
+            continue
+        others = [option for option in options if option[0] != flag]
+        if kw.get("required"):
+            cases.append((f"missing {flag}", joined(positionals, others)))
+        if kw.get("type") is int:
+            cases.append((f"not an int {flag}", joined(positionals, others + [[flag, "x"]])))
+        if "choices" in kw:
+            cases.append((f"bad choice {flag}", joined(positionals, others + [[flag, "nope"]])))
+        abbreviated = [flag[:-1]] if "action" in kw else [flag[:-1], "1"]
+        cases.append((f"abbreviated {flag}", joined(positionals, others + [abbreviated])))
+    return cases
+
+
+def run_full(capsys, argv) -> tuple:
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("key", list(COMMANDS), ids=ROW_IDS)
+def test_argument_forms_agree(capsys, tmp_path, key):
+    # --opt value and --opt=value, options after, before and among the positionals
+    positionals, options = split_tokens(key, sample_tokens(key, tmp_path))
+    spaced = joined([], options)
+    equals = ["=".join(option) for option in options]
+    forms = [positionals + spaced, positionals + equals, spaced + positionals, equals + positionals,
+             positionals[:1] + spaced + positionals[1:]]
+    results = [run_full(capsys, [*key, *form]) for form in forms]
+    assert results[0][0] in (0, 1) and results[0][1] and results[0][2] == ""
+    assert results == [results[0]] * len(forms)
+
+
+@pytest.mark.parametrize("key", list(COMMANDS), ids=ROW_IDS)
+def test_parser_usage_errors(capsys, tmp_path, key):
+    for case, tokens in usage_errors(key, sample_tokens(key, tmp_path)):
+        code, out, err = run_full(capsys, [*key, *tokens])
+        assert (code, out) == (2, ""), case
+        assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+
+
+_RUN_EACH = """
+import contextlib, io, json, sys
+from braidops.cli import run
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("key", list(COMMANDS), ids=ROW_IDS)
+def test_parser_usage_errors_under_optimize(tmp_path, key):
+    # the parser's checks raise: none of them is an assert, which -O strips
+    cases = usage_errors(key, sample_tokens(key, tmp_path))
+    out = subprocess.run([sys.executable, "-O", "-c", _RUN_EACH, json.dumps([[*key, *t] for _, t in cases])],
+                         input="", capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"})
+    results = [json.loads(line) for line in out.stdout.splitlines()]
+    assert out.returncode == 0 and len(results) == len(cases), out.stderr
+    for (case, _), (code, stdout, stderr) in zip(cases, results):
+        assert (code, stdout) == (2, "") and stderr.startswith("error: ") and stderr.count("\n") == 1, case
+
+
+@pytest.mark.parametrize("key", list(COMMANDS), ids=ROW_IDS)
+def test_help_anywhere(capsys, tmp_path, key):
+    tokens = sample_tokens(key, tmp_path)
+    for i in range(len(tokens) + 1):
+        for flag in ("-h", "--help"):
+            assert run([*key, *tokens[:i], flag, *tokens[i:]]) == 0
+            assert capsys.readouterr().out.startswith(f"usage: braidops {' '.join(key)} ")
+
+
+# the deliberate differences from argparse
+
+
+def test_abbreviated_options_refused(capsys):
+    # argparse took --str for --strands
+    assert run_full(capsys, ["cd", "dims", "--str", "3", "--degree", "2"]) == (
+        2, "", "error: unrecognized arguments: --str\n")
+
+
+def test_option_value_may_start_with_a_dash(capsys):
+    # argparse refused --mu -1/2: "expected one argument"
+    code, out, err = run_full(capsys, ["assoc", "solve", "--mu", "-1/2", "--degree", "1"])
+    assert code == 0 and err == "" and json.loads(out)["mu"] == "-1/2"
+    code, out, err = run_full(capsys, ["tree", "graft", "mo(y1,y2)", "f(x1)", "--slot", "-o1"])
+    assert (code, out, err) == (2, "", "error: slot must be c<k> or o<k>\n")
+
+
+def test_help_wins_over_usage_errors(capsys):
+    # argparse stopped at the first bad token before it reached -h
+    assert run(["cd", "dims", "--strands", "x", "--no-such-option", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: braidops cd dims ")
+
+
+def test_usage_error_is_one_line(capsys):
+    # argparse printed the usage line and a "braidops cd dims: " prefix
+    assert run_full(capsys, ["cd", "dims", "--strands", "x", "--degree", "2"]) == (
+        2, "", "error: argument --strands: invalid int value: 'x'\n")
+
+
+def test_dashed_tokens_are_never_positionals(capsys):
+    # argparse read "--" as the end of the options and "-1" as a positional
+    assert run_full(capsys, ["tree", "omega", "--", "x1"]) == (2, "", "error: unrecognized arguments: --\n")
+    assert run_full(capsys, ["braid", "perm", "-1", "--strands", "2"]) == (
+        2, "", "error: unrecognized arguments: -1\n")

@@ -1,6 +1,6 @@
 """Import hygiene: every top-level import is used, every import is of the standard
-library or the package itself, the CLI loads neither dataclasses nor typing, and
-a cold CLI run loads no shutil.
+library or the package itself, the CLI loads none of dataclasses, typing and
+argparse, and a cold CLI run loads none of shutil, argparse, gettext and locale.
 
 The record classes that replace ``dataclasses`` keep its construction,
 ``repr``, equality, hashing and frozen assignment.
@@ -74,7 +74,7 @@ def test_non_stdlib_import_detected():
 
 def test_cli_import_skips_dataclasses_and_typing():
     script = ("import sys, braidops.cli\n"
-              "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))\n")
+              "print(sorted({'dataclasses', 'typing', 'inspect', 'argparse'} & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": str(PACKAGE.parent), "PATH": "/usr/bin:/bin"})
     assert out.returncode == 0, out.stderr
@@ -82,10 +82,12 @@ def test_cli_import_skips_dataclasses_and_typing():
 
 
 def test_cold_cli_run_skips_shutil():
-    """argparse's terminal-width lookup imports shutil, and shutil bz2 and lzma."""
+    """argparse's terminal-width lookup imports shutil, and shutil bz2 and lzma;
+    its gettext lookups import locale."""
     script = ("import sys, braidops.cli\n"
               "braidops.cli.run(['cd', 'dims', '--strands', '3', '--degree', '2'])\n"
-              "print(sorted({'shutil', 'bz2', 'lzma'} & set(sys.modules)))\n")
+              "print(sorted({'shutil', 'bz2', 'lzma', 'argparse', 'gettext', 'locale'}"
+              " & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": str(PACKAGE.parent), "PATH": "/usr/bin:/bin"})
     assert out.returncode == 0, out.stderr
