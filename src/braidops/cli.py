@@ -10,8 +10,8 @@ alone, with no argument-parser object: a cold run imports neither argparse
 nor gettext (whose translation lookup imports locale), and a usage error is
 the same ``error:`` line on stderr as a bad input.  On a 2-vCPU host the first
 ``run`` of a fresh ``python -S`` for ``cd dims --strands 3 --degree 7 --json``
-takes 0.15 ms, against 1.9 ms when argparse built its parser (raw, median of
-20 interleaved interpreters).
+takes 0.15-0.25 ms, against 1.9-3.3 ms when argparse built its parser (raw,
+medians of four sets of 20 interleaved interpreters).
 """
 
 from __future__ import annotations

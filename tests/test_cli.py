@@ -799,3 +799,19 @@ def test_dashed_tokens_are_never_positionals(capsys):
     assert run_full(capsys, ["tree", "omega", "--", "x1"]) == (2, "", "error: unrecognized arguments: --\n")
     assert run_full(capsys, ["braid", "perm", "-1", "--strands", "2"]) == (
         2, "", "error: unrecognized arguments: -1\n")
+
+
+def test_flag_values_and_unknown_commands(capsys):
+    # argparse said "ignored explicit argument '1'" and "invalid choice: ..."
+    assert run_full(capsys, ["cd", "dims", "--strands", "3", "--degree", "2", "--json=1"]) == (
+        2, "", "error: unrecognized arguments: --json=1\n")
+    assert run_full(capsys, ["braid", "--json", "eq"]) == (2, "", "error: no command 'braid --json': see braidops -h\n")
+    assert run_full(capsys, []) == (2, "", "error: no command '': see braidops -h\n")
+
+
+def test_group_help_lists_every_group(capsys):
+    # argparse printed only the group's own commands
+    assert run(["-h"]) == 0
+    program = capsys.readouterr().out
+    assert run(["cd", "-h"]) == 0
+    assert capsys.readouterr().out == program
