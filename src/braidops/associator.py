@@ -93,8 +93,7 @@ _T13 = 1
 class Associator(Record):
     mu: Fraction
     degree: int
-    phi: DKElement                      # normal form, 3 strands
-    phi_free: dict[tuple[int, ...], Fraction]  # raw (t12, t13) words
+    phi: DKElement  # normal form, 3 strands
 
     def __post_init__(self):
         self.mu = Fraction(self.mu)
@@ -146,11 +145,8 @@ class ProductAlgebra:
 
 
 def _generators(assoc: Associator, d: int) -> dict:
-    """{(name, sign): (D, D * terms)} of tau^{+-1} and Phi^{+-1} at truncation d, each scaled to ``int``.
-
-    Phi is read from its recorded words.
-    """
-    phi = NCSeries(3, d, assoc.phi_free)
+    """{(name, sign): (D, D * terms)} of tau^{+-1} and Phi^{+-1} at truncation d, each scaled to ``int``."""
+    phi = NCSeries(3, d, assoc.phi.terms)
     braiding = {(_T12,) * k: (assoc.mu / 2) ** k / math.factorial(k) for k in range(d + 1)}
     gens = {("tau", 1): braiding, ("tau", -1): {w: (-1) ** len(w) * c for w, c in braiding.items()},
             ("alpha_c", 1): phi.terms, ("alpha_c", -1): series_inverse(phi).terms}
@@ -248,8 +244,8 @@ def _constraints(assoc: Associator, degree: int | None = None, tags=None) -> dic
 
 def _residual_entries(mu: Fraction, phi_terms: dict, d: int) -> dict:
     """All constraint entries at truncation d, flattened to a single dict."""
-    assoc = Associator(mu, d, DKElement(3, d, phi_terms), phi_terms)
-    entries = {(tag, w): c for tag, diff in _constraints(assoc).items() for w, c in diff.series.terms.items()}
+    assoc = Associator(mu, d, DKElement(3, d, phi_terms))
+    entries = {(tag, w): c for tag, diff in _constraints(assoc).items() for w, c in diff.terms.items()}
     entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
     return entries
 
@@ -455,8 +451,7 @@ def solve_associator(mu, degree: int) -> Associator:
     phi_terms: dict = {(): Fraction(1)}
     for d in range(1, degree + 1):
         phi_terms.update(solve_degree(mu, phi_terms, d))
-    phi_free = dict(phi_terms)
-    out = Associator(mu, degree, DKElement(3, degree, phi_terms), phi_free)
+    out = Associator(mu, degree, DKElement(3, degree, phi_terms))
     if not associator_valid(out):
         raise ArithmeticError("solver output failed re-verification")
     return out
@@ -466,8 +461,7 @@ def solve_associator(mu, degree: int) -> Associator:
 
 
 def associator_to_json(assoc: Associator) -> dict:
-    # serialize the recorded words, not the normal form, so both sides reload exactly
-    phi = {"strands": 3, "degree": assoc.degree, "terms": dk_terms_to_json(3, assoc.phi_free)}
+    phi = {"strands": 3, "degree": assoc.degree, "terms": dk_terms_to_json(3, assoc.phi.terms)}
     return {"mu": fraction_to_str(assoc.mu), "degree": assoc.degree, "phi": phi}
 
 
@@ -476,5 +470,5 @@ def associator_from_json(data: dict) -> Associator:
     _check_degree(degree)
     if "strands" in data["phi"] and int_from_json(data["phi"]["strands"], "strands") != 3:
         raise ValueError(f"associator on {data['phi']['strands']} strands, not 3")
-    phi_free = dk_terms_from_json(3, data["phi"]["terms"])
-    return Associator(fraction_from_str(data["mu"]), degree, DKElement(3, degree, phi_free), phi_free)
+    phi = DKElement(3, degree, dk_terms_from_json(3, data["phi"]["terms"]))
+    return Associator(fraction_from_str(data["mu"]), degree, phi)

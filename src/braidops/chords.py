@@ -35,7 +35,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import NCSeries, accumulate, fraction_from_str, fraction_to_str, int_from_json
+from .exact import accumulate, fraction_from_str, fraction_to_str, int_from_json
 from .trees import Tree, closed_labels, color, relabel_tree
 
 
@@ -162,9 +162,9 @@ def _reduce_terms(terms: dict, r: int) -> dict:
 
 
 class DKElement:
-    """Normal-form element of the truncated enveloping algebra on r strands."""
+    """Normal-form element of the truncated enveloping algebra on r strands, as its ``terms``."""
 
-    __slots__ = ("strands", "degree", "series")
+    __slots__ = ("strands", "degree", "terms")
 
     def __init__(self, strands: int, degree: int, terms=None, _normalized=False):
         self.strands = strands
@@ -172,7 +172,7 @@ class DKElement:
         terms = terms or {}
         if not _normalized:
             terms = _reduce_terms({w: c for w, c in terms.items() if len(w) <= degree}, strands)
-        self.series = NCSeries(len(dk_generators(strands)), degree, terms)
+        self.terms = terms
 
     # -- constructors ---------------------------------------------------
 
@@ -194,27 +194,29 @@ class DKElement:
 
     def __eq__(self, other):
         return (isinstance(other, DKElement) and self.strands == other.strands
-                and self.series == other.series)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.strands, self.series))
+        return hash((self.strands, frozenset(self.terms.items())))
 
     def __add__(self, other: "DKElement") -> "DKElement":
         assert self.strands == other.strands
+        degree = min(self.degree, other.degree)
         # a sum of normal forms is a normal form
-        terms = accumulate(dict(self.series.terms), other.series.terms.items())
-        return DKElement(self.strands, min(self.degree, other.degree), terms, _normalized=True)
+        terms = accumulate(self.truncate(degree).terms, other.truncate(degree).terms.items())
+        return DKElement(self.strands, degree, terms, _normalized=True)
 
     def __sub__(self, other: "DKElement") -> "DKElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "DKElement":
-        return DKElement(self.strands, self.degree, self.series.scale(c).terms, _normalized=True)
+        terms = {w: c * v for w, v in self.terms.items()} if c else {}
+        return DKElement(self.strands, self.degree, terms, _normalized=True)
 
     def mul(self, other: "DKElement") -> "DKElement":
         assert self.strands == other.strands
         degree = min(self.degree, other.degree)
-        terms = _product(self.strands, self.series.terms, other.series.terms, degree)
+        terms = _product(self.strands, self.terms, other.terms, degree)
         return DKElement(self.strands, degree, terms, _normalized=True)
 
     def _power_sum(self, x: dict, coef) -> "DKElement":
@@ -231,26 +233,27 @@ class DKElement:
     def exp(self) -> "DKElement":
         if self.constant_term() != 0:
             raise ValueError("exp requires zero constant term")
-        return self._power_sum(self.series.terms, lambda k: Fraction(1, math.factorial(k)))
+        return self._power_sum(self.terms, lambda k: Fraction(1, math.factorial(k)))
 
     def inverse(self) -> "DKElement":
         """The geometric series sum_k (1 - self)^k, for constant term 1."""
         if self.constant_term() != 1:
             raise ValueError("inverse expects constant term 1")
-        return self._power_sum({w: -c for w, c in self.series.terms.items() if w}, lambda k: 1)
+        return self._power_sum({w: -c for w, c in self.terms.items() if w}, lambda k: 1)
 
     def is_zero(self) -> bool:
-        return self.series.is_zero()
+        return not self.terms
 
     def constant_term(self) -> Fraction:
-        return self.series.constant_term()
+        return self.terms.get((), Fraction(0))
 
     def truncate(self, degree: int) -> "DKElement":
-        return DKElement(self.strands, degree, self.series.truncate(degree).terms, _normalized=True)
+        terms = {w: c for w, c in self.terms.items() if len(w) <= degree}
+        return DKElement(self.strands, degree, terms, _normalized=True)
 
     def homogeneous_part(self, d: int) -> "DKElement":
-        return DKElement(self.strands, self.degree,
-                         self.series.homogeneous_part(d).terms, _normalized=True)
+        terms = {w: c for w, c in self.terms.items() if len(w) == d}
+        return DKElement(self.strands, self.degree, terms, _normalized=True)
 
     def __repr__(self):
         return f"DKElement({self.strands} strands, {format_dk(self)!r})"
@@ -315,7 +318,7 @@ def relabel_table(r: int, images: dict[int, int]) -> list:
 def dk_relabel(e: DKElement, images: dict[int, int]) -> DKElement:
     """Strand relabeling along a bijection."""
     return DKElement(e.strands, e.degree,
-                     substitute_letters(e.series.terms, relabel_table(e.strands, images)))
+                     substitute_letters(e.terms, relabel_table(e.strands, images)))
 
 
 def insert_tables(r: int, k: int, s: int) -> tuple[list, list]:
@@ -348,10 +351,10 @@ def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
     images, table = insert_tables(u.strands, k, v.strands)
     total = u.strands + v.strands - 1
     degree = min(u.degree, v.degree)
-    check_dimension(total, degree, "chord insertion", u.series.terms, v.series.terms)
+    check_dimension(total, degree, "chord insertion", u.terms, v.terms)
     # the shift keeps each letter's block order, so v's standard words stay standard
-    vshift = substitute_letters(v.series.terms, table)
-    return DKElement(total, degree, _product(total, u.series.terms, vshift, degree, images),
+    vshift = substitute_letters(v.terms, table)
+    return DKElement(total, degree, _product(total, u.terms, vshift, degree, images),
                      _normalized=True)
 
 
@@ -362,7 +365,8 @@ def dk_restrict(e: DKElement, k: int) -> DKElement:
     idx_new = _gen_index(e.strands - 1)
     table = [() if k in (a, b) else (idx_new[(a if a < k else a - 1, b if b < k else b - 1)],)
              for a, b in dk_generators(e.strands)]
-    return DKElement(e.strands - 1, e.degree, substitute_letters(e.series.terms, table))
+    # the strands keep their order, so every word stays block-ordered: standard
+    return DKElement(e.strands - 1, e.degree, substitute_letters(e.terms, table), _normalized=True)
 
 
 # -- coproduct and grouplikes ------------------------------------------------------
@@ -370,7 +374,7 @@ def dk_restrict(e: DKElement, k: int) -> DKElement:
 
 def dk_coproduct(e: DKElement) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
     """Truncated coproduct with every generator primitive; each factor is normal, as a split of a normal word."""
-    return accumulate({}, ((split, c) for w, c in e.series.terms.items() for split in _splits(w)))
+    return accumulate({}, ((split, c) for w, c in e.terms.items() for split in _splits(w)))
 
 
 def _splits(w: tuple[int, ...]):
@@ -382,8 +386,8 @@ def _splits(w: tuple[int, ...]):
 def tensor_square(g: DKElement, h: DKElement) -> dict:
     """g (x) h truncated at total degree; each factor is a normal word."""
     assert g.strands == h.strands and g.degree == h.degree
-    return {(w1, w2): c1 * c2 for w1, c1 in g.series.terms.items()
-            for w2, c2 in h.series.terms.items() if len(w1) + len(w2) <= g.degree}
+    return {(w1, w2): c1 * c2 for w1, c1 in g.terms.items()
+            for w2, c2 in h.terms.items() if len(w1) + len(w2) <= g.degree}
 
 
 def grouplike_check(g: DKElement) -> bool:
@@ -453,7 +457,7 @@ def format_dk(e: DKElement) -> str:
     if e.is_zero():
         return "0"
     pairs = dk_generators(e.strands)
-    items = sorted(e.series.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    items = sorted(e.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
     parts = []
     for w, c in items:
         mono = "*".join(f"t{pairs[l][0]}{pairs[l][1]}" for l in w)
@@ -491,7 +495,7 @@ def dk_terms_from_json(r: int, items: list[dict]) -> dict:
 
 def dk_to_json(e: DKElement) -> dict:
     return {"strands": e.strands, "degree": e.degree,
-            "terms": dk_terms_to_json(e.strands, e.series.terms)}
+            "terms": dk_terms_to_json(e.strands, e.terms)}
 
 
 def dk_from_json(data: dict) -> DKElement:

@@ -336,13 +336,13 @@ def cmd_mixed_apply_phi(args) -> int:
 
 def cmd_voronov_check(args) -> int:
     from .chords import grouplike_check
-    from .voronov import MAX_CHECK_COUNT, PaPOperad, build_cd_pap_instance
+    from .voronov import MAX_CHECK_COUNT, VoronovProduct
 
     if args.count < 0:
         raise ValueError(f"count must be nonnegative, got {args.count}")
     if args.count > MAX_CHECK_COUNT:
         raise ValueError(f"count {args.count} exceeds the limit of {MAX_CHECK_COUNT} instances")
-    vp = build_cd_pap_instance(args.degree)
+    vp = VoronovProduct(args.degree)
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.count):
@@ -351,10 +351,10 @@ def cmd_voronov_check(args) -> int:
         for (i, j) in chords.dk_generators(m1):
             prim = prim + DKElement.generator(m1, args.degree, i, j).scale(rng.randint(-2, 2))
         p1 = prim.exp()
-        e = vp.make(p1, PaPOperad().identity(1))
-        if not vp.equal(vp.insert_open(e, 1, vp.identity_open()), e):
+        e = vp.make(p1, vp.identity_open().q_part)
+        if vp.insert_open(e, 1, vp.identity_open()) != e:
             failures += 1
-        if not vp.equal(vp.insert_closed(e, 1, vp.identity_closed()), e):
+        if vp.insert_closed(e, 1, vp.identity_closed()) != e:
             failures += 1
         if not grouplike_check(vp.insert_open(e, 1, e).p_part):
             failures += 1

@@ -534,6 +534,8 @@ def algebra_from_json(payload: dict) -> AlgebraData:
         src = {parse(m["id"]): parse(m["src"]) for m in d["morphisms"]}
         tgt = {parse(m["id"]): parse(m["tgt"]) for m in d["morphisms"]}
         compose = {(parse(g), parse(f)): parse(gf) for g, f, gf in d["compose"]}
+        if not isinstance(d["identities"], dict):
+            raise ValueError(f"identities must be an object, got {type(d['identities']).__name__}")
         identities = {parse(o): parse(m) for o, m in d["identities"].items()}
         return FiniteCategory(d["name"], objects, morphisms, src, tgt, compose, identities)
 

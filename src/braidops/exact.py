@@ -45,13 +45,6 @@ def accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
     return out
 
 
-def check_letters(words: Iterable[Word], alphabet: int) -> None:
-    """Raise ValueError unless every letter of every word lies in 0..alphabet-1."""
-    for w in words:
-        if not all(0 <= g < alphabet for g in w):
-            raise ValueError(f"letter out of range in {tuple(w)} for alphabet {alphabet}")
-
-
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -59,12 +52,12 @@ def _as_fraction(c) -> Fraction:
 
 
 class NCSeries:
-    """Truncated series in noncommuting generators 0..alphabet-1.
+    """Truncated series in noncommuting generators 0..alphabet-1: the free algebra of the associator.
 
     ``terms`` maps words (tuples of generator indices) to nonzero Fractions;
     words longer than ``degree`` are dropped on construction.  Letters are
-    not checked here: words from outside enter through ``generator`` or
-    ``series_from_json``, which reject letters outside the alphabet.
+    not checked: every series is built inside the package from chord words,
+    whose letters are checked where they enter (``chords.dk_from_json``).
     """
 
     __slots__ = ("alphabet", "degree", "terms")
@@ -94,11 +87,6 @@ class NCSeries:
     def one(cls, alphabet: int, degree: int) -> "NCSeries":
         return cls(alphabet, degree, {(): Fraction(1)})
 
-    @classmethod
-    def generator(cls, alphabet: int, degree: int, g: int) -> "NCSeries":
-        check_letters([(g,)], alphabet)
-        return cls(alphabet, degree, {(g,): Fraction(1)})
-
     # -- ring operations ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -118,23 +106,14 @@ class NCSeries:
     def __neg__(self) -> "NCSeries":
         return NCSeries(self.alphabet, self.degree, {w: -c for w, c in self.terms.items()})
 
-    def __sub__(self, other: "NCSeries") -> "NCSeries":
-        return self + (-other)
-
     def scale(self, c) -> "NCSeries":
         c = _as_fraction(c)
         if c == 0:
             return NCSeries.zero(self.alphabet, self.degree)
         return NCSeries(self.alphabet, self.degree, {w: c * v for w, v in self.terms.items()})
 
-    def truncate(self, degree: int) -> "NCSeries":
-        return NCSeries(self.alphabet, degree, {w: c for w, c in self.terms.items() if len(w) <= degree})
-
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
-
-    def homogeneous_part(self, d: int) -> "NCSeries":
-        return NCSeries(self.alphabet, self.degree, {w: c for w, c in self.terms.items() if len(w) == d})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -351,13 +330,3 @@ def int_from_json(value, name: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
-
-
-def series_from_json(data: dict) -> NCSeries:
-    alphabet, degree = int_from_json(data["alphabet"], "alphabet"), int_from_json(data["degree"], "degree")
-    if alphabet < 0 or degree < 0:
-        raise ValueError(f"alphabet and degree must be nonnegative, got {alphabet} and {degree}")
-    terms = {tuple(t["word"]): fraction_from_str(t["coef"]) for t in data["terms"]}
-    check_letters(terms, alphabet)
-    return NCSeries(alphabet, degree, terms)
-

@@ -203,7 +203,8 @@ def apply_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None)
 def _dk_embed(e: DKElement, offset: int, total: int) -> DKElement:
     idx_tot = _gen_index(total)
     table = [(idx_tot[(a + offset, b + offset)],) for a, b in dk_generators(e.strands)]
-    return DKElement(total, e.degree, substitute_letters(e.series.terms, table))
+    # the shift keeps the strands' order, so every word stays block-ordered: standard
+    return DKElement(total, e.degree, substitute_letters(e.terms, table), _normalized=True)
 
 
 def rho_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -> ShiftedElement:

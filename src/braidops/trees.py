@@ -556,6 +556,8 @@ def parse_tree(text: str) -> Tree:
 
     Raises ValueError on a syntax error, a color mismatch or bad labels.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a tree must be a string, got {type(text).__name__}")
     text = text.replace(" ", "")
     pos = 0
 

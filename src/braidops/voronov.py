@@ -1,25 +1,22 @@
-"""Voronov products: a closed-part operad acting alongside an open-part operad.
+"""The Voronov product of truncated chord series with parenthesized permutations.
 
-The generic construction pairs an operad P carrying a commutative-algebra
-morphism (the merge) with an operad Q: components are plain pairs
-(P-part in arity m, Q-part in arity n).  Closed insertion composes the P-part;
-open insertion composes the Q-part and merges the P-parts through the
-commutative multiplication, with the outer P-part keeping strands 1..m and
-the inner block appended.  The product is the based variant: it has no
+A component is a pair: a chord series on m strands (the closed part) and the
+unique reparenthesization between two order-equal trees on n open leaves
+(the open part).  Closed insertion inserts into the chord series
+(``chords.dk_insert``).  Open insertion grafts both trees of the open part
+and merges the chord series by juxtaposition on disjoint strands, the image
+of the empty-diagram morphism: the outer series keeps strands 1..m and the
+inner block is appended.  The product is the based variant: it has no
 component with zero closed and zero open inputs.
-
-The shipped instance pairs truncated chord series (merge = juxtaposition on
-disjoint strands, the image of the empty-diagram morphism) with parenthesized
-permutations.
 """
 
 from __future__ import annotations
 
-from .chords import DKElement, dk_insert, dk_relabel
-from .trees import Record, Tree, arity, color, graft_open, leftcomb_open, open_labels, relabel_tree
+from .chords import DKElement, dk_insert
+from .trees import Record, Tree, arity, color, graft_open, leftcomb_open, open_labels
 
 
-#: highest truncation degree ``ChordStrandOperad`` accepts: the cost grows about
+#: highest truncation degree ``VoronovProduct`` accepts: the cost grows about
 #: 2.2x per degree; on a 2-vCPU host ``voronov check --count 50`` took 4.5 s at
 #: degree 10, and a single instance 0.58 s at degree 12 and 2.7 s at degree 14
 MAX_CHORD_DEGREE = 10
@@ -27,38 +24,6 @@ MAX_CHORD_DEGREE = 10
 #: largest ``voronov check --count``: the run is linear in the count; at degree
 #: 10 on a 2-vCPU host ``--count 20`` took 1.3 s and ``--count 1000`` 40 s
 MAX_CHECK_COUNT = 1000
-
-
-class ChordStrandOperad:
-    """Closed part: grouplike chord series at a fixed truncation."""
-
-    def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {degree}")
-        if degree > MAX_CHORD_DEGREE:
-            raise ValueError(f"degree {degree} exceeds the limit of {MAX_CHORD_DEGREE} "
-                             "for the chord part")
-        self.degree = degree
-
-    def identity(self, m: int = 1) -> DKElement:
-        return DKElement.one(m, self.degree)
-
-    def arity(self, p: DKElement) -> int:
-        return p.strands
-
-    def insert(self, p: DKElement, i: int, q: DKElement) -> DKElement:
-        return dk_insert(p, i, q)
-
-    def merge(self, p: DKElement, q: DKElement) -> DKElement:
-        """Juxtaposition: the commuting product of disjoint strand blocks."""
-        grown = dk_insert(dk_insert(DKElement.one(2, self.degree), 2, q), 1, p)
-        return grown
-
-    def relabel(self, p: DKElement, images: dict[int, int]) -> DKElement:
-        return dk_relabel(p, images)
-
-    def equal(self, p: DKElement, q: DKElement) -> bool:
-        return p == q
 
 
 class PaPMorphismPair(Record, frozen=True):
@@ -73,70 +38,52 @@ class PaPMorphismPair(Record, frozen=True):
         assert open_labels(self.src) == open_labels(self.tgt), "label orders must agree"
 
 
-class PaPOperad:
-    def identity(self, n: int = 1) -> PaPMorphismPair:
-        tree = leftcomb_open(tuple(range(1, n + 1)))
-        return PaPMorphismPair(tree, tree)
-
-    def arity(self, q: PaPMorphismPair) -> int:
-        return arity(q.src)[0]
-
-    def insert(self, q: PaPMorphismPair, j: int, q2: PaPMorphismPair) -> PaPMorphismPair:
-        return PaPMorphismPair(graft_open(q.src, j, q2.src), graft_open(q.tgt, j, q2.tgt))
-
-    def relabel(self, q: PaPMorphismPair, images: dict[int, int]) -> PaPMorphismPair:
-        return PaPMorphismPair(relabel_tree(q.src, images, None),
-                               relabel_tree(q.tgt, images, None))
-
-    def equal(self, q: PaPMorphismPair, q2: PaPMorphismPair) -> bool:
-        return q == q2
-
-
 class VoronovElement(Record, frozen=True):
-    p_part: object
-    q_part: object
+    p_part: DKElement
+    q_part: PaPMorphismPair
 
 
 class VoronovProduct:
-    """Generic based product: the (0, 0) component is removed."""
+    """Based product at a fixed chord truncation: the (0, 0) component is removed."""
 
-    def __init__(self, p_operad, q_operad):
-        self.p = p_operad
-        self.q = q_operad
+    def __init__(self, degree: int):
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {degree}")
+        if degree > MAX_CHORD_DEGREE:
+            raise ValueError(f"degree {degree} exceeds the limit of {MAX_CHORD_DEGREE} "
+                             "for the chord part")
+        self.degree = degree
 
-    def make(self, p_part, q_part) -> VoronovElement:
+    def make(self, p_part: DKElement, q_part: PaPMorphismPair) -> VoronovElement:
         e = VoronovElement(p_part, q_part)
         if self.narity(e) == (0, 0):
             raise ValueError("the based variant removes the (0,0) component")
         return e
 
     def narity(self, e: VoronovElement) -> tuple[int, int]:
-        return (self.q.arity(e.q_part), self.p.arity(e.p_part))
+        return (arity(e.q_part.src)[0], e.p_part.strands)
 
-    def identity_closed(self) -> object:
-        return self.p.identity(1)
+    def identity_closed(self) -> DKElement:
+        return DKElement.one(1, self.degree)
 
     def identity_open(self) -> VoronovElement:
-        return self.make(self.p.identity(0), self.q.identity(1))
+        tree = leftcomb_open((1,))
+        return self.make(DKElement.one(0, self.degree), PaPMorphismPair(tree, tree))
 
-    def insert_closed(self, e: VoronovElement, i: int, p_part) -> VoronovElement:
+    def merge(self, p: DKElement, q: DKElement) -> DKElement:
+        """Juxtaposition: the commuting product of disjoint strand blocks."""
+        return dk_insert(dk_insert(DKElement.one(2, self.degree), 2, q), 1, p)
+
+    def insert_closed(self, e: VoronovElement, i: int, p_part: DKElement) -> VoronovElement:
         n, m = self.narity(e)
         if not (1 <= i <= m):
             raise ValueError("slot out of range")
-        return self.make(self.p.insert(e.p_part, i, p_part), e.q_part)
+        return self.make(dk_insert(e.p_part, i, p_part), e.q_part)
 
     def insert_open(self, e: VoronovElement, j: int, e2: VoronovElement) -> VoronovElement:
         n, m = self.narity(e)
         if not (1 <= j <= n):
             raise ValueError("slot out of range")
-        return self.make(self.p.merge(e.p_part, e2.p_part),
-                         self.q.insert(e.q_part, j, e2.q_part))
-
-    def equal(self, e1: VoronovElement, e2: VoronovElement) -> bool:
-        return self.p.equal(e1.p_part, e2.p_part) and self.q.equal(e1.q_part, e2.q_part)
-
-
-def build_cd_pap_instance(degree: int) -> VoronovProduct:
-    """The based product of truncated chord series with parenthesized permutations."""
-    return VoronovProduct(ChordStrandOperad(degree), PaPOperad())
-
+        q, q2 = e.q_part, e2.q_part
+        return self.make(self.merge(e.p_part, e2.p_part),
+                         PaPMorphismPair(graft_open(q.src, j, q2.src), graft_open(q.tgt, j, q2.tgt)))

@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from braidops.chords import (
     _reduce_terms,
     _splits,
     dk_insert,
+    dk_to_json,
     grouplike_check,
     insert_tables,
     pacd_insert,
@@ -42,7 +45,7 @@ from braidops.chords import (
     relabel_table,
     substitute_letters,
 )
-from braidops.exact import LinearSystem, accumulate, mul_terms, solve_exact
+from braidops.exact import LinearSystem, accumulate, fraction_to_str, mul_terms, solve_exact
 from braidops.parenthesized import (
     GENERATOR_SHAPES,
     PaBMorphism,
@@ -101,9 +104,9 @@ def tree_differences(assoc: Associator) -> dict:
 
 def tree_residual_entries(mu, phi_terms: dict, d: int) -> dict:
     """All constraint entries at truncation d through ``CDAlgebra``, keyed like ``_residual_entries``."""
-    assoc = Associator(mu, d, DKElement(3, d, phi_terms), phi_terms)
+    assoc = Associator(mu, d, DKElement(3, d, phi_terms))
     entries = {(tag, w): c for tag, diff in tree_differences(assoc).items()
-               for w, c in diff.series.terms.items()}
+               for w, c in diff.terms.items()}
     entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
     return entries
 
@@ -232,7 +235,7 @@ def solve_associator_oneshot2(mu) -> Associator:
     sol = solve_exact(system)
     assert sol.consistent, "degree-2 one-shot system inconsistent"
     phi_terms.update((w, c) for w, c in zip(basis, sol.particular) if c != 0)
-    out = Associator(mu, 2, DKElement(3, 2, phi_terms), dict(phi_terms))
+    out = Associator(mu, 2, DKElement(3, 2, phi_terms))
     assert associator_valid(out), "one-shot candidate failed exact verification"
     return out
 
@@ -240,16 +243,16 @@ def solve_associator_oneshot2(mu) -> Associator:
 def phi_in_t12_t23(assoc: Associator) -> DKElement:
     """The same coefficients read in the variables (t12, t23).
 
-    Substitutes t23 for t13 in the recorded free words.  Both conventions are
-    supported; neither is asserted to be canonical.
+    Substitutes t23 for t13 in Phi's words, which are in t12 and t13.  Both
+    conventions are supported; neither is asserted to be canonical.
     """
     t23_idx = 2
     table = [(_T12,), (t23_idx,), (t23_idx,)]  # t13 -> t23; t12 and t23 stay
-    return DKElement(3, assoc.degree, substitute_letters(assoc.phi_free, table))
+    return DKElement(3, assoc.degree, substitute_letters(assoc.phi.terms, table))
 
 
 def test_trivial_associator():
-    triv = Associator(0, 3, DKElement.one(3, 3), {(): Fraction(1)})
+    triv = Associator(0, 3, DKElement.one(3, 3))
     assert check_pentagon(triv).is_zero()
     h1, h2 = check_hexagons(triv)
     assert h1.is_zero() and h2.is_zero()
@@ -257,7 +260,7 @@ def test_trivial_associator():
 
 
 def test_naive_phi_fails_hexagon():
-    naive = Associator(1, 2, DKElement.one(3, 2), {(): Fraction(1)})
+    naive = Associator(1, 2, DKElement.one(3, 2))
     h1, h2 = check_hexagons(naive)
     assert not (h1.is_zero() and h2.is_zero())
 
@@ -342,15 +345,56 @@ def assert_matches_tree_oracle(assoc: Associator, mor: PaBMorphism, degree: int 
 @pytest.mark.parametrize("mu", [Fraction(1), Fraction(-1, 2), Fraction(3)])
 def test_phi_eval_matches_tree_oracle(mu):
     # the integer product of substituted generators equals the node-by-node
-    # chord evaluation, from the recorded words and from the normal form
+    # chord evaluation
     a = solve_associator(mu, 4)
     rng = random.Random(f"oracle {mu}")
     for m in range(1, 6):
         for _ in range(2):
             mor = rand_closed_morphism(rng, m, max_len=4)
-            for assoc in (a, Associator(a.mu, a.degree, a.phi, a.phi.series.terms)):
-                for degree in (None, 2):
-                    assert_matches_tree_oracle(assoc, mor, degree)
+            for degree in (None, 2):
+                assert_matches_tree_oracle(a, mor, degree)
+
+
+#: sha256 of the three outputs of ``test_phi_written_with_t23_words_acts_as_its_normal_form``,
+#: as printed when Phi's written words were evaluated as they stood
+T23_OUTPUT_DIGESTS = {True: "b735bcef99846287dec1727b82c19201e12aaed16fd6208eaaf838b004629c35",
+                      False: "7ae896f187d9846443022981d15a0f962f5991e26dc9db829cdcd9c0dbce8f9e"}
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_phi_written_with_t23_words_acts_as_its_normal_form(monkeypatch, capsys, valid):
+    # the solved Phi plus 2/7 [t12, t13 + t23], which is zero in t_3, and, for a
+    # failing Phi, one more word: Phi is read through its normal form, so the
+    # checks and the printed outputs do not depend on the words it is written in
+    from braidops.cli import run
+
+    solved = associator_to_json(solve_associator(1, 3))
+    words = {tuple(map(tuple, t["word"])): Fraction(t["coef"]) for t in solved["phi"]["terms"]}
+    relation = {((1, 2), (1, 3)): 1, ((1, 2), (2, 3)): 1, ((1, 3), (1, 2)): -1, ((2, 3), (1, 2)): -1}
+    extra = {} if valid else {((2, 3), (1, 2), (1, 3)): Fraction(1, 5)}
+    accumulate(words, itertools.chain(((w, Fraction(2, 7) * c) for w, c in relation.items()), extra.items()))
+    raw = {**solved, "phi": {**solved["phi"], "terms": [
+        {"coef": fraction_to_str(c), "word": [list(pair) for pair in w]} for w, c in words.items()]}}
+    normal = {**raw, "phi": dk_to_json(associator_from_json(raw).phi)}
+    assert raw != normal and (normal["phi"]["terms"] == solved["phi"]["terms"]) == valid
+    a, b = associator_from_json(raw), associator_from_json(normal)
+    assert check_pentagon(a) == check_pentagon(b) and check_hexagons(a) == check_hexagons(b)
+    assert grouplike_residual(a) == grouplike_residual(b)
+    assert associator_valid(a) == valid
+
+    morphism = {"src": "mc(mc(x1,x2),x3)", "tgt": "mc(x2,mc(x1,x3))",
+                "braid": {"strands": 3, "word": [1]}}
+    outputs = []
+    for assoc in (raw, normal):
+        for argv, payload in ((["assoc", "check"], assoc), (["assoc", "check", "--json"], assoc),
+                              (["assoc", "eval", "--json"], {"associator": assoc, "morphism": morphism})):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+            code = run(argv)
+            outputs.append((code, capsys.readouterr().out))
+    assert outputs[:3] == outputs[3:]
+    assert [code for code, _out in outputs[:3]] == [0 if valid else 1] * 2 + [0]
+    digest = hashlib.sha256(json.dumps(outputs[:3]).encode()).hexdigest()
+    assert digest == T23_OUTPUT_DIGESTS[valid]
 
 
 def test_phi_eval_matches_tree_oracle_on_6_strands():
@@ -539,7 +583,7 @@ def test_exp_log_extension_is_grouplike(mu):
 @pytest.mark.parametrize("mu", [Fraction(1), Fraction(-1, 2), Fraction(3)])
 def test_solved_associator_is_even(mu):
     # the solver's associator has no odd-degree word (Bar-Natan 1998: even associators exist)
-    phi = solve_associator(mu, 6).phi_free
+    phi = solve_associator(mu, 6).phi.terms
     assert phi[()] == 1 and not [w for w in phi if len(w) % 2]
 
 
@@ -586,13 +630,12 @@ def test_product_evaluation_equals_tree_evaluation(mu):
     for d in range(2, 6):
         phi_terms = random_phi(rng, d)
         phi = DKElement(3, d, phi_terms)
-        normal = Associator(mu, d, phi, phi.series.terms)
-        tree = tree_differences(normal)
+        assoc = Associator(mu, d, phi)
+        tree = tree_differences(assoc)
         assert not tree["pent"].is_zero() and not tree["hex1"].is_zero()
-        for assoc in (normal, Associator(mu, d, normal.phi, phi_terms)):
-            assert check_pentagon(assoc) == tree["pent"]
-            assert check_hexagons(assoc) == (tree["hex1"], tree["hex2"])
-            assert not associator_valid(assoc)
+        assert check_pentagon(assoc) == tree["pent"]
+        assert check_hexagons(assoc) == (tree["hex1"], tree["hex2"])
+        assert not associator_valid(assoc)
         assert _residual_entries(mu, phi_terms, d) == tree_residual_entries(mu, phi_terms, d)
 
 
@@ -632,7 +675,7 @@ def test_product_algebra_equals_tree_algebra_on_random_words(monkeypatch):
     for _ in range(12):
         d = rng.randint(2, 3)
         phi = DKElement(3, d, random_phi(rng, d))
-        assoc = Associator(Fraction(rng.randint(-3, 3), 2), d, phi, phi.series.terms)
+        assoc = Associator(Fraction(rng.randint(-3, 3), 2), d, phi)
         word = rand_closed_word(rng, 4)
         if rng.random() < 0.5:
             word = ("inv", pab_to_word(rand_closed_morphism(rng, rng.randint(3, 4), max_len=4)))

@@ -27,6 +27,7 @@ from braidops.chords import (
     grouplike_check,
     left_multiply,
     pacd_insert,
+    substitute_letters,
     tensor_square,
 )
 from braidops.exact import accumulate, insert_row
@@ -117,7 +118,7 @@ def test_normal_form_idempotent_linear():
     rng = random.Random(0)
     for _ in range(15):
         e = rand_dk(rng, 3, 3)
-        assert DKElement(e.strands, e.degree, e.series.terms) == e
+        assert DKElement(e.strands, e.degree, e.terms) == e
         f2 = rand_dk(rng, 3, 3)
         assert (e + f2) - f2 == e
 
@@ -486,6 +487,30 @@ def test_restrict():
         # restricting either block strand of a width-2 cable recovers u
         assert dk_restrict(grown, k) == u
         assert dk_restrict(grown, k + 1) == u
+
+
+def test_monotone_strand_maps_keep_normal_forms():
+    # deleting a strand or shifting the strands into a larger set keeps their
+    # order, so every word stays block-ordered: the result is taken as it is,
+    # and it equals the renormalised substitution
+    from braidops.mixed import _dk_embed
+
+    rng = random.Random(34)
+    for _ in range(40):
+        r, degree = rng.randint(2, 5), rng.randint(0, 4)
+        e = rand_dk(rng, r, degree, nterms=6)
+        idx = _gen_index(r - 1)
+        for k in range(1, r + 1):
+            table = [() if k in (a, b) else (idx[(a - (a > k), b - (b > k))],) for a, b in dk_generators(r)]
+            out = dk_restrict(e, k)
+            assert _reduce_terms(out.terms, r - 1) == out.terms
+            assert out == DKElement(r - 1, degree, substitute_letters(e.terms, table))
+        for offset in range(3):
+            total = r + offset + rng.randint(0, 1)
+            table = [(_gen_index(total)[(a + offset, b + offset)],) for a, b in dk_generators(r)]
+            out = _dk_embed(e, offset, total)
+            assert _reduce_terms(out.terms, total) == out.terms
+            assert out == DKElement(total, degree, substitute_letters(e.terms, table))
 
 
 def test_pacd_morphisms():

@@ -119,7 +119,7 @@ def test_mutable_records():
     assert report == CoherenceReport(passed=True, families={}, instances_checked={})
     report.passed = False
     assert report != CoherenceReport(True)
-    assoc = Associator(1, 1, DKElement.one(3, 1), {})
+    assoc = Associator(1, 1, DKElement.one(3, 1))
     assert assoc.mu == Fraction(1) and type(assoc.mu) is Fraction     # __post_init__
     for record in (report, assoc):
         with pytest.raises(TypeError):

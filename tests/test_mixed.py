@@ -314,7 +314,7 @@ def test_apply_phi_identity():
 
 
 def test_rho_phi_trivial_associator():
-    triv = Associator(0, 2, DKElement.one(3, 2), {(): Fraction(1)})
+    triv = Associator(0, 2, DKElement.one(3, 2))
     rng = random.Random(7)
     for _ in range(10):
         e = rand_prime(rng, rng.randint(0, 2), rng.randint(0, 2), max_len=3)

@@ -1,19 +1,13 @@
 import random
 
-from braidops.chords import DKElement, dk_from_json, dk_relabel, dk_to_json, grouplike_check
-from braidops.trees import enumerate_trees, leftcomb_open, open_labels, parse_tree, show_tree
-from braidops.voronov import (
-    PaPMorphismPair,
-    PaPOperad,
-    VoronovProduct,
-    build_cd_pap_instance,
-    VoronovElement,
-)
+from braidops.chords import DKElement, dk_from_json, dk_insert, dk_relabel, dk_to_json, grouplike_check
+from braidops.trees import UNIT_O, enumerate_trees, open_labels, parse_tree, relabel_tree, show_tree
+from braidops.voronov import PaPMorphismPair, VoronovElement, VoronovProduct
 
 from test_chords import rand_grouplike
 
 
-VP = build_cd_pap_instance(2)
+VP = VoronovProduct(2)
 
 
 def voronov_to_json(e: VoronovElement) -> dict:
@@ -44,7 +38,7 @@ def test_closed_insert_unit_and_arity():
         e = rand_vor(rng, rng.randint(1, 2), rng.randint(1, 2))
         n, m = VP.narity(e)
         i = rng.randint(1, m)
-        assert VP.equal(VP.insert_closed(e, i, VP.identity_closed()), e)
+        assert VP.insert_closed(e, i, VP.identity_closed()) == e
         p2 = rand_grouplike(rng, 2, 2)
         grown = VP.insert_closed(e, i, p2)
         assert VP.narity(grown) == (n, m + 1)
@@ -56,7 +50,7 @@ def test_open_insert_unit_and_arity():
         e = rand_vor(rng, rng.randint(1, 2), rng.randint(0, 2))
         n, m = VP.narity(e)
         j = rng.randint(1, n)
-        assert VP.equal(VP.insert_open(e, j, VP.identity_open()), e)
+        assert VP.insert_open(e, j, VP.identity_open()) == e
         e2 = rand_vor(rng, 1, 1)
         grown = VP.insert_open(e, j, e2)
         assert VP.narity(grown) == (n, m + 1)
@@ -68,8 +62,8 @@ def test_merge_symmetry():
         p1 = rand_grouplike(rng, rng.randint(1, 2), 2)
         p2 = rand_grouplike(rng, rng.randint(1, 2), 2)
         m1, m2 = p1.strands, p2.strands
-        merged = VP.p.merge(p1, p2)
-        other = VP.p.merge(p2, p1)
+        merged = VP.merge(p1, p2)
+        other = VP.merge(p2, p1)
         # merging in either order agrees after the canonical block swap
         swap = {l: l + m1 for l in range(1, m2 + 1)}
         swap.update({m2 + l: l for l in range(1, m1 + 1)})
@@ -84,8 +78,8 @@ def test_closed_associativity_exact():
         p1 = rand_grouplike(rng, 2, 2)
         p2 = rand_grouplike(rng, 2, 2)
         lhs = VP.insert_closed(VP.insert_closed(e, 1, p1), 1, p2)
-        rhs = VP.insert_closed(e, 1, VP.p.insert(p1, 1, p2))
-        assert VP.equal(lhs, rhs)
+        rhs = VP.insert_closed(e, 1, dk_insert(p1, 1, p2))
+        assert lhs == rhs
 
 
 def test_open_associativity_exact():
@@ -97,7 +91,7 @@ def test_open_associativity_exact():
         lhs = VP.insert_open(VP.insert_open(e, 1, f), 1, g)
         rhs = VP.insert_open(e, 1, VP.insert_open(f, 1, g))
         # q-parts associate on the nose; p-strand blocks are nested the same way
-        assert VP.equal(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_mixed_interchange_exact():
@@ -109,29 +103,33 @@ def test_mixed_interchange_exact():
         i = rng.randint(1, 2)
         lhs = VP.insert_closed(VP.insert_open(e, 1, inner_open), i, p2)
         rhs = VP.insert_open(VP.insert_closed(e, i, p2), 1, inner_open)
-        assert VP.equal(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_q_equivariance():
+    # grafting into the open part commutes with relabelling its leaves
     rng = random.Random(6)
-    pap = PaPOperad()
+    swap = {1: 2, 2: 1}
+
+    def relabel(q):
+        return PaPMorphismPair(relabel_tree(q.src, swap, None), relabel_tree(q.tgt, swap, None))
+
     for _ in range(10):
         q = rand_pap(rng, 2)
-        q2 = rand_pap(rng, 1)
-        swapped = pap.relabel(q, {1: 2, 2: 1})
-        lhs = pap.insert(swapped, 2, q2)
-        rhs = pap.relabel(pap.insert(q, 1, q2), {1: 2, 2: 1})
-        assert lhs == rhs
+        inner = VP.make(DKElement.one(0, 2), rand_pap(rng, 1))
+        lhs = VP.insert_open(VP.make(DKElement.one(0, 2), relabel(q)), 2, inner)
+        rhs = VP.insert_open(VP.make(DKElement.one(0, 2), q), 1, inner)
+        assert lhs.q_part == relabel(rhs.q_part)
 
 
 def test_zero_open_components_exist():
     # components with no open inputs are populated (closed content only)
     rng = random.Random(7)
     for m in (1, 2, 3):
-        e = VP.make(rand_grouplike(rng, m, 2), PaPOperad().identity(0))
+        e = VP.make(rand_grouplike(rng, m, 2), PaPMorphismPair(UNIT_O, UNIT_O))
         assert VP.narity(e) == (0, m)
     try:
-        VP.make(DKElement.one(0, 2), PaPOperad().identity(0))
+        VP.make(DKElement.one(0, 2), PaPMorphismPair(UNIT_O, UNIT_O))
     except ValueError:
         pass
     else:
@@ -152,4 +150,4 @@ def test_json_roundtrip():
     for _ in range(5):
         e = rand_vor(rng, rng.randint(1, 2), rng.randint(1, 2))
         back = voronov_from_json(VP, voronov_to_json(e))
-        assert VP.equal(back, e)
+        assert back == e
