@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 import subprocess
@@ -16,7 +15,6 @@ from braidops.exact import (
     Solution,
     accumulate,
     fraction_from_str,
-    fraction_to_str,
     insert_row,
     series_exp,
     series_inverse,
