@@ -33,17 +33,37 @@ each hexagon three signed relabelings.  A substitution acts on a bracketing
 factor by factor, in ``int``, and no column is rewritten to normal form.
 Block i of the 4-strand chords holds the t_ij with j > i, and block 1 (t12,
 t13, t14) generates a free Lie ideal (Drinfeld 1990, section 5;
-Alekseev-Torossian 2012: t_n is F_{n-1} semidirect t_{n-1}), so a pentagon
-substitution with its images in one block brackets among normal words, and
-the one mixed substitution, psi^{12,3,4}, is psi^{2,3,4}, which cancels, plus
+Alekseev-Torossian 2012: t_n is F_{n-1} semidirect t_{n-1}).  Sending it to
+zero projects t_4 onto t_3 and turns the pentagon into
+Phi^{2,3,4} = Phi^{2,3,4}, so the pentagon's higher-block part is identically
+zero: psi^{2,3,4} is skipped, a substitution with its images in block 1
+brackets among normal words, and the one mixed substitution, psi^{12,3,4}, has
 a block-1 part bracketed with ad t23 and ad t24 acting on block 1.  t_3 is
 free on t12, t13 plus the central t12 + t13 + t23, so from degree 2 a hexagon
-bracket lies in Lie(t12, t13) and is bracketed modulo the centre.  Only the
-right-hand side, one full residual of Phi_{<d} + E_d per degree, depends on mu
-and Phi_{<d}.  The solution goes back to words canonically: the kernel,
-expanded into words and put in reduced echelon form by highest word
-(``exact.insert_row``), clears the coefficient of each row's highest word,
-which gives the solution over all 2^d words with free coordinates set to zero.
+bracket lies in Lie(t12, t13) and is bracketed modulo the centre.
+
+Up to degree 2 mu enters only through the hexagons, and the system holds every
+entry of the three diagrams.  From degree 3 on it holds only the pentagon's
+entries at the block-1 Lyndon words in t12 < t13 < t14, and its right-hand
+side is the pentagon residual alone; the piece is the same, for three reasons.
+First, the residual and every column are primitive at the solver's degree, so
+Lie, and a Lie element is fixed by its Lyndon coefficients (Reutenauer 1993,
+ch. 5).  Second, the pentagon's higher-block part is identically zero, as
+above, so its block-1 part fixes it.  Third, for d >= 3 the pentagon-only
+kernel equals the kernel of all three diagrams (Furusho 2010, "Pentagon and
+hexagon equations"), and the full system is consistent, so the two systems
+have the same solutions, and the kernel-reduced piece below is the same.  So
+each column is read only at those words: the top-level bracket of the factors
+u, v with images a, b by lookup,
+coef_z [a, b] = a[z[:|u|]] b[z[|u|:]] - b[z[:|v|]] a[z[|v|:]], and the
+derivation terms of the mixed substitution the same way.  The closing re-check
+(``associator_valid``) still checks every word of the three diagrams and the
+grouplike condition.  Only the right-hand side, one residual of
+Phi_{<d} + E_d per degree, depends on mu and Phi_{<d}.  The solution goes back
+to words canonically: the kernel, expanded into words and put in reduced
+echelon form by highest word (``exact.insert_row``), clears the coefficient of
+each row's highest word, which gives the solution over all 2^d words with
+free coordinates set to zero.
 """
 
 from __future__ import annotations
@@ -144,13 +164,19 @@ class ProductAlgebra:
         return v[0], _then(v[1], relabel_table(v[0], closed_map or {}))
 
 
-def _generators(assoc: Associator, d: int) -> dict:
-    """{(name, sign): (D, D * terms)} of tau^{+-1} and Phi^{+-1} at truncation d, each scaled to ``int``."""
-    phi = NCSeries(3, d, assoc.phi.terms)
-    braiding = {(_T12,) * k: (assoc.mu / 2) ** k / math.factorial(k) for k in range(d + 1)}
-    gens = {("tau", 1): braiding, ("tau", -1): {w: (-1) ** len(w) * c for w, c in braiding.items()},
-            ("alpha_c", 1): phi.terms, ("alpha_c", -1): series_inverse(phi).terms}
-    return {key: clear_denominators(terms) for key, terms in gens.items()}
+def _generators(assoc: Associator, d: int, factors) -> dict:
+    """{(name, sign): (D, D * terms)} of tau^{+-1} and Phi^{+-1} at truncation d, each scaled to ``int``.
+
+    Only the generators some factor of ``factors`` names are built: the
+    pentagon names Phi alone, and Phi^{-1} costs a series inverse.
+    """
+    def build(name, sign):
+        if name == "tau":
+            return {(_T12,) * k: (sign * assoc.mu / 2) ** k / math.factorial(k) for k in range(d + 1)}
+        phi = NCSeries(3, d, assoc.phi.terms)
+        return (phi if sign == 1 else series_inverse(phi)).terms
+
+    return {key: clear_denominators(build(*key)) for key in {(name, sign) for name, sign, _images in factors}}
 
 
 def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
@@ -176,7 +202,7 @@ def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> 
     d = assoc.degree if degree is None else degree
     check_dimension(mor.strands, d, "associator evaluation")
     r, factors = evaluate_word(pab_to_word(mor), ProductAlgebra())
-    denom, terms = _path(_generators(assoc, d), factors, r, d)
+    denom, terms = _path(_generators(assoc, d, factors), factors, r, d)
     element = DKElement(r, d, {w: Fraction(c, denom) for w, c in terms.items()}, _normalized=True)
     return PaCDMorphism(mor.src, mor.tgt, element)
 
@@ -207,9 +233,9 @@ def associator_valid(assoc: Associator) -> bool:
 # -- solving -----------------------------------------------------------------------
 
 
-def _free_words(d: int) -> list[tuple[int, ...]]:
-    """Degree-d words in the two letters t12, t13."""
-    return list(itertools.product((_T12, _T13), repeat=d))
+def _free_words(d: int, letters: int = 2) -> list[tuple[int, ...]]:
+    """Degree-d words in the first ``letters`` letters: by default t12, t13."""
+    return list(itertools.product(range(letters), repeat=d))
 
 
 def _diagrams():
@@ -232,20 +258,20 @@ def _constraints(assoc: Associator, degree: int | None = None, tags=None) -> dic
     Only the difference of the two paths is divided, by the product of their denominators.
     """
     d = assoc.degree if degree is None else degree
-    gens = _generators(assoc, d)
+    products = [p for p in _products() if tags is None or p[0] in tags]
+    gens = _generators(assoc, d, [f for _tag, _r, left, right in products for f in left + right])
     out = {}
-    for tag, r, left, right in _products():
-        if tags is None or tag in tags:
-            (dl, pl), (dr, pr) = _path(gens, left, r, d), _path(gens, right, r, d)
-            diff = accumulate({w: c * dr for w, c in pl.items()}, ((w, -c * dl) for w, c in pr.items()))
-            out[tag] = DKElement(r, d, {w: Fraction(c, dl * dr) for w, c in diff.items()}, _normalized=True)
+    for tag, r, left, right in products:
+        (dl, pl), (dr, pr) = _path(gens, left, r, d), _path(gens, right, r, d)
+        diff = accumulate({w: c * dr for w, c in pl.items()}, ((w, -c * dl) for w, c in pr.items()))
+        out[tag] = DKElement(r, d, {w: Fraction(c, dl * dr) for w, c in diff.items()}, _normalized=True)
     return out
 
 
-def _residual_entries(mu: Fraction, phi_terms: dict, d: int) -> dict:
-    """All constraint entries at truncation d, flattened to a single dict."""
+def _residual_entries(mu: Fraction, phi_terms: dict, d: int, tags=None) -> dict:
+    """The entries of the diagrams in ``tags`` (all by default) and the grouplike entries at truncation d, in one dict."""
     assoc = Associator(mu, d, DKElement(3, d, phi_terms))
-    entries = {(tag, w): c for tag, diff in _constraints(assoc).items() for w, c in diff.terms.items()}
+    entries = {(tag, w): c for tag, diff in _constraints(assoc, d, tags).items() for w, c in diff.terms.items()}
     entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
     return entries
 
@@ -259,9 +285,12 @@ def _substitutions() -> tuple:
                  for tag, r, left, right in _products())
 
 
-def _lyndon_words(d: int) -> list[tuple[int, ...]]:
-    """Degree-d Lyndon words in t12 < t13: those below each of their proper rotations."""
-    return [w for w in _free_words(d) if all(w < w[i:] + w[:i] for i in range(1, d))]
+def _lyndon_words(d: int, letters: int = 2) -> list[tuple[int, ...]]:
+    """Degree-d Lyndon words in 0 < 1 < ...: those below each of their proper rotations.
+
+    By default in t12 < t13; with three letters, the block-1 words t12 < t13 < t14 of 4 strands.
+    """
+    return [w for w in _free_words(d, letters) if all(w < w[i:] + w[:i] for i in range(1, d))]
 
 
 def _standard_factors(w: tuple) -> tuple:
@@ -276,16 +305,24 @@ def _commutator(a: dict, b: dict) -> dict:
                                           ((v + u, -x * y) for u, x in a.items() for v, y in b.items())))
 
 
-def _bracketings(words: list, leaf, bracket=lambda u, v, a, b: _commutator(a, b)) -> dict:
+def _commutator_at(coords: list, u: tuple, v: tuple, a: dict, b: dict) -> dict:
+    """{z: coefficient of z in ab - ba} for z in ``coords``, with a and b of degrees |u| and |v|."""
+    i, j = len(u), len(v)
+    return accumulate({}, ((z, a.get(z[:i], 0) * b.get(z[i:], 0) - b.get(z[:j], 0) * a.get(z[j:], 0))
+                           for z in coords))
+
+
+def _bracketings(words: list, leaf, bracket=lambda u, v, a, b: _commutator(a, b), top=None) -> dict:
     """{w: image of the standard bracketing of w} for Lyndon words of one length.
 
     A letter l goes to ``leaf(l)``, and w = uv, v its smallest proper suffix,
     to bracket(u, v, u', v'), by default u'v' - v'u'; the images of shorter
-    factors are memoised.
+    factors are memoised.  ``top``, if given, brackets in place of ``bracket``
+    at the words' own length, where no image is memoised.
     """
     memo: dict = {}
 
-    def image(w):
+    def image(w, bracket=bracket):
         if len(w) == 1:
             return leaf(w[0])
         if w not in memo:
@@ -296,7 +333,7 @@ def _bracketings(words: list, leaf, bracket=lambda u, v, a, b: _commutator(a, b)
             memo[w] = out
         return memo[w]
 
-    return {w: image(w) for w in words}
+    return {w: image(w, top or bracket) for w in words}
 
 
 def _letters(images: tuple, letter=lambda g: {(g,): 1}):
@@ -310,14 +347,33 @@ def _derive(derivation: dict, terms: dict, sign: int = 1):
             for i, g in enumerate(s) if g in derivation for v, k in derivation[g].items())
 
 
-def _block1_parts(r: int, low: tuple, high: tuple, lyndon: list) -> dict:
+def _derive_at(coords: list, derivation: dict, k: int, terms: dict, sign: int = 1):
+    """(z, coefficient) pairs of the derivation, whose letter images have degree k, applied to ``terms``.
+
+    Read at each z of ``coords``: z = x y t with |y| = k collects
+    terms[x g t] * derivation[g][y] over the letters g.
+    """
+    images = list(derivation.items())
+    for z in coords:
+        total = 0
+        for i in range(len(z) - k + 1):
+            y = z[i:i + k]
+            for g, image in images:
+                c = image.get(y)
+                if c:
+                    total += c * terms.get(z[:i] + (g,) + z[i + k:], 0)
+        yield z, sign * total
+
+
+def _block1_parts(r: int, low: tuple, high: tuple, lyndon: list, coords=None) -> dict:
     """{w: block-1 part of the bracketing of w} when letter l goes to low[l] + high[l].
 
     Block i holds the chords t_ij with j > i; low[l] lies in block 1, which
     generates a free Lie ideal, and high[l] in higher blocks, which act on it by
     ad, read from the rewrite rules' brackets (``chords._reducer``).  So if u
     and v have block-1 parts a, b and higher parts p, q, [u, v] has block-1
-    part [a, b] + ad p (b) - ad q (a), and ad [p, q] = [ad p, ad q].
+    part [a, b] + ad p (b) - ad q (a), and ad [p, q] = [ad p, ad q].  With
+    ``coords``, the top-level part is read only at those words, by lookup.
     """
     rules, block1 = _reducer(r, 2), range(r - 1)
 
@@ -335,32 +391,36 @@ def _block1_parts(r: int, low: tuple, high: tuple, lyndon: list) -> dict:
         return {x: accumulate({}, itertools.chain(_derive(du, dv.get(x, {})), _derive(dv, du.get(x, {}), -1)))
                 for x in du.keys() | dv.keys()}
 
-    return _bracketings(lyndon, _letters(low), lambda u, v, a, b: accumulate(
-        _commutator(a, b), itertools.chain(_derive(ad(u), b), _derive(ad(v), a, -1))))
+    def bracket(u, v, a, b):
+        return accumulate(_commutator(a, b), itertools.chain(_derive(ad(u), b), _derive(ad(v), a, -1)))
+
+    def bracket_at(u, v, a, b):
+        return accumulate(_commutator_at(coords, u, v, a, b), itertools.chain(
+            _derive_at(coords, ad(u), len(u) + 1, b), _derive_at(coords, ad(v), len(v) + 1, a, -1)))
+
+    return _bracketings(lyndon, _letters(low), bracket, None if coords is None else bracket_at)
 
 
-def _pentagon_brackets(subs: dict, lyndon: list):
-    """(multiplicity, {w: column part}) of the pentagon substitutions, in block form.
+def _pentagon_brackets(subs: dict, lyndon: list, coords=None):
+    """(multiplicity, {w: column part}) of the pentagon substitutions: their block-1 parts.
 
-    A substitution with every image in one block brackets in the free algebra
-    on that block, whose words are normal.  A mixed one is its block-1 part
-    plus the substitution of its higher images alone, which is merged into the
-    one-block multiplicities: in the pentagon it cancels psi^{2,3,4}.
+    Sending block 1, an ideal, to zero turns the pentagon into
+    Phi^{2,3,4} = Phi^{2,3,4}, so the higher-block parts of the substitutions
+    cancel and one with no block-1 image is skipped.  One whose images all lie
+    in block 1 brackets in the free algebra on block 1, whose words are
+    normal; a mixed one is bracketed with ad of its higher images.  With
+    ``coords``, block-1 words of the columns' degree, each part is read only
+    at those words.
     """
     first = [i for i, _j in dk_generators(4)]
-    one_block, mixed = {}, {}
+    top = None if coords is None else functools.partial(_commutator_at, coords)
     for images, m in subs.items():
-        if len({first[g] for g in images[_T12] + images[_T13]}) == 1:
-            accumulate(one_block, ((images, m),))
-        else:
-            low = tuple(tuple(g for g in image if first[g] == 1) for image in images)
-            high = tuple(tuple(g for g in image if first[g] > 1) for image in images)
-            accumulate(one_block, ((high, m),))
-            mixed[low, high] = m
-    for images, m in one_block.items():
-        yield m, _bracketings(lyndon, _letters(images))
-    for (low, high), m in mixed.items():
-        yield m, _block1_parts(4, low, high, lyndon)
+        low = tuple(tuple(g for g in image if first[g] == 1) for image in images[:2])
+        high = tuple(tuple(g for g in image if first[g] > 1) for image in images[:2])
+        if not any(high):
+            yield m, _bracketings(lyndon, _letters(low), top=top)
+        elif any(low):
+            yield m, _block1_parts(4, low, high, lyndon, coords)
 
 
 def _hexagon_brackets(subs: dict, lyndon: list):
@@ -371,18 +431,26 @@ def _hexagon_brackets(subs: dict, lyndon: list):
         yield m, _bracketings(lyndon, leaf)
 
 
-def _lie_columns(lyndon: list) -> list[dict]:
+def _lie_columns(lyndon: list, coords=None) -> list[dict]:
     """Column of each Lyndon word: the constraint entries' linear part in its bracketing, in ``int``.
 
+    By default every entry of the three diagrams; with ``coords``, block-1
+    words of the columns' degree, only the pentagon's entries at those words.
     No column is rewritten to normal form: the pentagon's are bracketed in
     block form, and each hexagon's, at d >= 2 a bracket in Lie(t12, t13),
     modulo the centre t12 + t13 + t23, which is injective there.
     """
     columns: list[dict] = [{} for _ in lyndon]
     for tag, r, subs in _substitutions():
-        for m, brackets in (_pentagon_brackets if r == 4 else _hexagon_brackets)(subs, lyndon):
+        if r == 4:
+            brackets = _pentagon_brackets(subs, lyndon, coords)
+        elif coords is None:
+            brackets = _hexagon_brackets(subs, lyndon)
+        else:
+            continue
+        for m, parts in brackets:
             for col, w in zip(columns, lyndon):
-                accumulate(col, (((tag, k), m * c) for k, c in brackets[w].items()))
+                accumulate(col, (((tag, k), m * c) for k, c in parts[w].items()))
     return columns
 
 
@@ -397,15 +465,30 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
     """Homogeneous degree-d piece E_d + psi extending a solution below degree d.
 
     psi is solved for against minus the residual of Phi_{<d} + E_d; free
-    coordinates of the word system are set to zero.
+    coordinates of the word system are set to zero.  Up to degree 2 mu enters
+    only through the hexagons, so the system holds every entry of the three
+    diagrams.  From degree 3 on it holds the pentagon alone, at the block-1
+    Lyndon words in t12 < t13 < t14, which gives the same piece:
+
+    1. the residual and every column are primitive at degree d, so Lie, and a
+       Lie element is fixed by its Lyndon coefficients;
+    2. sending block 1, an ideal, to zero projects t_4 onto t_3 and turns the
+       pentagon into Phi^{2,3,4} = Phi^{2,3,4}, so its higher-block part is
+       identically zero;
+    3. for d >= 3 the pentagon-only kernel equals the full kernel (Furusho
+       2010), and the full system is consistent, so both systems have the same
+       solutions, and the kernel-reduced piece is the same.
     """
     e_d = _grouplike_part(phi_terms, d)
-    base = _residual_entries(mu, {**phi_terms, **e_d}, d)
+    tags, coords = (None, None) if d < 3 else (("pent",), _lyndon_words(d, 3))
+    base = _residual_entries(mu, {**phi_terms, **e_d}, d, tags)
     if any(tag == "grp" for tag, _key in base):
         raise ArithmeticError(f"the degree-{d} exp-log extension of the associator is not grouplike")
+    if coords:
+        base = {key: base[key] for key in (("pent", z) for z in coords) if key in base}
     lyndon = _lyndon_words(d)
     rows: dict = {}
-    for ci, col in enumerate(_lie_columns(lyndon)):
+    for ci, col in enumerate(_lie_columns(lyndon, coords)):
         for key, c in col.items():
             rows.setdefault(key, {})[ci] = c
     system = LinearSystem(len(lyndon))
@@ -429,7 +512,7 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
 
 
 #: highest degree ``solve_associator`` accepts, the solver's target degree: degree 10
-#: takes about 1 min at a 1.5 GB peak on a 2-vCPU host
+#: takes about 1 min at a 0.6 GB peak on a 2-vCPU host
 MAX_SOLVE_DEGREE = 10
 
 #: largest strand count ``phi_eval`` accepts: desk scale is <= 4 strands, and

@@ -251,10 +251,6 @@ class DKElement:
         terms = {w: c for w, c in self.terms.items() if len(w) <= degree}
         return DKElement(self.strands, degree, terms, _normalized=True)
 
-    def homogeneous_part(self, d: int) -> "DKElement":
-        terms = {w: c for w, c in self.terms.items() if len(w) == d}
-        return DKElement(self.strands, self.degree, terms, _normalized=True)
-
     def __repr__(self):
         return f"DKElement({self.strands} strands, {format_dk(self)!r})"
 

@@ -522,11 +522,17 @@ def algebra_to_json(data: AlgebraData) -> dict:
 def algebra_from_json(payload: dict) -> AlgebraData:
     import ast
 
+    literals: dict = {}
+
     def parse(s):
+        """Each distinct string is read once; only a string can be read, so only strings are stored."""
+        if isinstance(s, str) and s in literals:
+            return literals[s]
         try:
-            return ast.literal_eval(s)
+            value = literals[s] = ast.literal_eval(s)
         except (SyntaxError, ValueError, MemoryError, RecursionError):
             raise ValueError(f"cannot read {s!r} as a literal value") from None
+        return value
 
     def category(d):
         objects = [parse(o) for o in d["objects"]]

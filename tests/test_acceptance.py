@@ -59,7 +59,7 @@ from braidops.voronov import VoronovProduct
 
 import test_coherence  # noqa: F401  (shared fixtures by import side effects only)
 from test_associator import solve_associator_oneshot2
-from test_chords import rand_dk, rand_grouplike
+from test_chords import homogeneous_part, rand_dk, rand_grouplike
 from test_colored import rand_cob, rand_morphism, rand_object
 from test_mixed import assert_equal_up_to_aerial_relabel, copb_full_compose, rand_prime
 from test_parenthesized import rand_papb_morphism
@@ -370,16 +370,16 @@ def test_criterion_6_associator():
     h1, h2 = check_hexagons(a3)
     grp = grouplike_residual(a3)
     ok = pent.is_zero() and h1.is_zero() and h2.is_zero() and not grp
-    ok = ok and a3.phi.homogeneous_part(1).is_zero()
+    ok = ok and homogeneous_part(a3.phi, 1).is_zero()
     bracket = DKElement.generator(3, 3, 1, 2).mul(DKElement.generator(3, 3, 1, 3)) \
         - DKElement.generator(3, 3, 1, 3).mul(DKElement.generator(3, 3, 1, 2))
-    deg2 = a3.phi.homogeneous_part(2)
+    deg2 = homogeneous_part(a3.phi, 2)
     coef = None
     for w, c in deg2.terms.items():
         coef = c if coef is None else coef
     ok = ok and deg2 == bracket.scale(Fraction(1, 24))
     oneshot = solve_associator_oneshot2(1)
-    ok = ok and oneshot.phi.homogeneous_part(2) == deg2.truncate(2).homogeneous_part(2)
+    ok = ok and homogeneous_part(oneshot.phi, 2) == homogeneous_part(deg2.truncate(2), 2)
     elapsed = time.time() - t0
     ok = ok and elapsed < 60.0
     report(6, f"associator at degree 3: exact residual zero, degree parts, "

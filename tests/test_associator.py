@@ -45,7 +45,7 @@ from braidops.chords import (
     relabel_table,
     substitute_letters,
 )
-from braidops.exact import LinearSystem, accumulate, fraction_to_str, mul_terms, solve_exact
+from braidops.exact import LinearSystem, accumulate, fraction_to_str, insert_row, mul_terms, solve_exact
 from braidops.parenthesized import (
     GENERATOR_SHAPES,
     PaBMorphism,
@@ -57,7 +57,7 @@ from braidops.parenthesized import (
 )
 from braidops.trees import Tree, closed_labels, color, enumerate_closed_trees, mc, x
 
-from test_chords import _tensor_normalize
+from test_chords import _tensor_normalize, homogeneous_part
 from test_parenthesized import evaluate_word_oracle, rand_closed_morphism
 
 
@@ -285,8 +285,8 @@ def test_phi_eval_basics():
 def test_solver_n3():
     a = solve_associator(1, 3)
     assert associator_valid(a)
-    assert a.phi.homogeneous_part(1).is_zero()
-    deg2 = a.phi.homogeneous_part(2)
+    assert homogeneous_part(a.phi, 1).is_zero()
+    deg2 = homogeneous_part(a.phi, 2)
     bracket = t(3, 3, 1, 2).mul(t(3, 3, 1, 3)) - t(3, 3, 1, 3).mul(t(3, 3, 1, 2))
     assert deg2 == bracket.scale(Fraction(1, 24))
     assert grouplike_check(a.phi)
@@ -299,7 +299,7 @@ def test_two_solver_agreement():
     # degree-2 coefficient scales with the square of the braiding parameter
     a_mu2 = solve_associator(2, 2)
     bracket = t(3, 2, 1, 2).mul(t(3, 2, 1, 3)) - t(3, 2, 1, 3).mul(t(3, 2, 1, 2))
-    assert a_mu2.phi.homogeneous_part(2) == bracket.scale(Fraction(4, 24))
+    assert homogeneous_part(a_mu2.phi, 2) == bracket.scale(Fraction(4, 24))
 
 
 def test_word_choice_independence():
@@ -516,7 +516,7 @@ def test_solver_shapes_pinned(monkeypatch):
 
     monkeypatch.setattr(associator, "solve_exact", recording)
     solve_associator(1, 6)
-    assert shapes == [(8, 2, 0), (4, 1, 0), (18, 2, 1), (60, 3, 0), (210, 6, 1), (646, 9, 0)]
+    assert shapes == [(8, 2, 0), (4, 1, 0), (2, 2, 1), (9, 3, 0), (30, 6, 1), (89, 9, 0)]
 
 
 @pytest.mark.parametrize("mu,top", [(Fraction(1), 5), (Fraction(-1, 2), 4)])
@@ -531,10 +531,14 @@ def test_linear_columns_equal_probe_columns(mu, top):
 
 
 def test_lyndon_words_are_witt_many():
-    # Witt's formula: 2, 1, 2, 3, 6, 9, 18, 30 Lyndon words of length 1..8 in two letters
+    # Witt's formula: 2, 1, 2, 3, 6, 9, 18, 30 Lyndon words of length 1..8 in two
+    # letters, and 3, 3, 8, 18, 48, 116, 312, 810 in three
     for d, count in enumerate((2, 1, 2, 3, 6, 9, 18, 30), start=1):
         assert _lyndon_words(d) == [w for w in _free_words(d) if is_lyndon(w)]
         assert len(_lyndon_words(d)) == count
+    for d, count in enumerate((3, 3, 8, 18, 48, 116, 312, 810), start=1):
+        assert _lyndon_words(d, 3) == [w for w in itertools.product(range(3), repeat=d) if is_lyndon(w)]
+        assert len(_lyndon_words(d, 3)) == count
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -549,12 +553,86 @@ def test_lie_columns_equal_word_columns(d):
         assert combined == column
 
 
+def pentagon_at(columns: list[dict], coords: list) -> list[dict]:
+    """The pentagon entries of each column at the block-1 words ``coords``."""
+    keep = {("pent", z) for z in coords}
+    return [{key: c for key, c in col.items() if key in keep} for col in columns]
+
+
 @pytest.mark.parametrize("d", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
 def test_lie_columns_equal_normal_form_columns(d):
     # the block-form pentagon and the hexagons modulo the centre give exactly
-    # the columns of the brackets rewritten through the chord normal forms
+    # the columns of the brackets rewritten through the chord normal forms; read
+    # at the block-1 Lyndon words, the pentagon's entries there and nothing else
+    lyndon, coords = _lyndon_words(d), _lyndon_words(d, 3)
+    full = normal_form_lie_columns(lyndon)
+    assert _lie_columns(lyndon) == full
+    assert _lie_columns(lyndon, coords) == pentagon_at(full, coords)
+
+
+def reduced_kernel(columns: list[dict]) -> dict:
+    """The kernel of the columns in reduced echelon form (``exact.insert_row``)."""
+    rows: dict = {}
+    for ci, col in enumerate(columns):
+        for key, c in col.items():
+            rows.setdefault(key, {})[ci] = c
+    system = LinearSystem(len(columns))
+    for row in rows.values():
+        system.add_row(row, 0)
+    kernel: dict = {}
+    for vec in solve_exact(system).nullspace:
+        insert_row(kernel, dict(enumerate(vec)))
+    return kernel
+
+
+@pytest.mark.parametrize("d", [*range(3, 8), *(pytest.param(d, marks=pytest.mark.slow) for d in (8, 9))])
+def test_pentagon_lyndon_kernel_equals_full_kernel(d):
+    # from degree 3 on, the solver's columns, the pentagon read at the block-1
+    # Lyndon words, have the kernel of the three diagrams read at every word
+    # (Furusho 2010): grt_1 in degree d.  Both column sets equal the normal-form
+    # oracle's through degree 8 (test_lie_columns_equal_normal_form_columns)
     lyndon = _lyndon_words(d)
-    assert _lie_columns(lyndon) == normal_form_lie_columns(lyndon)
+    kernel = reduced_kernel(_lie_columns(lyndon, _lyndon_words(d, 3)))
+    assert kernel == reduced_kernel(_lie_columns(lyndon))
+    assert len(kernel) == {3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 1, 9: 1}[d]
+
+
+def all_rows_piece(mu, phi_terms: dict, d: int) -> dict:
+    """The degree-d piece solved against every entry of the three diagrams and the grouplike rows.
+
+    The right-hand side comes from the chord-morphism residual and the columns
+    from the normal-form brackets; the kernel, expanded into words, clears the
+    coefficient of each of its reduced rows' highest words.
+    """
+    e_d = _grouplike_part(phi_terms, d)
+    base = tree_residual_entries(mu, {**phi_terms, **e_d}, d)
+    lyndon = _lyndon_words(d)
+    columns = normal_form_lie_columns(lyndon)
+    system = LinearSystem(len(lyndon))
+    for key in sorted(base.keys() | {key for col in columns for key in col}, key=repr):
+        system.add_row({ci: col[key] for ci, col in enumerate(columns) if key in col}, -base.get(key, 0))
+    sol = solve_exact(system)
+    assert sol.consistent
+
+    def expand(vec) -> dict:
+        return accumulate({}, ((u, c * k) for w, c in zip(lyndon, vec) for u, k in standard_bracketing(w).items()))
+
+    piece, kernel = accumulate(dict(e_d), expand(sol.particular).items()), {}
+    for vec in sol.nullspace:
+        insert_row(kernel, expand(vec), max)
+    for top, row in kernel.items():
+        c = Fraction(piece.get(top, 0), row[top])
+        accumulate(piece, ((u, -c * k) for u, k in row.items()))
+    return piece
+
+
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(-1, 2), Fraction(3)])
+def test_solve_degree_equals_all_rows_solve(mu):
+    phi_terms = {(): Fraction(1)}
+    for d in range(1, 7):
+        piece = solve_degree(mu, phi_terms, d)
+        assert piece == all_rows_piece(mu, phi_terms, d)
+        phi_terms.update(piece)
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -715,7 +793,7 @@ def test_degree_6_and_7_outputs_pinned(monkeypatch, capsys):
         7: "83840686147ed677103cfdaa9448b7141332780d5dad7504dc0a4fb578e2d634",
     }
     degree7 = shapes[6:]
-    assert degree7[-1] == (2058, 18, 1)
+    assert degree7[-1] == (258, 18, 1)
     assert [nullity for _rows, _cols, nullity in degree7] == [0, 0, 1, 0, 1, 0, 1]
 
 
@@ -725,7 +803,7 @@ def test_degree_8_output_pinned(monkeypatch, capsys):
     # degree is dim grt_1 through degree 8
     digests, shapes = solve_outputs(monkeypatch, capsys, (8,))
     assert digests == {8: "8ac0467a3845d01734df2ac00a3930beb6c09f5f793f2670654d87430299d5e8"}
-    assert shapes[-1] == (6240, 30, 1)
+    assert shapes[-1] == (720, 30, 1)
     assert [nullity for _rows, _cols, nullity in shapes] == [0, 0, 1, 0, 1, 0, 1, 1]
 
 
@@ -735,7 +813,7 @@ def test_degree_9_output_pinned(monkeypatch, capsys):
     # closing re-check; nullity per degree is dim grt_1 through degree 9
     digests, shapes = solve_outputs(monkeypatch, capsys, (9,))
     assert digests == {9: "5bf6a826d06ecb755be6c4b9a40aa02ce464ed8b58d572a9784c556b5603c1f3"}
-    assert shapes[-1] == (19170, 56, 1)
+    assert shapes[-1] == (2016, 56, 1)
     assert [nullity for _rows, _cols, nullity in shapes] == [0, 0, 1, 0, 1, 0, 1, 1, 1]
 
 
@@ -745,14 +823,15 @@ def test_degree_10_output_pinned(monkeypatch, capsys):
     # passed the closing re-check; nullity per degree is dim grt_1 through degree 10
     digests, shapes = solve_outputs(monkeypatch, capsys, (10,))
     assert digests == {10: "8c4faf8965a9d9df1fb8bf82e37d60554f0a24e78d473e41c502a888016a3348"}
-    assert shapes[-1] == (57814, 99, 1)
+    assert shapes[-1] == (5583, 99, 1)
     assert [nullity for _rows, _cols, nullity in shapes] == [0, 0, 1, 0, 1, 0, 1, 1, 1, 1]
 
 
 @pytest.mark.slow
 def test_degree_9_peak_memory():
-    # the constraint products keep no normal-form memo of 4-strand words: a
-    # degree-9 solve peaks near 240 MB, where the memo took it to 877 MB.  The
+    # the constraint products keep no normal-form memo of 4-strand words, and
+    # the columns are read at Lyndon words only: a degree-9 solve peaks near
+    # 110 MB, where the memo took it to 877 MB and the full columns to 240 MB.  The
     # solve runs under a small launcher, since a child's ru_maxrss starts from
     # the peak of the process that starts it, here the test run itself
     import subprocess

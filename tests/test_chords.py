@@ -42,6 +42,11 @@ def comm(a, b):
     return a.mul(b) - b.mul(a)
 
 
+def homogeneous_part(e: DKElement, d: int) -> DKElement:
+    """The degree-d words of e, at e's truncation degree."""
+    return DKElement(e.strands, e.degree, {w: c for w, c in e.terms.items() if len(w) == d}, _normalized=True)
+
+
 def rand_dk(rng, r, degree, nterms=4):
     out = DKElement.zero(r, degree)
     g = dk_generators(r)

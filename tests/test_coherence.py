@@ -478,3 +478,20 @@ def test_every_single_component_tamper_reports_as_the_oracle():
     reports = [v for v in verdicts if isinstance(v, CoherenceReport)]
     # a sign flip keeps the typing, and every one but p at (1, 1) fails a family
     assert len(reports) == 28 and sum(not r.passed for r in reports) == 27
+
+
+def test_json_reads_each_distinct_literal_once(monkeypatch):
+    # the z2-graded payload holds 232 literal strings, 6 of them distinct; the
+    # first unreadable string is still the one the error names
+    import ast
+
+    read = []
+    literal_eval = ast.literal_eval
+    monkeypatch.setattr(ast, "literal_eval", lambda s: read.append(s) or literal_eval(s))
+    payload = algebra_to_json(build_z2_graded())
+    assert check_coherence(algebra_from_json(payload)).passed
+    assert sorted(read) == sorted(set(read)) and len(read) == 6
+    payload["M"]["objects"][1] = "("
+    payload["psi"][0][1] = ")"
+    with pytest.raises(ValueError, match=r"^cannot read '\(' as a literal value$"):
+        algebra_from_json(payload)
