@@ -269,7 +269,7 @@ def _constraints(assoc: Associator, degree: int | None = None, tags=None) -> dic
 
 
 def _residual_entries(mu: Fraction, phi_terms: dict, d: int, tags=None) -> dict:
-    """The entries of the diagrams in ``tags`` (all by default) and the grouplike entries at truncation d, in one dict."""
+    """The entries of the diagrams in ``tags`` (all by default) and the grouplike entries at truncation d."""
     assoc = Associator(mu, d, DKElement(3, d, phi_terms))
     entries = {(tag, w): c for tag, diff in _constraints(assoc, d, tags).items() for w, c in diff.terms.items()}
     entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
