@@ -1,12 +1,14 @@
 """Associator series: solving, verification, and evaluation into parenthesized chords.
 
 An associator is a pair (mu, Phi) with Phi a grouplike 3-strand chord series
-written in the chords t12, t13.  It determines an evaluation of the closed
-braid component into chord series sending the elementary braiding to
+written in the chords t12, t13; its degree is Phi's truncation degree, where
+the checks truncate.  It determines an evaluation of the closed braid
+component into chord series sending the elementary braiding to
 exp(mu t12 / 2) and the reparenthesization to Phi.  The pentagon and hexagon
 constraints are not hard-coded: they are generated by pushing the shared
 coherence diagrams through this evaluation, which keeps all conventions
-aligned with the braid-side checks.
+aligned with the braid-side checks; the grouplike condition is
+``chords.grouplike_check``.
 
 ``ProductAlgebra`` is the one evaluator of closed generator words: it turns a
 word into a product of letter-substituted generators.  Each diagram path is
@@ -79,14 +81,13 @@ from .chords import (
     _product,
     _reducer,
     check_dimension,
-    dk_coproduct,
     dk_generators,
     dk_terms_from_json,
     dk_terms_to_json,
     grouplike_check,
+    grouplike_residual,
     insert_tables,
     relabel_table,
-    tensor_square,
 )
 from .diagrams import family_words
 from .exact import (
@@ -112,8 +113,11 @@ _T13 = 1
 
 class Associator(Record):
     mu: Fraction
-    degree: int
     phi: DKElement  # normal form, 3 strands
+
+    @property
+    def degree(self) -> int:
+        return self.phi.degree
 
     def __post_init__(self):
         self.mu = Fraction(self.mu)
@@ -207,21 +211,15 @@ def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> 
     return PaCDMorphism(mor.src, mor.tgt, element)
 
 
-def check_pentagon(assoc: Associator, degree: int | None = None) -> DKElement:
+def check_pentagon(assoc: Associator) -> DKElement:
     """Difference of the two pentagon paths in the 4-strand algebra."""
-    return _constraints(assoc, degree, ("pent",))["pent"]
+    return _constraints(assoc, ("pent",))["pent"]
 
 
-def check_hexagons(assoc: Associator, degree: int | None = None) -> tuple[DKElement, DKElement]:
+def check_hexagons(assoc: Associator) -> tuple[DKElement, DKElement]:
     """Differences of the two hexagon path pairs in the 3-strand algebra."""
-    hexagons = _constraints(assoc, degree, ("hex1", "hex2"))
+    hexagons = _constraints(assoc, ("hex1", "hex2"))
     return hexagons["hex1"], hexagons["hex2"]
-
-
-def grouplike_residual(assoc: Associator, degree: int | None = None) -> dict:
-    phi = assoc.phi.truncate(degree if degree is not None else assoc.degree)
-    square = tensor_square(phi, phi)
-    return accumulate(dk_coproduct(phi), ((k, -c) for k, c in square.items()))
 
 
 def associator_valid(assoc: Associator) -> bool:
@@ -252,12 +250,12 @@ def _products() -> tuple:
                  for tag, (wl, wr, _s, _e) in _diagrams())
 
 
-def _constraints(assoc: Associator, degree: int | None = None, tags=None) -> dict:
-    """{tag: left minus right path} of the diagrams in ``tags`` (all by default) at truncation ``degree``.
+def _constraints(assoc: Associator, tags=None) -> dict:
+    """{tag: left minus right path} of the diagrams in ``tags`` (all by default) at the associator's degree.
 
     Only the difference of the two paths is divided, by the product of their denominators.
     """
-    d = assoc.degree if degree is None else degree
+    d = assoc.degree
     products = [p for p in _products() if tags is None or p[0] in tags]
     gens = _generators(assoc, d, [f for _tag, _r, left, right in products for f in left + right])
     out = {}
@@ -270,9 +268,9 @@ def _constraints(assoc: Associator, degree: int | None = None, tags=None) -> dic
 
 def _residual_entries(mu: Fraction, phi_terms: dict, d: int, tags=None) -> dict:
     """The entries of the diagrams in ``tags`` (all by default) and the grouplike entries at truncation d."""
-    assoc = Associator(mu, d, DKElement(3, d, phi_terms))
-    entries = {(tag, w): c for tag, diff in _constraints(assoc, d, tags).items() for w, c in diff.terms.items()}
-    entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
+    assoc = Associator(mu, DKElement(3, d, phi_terms))
+    entries = {(tag, w): c for tag, diff in _constraints(assoc, tags).items() for w, c in diff.terms.items()}
+    entries.update((("grp", key), c) for key, c in grouplike_residual(assoc.phi).items())
     return entries
 
 
@@ -534,7 +532,7 @@ def solve_associator(mu, degree: int) -> Associator:
     phi_terms: dict = {(): Fraction(1)}
     for d in range(1, degree + 1):
         phi_terms.update(solve_degree(mu, phi_terms, d))
-    out = Associator(mu, degree, DKElement(3, degree, phi_terms))
+    out = Associator(mu, DKElement(3, degree, phi_terms))
     if not associator_valid(out):
         raise ArithmeticError("solver output failed re-verification")
     return out
@@ -554,4 +552,4 @@ def associator_from_json(data: dict) -> Associator:
     if "strands" in data["phi"] and int_from_json(data["phi"]["strands"], "strands") != 3:
         raise ValueError(f"associator on {data['phi']['strands']} strands, not 3")
     phi = DKElement(3, degree, dk_terms_from_json(3, data["phi"]["terms"]))
-    return Associator(fraction_from_str(data["mu"]), degree, phi)
+    return Associator(fraction_from_str(data["mu"]), phi)

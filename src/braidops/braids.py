@@ -83,10 +83,8 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord._unchecked(self.strands, tuple(-l for l in reversed(self.letters)))
 
-    def shift(self, k: int, strands: int | None = None) -> "BraidWord":
-        """Embed into a larger braid group, moving all positions up by k."""
-        if strands is None:
-            strands = self.strands + k
+    def shift(self, k: int, strands: int) -> "BraidWord":
+        """Embed into the braid group on ``strands`` strands, moving all positions up by k."""
         assert strands >= self.strands + k
         return BraidWord(strands, tuple(l + k if l > 0 else l - k for l in self.letters))
 

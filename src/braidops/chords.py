@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 
 from .exact import accumulate, fraction_from_str, fraction_to_str, int_from_json
-from .trees import Tree, closed_labels, color, relabel_tree
+from .trees import Tree, closed_labels, color, graft_closed, relabel_tree
 
 
 def dk_generators(r: int) -> list[tuple[int, int]]:
@@ -379,17 +379,19 @@ def _splits(w: tuple[int, ...]):
         yield (tuple(l for l, b in zip(w, bits) if not b), tuple(l for l, b in zip(w, bits) if b))
 
 
-def tensor_square(g: DKElement, h: DKElement) -> dict:
-    """g (x) h truncated at total degree; each factor is a normal word."""
-    assert g.strands == h.strands and g.degree == h.degree
+def tensor_square(g: DKElement) -> dict:
+    """g (x) g truncated at total degree; each factor is a normal word."""
     return {(w1, w2): c1 * c2 for w1, c1 in g.terms.items()
-            for w2, c2 in h.terms.items() if len(w1) + len(w2) <= g.degree}
+            for w2, c2 in g.terms.items() if len(w1) + len(w2) <= g.degree}
+
+
+def grouplike_residual(g: DKElement) -> dict:
+    """The coproduct of g minus g (x) g, truncated at total degree."""
+    return accumulate(dk_coproduct(g), ((k, -c) for k, c in tensor_square(g).items()))
 
 
 def grouplike_check(g: DKElement) -> bool:
-    if g.constant_term() != 1:
-        return False
-    return dk_coproduct(g) == tensor_square(g, g)
+    return g.constant_term() == 1 and not grouplike_residual(g)
 
 
 # -- parenthesized chord morphisms --------------------------------------------------
@@ -432,8 +434,6 @@ class PaCDMorphism:
 
 
 def pacd_insert(outer: PaCDMorphism, i: int, inner: PaCDMorphism) -> PaCDMorphism:
-    from .trees import graft_closed
-
     return PaCDMorphism(graft_closed(outer.src, i, inner.src),
                         graft_closed(outer.tgt, i, inner.tgt),
                         dk_insert(outer.element, i, inner.element))

@@ -29,7 +29,6 @@ from .associator import (
     associator_to_json,
     check_hexagons,
     check_pentagon,
-    grouplike_residual,
     phi_eval,
     solve_associator,
 )
@@ -275,7 +274,7 @@ def cmd_assoc_check(args) -> int:
     assoc = associator_from_json(_read_json(args))
     pent = check_pentagon(assoc)
     h1, h2 = check_hexagons(assoc)
-    grp = grouplike_residual(assoc)
+    grp = chords.grouplike_residual(assoc.phi)
     ok = pent.is_zero() and h1.is_zero() and h2.is_zero() and not grp
     if args.json:
         print(json.dumps({"pentagon": format_dk(pent), "hexagon1": format_dk(h1),
@@ -335,7 +334,6 @@ def cmd_mixed_apply_phi(args) -> int:
 
 
 def cmd_voronov_check(args) -> int:
-    from .chords import grouplike_check
     from .voronov import MAX_CHECK_COUNT, VoronovProduct
 
     if args.count < 0:
@@ -356,7 +354,7 @@ def cmd_voronov_check(args) -> int:
             failures += 1
         if vp.insert_closed(e, 1, vp.identity_closed()) != e:
             failures += 1
-        if not grouplike_check(vp.insert_open(e, 1, e).p_part):
+        if not chords.grouplike_check(vp.insert_open(e, 1, e).p_part):
             failures += 1
     _emit(args, {"failures": failures, "instances": args.count},
           f"voronov axiom suite: {args.count} instances, {failures} failures")

@@ -247,8 +247,7 @@ def _compile(data: AlgebraData, tree: Tree, objects: bool):
 class NatTransTable:
     """Natural transformation between tree functors, as a component table."""
 
-    def __init__(self, data: AlgebraData, src_tree: Tree, tgt_tree: Tree, components: dict):
-        self.data = data
+    def __init__(self, src_tree: Tree, tgt_tree: Tree, components: dict):
         self.src_tree = src_tree
         self.tgt_tree = tgt_tree
         self.components = components  # (oargs tuple, cargs tuple) -> morphism
@@ -284,7 +283,7 @@ class FinCatAlgebra:
         n, m = arity(src_tree)
         args = itertools.product(itertools.product(self.data.n_cat.objects, repeat=n),
                                  itertools.product(self.data.m_cat.objects, repeat=m))
-        return NatTransTable(self.data, src_tree, tgt_tree, {key: fn(*key) for key in args})
+        return NatTransTable(src_tree, tgt_tree, {key: fn(*key) for key in args})
 
     def generator(self, name: str) -> NatTransTable:
         src, tgt, _ = GENERATOR_SHAPES[name]
@@ -368,7 +367,6 @@ class CoherenceReport(Record):
     passed: bool
     families: dict           # name -> list of failing (instance, tuple)
     instances_checked: dict
-    _defaults = {"families": dict, "instances_checked": dict}
 
     def failing_families(self):
         return sorted(name for name, fails in self.families.items() if fails)
@@ -379,7 +377,7 @@ def check_coherence(data: AlgebraData, strict_units: bool = False) -> CoherenceR
     if strict_units:
         data.check_strict_units()
     algebra, memo = FinCatAlgebra(data), {}
-    report = CoherenceReport(passed=True)
+    report = CoherenceReport(True, {}, {})
     for name, pairs in family_word_pairs().items():
         failures = []
         checked = 0
@@ -437,9 +435,7 @@ def build_z2_discrete() -> AlgebraData:
 
 def build_s3_discrete() -> AlgebraData:
     """Nonabelian discrete example; validation must reject the braiding's typing."""
-    import itertools as it
-
-    elements = list(it.permutations((1, 2, 3)))
+    elements = list(itertools.permutations((1, 2, 3)))
 
     def op(a, b):  # a after b
         return tuple(a[b[i] - 1] for i in range(3))

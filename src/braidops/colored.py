@@ -26,7 +26,7 @@ Insertion conventions (validated by the operad-axiom suite, not assumed):
 
 from __future__ import annotations
 
-from .braids import BraidWord, braids_equal, delete_strand, splice, weave
+from .braids import BraidWord, braid_from_json, braid_to_json, braids_equal, delete_strand, splice, weave
 from .trees import Record, ShuffleObject
 
 
@@ -259,15 +259,11 @@ def shuffle_object_from_json(data: dict) -> ShuffleObject:
 
 
 def copb_to_json(mor: CoPBMorphism) -> dict:
-    from .braids import braid_to_json
-
     return {"src": shuffle_object_to_json(mor.src), "tgt": shuffle_object_to_json(mor.tgt),
             "braid": braid_to_json(mor.braid)}
 
 
 def copb_from_json(data: dict) -> CoPBMorphism:
-    from .braids import braid_from_json
-
     return CoPBMorphism(shuffle_object_from_json(data["src"]),
                         shuffle_object_from_json(data["tgt"]),
                         braid_from_json(data["braid"]))

@@ -156,31 +156,29 @@ def _power_sum(x: NCSeries, degree: int, coef) -> NCSeries:
     return out
 
 
-def _minus_one(g: NCSeries, degree: int, name: str) -> NCSeries:
-    """g - 1 truncated, for g with constant term 1."""
+def _minus_one(g: NCSeries, name: str) -> NCSeries:
+    """g - 1, for g with constant term 1."""
     if g.constant_term() != 1:
         raise ValueError(f"{name} expects constant term 1")
-    return NCSeries(g.alphabet, degree, {w: c for w, c in g.terms.items() if w != ()})
+    return NCSeries(g.alphabet, g.degree, {w: c for w, c in g.terms.items() if w != ()})
 
 
-def series_exp(x: NCSeries, degree: int | None = None) -> NCSeries:
+def series_exp(x: NCSeries) -> NCSeries:
     """exp(x) truncated; requires zero constant term."""
     if x.constant_term() != 0:
         raise ValueError("series_exp requires zero constant term")
-    return _power_sum(x, x.degree if degree is None else degree, lambda k: Fraction(1, math.factorial(k)))
+    return _power_sum(x, x.degree, lambda k: Fraction(1, math.factorial(k)))
 
 
-def series_log(g: NCSeries, degree: int | None = None) -> NCSeries:
+def series_log(g: NCSeries) -> NCSeries:
     """log(g) truncated, for g with constant term 1: sum_{k>0} (-1)^(k+1) (g - 1)^k / k."""
-    degree = g.degree if degree is None else degree
-    return _power_sum(_minus_one(g, degree, "series_log"), degree,
+    return _power_sum(_minus_one(g, "series_log"), g.degree,
                       lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
-def series_inverse(g: NCSeries, degree: int | None = None) -> NCSeries:
+def series_inverse(g: NCSeries) -> NCSeries:
     """Inverse of a series with constant term 1: the geometric series sum_k (1 - g)^k."""
-    degree = g.degree if degree is None else degree
-    return _power_sum(-_minus_one(g, degree, "series_inverse"), degree, lambda k: 1)
+    return _power_sum(-_minus_one(g, "series_inverse"), g.degree, lambda k: 1)
 
 
 # -- exact linear algebra ---------------------------------------------------
@@ -315,8 +313,12 @@ def fraction_from_str(s: str | int) -> Fraction:
     """The one parser of JSON scalars: a string such as "-3/4", or an integer.
 
     A JSON float is refused, since it is not the rational that was written, and
-    so is a zero denominator.
+    so is a zero denominator.  So is an exponent: ``Fraction("1e999999999")``
+    builds a power of ten with a billion digits, which no limit on ``int``
+    digits catches.
     """
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise ValueError(f"a rational must not have an exponent, got {s!r}")
     if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
         try:
             return Fraction(s)

@@ -195,9 +195,9 @@ def compose_prime(outer: PaPBPrimeElement, inners: list[PaPBPrimeElement]) -> Pa
 # -- the chord-diagram variant -----------------------------------------------------
 
 
-def apply_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -> PaPBPrimeElement:
+def apply_phi(assoc: Associator, e: PaPBPrimeElement) -> PaPBPrimeElement:
     """Push the braid carrier through the associator evaluation, componentwise."""
-    return PaPBPrimeElement(e.u_src, e.u_tgt, phi_eval(assoc, e.x, degree), e.mu_src, e.mu_tgt)
+    return PaPBPrimeElement(e.u_src, e.u_tgt, phi_eval(assoc, e.x), e.mu_src, e.mu_tgt)
 
 
 def _dk_embed(e: DKElement, offset: int, total: int) -> DKElement:
@@ -207,10 +207,10 @@ def _dk_embed(e: DKElement, offset: int, total: int) -> DKElement:
     return DKElement(total, e.degree, substitute_letters(e.terms, table), _normalized=True)
 
 
-def rho_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -> ShiftedElement:
-    """Chord-series payload: corridor conjugators pass through the associator."""
+def rho_phi(assoc: Associator, e: PaPBPrimeElement) -> ShiftedElement:
+    """Chord-series payload at the carrier's degree: corridor conjugators pass through the associator."""
     n, m = e.narity()
-    N = degree if degree is not None else e.x.element.degree
+    N = e.x.element.degree
     flags, tgt_flags = _terrestrial_flags(e.mu_src), _terrestrial_flags(e.mu_tgt)
     T, A = leaf_ends(e.mu_src)
 
@@ -241,7 +241,7 @@ def rho_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -
         u_series = phi_eval(assoc, iota_u, N).element
     else:
         u_series = DKElement.one(0, N)
-    middle_elem = _dk_embed(u_series, 0, n + m).mul(_dk_embed(e.x.element.truncate(N), n, n + m))
+    middle_elem = _dk_embed(u_series, 0, n + m).mul(_dk_embed(e.x.element, n, n + m))
     middle_elem = dk_relabel(middle_elem, fold_map) if n + m else middle_elem
     middle = PaCDMorphism(concat_src, concat_tgt, middle_elem)
 
@@ -251,8 +251,8 @@ def rho_phi(assoc: Associator, e: PaPBPrimeElement, degree: int | None = None) -
     return ShiftedElement(n, m, payload)
 
 
-def compose_papcd(assoc: Associator, outer: PaPBPrimeElement, inners: list[PaPBPrimeElement],
-                  degree: int | None = None) -> PaPBPrimeElement:
+def compose_papcd(assoc: Associator, outer: PaPBPrimeElement,
+                  inners: list[PaPBPrimeElement]) -> PaPBPrimeElement:
     """Operadic composition of split-form elements with chord-series carriers."""
-    return _compose(outer, inners, rho_phi(assoc, outer, degree).payload, pacd_insert, pacd_relabel)
+    return _compose(outer, inners, rho_phi(assoc, outer).payload, pacd_insert, pacd_relabel)
 

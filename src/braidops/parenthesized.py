@@ -191,11 +191,10 @@ def w_rl(w: Word, open_map: dict | None, closed_map: dict | None) -> Word:
     return ("rl", w, *(None if m is None else tuple(sorted(m.items())) for m in (open_map, closed_map)))
 
 
-def w_path(steps: list[Word], fallback_tree: Tree | None = None) -> Word:
-    """Compose a list of words given in application order."""
+def w_path(steps: list[Word], tree: Tree) -> Word:
+    """Compose a list of words given in application order; no steps is the identity of ``tree``."""
     if not steps:
-        assert fallback_tree is not None, "empty path needs an identity object"
-        return w_id(fallback_tree)
+        return w_id(tree)
     out = steps[0]
     for step in steps[1:]:
         out = w_comp(step, out)

@@ -41,15 +41,14 @@ class Record:
 
     The fields are the subclass's own annotations, in order, or its base's
     fields when it declares none; an instance's dictionary holds exactly its
-    fields.  Construction is positional or by keyword, then runs
-    ``__post_init__``; a field missing from the call takes
-    ``_defaults[name]()``.  ``repr`` has the dataclass format and ``==``
-    compares the fields of two instances of one class.  A ``frozen=True``
-    subclass refuses assignment and hashes its fields; any other is unhashable.
+    fields.  Construction is positional or by keyword and sets every field,
+    with no defaults, then runs ``__post_init__``.  ``repr`` has the dataclass
+    format and ``==`` compares the fields of two instances of one class.  A
+    ``frozen=True`` subclass refuses assignment and hashes its fields; any
+    other is unhashable.
     """
 
     _fields = ()
-    _defaults = {}
 
     def __init_subclass__(cls, frozen: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -66,13 +65,11 @@ class Record:
         self.__post_init__()
 
     def _arguments(self, args: tuple, kwargs: dict) -> list:
-        """Every field's value, in order, from a call with keywords or defaults."""
+        """Every field's value, in order, from a call with keywords."""
         rest = self._fields[len(args):]
-        if (len(args) > len(self._fields) or not kwargs.keys() <= set(rest)
-                or any(name not in kwargs and name not in self._defaults for name in rest)):
+        if len(args) > len(self._fields) or kwargs.keys() != set(rest):
             raise TypeError(f"{type(self).__name__}{self._fields} called with {args}, {kwargs}")
-        return [*args, *(kwargs[name] if name in kwargs else self._defaults[name]()
-                         for name in rest)]
+        return [*args, *(kwargs[name] for name in rest)]
 
     def __post_init__(self):
         pass
@@ -505,9 +502,9 @@ def enumerate_trees(n: int, m: int, with_units: bool = False) -> list[Tree]:
     return _trees("o", frozenset(range(1, n + 1)), frozenset(range(1, m + 1)), {})
 
 
-def enumerate_closed_trees(m: int, with_units: bool = False) -> list[Tree]:
+def enumerate_closed_trees(m: int) -> list[Tree]:
     if m == 0:
-        return [UNIT_C] if with_units else []
+        return []
     return _trees("c", frozenset(), frozenset(range(1, m + 1)), {})
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from braidops.associator import (
     check_hexagons,
     check_pentagon,
-    grouplike_residual,
     phi_eval,
     solve_associator,
 )
@@ -26,6 +25,7 @@ from braidops.chords import (
     dk_insert,
     dk_relabel,
     grouplike_check,
+    grouplike_residual,
 )
 from braidops.coherence import (
     CoherenceTypeError,
@@ -368,7 +368,7 @@ def test_criterion_6_associator():
     a3 = solve_associator(1, 3)
     pent = check_pentagon(a3)
     h1, h2 = check_hexagons(a3)
-    grp = grouplike_residual(a3)
+    grp = grouplike_residual(a3.phi)
     ok = pent.is_zero() and h1.is_zero() and h2.is_zero() and not grp
     ok = ok and homogeneous_part(a3.phi, 1).is_zero()
     bracket = DKElement.generator(3, 3, 1, 2).mul(DKElement.generator(3, 3, 1, 3)) \

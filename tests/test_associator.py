@@ -25,7 +25,6 @@ from braidops.associator import (
     associator_valid,
     check_hexagons,
     check_pentagon,
-    grouplike_residual,
     phi_eval,
     solve_associator,
     solve_degree,
@@ -39,6 +38,7 @@ from braidops.chords import (
     dk_insert,
     dk_to_json,
     grouplike_check,
+    grouplike_residual,
     insert_tables,
     pacd_insert,
     pacd_relabel,
@@ -104,10 +104,10 @@ def tree_differences(assoc: Associator) -> dict:
 
 def tree_residual_entries(mu, phi_terms: dict, d: int) -> dict:
     """All constraint entries at truncation d through ``CDAlgebra``, keyed like ``_residual_entries``."""
-    assoc = Associator(mu, d, DKElement(3, d, phi_terms))
+    assoc = Associator(mu, DKElement(3, d, phi_terms))
     entries = {(tag, w): c for tag, diff in tree_differences(assoc).items()
                for w, c in diff.terms.items()}
-    entries.update((("grp", key), c) for key, c in grouplike_residual(assoc).items())
+    entries.update((("grp", key), c) for key, c in grouplike_residual(assoc.phi).items())
     return entries
 
 
@@ -235,7 +235,7 @@ def solve_associator_oneshot2(mu) -> Associator:
     sol = solve_exact(system)
     assert sol.consistent, "degree-2 one-shot system inconsistent"
     phi_terms.update((w, c) for w, c in zip(basis, sol.particular) if c != 0)
-    out = Associator(mu, 2, DKElement(3, 2, phi_terms))
+    out = Associator(mu, DKElement(3, 2, phi_terms))
     assert associator_valid(out), "one-shot candidate failed exact verification"
     return out
 
@@ -252,15 +252,15 @@ def phi_in_t12_t23(assoc: Associator) -> DKElement:
 
 
 def test_trivial_associator():
-    triv = Associator(0, 3, DKElement.one(3, 3))
+    triv = Associator(0, DKElement.one(3, 3))
     assert check_pentagon(triv).is_zero()
     h1, h2 = check_hexagons(triv)
     assert h1.is_zero() and h2.is_zero()
-    assert not grouplike_residual(triv)
+    assert not grouplike_residual(triv.phi)
 
 
 def test_naive_phi_fails_hexagon():
-    naive = Associator(1, 2, DKElement.one(3, 2))
+    naive = Associator(1, DKElement.one(3, 2))
     h1, h2 = check_hexagons(naive)
     assert not (h1.is_zero() and h2.is_zero())
 
@@ -379,7 +379,7 @@ def test_phi_written_with_t23_words_acts_as_its_normal_form(monkeypatch, capsys,
     assert raw != normal and (normal["phi"]["terms"] == solved["phi"]["terms"]) == valid
     a, b = associator_from_json(raw), associator_from_json(normal)
     assert check_pentagon(a) == check_pentagon(b) and check_hexagons(a) == check_hexagons(b)
-    assert grouplike_residual(a) == grouplike_residual(b)
+    assert grouplike_residual(a.phi) == grouplike_residual(b.phi)
     assert associator_valid(a) == valid
 
     morphism = {"src": "mc(mc(x1,x2),x3)", "tgt": "mc(x2,mc(x1,x3))",
@@ -708,7 +708,7 @@ def test_product_evaluation_equals_tree_evaluation(mu):
     for d in range(2, 6):
         phi_terms = random_phi(rng, d)
         phi = DKElement(3, d, phi_terms)
-        assoc = Associator(mu, d, phi)
+        assoc = Associator(mu, phi)
         tree = tree_differences(assoc)
         assert not tree["pent"].is_zero() and not tree["hex1"].is_zero()
         assert check_pentagon(assoc) == tree["pent"]
@@ -753,7 +753,7 @@ def test_product_algebra_equals_tree_algebra_on_random_words(monkeypatch):
     for _ in range(12):
         d = rng.randint(2, 3)
         phi = DKElement(3, d, random_phi(rng, d))
-        assoc = Associator(Fraction(rng.randint(-3, 3), 2), d, phi)
+        assoc = Associator(Fraction(rng.randint(-3, 3), 2), phi)
         word = rand_closed_word(rng, 4)
         if rng.random() < 0.5:
             word = ("inv", pab_to_word(rand_closed_morphism(rng, rng.randint(3, 4), max_len=4)))

@@ -25,6 +25,7 @@ from braidops.chords import (
     dk_to_json,
     format_dk,
     grouplike_check,
+    grouplike_residual,
     left_multiply,
     pacd_insert,
     substitute_letters,
@@ -405,6 +406,23 @@ def test_coproduct_grouplike():
     assert grouplike_check(e)
     bad = DKElement.one(3, 2) + t(3, 2, 1, 2)
     assert not grouplike_check(bad)
+
+
+def test_grouplike_check_agrees_with_the_residual():
+    # on a nonzero element the residual alone sees a constant term c other than 1:
+    # its entry at ((), ()) is c - c^2, and at c = 0 a lowest word w splits off as w (x) 1
+    rng = random.Random(36)
+    for _ in range(12):
+        r = rng.randint(2, 3)
+        g, one = rand_grouplike(rng, r, 3), DKElement.one(r, 3)
+        bump = homogeneous_part(rand_dk(rng, r, 3), 3)
+        for e in (g, g + bump, g - one, g + one, g.scale(2), rand_dk(rng, r, 3)):
+            if e.is_zero():
+                continue
+            assert grouplike_check(e) == (not grouplike_residual(e))
+            assert grouplike_check(e) == (e.constant_term() == 1 and dk_coproduct(e) == tensor_square(e))
+        assert grouplike_check(g) and (bump.is_zero() or not grouplike_check(g + bump))
+    assert grouplike_check(DKElement.zero(2, 3)) is False and not grouplike_residual(DKElement.zero(2, 3))
 
 
 def test_grouplike_closure():

@@ -344,6 +344,10 @@ BAD_CHORD_JSON = [
         {"coef": "1", "word": []}]}}, "associator on 4 strands, not 3"),
     (["assoc", "check"], {"mu": "1", "degree": 1, "phi": {"strands": 3.0, "degree": 1, "terms": [
         {"coef": "1", "word": []}]}}, "strands must be an integer, got float"),
+    # an exponent would build a power of ten with a billion digits
+    (["assoc", "solve", "--mu", "1e999999999", "--degree", "1"], {}, "exponent, got '1e999999999'"),
+    (["cd", "normalize"], {"strands": 2, "degree": 1,
+                           "terms": [{"coef": "1E999999999", "word": [[1, 2]]}]}, "exponent, got '1E999999999'"),
 ]
 
 
@@ -361,6 +365,15 @@ def test_bad_chord_json_under_optimize(argv, data, message):
     out = run_optimized(argv, json.dumps(data))
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("error:") and message in out.stderr
+
+
+def test_exponents_refused_at_once(capsys, monkeypatch):
+    for argv, data, _message in BAD_CHORD_JSON[-2:]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0, argv
+    assert capsys.readouterr().err.count("must not have an exponent") == 2
 
 
 def test_papb_selftest_json(capsys):

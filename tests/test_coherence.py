@@ -278,7 +278,7 @@ class TableAlgebra:
         for oargs, cargs in itertools.product(itertools.product(self.data.n_cat.objects, repeat=n),
                                               itertools.product(self.data.m_cat.objects, repeat=m)):
             comps[(oargs, cargs)] = fn(oargs, cargs)
-        return NatTransTable(self.data, src_tree, tgt_tree, comps)
+        return NatTransTable(src_tree, tgt_tree, comps)
 
     def generator(self, name: str) -> NatTransTable:
         src, tgt, _ = GENERATOR_SHAPES[name]
@@ -395,7 +395,7 @@ def oracle_check(data: AlgebraData) -> CoherenceReport:
     """``check_coherence`` through ``oracle_validate``, ``TableAlgebra`` and the recursive evaluator."""
     oracle_validate(data)
     algebra = TableAlgebra(data)
-    report = CoherenceReport(passed=True)
+    report = CoherenceReport(True, {}, {})
     for name, pairs in family_word_pairs().items():
         left_right = [(evaluate_word_oracle(wl, algebra), evaluate_word_oracle(wr, algebra))
                       for wl, wr, _, _ in pairs]

@@ -323,3 +323,6 @@ def test_fraction_from_str_takes_strings_and_integers():
             fraction_from_str(bad)
     with pytest.raises(ValueError):
         fraction_from_str("0.1.2")
+    for bad in ("1e999999999", "-2E3", "1/1e5"):
+        with pytest.raises(ValueError, match=f"exponent, got '{bad}'"):
+            fraction_from_str(bad)

@@ -113,14 +113,16 @@ def test_frozen_record():
 
 
 def test_mutable_records():
-    report = CoherenceReport(True)
+    report = CoherenceReport(True, {}, {})
     assert repr(report) == "CoherenceReport(passed=True, families={}, instances_checked={})"
-    assert report.families is not CoherenceReport(True).families
     assert report == CoherenceReport(passed=True, families={}, instances_checked={})
     report.passed = False
-    assert report != CoherenceReport(True)
-    assoc = Associator(1, 1, DKElement.one(3, 1))
+    assert report != CoherenceReport(True, {}, {})
+    with pytest.raises(TypeError):              # every field is set: there are no defaults
+        CoherenceReport(True)
+    assoc = Associator(1, DKElement.one(3, 1))
     assert assoc.mu == Fraction(1) and type(assoc.mu) is Fraction     # __post_init__
+    assert assoc.degree == 1 and repr(assoc).startswith("Associator(mu=Fraction(1, 1), phi=")
     for record in (report, assoc):
         with pytest.raises(TypeError):
             hash(record)
