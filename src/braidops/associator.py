@@ -87,7 +87,7 @@ from .chords import (
     grouplike_check,
     grouplike_residual,
     insert_tables,
-    relabel_table,
+    strand_table,
 )
 from .diagrams import family_words
 from .exact import (
@@ -165,7 +165,8 @@ class ProductAlgebra:
         raise ValueError("open insertion does not exist in the closed-color algebra")
 
     def relabel(self, v, open_map, closed_map):
-        return v[0], _then(v[1], relabel_table(v[0], closed_map or {}))
+        images = [((closed_map or {})[a],) for a in range(1, v[0] + 1)]
+        return v[0], _then(v[1], strand_table(v[0], v[0], images))
 
 
 def _generators(assoc: Associator, d: int, factors) -> dict:
@@ -199,11 +200,16 @@ def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
 
 
 def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> PaCDMorphism:
-    """Image of a closed braid morphism under the associator evaluation."""
+    """Image of a closed braid morphism under the associator evaluation, truncated at ``degree``.
+
+    Phi is known only up to its own degree, so a higher ``degree`` is refused.
+    """
     if mor.strands > MAX_EVAL_STRANDS:
         raise ValueError(f"arity {mor.strands} exceeds the limit of {MAX_EVAL_STRANDS} strands "
                          "for associator evaluation")
     d = assoc.degree if degree is None else degree
+    if d > assoc.degree:
+        raise ValueError(f"evaluation at degree {d} exceeds the associator's degree {assoc.degree}")
     check_dimension(mor.strands, d, "associator evaluation")
     r, factors = evaluate_word(pab_to_word(mor), ProductAlgebra())
     denom, terms = _path(_generators(assoc, d, factors), factors, r, d)

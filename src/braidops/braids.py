@@ -64,10 +64,6 @@ class BraidWord:
         self.letters = letters
 
     @classmethod
-    def identity(cls, strands: int) -> "BraidWord":
-        return cls(strands)
-
-    @classmethod
     def _unchecked(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":
         """A word whose letters are already known to be in range for ``strands``."""
         word = object.__new__(cls)

@@ -23,14 +23,19 @@ Hilbert series and the diamond lemma.  Equality of elements is structural
 equality of normal forms and everything stays exact.
 
 Strand conventions: the strand index of a chord generator is the input label
-it touches; operadic insertion at strand k doubles the strand into a block
-(t_ik becomes a sum over the block) and multiplies by the shifted inserted
-element on the right.  Restriction kills any monomial with a chord on the
-removed strand.
+it touches.  Every operad map is a map of strands, ``dk_map``: strand a goes
+to a set of strands, and t_ab to the sum of t_pq over their images
+(``strand_table``).  Relabeling permutes the strands, restriction sends the
+removed strand to none, which kills any monomial with a chord on it, and
+operadic insertion at strand k doubles the strand into a block (t_ik becomes a
+sum over the block) and multiplies by the inserted element, mapped onto the
+block, on the right.  Juxtaposition (``dk_juxtapose``) maps two elements onto
+disjoint strands, the first below the second, and multiplies them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -43,6 +48,7 @@ def dk_generators(r: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
 
 
+@functools.cache  # one small table per strand count, which inputs bound; no caller mutates it
 def _gen_index(r: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(dk_generators(r))}
 
@@ -305,64 +311,75 @@ def substitute_letters(terms: dict, images: list) -> dict:
                            for w2 in itertools.product(*(images[l] for l in w))))
 
 
-def relabel_table(r: int, images: dict[int, int]) -> list:
-    """Letter images of a strand relabeling of r strands, for ``substitute_letters``."""
-    idx = _gen_index(r)
-    return [(idx[tuple(sorted((images[a], images[b])))],) for a, b in dk_generators(r)]
+def strand_table(r: int, total: int, images) -> list:
+    """Letter images of the strand map sending strand a of r to the strands images[a - 1] of ``total``:
+    t_ab goes to the sum of t_pq over p in images[a - 1] and q in images[b - 1]."""
+    idx = _gen_index(total)
+    return [tuple([idx[(p, q) if p < q else (q, p)] for p in images[a - 1] for q in images[b - 1]])
+            for a, b in dk_generators(r)]
+
+
+def dk_map(e: DKElement, total: int, images) -> DKElement:
+    """e along the strand map sending strand a to the strands images[a - 1] of ``total``.
+
+    Under an increasing map f of single strands, t_ab in block a goes to t_f(a)f(b)
+    in block f(a), or to zero; f keeps the blocks' order, so a standard word stays
+    standard and no normal form is taken.  Any other map renormalises.
+    """
+    kept = [p for image in images for p in image]
+    ordered = all(len(image) <= 1 for image in images) and all(p < q for p, q in zip(kept, kept[1:]))
+    terms = substitute_letters(e.terms, strand_table(e.strands, total, images))
+    return DKElement(total, e.degree, terms, _normalized=ordered)
 
 
 def dk_relabel(e: DKElement, images: dict[int, int]) -> DKElement:
     """Strand relabeling along a bijection."""
-    return DKElement(e.strands, e.degree,
-                     substitute_letters(e.terms, relabel_table(e.strands, images)))
+    return dk_map(e, e.strands, [(images[a],) for a in range(1, e.strands + 1)])
+
+
+def _insert_images(r: int, k: int, s: int) -> tuple[list, list]:
+    """Strand images of the outer and the inner element when inserting s strands at strand k of r:
+    strand k doubles into the block k..k + s - 1, where the inner strands land."""
+    if not (1 <= k <= r):
+        raise ValueError("strand index out of range")
+    outer = [(a,) if a < k else tuple(range(k, k + s)) if a == k else (a + s - 1,)
+             for a in range(1, r + 1)]
+    return outer, [(b + k - 1,) for b in range(1, s + 1)]
 
 
 def insert_tables(r: int, k: int, s: int) -> tuple[list, list]:
-    """Letter images for inserting an s-strand element at strand k of an r-strand one.
-
-    The first table doubles strand k of the outer element into a block (t_ab
-    goes to the sum of t_pq over the blocks; p < q since blocks keep the
-    order); the second shifts the inner element's strands onto that block.
-    Both land on r + s - 1 strands.
-    """
-    if not (1 <= k <= r):
-        raise ValueError("strand index out of range")
-    idx_tot = _gen_index(r + s - 1)
-
-    def block(a: int) -> range:
-        """The strands of the result that strand a of the outer element becomes."""
-        if a == k:
-            return range(k, k + s)
-        a = a if a < k else a + s - 1
-        return range(a, a + 1)
-
-    outer = [tuple(idx_tot[(p, q)] for p in block(a) for q in block(b))
-             for a, b in dk_generators(r)]
-    inner = [(idx_tot[(a + k - 1, b + k - 1)],) for a, b in dk_generators(s)]
-    return outer, inner
+    """Letter images of the outer and the inner element of an insertion, on r + s - 1 strands."""
+    outer, inner = _insert_images(r, k, s)
+    return strand_table(r, r + s - 1, outer), strand_table(s, r + s - 1, inner)
 
 
 def dk_insert(u: DKElement, k: int, v: DKElement) -> DKElement:
     """Insertion of v at strand k: double the strand, then multiply by v shifted."""
-    images, table = insert_tables(u.strands, k, v.strands)
+    outer, inner = _insert_images(u.strands, k, v.strands)
     total = u.strands + v.strands - 1
     degree = min(u.degree, v.degree)
     check_dimension(total, degree, "chord insertion", u.terms, v.terms)
-    # the shift keeps each letter's block order, so v's standard words stay standard
-    vshift = substitute_letters(v.terms, table)
-    return DKElement(total, degree, _product(total, u.terms, vshift, degree, images),
-                     _normalized=True)
+    table, vshift = strand_table(u.strands, total, outer), dk_map(v, total, inner).terms
+    return DKElement(total, degree, _product(total, u.terms, vshift, degree, table), _normalized=True)
+
+
+def dk_juxtapose(p: DKElement, q: DKElement) -> DKElement:
+    """p and q side by side, p on the first strands: dk_map(p) times dk_map(q), where p's
+    letters lie in lower blocks than q's, so the product is concatenation."""
+    total = p.strands + q.strands
+    degree = min(p.degree, q.degree)
+    check_dimension(total, degree, "chord insertion", p.terms, q.terms)
+    left = dk_map(p, total, [(a,) for a in range(1, p.strands + 1)]).terms
+    right = dk_map(q, total, [(b + p.strands,) for b in range(1, q.strands + 1)]).terms
+    terms = {u + w: a * b for u, a in left.items() for w, b in right.items() if len(u) + len(w) <= degree}
+    return DKElement(total, degree, terms, _normalized=True)
 
 
 def dk_restrict(e: DKElement, k: int) -> DKElement:
     """Delete strand k; monomials touching it are sent to zero."""
     if not (1 <= k <= e.strands):
         raise ValueError("strand index out of range")
-    idx_new = _gen_index(e.strands - 1)
-    table = [() if k in (a, b) else (idx_new[(a if a < k else a - 1, b if b < k else b - 1)],)
-             for a, b in dk_generators(e.strands)]
-    # the strands keep their order, so every word stays block-ordered: standard
-    return DKElement(e.strands - 1, e.degree, substitute_letters(e.terms, table), _normalized=True)
+    return dk_map(e, e.strands - 1, [() if a == k else (a - (a > k),) for a in range(1, e.strands + 1)])
 
 
 # -- coproduct and grouplikes ------------------------------------------------------

@@ -538,7 +538,7 @@ def run(argv=None) -> int:
         if key not in COMMANDS:
             raise ValueError(f"no command {' '.join(argv[:2])!r}: see braidops -h")
         return COMMANDS[key][0](_parse(key, argv[2:]))
-    except (ValueError, TypeError, AssertionError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

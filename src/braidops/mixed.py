@@ -24,16 +24,7 @@ from __future__ import annotations
 
 from .associator import Associator, phi_eval
 from .braids import BraidWord, comb_word, weave
-from .chords import (
-    DKElement,
-    PaCDMorphism,
-    _gen_index,
-    dk_generators,
-    dk_relabel,
-    pacd_insert,
-    pacd_relabel,
-    substitute_letters,
-)
+from .chords import PaCDMorphism, dk_juxtapose, dk_relabel, pacd_insert, pacd_relabel
 from .colored import CoPBMorphism
 from .parenthesized import PaBMorphism, pa_insert_closed, pa_relabel
 from .trees import (
@@ -200,13 +191,6 @@ def apply_phi(assoc: Associator, e: PaPBPrimeElement) -> PaPBPrimeElement:
     return PaPBPrimeElement(e.u_src, e.u_tgt, phi_eval(assoc, e.x), e.mu_src, e.mu_tgt)
 
 
-def _dk_embed(e: DKElement, offset: int, total: int) -> DKElement:
-    idx_tot = _gen_index(total)
-    table = [(idx_tot[(a + offset, b + offset)],) for a, b in dk_generators(e.strands)]
-    # the shift keeps the strands' order, so every word stays block-ordered: standard
-    return DKElement(total, e.degree, substitute_letters(e.terms, table), _normalized=True)
-
-
 def rho_phi(assoc: Associator, e: PaPBPrimeElement) -> ShiftedElement:
     """Chord-series payload at the carrier's degree: corridor conjugators pass through the associator."""
     n, m = e.narity()
@@ -235,15 +219,9 @@ def rho_phi(assoc: Associator, e: PaPBPrimeElement) -> ShiftedElement:
     concat_src = relabel_tree(concat_tree(flat_u_src, e.x.src), None, fold_map)
     concat_tgt = relabel_tree(concat_tree(flat_u_tgt, e.x.tgt), None, fold_map)
 
-    # series of the middle: u-part through the associator, carrier shifted
-    if n > 0:
-        iota_u = PaBMorphism(flat_u_src, flat_u_tgt, BraidWord(n))
-        u_series = phi_eval(assoc, iota_u, N).element
-    else:
-        u_series = DKElement.one(0, N)
-    middle_elem = _dk_embed(u_series, 0, n + m).mul(_dk_embed(e.x.element, n, n + m))
-    middle_elem = dk_relabel(middle_elem, fold_map) if n + m else middle_elem
-    middle = PaCDMorphism(concat_src, concat_tgt, middle_elem)
+    # series of the middle: u-part through the associator, beside the carrier
+    u_series = phi_eval(assoc, PaBMorphism(flat_u_src, flat_u_tgt, BraidWord(n)), N).element
+    middle = PaCDMorphism(concat_src, concat_tgt, dk_relabel(dk_juxtapose(u_series, e.x.element), fold_map))
 
     conj1 = PaBMorphism(src_flat, concat_src, comb_word(flags))
     conj2 = PaBMorphism(concat_tgt, tgt_flat, comb_word(tgt_flags).inverse())

@@ -4,15 +4,15 @@ A component is a pair: a chord series on m strands (the closed part) and the
 unique reparenthesization between two order-equal trees on n open leaves
 (the open part).  Closed insertion inserts into the chord series
 (``chords.dk_insert``).  Open insertion grafts both trees of the open part
-and merges the chord series by juxtaposition on disjoint strands, the image
-of the empty-diagram morphism: the outer series keeps strands 1..m and the
-inner block is appended.  The product is the based variant: it has no
-component with zero closed and zero open inputs.
+and merges the chord series by juxtaposition on disjoint strands
+(``chords.dk_juxtapose``), the image of the empty-diagram morphism: the outer
+series keeps strands 1..m and the inner block is appended.  The product is
+the based variant: it has no component with zero closed and zero open inputs.
 """
 
 from __future__ import annotations
 
-from .chords import DKElement, dk_insert
+from .chords import DKElement, dk_insert, dk_juxtapose
 from .trees import Record, Tree, arity, color, graft_open, leftcomb_open, open_labels
 
 
@@ -70,10 +70,6 @@ class VoronovProduct:
         tree = leftcomb_open((1,))
         return self.make(DKElement.one(0, self.degree), PaPMorphismPair(tree, tree))
 
-    def merge(self, p: DKElement, q: DKElement) -> DKElement:
-        """Juxtaposition: the commuting product of disjoint strand blocks."""
-        return dk_insert(dk_insert(DKElement.one(2, self.degree), 2, q), 1, p)
-
     def insert_closed(self, e: VoronovElement, i: int, p_part: DKElement) -> VoronovElement:
         n, m = self.narity(e)
         if not (1 <= i <= m):
@@ -85,5 +81,5 @@ class VoronovProduct:
         if not (1 <= j <= n):
             raise ValueError("slot out of range")
         q, q2 = e.q_part, e2.q_part
-        return self.make(self.merge(e.p_part, e2.p_part),
+        return self.make(dk_juxtapose(e.p_part, e2.p_part),
                          PaPMorphismPair(graft_open(q.src, j, q2.src), graft_open(q.tgt, j, q2.tgt)))

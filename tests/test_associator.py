@@ -42,7 +42,7 @@ from braidops.chords import (
     insert_tables,
     pacd_insert,
     pacd_relabel,
-    relabel_table,
+    strand_table,
     substitute_letters,
 )
 from braidops.exact import LinearSystem, accumulate, fraction_to_str, insert_row, mul_terms, solve_exact
@@ -213,7 +213,8 @@ class SubstitutionAlgebra(ProductAlgebra):
         return outer[0] + inner[0] - 1, accumulate(_then(outer[1], images), _then(inner[1], table).items())
 
     def relabel(self, v, open_map, closed_map):
-        return v[0], _then(v[1], relabel_table(v[0], closed_map or {}))
+        images = [((closed_map or {})[a],) for a in range(1, v[0] + 1)]
+        return v[0], _then(v[1], strand_table(v[0], v[0], images))
 
 
 def solve_associator_oneshot2(mu) -> Associator:
@@ -280,6 +281,16 @@ def test_phi_eval_basics():
     square = tau.compose(pa_relabel(tau, {1: 2, 2: 1}))
     img2 = phi_eval(a, square)
     assert img2.element == t(2, 3, 1, 2).exp()
+
+
+def test_phi_eval_refuses_a_degree_past_phi():
+    # Phi's terms above its degree are unknown, not zero: reading them as zero
+    # gave a degree-4 image that differs at degree 4 from the degree-4 associator's
+    alpha = PaBMorphism(mc(mc(x(1), x(2)), x(3)), mc(x(1), mc(x(2), x(3))), BraidWord(3))
+    with pytest.raises(ValueError, match="degree 4 exceeds the associator's degree 2"):
+        phi_eval(solve_associator(1, 2), alpha, 4)
+    assert phi_eval(solve_associator(1, 4), alpha, 4).element == solve_associator(1, 4).phi
+    assert phi_eval(solve_associator(1, 4), alpha, 2).element == solve_associator(1, 2).phi
 
 
 def test_solver_n3():
@@ -673,8 +684,7 @@ def test_pentagon_is_drinfeld_differential():
                     (insert_tables(3, 2, 2)[0], 1), (insert_tables(3, 3, 2)[0], -1),
                     (insert_tables(2, 1, 3)[1], 1)]
     assert subs["pent"] == (4, {tuple(table): sign for table, sign in differential})
-    relabelings = {tuple(relabel_table(3, dict(zip((1, 2, 3), p))))
-                   for p in itertools.permutations((1, 2, 3))}
+    relabelings = {tuple(strand_table(3, 3, [(a,) for a in p])) for p in itertools.permutations((1, 2, 3))}
     for tag in ("hex1", "hex2"):
         r, terms = subs[tag]
         assert r == 3 and len(terms) == 3

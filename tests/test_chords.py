@@ -20,6 +20,8 @@ from braidops.chords import (
     dk_from_json,
     dk_generators,
     dk_insert,
+    dk_juxtapose,
+    dk_map,
     dk_relabel,
     dk_restrict,
     dk_to_json,
@@ -515,9 +517,7 @@ def test_restrict():
 def test_monotone_strand_maps_keep_normal_forms():
     # deleting a strand or shifting the strands into a larger set keeps their
     # order, so every word stays block-ordered: the result is taken as it is,
-    # and it equals the renormalised substitution
-    from braidops.mixed import _dk_embed
-
+    # and it equals the renormalised substitution of the tables written out here
     rng = random.Random(34)
     for _ in range(40):
         r, degree = rng.randint(2, 5), rng.randint(0, 4)
@@ -531,9 +531,70 @@ def test_monotone_strand_maps_keep_normal_forms():
         for offset in range(3):
             total = r + offset + rng.randint(0, 1)
             table = [(_gen_index(total)[(a + offset, b + offset)],) for a, b in dk_generators(r)]
-            out = _dk_embed(e, offset, total)
+            out = dk_map(e, total, [(a + offset,) for a in range(1, r + 1)])
             assert _reduce_terms(out.terms, total) == out.terms
             assert out == DKElement(total, degree, substitute_letters(e.terms, table))
+
+
+@st.composite
+def strand_maps(draw, kind):
+    """(r, total, images) of a strand map of the given kind: each target strand has at most one source."""
+    r = draw(st.integers(1, 4))
+    if kind == "monotone":
+        total = draw(st.integers(r, 6))
+        targets = sorted(draw(st.permutations(range(1, total + 1)))[:r])
+        return r, total, [(p,) for p in targets]
+    if kind == "deleting":
+        kept = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+        total = sum(kept) + draw(st.integers(0, 1))
+        targets = iter(sorted(draw(st.permutations(range(1, total + 1)))[:sum(kept)]))
+        return r, total, [(next(targets),) if keep else () for keep in kept]
+    # any other map: the targets shuffled, some strands doubled or deleted
+    total = draw(st.integers(1, 6))
+    owner = draw(st.lists(st.integers(0, r), min_size=total, max_size=total))
+    return r, total, [tuple(p for p in range(1, total + 1) if owner[p - 1] == a) for a in range(1, r + 1)]
+
+
+@pytest.mark.parametrize("kind", ["monotone", "deleting", "other"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dk_map_is_substitution_then_normal_form(kind, data):
+    # the oracle multiplies out each word with letter t_ab read as the sum of t_pq over the images
+    r, total, images = data.draw(strand_maps(kind))
+    degree = data.draw(st.integers(0, 3))
+    e = rand_dk(random.Random(data.draw(st.integers(0, 10**6))), r, degree, nterms=4)
+    letter = [DKElement(total, degree, {(_gen_index(total)[min(p, q), max(p, q)],): Fraction(1)
+                                        for p in images[a - 1] for q in images[b - 1]})
+              for a, b in dk_generators(r)]
+    expected = DKElement.zero(total, degree)
+    for w, c in e.terms.items():
+        expected = expected + functools.reduce(DKElement.mul, (letter[l] for l in w),
+                                               DKElement.one(total, degree)).scale(c)
+    assert dk_map(e, total, images) == expected
+
+
+def test_juxtapose_equals_two_insertions():
+    # the former formula: q inserted at strand 2 of the 2-strand unit, then p at strand 1
+    rng = random.Random(37)
+    for _ in range(60):
+        degree = rng.randint(0, 4)
+        p, q = (rand_dk(rng, rng.randint(0, 3), degree, nterms=4) for _ in range(2))
+        two_insertions = dk_insert(dk_insert(DKElement.one(2, degree), 2, q), 1, p)
+        out = dk_juxtapose(p, q)
+        assert (out.strands, out.degree, out.terms) == (two_insertions.strands, two_insertions.degree,
+                                                        two_insertions.terms)
+
+
+def test_oversize_juxtaposition_refused_as_an_insertion():
+    # 8 strands at degree 6 pass the dimension limit; each factor alone does not
+    p = q = DKElement(4, 6, {(0, 1, 2): Fraction(1)})
+    with pytest.raises(ValueError) as two_insertions:
+        dk_insert(dk_insert(DKElement.one(2, 6), 2, q), 1, p)
+    with pytest.raises(ValueError) as juxtaposed:
+        dk_juxtapose(p, q)
+    assert str(juxtaposed.value) == str(two_insertions.value)
+    assert "8-strand chord algebra in degree 6" in str(juxtaposed.value)
+    assert "chord insertion" in str(juxtaposed.value)
 
 
 def test_pacd_morphisms():

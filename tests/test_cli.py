@@ -16,6 +16,16 @@ def run_capture(capsys, argv):
     return code, out
 
 
+def test_internal_assertion_is_not_a_usage_error(monkeypatch):
+    # a failed internal invariant is a bug: it leaves run as a traceback, not as exit 2
+    def broken(args):
+        raise AssertionError("internal invariant")
+
+    monkeypatch.setitem(COMMANDS, ("braid", "eq"), (broken, COMMANDS["braid", "eq"][1]))
+    with pytest.raises(AssertionError, match="internal invariant"):
+        run(["braid", "eq", "s1", "s1", "--strands", "2"])
+
+
 def test_braid_eq(capsys):
     code, out = run_capture(capsys, ["braid", "eq", "s1 s2 s1", "s2 s1 s2", "--strands", "3"])
     assert code == 0 and out.strip() == "equal"

@@ -1,6 +1,14 @@
 import random
 
-from braidops.chords import DKElement, dk_from_json, dk_insert, dk_relabel, dk_to_json, grouplike_check
+from braidops.chords import (
+    DKElement,
+    dk_from_json,
+    dk_insert,
+    dk_juxtapose,
+    dk_relabel,
+    dk_to_json,
+    grouplike_check,
+)
 from braidops.trees import UNIT_O, enumerate_trees, open_labels, parse_tree, relabel_tree, show_tree
 from braidops.voronov import PaPMorphismPair, VoronovElement, VoronovProduct
 
@@ -62,8 +70,8 @@ def test_merge_symmetry():
         p1 = rand_grouplike(rng, rng.randint(1, 2), 2)
         p2 = rand_grouplike(rng, rng.randint(1, 2), 2)
         m1, m2 = p1.strands, p2.strands
-        merged = VP.merge(p1, p2)
-        other = VP.merge(p2, p1)
+        merged = dk_juxtapose(p1, p2)
+        other = dk_juxtapose(p2, p1)
         # merging in either order agrees after the canonical block swap
         swap = {l: l + m1 for l in range(1, m2 + 1)}
         swap.update({m2 + l: l for l in range(1, m1 + 1)})
