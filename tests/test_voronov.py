@@ -144,6 +144,14 @@ def test_zero_open_components_exist():
         raise AssertionError("the based variant must reject the (0,0) component")
 
 
+def test_open_insert_at_the_strand_limit():
+    # juxtaposing with no closed strands leaves a 12-strand element on 12 strands,
+    # within chords.MAX_STRANDS at every step
+    q = DKElement.generator(12, 2, 1, 2).mul(DKElement.generator(12, 2, 3, 4))
+    e = VP.identity_open()
+    assert VP.insert_open(e, 1, VP.make(q, e.q_part)).p_part == q
+
+
 def test_grouplikes_closed_under_structure():
     rng = random.Random(8)
     for _ in range(10):
