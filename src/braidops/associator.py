@@ -58,14 +58,35 @@ have the same solutions, and the kernel-reduced piece below is the same.  So
 each column is read only at those words: the top-level bracket of the factors
 u, v with images a, b by lookup,
 coef_z [a, b] = a[z[:|u|]] b[z[|u|:]] - b[z[:|v|]] a[z[|v|:]], and the
-derivation terms of the mixed substitution the same way.  The closing re-check
-(``associator_valid``) still checks every word of the three diagrams and the
-grouplike condition.  Only the right-hand side, one residual of
-Phi_{<d} + E_d per degree, depends on mu and Phi_{<d}.  The solution goes back
-to words canonically: the kernel, expanded into words and put in reduced
-echelon form by highest word (``exact.insert_row``), clears the coefficient of
-each row's highest word, which gives the solution over all 2^d words with
-free coordinates set to zero.
+derivation terms of the mixed substitution the same way.  Only the
+right-hand side, one residual of Phi_{<d} + E_d per degree, depends on mu and
+Phi_{<d}.  The solution goes back to words canonically: the kernel, expanded
+into words and put in reduced echelon form by highest word
+(``exact.insert_row``), clears the coefficient of each row's highest word,
+which gives the solution over all 2^d words with free coordinates set to zero.
+
+Let pi keep the words of a standard element whose letters all lie in block 1
+(t12, ..., t1r).  pi(x W) = x pi(W) for a block-1 letter x, and
+pi(p W) = D_p(pi(W)) for a higher letter p, with D_p the derivation putting
+[p, u] in place of each block-1 letter u (``_block1_step``): of the words
+s[:m] [p, s_m] s[m+1:], and the one still holding p, that ``left_multiply``
+makes of p s, none has fewer letters outside block 1 than s.  So pi of a path
+is its Horner product with that letter step, and no word outside block 1 is
+built.  From degree 3 the solver's right-hand side is the pentagon's
+pi(L - R), since its rows are block-1 words: an identity.  The closing
+re-check (``associator_valid``) and ``assoc check`` (``check_diagrams``)
+decide each diagram on pi when Phi is grouplike and none of its words holds
+t23 or has length 1.  Proof: Phi agrees through its degree with the grouplike
+series exp(log Phi) in t12, t13, so each diagram's paths L and R are
+grouplike, and so is G = L R^{-1}.  Deleting strand 1 kills t12 and t13, so
+it sends Phi to 1, both pentagon paths to Phi^{2,3,4}, and the two paths of a
+hexagon to exponentials of t23 that differ only by Phi's degree-1
+coefficients, which are zero.  So G goes to 1, and log G, primitive, lies in
+the kernel of deleting strand 1: the free Lie ideal on block 1.  G is then a
+series in block-1 words, pi(L) = pi(G R) = G pi(R), and pi(R) has constant
+term 1, so it is invertible: L = R exactly when pi(L) = pi(R).  Any other Phi
+takes the general path, whose differences ``check_pentagon`` and
+``check_hexagons`` give; the tests keep them as the oracle.
 """
 
 from __future__ import annotations
@@ -87,6 +108,7 @@ from .chords import (
     grouplike_check,
     grouplike_residual,
     insert_tables,
+    left_multiply,
     strand_table,
 )
 from .diagrams import family_words
@@ -184,19 +206,39 @@ def _generators(assoc: Associator, d: int, factors) -> dict:
     return {key: clear_denominators(build(*key)) for key in {(name, sign) for name, sign, _images in factors}}
 
 
-def _path(gens: dict, factors: tuple, r: int, d: int) -> tuple[int, dict]:
+def _path(gens: dict, factors: tuple, r: int, d: int, step=left_multiply) -> tuple[int, dict]:
     """(D, D * product) of the letter-substituted ``factors`` on r strands, normal and truncated at d.
 
     The product runs over the factors from the right and stays standard: each
-    substituted generator multiplies it on the left (``chords._product``).  D is the
-    product of the generators' denominators.
+    substituted generator multiplies it on the left (``chords._product``), one
+    letter at a time by ``step``; with ``_block1_step(r)`` the product is its
+    block-1 projection.  D is the product of the generators' denominators.
     """
     denom, terms = 1, {(): 1}
     for name, sign, images in reversed(factors):
         scale, gen = gens[name, sign]
-        terms = _product(r, gen, terms, d, images)
+        terms = _product(r, gen, terms, d, images, step)
         denom *= scale
     return denom, terms
+
+
+@functools.cache
+def _block1_step(r: int):
+    """Letter step of the block-1 product on r strands, for ``chords._horner``: pi(x W) from pi(W).
+
+    A block-1 letter (0 .. r - 2) is prepended; a higher letter p puts
+    [p, u] (``chords._reducer``) in place of one block-1 letter u at a time.
+    """
+    derivations = {p: {u: row[u] for u in range(r - 1)} for p, row in _reducer(r, 2).items()}
+
+    def step(x: int, terms: dict, _rules: dict, out: dict) -> dict:
+        row = derivations.get(x)
+        if row is None:
+            return accumulate(out, (((x,) + s, c) for s, c in terms.items()))
+        return accumulate(out, ((s[:m] + w + s[m + 1:], k * c) for s, c in terms.items()
+                                for m, u in enumerate(s) for w, k in row[u]))
+
+    return step
 
 
 def phi_eval(assoc: Associator, mor: PaBMorphism, degree: int | None = None) -> PaCDMorphism:
@@ -228,18 +270,36 @@ def check_hexagons(assoc: Associator) -> tuple[DKElement, DKElement]:
     return hexagons["hex1"], hexagons["hex2"]
 
 
+def _block1_decides(phi: DKElement) -> bool:
+    """Whether the block-1 projections decide the diagrams for a grouplike Phi: no word of
+    Phi has the letter t23 or length 1 (module docstring)."""
+    return all(len(w) != 1 and 2 not in w for w in phi.terms)
+
+
+def check_diagrams(assoc: Associator, grouplike: bool) -> tuple[DKElement, DKElement, DKElement]:
+    """The pentagon and both hexagon differences, as ``check_pentagon`` and ``check_hexagons``
+    give them, for a Phi that is ``grouplike`` or not.
+
+    Where the block-1 projections decide (``_block1_decides``), a difference
+    whose projection is zero is zero, and only a nonzero one is computed in full.
+    """
+    if grouplike and _block1_decides(assoc.phi):
+        diffs = _constraints(assoc, block1=True)
+        diffs.update(_constraints(assoc, [tag for tag, diff in diffs.items() if not diff.is_zero()]))
+    else:
+        diffs = _constraints(assoc)
+    return diffs["pent"], diffs["hex1"], diffs["hex2"]
+
+
 def associator_valid(assoc: Associator) -> bool:
+    """Phi is grouplike and satisfies the pentagon and both hexagons, decided on the
+    block-1 projections where they decide (module docstring)."""
     if not grouplike_check(assoc.phi):
         return False
-    return all(diff.is_zero() for diff in _constraints(assoc).values())
+    return all(diff.is_zero() for diff in _constraints(assoc, block1=_block1_decides(assoc.phi)).values())
 
 
 # -- solving -----------------------------------------------------------------------
-
-
-def _free_words(d: int, letters: int = 2) -> list[tuple[int, ...]]:
-    """Degree-d words in the first ``letters`` letters: by default t12, t13."""
-    return list(itertools.product(range(letters), repeat=d))
 
 
 def _diagrams():
@@ -256,9 +316,10 @@ def _products() -> tuple:
                  for tag, (wl, wr, _s, _e) in _diagrams())
 
 
-def _constraints(assoc: Associator, tags=None) -> dict:
+def _constraints(assoc: Associator, tags=None, block1=False) -> dict:
     """{tag: left minus right path} of the diagrams in ``tags`` (all by default) at the associator's degree.
 
+    With ``block1``, the block-1 projection of each difference (``_block1_step``).
     Only the difference of the two paths is divided, by the product of their denominators.
     """
     d = assoc.degree
@@ -266,16 +327,19 @@ def _constraints(assoc: Associator, tags=None) -> dict:
     gens = _generators(assoc, d, [f for _tag, _r, left, right in products for f in left + right])
     out = {}
     for tag, r, left, right in products:
-        (dl, pl), (dr, pr) = _path(gens, left, r, d), _path(gens, right, r, d)
+        step = _block1_step(r) if block1 else left_multiply
+        (dl, pl), (dr, pr) = _path(gens, left, r, d, step), _path(gens, right, r, d, step)
         diff = accumulate({w: c * dr for w, c in pl.items()}, ((w, -c * dl) for w, c in pr.items()))
         out[tag] = DKElement(r, d, {w: Fraction(c, dl * dr) for w, c in diff.items()}, _normalized=True)
     return out
 
 
-def _residual_entries(mu: Fraction, phi_terms: dict, d: int, tags=None) -> dict:
-    """The entries of the diagrams in ``tags`` (all by default) and the grouplike entries at truncation d."""
+def _residual_entries(mu: Fraction, phi_terms: dict, d: int, block1=False) -> dict:
+    """The entries of the three diagrams, or with ``block1`` those of the pentagon's block-1
+    projection alone, and the grouplike entries at truncation d."""
     assoc = Associator(mu, DKElement(3, d, phi_terms))
-    entries = {(tag, w): c for tag, diff in _constraints(assoc, tags).items() for w, c in diff.terms.items()}
+    diffs = _constraints(assoc, ("pent",), True) if block1 else _constraints(assoc)
+    entries = {(tag, w): c for tag, diff in diffs.items() for w, c in diff.terms.items()}
     entries.update((("grp", key), c) for key, c in grouplike_residual(assoc.phi).items())
     return entries
 
@@ -290,11 +354,20 @@ def _substitutions() -> tuple:
 
 
 def _lyndon_words(d: int, letters: int = 2) -> list[tuple[int, ...]]:
-    """Degree-d Lyndon words in 0 < 1 < ...: those below each of their proper rotations.
+    """Degree-d Lyndon words in 0 < 1 < ...: those below each of their proper rotations, in lexicographic order.
 
     By default in t12 < t13; with three letters, the block-1 words t12 < t13 < t14 of 4 strands.
+    Duval's algorithm (1988) steps through the Lyndon words of length at most d in that order.
     """
-    return [w for w in _free_words(d, letters) if all(w < w[i:] + w[:i] for i in range(1, d))]
+    out, w = [], [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == d:
+            out.append(tuple(w))
+        w.extend([w[i % len(w)] for i in range(d - len(w))])
+        while w and w[-1] == letters - 1:
+            w.pop()
+    return out
 
 
 def _standard_factors(w: tuple) -> tuple:
@@ -484,8 +557,8 @@ def solve_degree(mu: Fraction, phi_terms: dict, d: int) -> dict:
        solutions, and the kernel-reduced piece is the same.
     """
     e_d = _grouplike_part(phi_terms, d)
-    tags, coords = (None, None) if d < 3 else (("pent",), _lyndon_words(d, 3))
-    base = _residual_entries(mu, {**phi_terms, **e_d}, d, tags)
+    coords = _lyndon_words(d, 3) if d >= 3 else None
+    base = _residual_entries(mu, {**phi_terms, **e_d}, d, coords is not None)
     if any(tag == "grp" for tag, _key in base):
         raise ArithmeticError(f"the degree-{d} exp-log extension of the associator is not grouplike")
     if coords:

@@ -40,7 +40,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .exact import accumulate, fraction_from_str, fraction_to_str, int_from_json
+from .exact import accumulate, clear_denominators, fraction_from_str, fraction_to_str, int_from_json
 from .trees import Tree, closed_labels, color, graft_closed, relabel_tree
 
 
@@ -116,13 +116,13 @@ def left_multiply(x: int, terms: dict, rules: dict, out: dict) -> dict:
     return accumulate(out, pairs)
 
 
-def _horner(terms: dict, images, levels: dict, rules: dict, d: int) -> dict:
+def _horner(terms: dict, images, levels: dict, rules: dict, d: int, step=left_multiply) -> dict:
     """``terms``, letter l read as the sum of images[l], times ``levels``, truncated at d.
 
     ``levels`` maps each word length that occurs to standard words of that
     length, and the result is standard: the words are grouped by first
     letter, and each group's tail product is multiplied on the left by each
-    letter of that letter's image.
+    letter of that letter's image, ``step(letter, tail product, rules, out)``.
     """
     tails: dict = {}
     for w, c in terms.items():
@@ -131,15 +131,16 @@ def _horner(terms: dict, images, levels: dict, rules: dict, d: int) -> dict:
     c = terms.get((), 0)
     out = {s: c * v for n, level in levels.items() if n <= d for s, v in level.items()} if c else {}
     for l, tail in tails.items():
-        inner = _horner(tail, images, levels, rules, d - 1)
+        inner = _horner(tail, images, levels, rules, d - 1, step)
         for g in images[l]:
-            left_multiply(g, inner, rules, out)
+            step(g, inner, rules, out)
     return out
 
 
-def _product(r: int, terms: dict, right: dict, d: int, images=None) -> dict:
+def _product(r: int, terms: dict, right: dict, d: int, images=None, step=left_multiply) -> dict:
     """Normal form of ``terms`` (letter l read as the sum of images[l], by default l) times the
-    standard ``right``, on r strands truncated at d.
+    standard ``right``, on r strands truncated at d; another ``step`` than ``left_multiply``
+    takes a letter times standard words in its own way (``_horner``).
 
     Every split of a standard word is standard, so Horner's scheme over the
     words of ``terms`` needs only ``left_multiply``.  The rewrite rules are read
@@ -152,7 +153,7 @@ def _product(r: int, terms: dict, right: dict, d: int, images=None) -> dict:
     rules = _reducer(r, 2) if any(2 <= a + b <= d for a in lengths for b in levels) else {}
     if images is None:
         images = [(l,) for l in range(r * (r - 1) // 2)]
-    return _horner(terms, images, levels, rules, d)
+    return _horner(terms, images, levels, rules, d, step)
 
 
 def _reduce_terms(terms: dict, r: int) -> dict:
@@ -200,10 +201,10 @@ class DKElement:
 
     def __eq__(self, other):
         return (isinstance(other, DKElement) and self.strands == other.strands
-                and self.terms == other.terms)
+                and self.degree == other.degree and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.strands, frozenset(self.terms.items())))
+        return hash((self.strands, self.degree, frozenset(self.terms.items())))
 
     def __add__(self, other: "DKElement") -> "DKElement":
         assert self.strands == other.strands
@@ -386,14 +387,24 @@ def dk_restrict(e: DKElement, k: int) -> DKElement:
 
 
 def dk_coproduct(e: DKElement) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
-    """Truncated coproduct with every generator primitive; each factor is normal, as a split of a normal word."""
-    return accumulate({}, ((split, c) for w, c in e.terms.items() for split in _splits(w)))
+    """Truncated coproduct with every generator primitive: each factor is normal, as a split of a normal word.
 
+    By Horner's scheme over first letters, Delta(l w) = (l (x) 1 + 1 (x) l) Delta(w),
+    so the splits of words with a common prefix are dealt once.
+    """
+    def coproduct(terms: dict) -> dict:
+        tails: dict = {}
+        for w, c in terms.items():
+            if w:
+                tails.setdefault(w[0], {})[w[1:]] = c
+        out = {((), ()): terms[()]} if terms.get(()) else {}
+        for l, tail in tails.items():
+            inner = coproduct(tail).items()
+            accumulate(out, itertools.chain(((((l,) + a, b), c) for (a, b), c in inner),
+                                            (((a, (l,) + b), c) for (a, b), c in inner)))
+        return out
 
-def _splits(w: tuple[int, ...]):
-    """Every way to deal the letters of w, in order, into a left and a right word."""
-    for bits in itertools.product((0, 1), repeat=len(w)):
-        yield (tuple(l for l, b in zip(w, bits) if not b), tuple(l for l, b in zip(w, bits) if b))
+    return coproduct(e.terms)
 
 
 def tensor_square(g: DKElement) -> dict:
@@ -403,8 +414,16 @@ def tensor_square(g: DKElement) -> dict:
 
 
 def grouplike_residual(g: DKElement) -> dict:
-    """The coproduct of g minus g (x) g, truncated at total degree."""
-    return accumulate(dk_coproduct(g), ((k, -c) for k, c in tensor_square(g).items()))
+    """The coproduct of g minus g (x) g, truncated at total degree.
+
+    In ``int``: with D the lcm of g's denominators and h = D g, it is
+    (D Delta(h) - h (x) h) / D^2, divided once.
+    """
+    denom, terms = clear_denominators(g.terms)
+    h = DKElement(g.strands, g.degree, terms, _normalized=True)
+    diff = accumulate({k: denom * c for k, c in dk_coproduct(h).items()},
+                      ((k, -c) for k, c in tensor_square(h).items()))
+    return {k: Fraction(c, denom * denom) for k, c in diff.items()}
 
 
 def grouplike_check(g: DKElement) -> bool:

@@ -27,8 +27,7 @@ from . import braids, chords, colored, trees
 from .associator import (
     associator_from_json,
     associator_to_json,
-    check_hexagons,
-    check_pentagon,
+    check_diagrams,
     phi_eval,
     solve_associator,
 )
@@ -272,9 +271,8 @@ def cmd_assoc_solve(args) -> int:
 
 def cmd_assoc_check(args) -> int:
     assoc = associator_from_json(_read_json(args))
-    pent = check_pentagon(assoc)
-    h1, h2 = check_hexagons(assoc)
     grp = chords.grouplike_residual(assoc.phi)
+    pent, h1, h2 = check_diagrams(assoc, not grp)
     ok = pent.is_zero() and h1.is_zero() and h2.is_zero() and not grp
     if args.json:
         print(json.dumps({"pentagon": format_dk(pent), "hexagon1": format_dk(h1),

@@ -13,8 +13,8 @@ from braidops.associator import (
     _T13,
     Associator,
     ProductAlgebra,
+    _constraints,
     _diagrams,
-    _free_words,
     _grouplike_part,
     _lie_columns,
     _lyndon_words,
@@ -23,6 +23,7 @@ from braidops.associator import (
     associator_from_json,
     associator_to_json,
     associator_valid,
+    check_diagrams,
     check_hexagons,
     check_pentagon,
     phi_eval,
@@ -34,9 +35,9 @@ from braidops.chords import (
     DKElement,
     PaCDMorphism,
     _reduce_terms,
-    _splits,
     dk_insert,
     dk_to_json,
+    format_dk,
     grouplike_check,
     grouplike_residual,
     insert_tables,
@@ -57,8 +58,13 @@ from braidops.parenthesized import (
 )
 from braidops.trees import Tree, closed_labels, color, enumerate_closed_trees, mc, x
 
-from test_chords import _tensor_normalize, homogeneous_part
+from test_chords import _splits, _tensor_normalize, homogeneous_part
 from test_parenthesized import evaluate_word_oracle, rand_closed_morphism
+
+
+def _free_words(d: int) -> list[tuple[int, ...]]:
+    """Degree-d words in t12, t13."""
+    return list(itertools.product(range(2), repeat=d))
 
 
 def t(r, n, i, j):
@@ -725,6 +731,97 @@ def test_product_evaluation_equals_tree_evaluation(mu):
         assert check_hexagons(assoc) == (tree["hex1"], tree["hex2"])
         assert not associator_valid(assoc)
         assert _residual_entries(mu, phi_terms, d) == tree_residual_entries(mu, phi_terms, d)
+
+
+def block1_part(e: DKElement) -> DKElement:
+    """The words of e whose letters all lie in block 1: t12, ..., t1r, the letters 0 .. r - 2."""
+    return DKElement(e.strands, e.degree, {w: c for w, c in e.terms.items() if all(l < e.strands - 1 for l in w)},
+                     _normalized=True)
+
+
+@pytest.mark.parametrize("mu", [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3)])
+def test_block1_differences_are_the_projections(mu):
+    # the block-1 product gives exactly the block-1 words of each 4- and 3-strand
+    # difference, for any Phi: away from a solution and with t23 in its words
+    rng = random.Random(f"block 1 {mu}")
+    nonzero = set()
+    for d in range(1, 6):
+        phi_terms = random_phi(rng, d)
+        assoc = Associator(mu, DKElement(3, d, phi_terms))
+        full, block1 = _constraints(assoc), _constraints(assoc, block1=True)
+        assert block1 == {tag: block1_part(diff) for tag, diff in full.items()}
+        nonzero.update(tag for tag, diff in block1.items() if not diff.is_zero())
+        want = {key: c for key, c in _residual_entries(mu, phi_terms, d).items()
+                if key[0] == "grp" or key[0] == "pent" and all(l < 3 for l in key[1])}
+        assert _residual_entries(mu, phi_terms, d, True) == want
+    assert nonzero == {"pent", "hex1", "hex2"}
+
+
+def tampered(assoc: Associator, rng: random.Random) -> list[Associator]:
+    """Grouplike variants of an associator: Phi exp(c b) for the bracketings b of up to three
+    Lyndon words of each degree 2 to d in t12 < t13, and mu + 1 and mu - 1 with Phi kept."""
+    out = [Associator(assoc.mu + s, assoc.phi) for s in (1, -1)]
+    for k in range(2, assoc.degree + 1):
+        lyndon = _lyndon_words(k)
+        for w in rng.sample(lyndon, min(3, len(lyndon))):
+            bump = DKElement(3, assoc.degree, standard_bracketing(w)).scale(Fraction(rng.choice((-3, -1, 1, 2)),
+                                                                                     rng.randint(1, 5)))
+            out.append(Associator(assoc.mu, assoc.phi.mul(bump.exp())))
+    return out
+
+
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(-1, 2), Fraction(3)])
+def test_block1_verdict_equals_the_general_verdict(mu):
+    # on grouplike Phi in t12, t13 with no degree-1 term each diagram's difference
+    # is zero exactly when its block-1 projection is, and ``check_diagrams``
+    # prints the general differences
+    rng = random.Random(f"tamper {mu}")
+    verdicts = set()
+    for d in range(2, 7):
+        solved = solve_associator(mu, d)
+        for assoc in [solved, *tampered(solved, rng)]:
+            assert grouplike_check(assoc.phi)
+            full, block1 = _constraints(assoc), _constraints(assoc, block1=True)
+            zero = [diff.is_zero() for diff in full.values()]
+            assert [diff.is_zero() for diff in block1.values()] == zero
+            assert check_diagrams(assoc, True) == tuple(full.values())
+            assert associator_valid(assoc) == all(zero)
+            verdicts.update(zero)
+    assert verdicts == {True, False}
+
+
+def test_phi_off_block1_takes_the_general_path(monkeypatch, capsys):
+    # a Phi with a degree-1 term, a t23 word or no grouplike property is checked
+    # on the general differences alone, and `assoc check` prints what they give;
+    # a solved Phi is decided on block 1 and needs no general difference
+    import braidops.associator as associator
+    from braidops.cli import run
+
+    calls = []
+    constraints = associator._constraints
+    monkeypatch.setattr(associator, "_constraints", lambda assoc, tags=None, block1=False: (
+        calls.append((block1, ("pent", "hex1", "hex2") if tags is None else tags))
+        or constraints(assoc, tags, block1)))
+    solved = solve_associator(1, 4)
+    centre = t(3, 4, 1, 2) + t(3, 4, 1, 3) + t(3, 4, 2, 3)
+    cases = [solved.phi, solved.phi.mul(centre.scale(Fraction(1, 3)).exp()),
+             solved.phi.mul(t(3, 4, 1, 2).scale(Fraction(-2, 5)).exp()),
+             solved.phi + DKElement(3, 4, {(2, 0, 1): Fraction(1, 5)})]
+    for phi in cases:
+        assoc, off = Associator(1, phi), phi is not solved.phi
+        assert any(len(w) == 1 or 2 in w for w in phi.terms) == off
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(associator_to_json(assoc))))
+        code = run(["assoc", "check", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        general = [tag for block1, tags in calls if not block1 for tag in tags]
+        assert general == (["pent", "hex1", "hex2"] if off else [])
+        assert any(block1 for block1, _tags in calls) != off
+        pent, (h1, h2), grp = check_pentagon(assoc), check_hexagons(assoc), grouplike_residual(assoc.phi)
+        valid = pent.is_zero() and h1.is_zero() and h2.is_zero() and not grp
+        assert out == {"pentagon": format_dk(pent), "hexagon1": format_dk(h1), "hexagon2": format_dk(h2),
+                       "grouplike": not grp, "valid": valid}
+        assert code == (0 if valid else 1) and associator_valid(assoc) == valid
 
 
 def rand_closed_word(rng: random.Random, depth: int, max_strands: int = 5):

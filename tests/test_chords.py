@@ -14,7 +14,6 @@ from braidops.chords import (
     _gen_index,
     _reduce_terms,
     _reducer,
-    _splits,
     dimension_of_degree,
     dk_coproduct,
     dk_from_json,
@@ -43,6 +42,12 @@ def t(r, degree, i, j):
 
 def comm(a, b):
     return a.mul(b) - b.mul(a)
+
+
+def _splits(w: tuple[int, ...]):
+    """Every way to deal the letters of w, in order, into a left and a right word."""
+    for bits in itertools.product((0, 1), repeat=len(w)):
+        yield (tuple(l for l, b in zip(w, bits) if not b), tuple(l for l, b in zip(w, bits) if b))
 
 
 def homogeneous_part(e: DKElement, d: int) -> DKElement:
@@ -400,6 +405,37 @@ def test_splits_of_normal_words_are_normal(case):
     product = left_multiply(x, {s: 1}, _reducer(r, 2), {})
     splits = accumulate({}, ((split, 1) for w in product for split in _splits(w)))
     assert _tensor_normalize(splits, r) == splits
+
+
+def test_coproduct_equals_the_sum_over_splits():
+    # Horner over first letters deals each word's letters into every split once
+    rng = random.Random(38)
+    for _ in range(30):
+        r, degree = rng.randint(2, 4), rng.randint(0, 5)
+        e = rand_dk(rng, r, degree, nterms=6).scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        want = accumulate({}, ((split, c) for w, c in e.terms.items() for split in _splits(w)))
+        assert dk_coproduct(e) == want
+
+
+def test_grouplike_residual_is_the_fraction_residual():
+    # cleared denominators and one division give the Fraction residual entry by entry
+    rng = random.Random(381)
+    for _ in range(20):
+        r = rng.randint(2, 3)
+        g = rand_grouplike(rng, r, 4)
+        for e in (g, g + homogeneous_part(rand_dk(rng, r, 4), rng.randint(1, 4)).scale(Fraction(1, 7))):
+            cop = accumulate({}, ((split, c) for w, c in e.terms.items() for split in _splits(w)))
+            want = accumulate(cop, ((k, -c) for k, c in tensor_square(e).items()))
+            got = grouplike_residual(e)
+            assert got == want and all(isinstance(c, Fraction) for c in got.values())
+
+
+def test_equality_and_hash_see_the_truncation_degree():
+    # the same words truncated at different degrees are different elements
+    a, b = t(2, 3, 1, 2), t(2, 5, 1, 2)
+    assert a.terms == b.terms and a != b and len({a, b}) == 2
+    assert a == t(2, 3, 1, 2) and hash(a) == hash(t(2, 3, 1, 2))
+    assert b.truncate(3) == a
 
 
 def test_coproduct_grouplike():
