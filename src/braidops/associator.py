@@ -222,14 +222,13 @@ def _path(gens: dict, factors: tuple, r: int, d: int, step=left_multiply) -> tup
     return denom, terms
 
 
-@functools.cache
 def _block1_step(r: int):
     """Letter step of the block-1 product on r strands, for ``chords._horner``: pi(x W) from pi(W).
 
     A block-1 letter (0 .. r - 2) is prepended; a higher letter p puts
     [p, u] (``chords._reducer``) in place of one block-1 letter u at a time.
     """
-    derivations = {p: {u: row[u] for u in range(r - 1)} for p, row in _reducer(r, 2).items()}
+    derivations = _reducer(r, 2)
 
     def step(x: int, terms: dict, _rules: dict, out: dict) -> dict:
         row = derivations.get(x)
@@ -270,20 +269,15 @@ def check_hexagons(assoc: Associator) -> tuple[DKElement, DKElement]:
     return hexagons["hex1"], hexagons["hex2"]
 
 
-def _block1_decides(phi: DKElement) -> bool:
-    """Whether the block-1 projections decide the diagrams for a grouplike Phi: no word of
-    Phi has the letter t23 or length 1 (module docstring)."""
-    return all(len(w) != 1 and 2 not in w for w in phi.terms)
-
-
 def check_diagrams(assoc: Associator, grouplike: bool) -> tuple[DKElement, DKElement, DKElement]:
     """The pentagon and both hexagon differences, as ``check_pentagon`` and ``check_hexagons``
     give them, for a Phi that is ``grouplike`` or not.
 
-    Where the block-1 projections decide (``_block1_decides``), a difference
-    whose projection is zero is zero, and only a nonzero one is computed in full.
+    When Phi is grouplike and none of its words holds t23 or has length 1, the
+    block-1 projections decide (module docstring): a difference whose
+    projection is zero is zero, and only a nonzero one is computed in full.
     """
-    if grouplike and _block1_decides(assoc.phi):
+    if grouplike and all(len(w) != 1 and 2 not in w for w in assoc.phi.terms):
         diffs = _constraints(assoc, block1=True)
         diffs.update(_constraints(assoc, [tag for tag, diff in diffs.items() if not diff.is_zero()]))
     else:
@@ -292,11 +286,8 @@ def check_diagrams(assoc: Associator, grouplike: bool) -> tuple[DKElement, DKEle
 
 
 def associator_valid(assoc: Associator) -> bool:
-    """Phi is grouplike and satisfies the pentagon and both hexagons, decided on the
-    block-1 projections where they decide (module docstring)."""
-    if not grouplike_check(assoc.phi):
-        return False
-    return all(diff.is_zero() for diff in _constraints(assoc, block1=_block1_decides(assoc.phi)).values())
+    """Phi is grouplike and satisfies the pentagon and both hexagons (``check_diagrams``)."""
+    return grouplike_check(assoc.phi) and all(diff.is_zero() for diff in check_diagrams(assoc, True))
 
 
 # -- solving -----------------------------------------------------------------------

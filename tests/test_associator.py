@@ -824,6 +824,21 @@ def test_phi_off_block1_takes_the_general_path(monkeypatch, capsys):
         assert code == (0 if valid else 1) and associator_valid(assoc) == valid
 
 
+def test_associator_valid_tests_grouplike_first(monkeypatch):
+    # the block-1 decision holds only for a grouplike Phi, so a Phi that is not
+    # grouplike is refused before any diagram is computed
+    import braidops.associator as associator
+
+    def no_diagrams(*_args, **_kwargs):
+        raise AssertionError("a diagram was computed")
+
+    solved = solve_associator(1, 4)
+    not_grouplike = solved.phi + DKElement(3, 4, {(0, 0, 1, 1): Fraction(1, 5)})
+    assert not grouplike_check(not_grouplike) and all(len(w) != 1 and 2 not in w for w in not_grouplike.terms)
+    monkeypatch.setattr(associator, "_constraints", no_diagrams)
+    assert not associator_valid(Associator(1, not_grouplike))
+
+
 def rand_closed_word(rng: random.Random, depth: int, max_strands: int = 5):
     """A random closed generator word of inversions, relabelings and insertions; no composition."""
     if depth == 0 or rng.random() < 0.25:
