@@ -621,5 +621,7 @@ def associator_from_json(data: dict) -> Associator:
     _check_degree(degree)
     if "strands" in data["phi"] and int_from_json(data["phi"]["strands"], "strands") != 3:
         raise ValueError(f"associator on {data['phi']['strands']} strands, not 3")
+    if "degree" in data["phi"] and int_from_json(data["phi"]["degree"], "degree") != degree:
+        raise ValueError(f"phi of degree {data['phi']['degree']} in an associator of degree {degree}")
     phi = DKElement(3, degree, dk_terms_from_json(3, data["phi"]["terms"]))
     return Associator(fraction_from_str(data["mu"]), phi)

@@ -44,15 +44,16 @@ class FiniteCategory:
 
     def validate(self) -> None:
         for o in self.objects:
-            i = self.identities.get(o)
-            if i is None or self.src[i] != o or self.tgt[i] != o:
+            i = self.declared(self.identities.get(o), f"{self.name}: identity at {o!r}")
+            if self.src[i] != o or self.tgt[i] != o:
                 raise CoherenceTypeError(f"{self.name}: bad identity at {o!r}")
         for g in self.morphisms:
             for f in self.morphisms:
                 if self.tgt[f] == self.src[g]:
                     if (g, f) not in self.compose_table:
                         raise CoherenceTypeError(f"{self.name}: composition not total at ({g!r}, {f!r})")
-                    gf = self.compose_table[(g, f)]
+                    gf = self.declared(self.compose_table[(g, f)],
+                                       f"{self.name}: composite at ({g!r}, {f!r})")
                     if self.src[gf] != self.src[f] or self.tgt[gf] != self.tgt[g]:
                         raise CoherenceTypeError(f"{self.name}: composite endpoints wrong at ({g!r}, {f!r})")
         for f in self.morphisms:
@@ -70,6 +71,12 @@ class FiniteCategory:
                     if self.comp(self.comp(h, g), f) != self.comp(h, self.comp(g, f)):
                         raise CoherenceTypeError(
                             f"{self.name}: associativity fails at ({h!r}, {g!r}, {f!r})")
+
+    def declared(self, f, where: str):
+        """``f``, if it is a declared morphism (each has a source); ``where`` names the reference."""
+        if f not in self.src:
+            raise CoherenceTypeError(f"{where} is {f!r}, not a morphism of {self.name}")
+        return f
 
     def comp(self, g, f):
         assert self.tgt[f] == self.src[g], f"{self.name}: not composable"
@@ -116,7 +123,7 @@ class FunctorTable(Record):
             if tuple(objs) not in self.obj_map:
                 raise CoherenceTypeError(f"functor {self.name}: missing object value at {objs!r}")
         for mors in itertools.product(*[c.morphisms for c in self.sources]):
-            out = self.on_morphisms(tuple(mors))
+            out = self.target.declared(self.on_morphisms(mors), f"functor {self.name}: value at {mors!r}")
             srcs = tuple(c.src[f] for c, f in zip(self.sources, mors))
             tgts = tuple(c.tgt[f] for c, f in zip(self.sources, mors))
             if self.target.src[out] != self.on_objects(srcs) or \
@@ -137,28 +144,29 @@ class FunctorTable(Record):
                             f"functor {self.name}: composition law fails at ({gs!r}, {fs!r})")
 
 
+#: Each generator's structure table is named by this label in messages and in JSON.
+TABLE_LABELS = {"tau": "t", "alpha_c": "a_c", "alpha_o": "a_o", "p": "p", "psi": "psi"}
+
+
 class AlgebraData:
     """Candidate structure: categories, functors, and the five isomorphisms.
 
-    ``unit_m``/``unit_n`` are optional unit objects; when both are present the
-    strict-unit check verifies that they are strict units for the tensors and
-    that the comparison functor preserves them.
+    ``tables`` maps each generator of ``GENERATOR_SHAPES`` to its component
+    table, keyed by the closed slot objects of the generator's shape, then its
+    open slot objects.  ``unit_m``/``unit_n`` are optional unit objects; when
+    both are present the strict-unit check verifies that they are strict units
+    for the tensors and that the comparison functor preserves them.
     """
 
     def __init__(self, m_cat: FiniteCategory, n_cat: FiniteCategory,
                  m_c: FunctorTable, m_o: FunctorTable, f_functor: FunctorTable,
-                 a_c: dict, a_o: dict, t: dict, p_iso: dict, psi: dict,
-                 unit_m=None, unit_n=None):
+                 tables: dict, unit_m=None, unit_n=None):
         self.m_cat = m_cat
         self.n_cat = n_cat
         self.m_c = m_c
         self.m_o = m_o
         self.f_functor = f_functor
-        self.a_c = dict(a_c)
-        self.a_o = dict(a_o)
-        self.t = dict(t)
-        self.p_iso = dict(p_iso)
-        self.psi = dict(psi)
+        self.tables = {name: dict(tables[name]) for name in TABLE_LABELS}
         self.unit_m = unit_m
         self.unit_n = unit_n
 
@@ -175,15 +183,6 @@ class AlgebraData:
         if self.f_functor.on_objects((one_m,)) != one_n:
             raise CoherenceTypeError("comparison functor does not preserve the unit")
 
-    def tables(self) -> dict:
-        """Generator name -> (label in messages, component table).
-
-        A component is keyed by the closed slot objects of the generator's
-        shape, then its open slot objects.
-        """
-        return {"tau": ("t", self.t), "alpha_c": ("a_c", self.a_c), "alpha_o": ("a_o", self.a_o),
-                "p": ("p", self.p_iso), "psi": ("psi", self.psi)}
-
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
@@ -199,7 +198,7 @@ class AlgebraData:
         self.m_o.validate()
         self.f_functor.validate()
         for name, (src_tree, tgt_tree, _) in GENERATOR_SHAPES.items():
-            label, table = self.tables()[name]
+            label, table = TABLE_LABELS[name], self.tables[name]
             cat = self.m_cat if color(src_tree) == "c" else self.n_cat
             src, tgt = _compile(self, src_tree, True), _compile(self, tgt_tree, True)
             src_mor, tgt_mor = _compile(self, src_tree, False), _compile(self, tgt_tree, False)
@@ -244,17 +243,12 @@ def _compile(data: AlgebraData, tree: Tree, objects: bool):
     raise CoherenceTypeError(f"cannot evaluate tree node {tag!r}")
 
 
-class NatTransTable:
+class NatTransTable(Record):
     """Natural transformation between tree functors, as a component table."""
 
-    def __init__(self, src_tree: Tree, tgt_tree: Tree, components: dict):
-        self.src_tree = src_tree
-        self.tgt_tree = tgt_tree
-        self.components = components  # (oargs tuple, cargs tuple) -> morphism
-
-    def __eq__(self, other):
-        return (isinstance(other, NatTransTable) and self.src_tree == other.src_tree
-                and self.tgt_tree == other.tgt_tree and self.components == other.components)
+    src_tree: Tree
+    tgt_tree: Tree
+    components: dict  # (oargs tuple, cargs tuple) -> morphism
 
     def component(self, oargs: tuple, cargs: tuple):
         return self.components[(tuple(oargs), tuple(cargs))]
@@ -287,7 +281,7 @@ class FinCatAlgebra:
 
     def generator(self, name: str) -> NatTransTable:
         src, tgt, _ = GENERATOR_SHAPES[name]
-        _, table = self.data.tables()[name]
+        table = self.data.tables[name]
         return self._table(src, tgt, lambda oargs, cargs: table[cargs + oargs])
 
     def identity(self, tree: Tree) -> NatTransTable:
@@ -398,80 +392,48 @@ def check_coherence(data: AlgebraData, strict_units: bool = False) -> CoherenceR
 # -- shipped examples ------------------------------------------------------------------
 
 
-def _group_category(name: str, elements) -> FiniteCategory:
-    """Discrete category on the elements of a finite group (identities only)."""
-    objects = list(elements)
-    morphisms = [("id", o) for o in objects]
-    src = {m: m[1] for m in morphisms}
-    tgt = dict(src)
-    compose = {((("id", o)), ("id", o)): ("id", o) for o in objects}
-    identities = {o: ("id", o) for o in objects}
-    return FiniteCategory(name, objects, morphisms, src, tgt, compose, identities)
+def braided_sign_groupoid(name: str, elements, op, signs, braiding, unit) -> AlgebraData:
+    """A group acting on itself through its braiding, with signs as automorphisms.
 
-
-def _discrete_group_algebra(name: str, elements, op) -> AlgebraData:
-    cat = _group_category(name, elements)
-    prod_obj = {(a, b): op(a, b) for a in elements for b in elements}
-    prod_mor = {(("id", a), ("id", b)): ("id", op(a, b)) for a in elements for b in elements}
-    tensor = FunctorTable("m", [cat, cat], cat, prod_obj, prod_mor)
-    ident = FunctorTable("F", [cat], cat, {(a,): a for a in elements},
-                         {(("id", a),): ("id", a) for a in elements})
-    triples = list(itertools.product(elements, repeat=3))
+    The objects are the elements g of the group under ``op``, and the
+    morphisms g -> g are the pairs (g, s) for s in ``signs``, a subgroup of
+    {1, -1}.  Both tensors are (g, s)(h, t) = (gh, st), F is the identity,
+    both associators and p are identities, and tau = psi = (gh, braiding(g, h)):
+    a braided groupoid acting centrally on itself, with its braiding as the
+    half-braiding.  tau is typed gh -> gh, which is gh -> hg only when g and h
+    commute, so a nonabelian group is refused at typing.
+    """
+    elements = list(elements)
+    morphisms = [(g, s) for g in elements for s in signs]
+    ends = {m: m[0] for m in morphisms}
+    cat = FiniteCategory(name, elements, morphisms, ends, ends,
+                         {((g, s), (g, t)): (g, s * t) for g, s in morphisms for t in signs},
+                         {g: (g, 1) for g in elements})
+    tensor = FunctorTable("m", [cat, cat], cat, {(g, h): op(g, h) for g in elements for h in elements},
+                          {((g, s), (h, t)): (op(g, h), s * t) for g, s in morphisms for h, t in morphisms})
+    identity = FunctorTable("F", [cat], cat, {(g,): g for g in elements}, {(m,): m for m in morphisms})
     pairs = list(itertools.product(elements, repeat=2))
-    a_table = {(x, y, z): ("id", op(op(x, y), z)) for x, y, z in triples}
-    # the braiding wants a morphism xy -> yx, which a discrete category only
-    # has when the group is abelian
-    t_table = {(x, y): ("id", op(x, y)) for x, y in pairs}
-    unit = next(e for e in elements if all(op(e, b) == b and op(b, e) == b for b in elements))
-    return AlgebraData(cat, cat, tensor, tensor, ident,
-                       a_table, a_table, t_table, t_table,
-                       {(x, y): ("id", op(x, y)) for x, y in pairs},
-                       unit_m=unit, unit_n=unit)
+    braid = {(g, h): (op(g, h), braiding(g, h)) for g, h in pairs}
+    assoc = {(g, h, k): (op(op(g, h), k), 1) for g, h, k in itertools.product(elements, repeat=3)}
+    tables = {"tau": braid, "alpha_c": assoc, "alpha_o": assoc,
+              "p": {(g, h): (op(g, h), 1) for g, h in pairs}, "psi": braid}
+    return AlgebraData(cat, cat, tensor, tensor, identity, tables, unit_m=unit, unit_n=unit)
 
 
 def build_z2_discrete() -> AlgebraData:
-    return _discrete_group_algebra("Z2", [0, 1], lambda a, b: (a + b) % 2)
-
-
-def build_s3_discrete() -> AlgebraData:
-    """Nonabelian discrete example; validation must reject the braiding's typing."""
-    elements = list(itertools.permutations((1, 2, 3)))
-
-    def op(a, b):  # a after b
-        return tuple(a[b[i] - 1] for i in range(3))
-
-    return _discrete_group_algebra("S3", elements, op)
+    return braided_sign_groupoid("Z2", [0, 1], lambda g, h: (g + h) % 2, (1,), lambda g, h: 1, 0)
 
 
 def build_z2_graded() -> AlgebraData:
-    """Sign groupoid: objects are parities, morphisms are signs, braiding is Koszul."""
-    objects = [0, 1]
-    morphisms = [(a, s) for a in objects for s in (1, -1)]
-    src = {m: m[0] for m in morphisms}
-    tgt = dict(src)
-    compose = {}
-    for a in objects:
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                compose[((a, s1), (a, s2))] = (a, s1 * s2)
-    identities = {a: (a, 1) for a in objects}
-    cat = FiniteCategory("sign", objects, morphisms, src, tgt, compose, identities)
+    """The sign groupoid of parities with the Koszul braiding."""
+    return braided_sign_groupoid("sign", [0, 1], lambda g, h: (g + h) % 2, (1, -1),
+                                 lambda g, h: (-1) ** (g * h), 0)
 
-    prod_obj = {(a, b): (a + b) % 2 for a in objects for b in objects}
-    prod_mor = {((a, s1), (b, s2)): ((a + b) % 2, s1 * s2)
-                for a in objects for b in objects for s1 in (1, -1) for s2 in (1, -1)}
-    tensor = FunctorTable("m", [cat, cat], cat, prod_obj, prod_mor)
-    ident = FunctorTable("F", [cat], cat, {(a,): a for a in objects},
-                         {((a, s),): (a, s) for a in objects for s in (1, -1)})
-    triples = list(itertools.product(objects, repeat=3))
-    pairs = list(itertools.product(objects, repeat=2))
-    a_table = {(x, y, z): ((x + y + z) % 2, 1) for x, y, z in triples}
-    t_table = {(x, y): ((x + y) % 2, (-1) ** (x * y)) for x, y in pairs}
-    p_table = {(x, y): ((x + y) % 2, 1) for x, y in pairs}
-    psi_table = {(x, y): ((x + y) % 2, (-1) ** (x * y)) for x, y in pairs}
-    return AlgebraData(cat, cat, tensor, tensor, ident,
-                       a_table, a_table, t_table, p_table, psi_table,
-                       unit_m=0, unit_n=0)
+
+def build_s3_discrete() -> AlgebraData:
+    """Nonabelian discrete example (g after h); validation must reject the braiding's typing."""
+    return braided_sign_groupoid("S3", itertools.permutations((1, 2, 3)),
+                                 lambda g, h: tuple(g[i - 1] for i in h), (1,), lambda g, h: 1, (1, 2, 3))
 
 
 # -- JSON ------------------------------------------------------------------------------
@@ -488,26 +450,17 @@ def category_to_json(cat: FiniteCategory) -> dict:
     }
 
 
+def _table_json(table: dict) -> list:
+    """A map from argument tuples to values, as rows [key reprs, value repr] sorted by repr."""
+    return [[list(map(repr, key)), repr(val)] for key, val in sorted(table.items(), key=repr)]
+
+
 def algebra_to_json(data: AlgebraData) -> dict:
-    def table_json(table):
-        return [[list(map(repr, key)), repr(val)] for key, val in sorted(table.items(), key=repr)]
-
-    def functor_json(ft: FunctorTable):
-        return {"objects": [[list(map(repr, k)), repr(v)] for k, v in sorted(ft.obj_map.items(), key=repr)],
-                "morphisms": [[list(map(repr, k)), repr(v)] for k, v in sorted(ft.mor_map.items(), key=repr)]}
-
-    out = {
-        "M": category_to_json(data.m_cat),
-        "N": category_to_json(data.n_cat),
-        "m_c": functor_json(data.m_c),
-        "m_o": functor_json(data.m_o),
-        "F": functor_json(data.f_functor),
-        "a_c": table_json(data.a_c),
-        "a_o": table_json(data.a_o),
-        "t": table_json(data.t),
-        "p": table_json(data.p_iso),
-        "psi": table_json(data.psi),
-    }
+    out = {"M": category_to_json(data.m_cat), "N": category_to_json(data.n_cat)}
+    for key, ft in (("m_c", data.m_c), ("m_o", data.m_o), ("F", data.f_functor)):
+        out[key] = {"objects": _table_json(ft.obj_map), "morphisms": _table_json(ft.mor_map)}
+    for name, table in data.tables.items():
+        out[TABLE_LABELS[name]] = _table_json(table)
     if data.unit_m is not None:
         out["unit_M"] = repr(data.unit_m)
     if data.unit_n is not None:
@@ -544,19 +497,15 @@ def algebra_from_json(payload: dict) -> AlgebraData:
     mcat = category(payload["M"])
     ncat = category(payload["N"])
 
-    def functor(name, d, sources, target):
-        obj_map = {tuple(parse(x) for x in k): parse(v) for k, v in d["objects"]}
-        mor_map = {tuple(parse(x) for x in k): parse(v) for k, v in d["morphisms"]}
-        return FunctorTable(name, sources, target, obj_map, mor_map)
-
     def table(rows):
         return {tuple(parse(x) for x in k): parse(v) for k, v in rows}
 
-    return AlgebraData(mcat, ncat,
-                       functor("m_c", payload["m_c"], [mcat, mcat], mcat),
-                       functor("m_o", payload["m_o"], [ncat, ncat], ncat),
-                       functor("F", payload["F"], [mcat], ncat),
-                       table(payload["a_c"]), table(payload["a_o"]),
-                       table(payload["t"]), table(payload["p"]), table(payload["psi"]),
+    def functor(name, sources, target):
+        return FunctorTable(name, sources, target, table(payload[name]["objects"]),
+                            table(payload[name]["morphisms"]))
+
+    return AlgebraData(mcat, ncat, functor("m_c", [mcat, mcat], mcat),
+                       functor("m_o", [ncat, ncat], ncat), functor("F", [mcat], ncat),
+                       {name: table(payload[label]) for name, label in TABLE_LABELS.items()},
                        unit_m=parse(payload["unit_M"]) if "unit_M" in payload else None,
                        unit_n=parse(payload["unit_N"]) if "unit_N" in payload else None)

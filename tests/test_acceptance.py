@@ -427,7 +427,7 @@ def test_criterion_9_algebra_checker():
     except CoherenceTypeError:
         pass
     perturbed = build_z2_graded()
-    perturbed.p_iso[(0, 0)] = (0, -1)
+    perturbed.tables["p"][(0, 0)] = (0, -1)
     rep = check_coherence(perturbed)
     ok = ok and not rep.passed and rep.failing_families() == ["f_monoidal"]
     witnesses = {key for _i, key in rep.families["f_monoidal"]}

@@ -71,6 +71,19 @@ def test_assoc_solve_check_roundtrip(capsys, tmp_path):
     assert code == 1
 
 
+def test_assoc_check_reads_the_degree_of_phi(capsys, monkeypatch):
+    # a degree-4 associator whose phi claims degree 2 is refused, not checked at degree 4
+    code, out = run_capture(capsys, ["assoc", "solve", "--mu", "1", "--degree", "4"])
+    data = json.loads(out)
+    assert code == 0 and data["phi"]["degree"] == 4
+    data["phi"]["degree"] = 2
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    assert run(["assoc", "check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: phi of degree 2 in an associator of degree 4\n"
+
+
 def test_assoc_eval(capsys, tmp_path):
     code, solved = run_capture(capsys, ["assoc", "solve", "--mu", "1", "--degree", "2"])
     payload = tmp_path / "in.json"
@@ -454,6 +467,41 @@ def test_functor_law_failure_under_optimize(tmp_path):
     out = run_optimized(["coherence", "check", "--in", broken_functor_algebra(tmp_path)])
     assert out.returncode == 1 and out.stderr == ""
     assert out.stdout == "rejected at typing: functor F: identity law fails at (1,)\n"
+
+
+def _undeclared(edit: str) -> dict:
+    """The z2-graded algebra JSON with one morphism value that the category does not declare."""
+    from braidops.coherence import algebra_to_json, build_z2_graded
+
+    data = algebra_to_json(build_z2_graded())
+    if edit == "identity":
+        data["M"]["identities"]["0"] = "(7, 7)"
+    elif edit == "composite":
+        data["M"]["compose"][0][2] = "(9, 9)"
+    else:
+        data["m_c"]["morphisms"][0][1] = "(9, 9)"
+    return data
+
+
+UNDECLARED_MORPHISMS = [
+    ("identity", "sign: identity at 0 is (7, 7), not a morphism of sign"),
+    ("composite", "sign: composite at ((0, 1), (0, 1)) is (9, 9), not a morphism of sign"),
+    ("functor", "functor m_c: value at ((0, -1), (0, -1)) is (9, 9), not a morphism of sign"),
+]
+
+
+@pytest.mark.parametrize("edit, message", UNDECLARED_MORPHISMS)
+def test_undeclared_morphism_rejected_at_typing(capsys, monkeypatch, edit, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_undeclared(edit))))
+    code, out = run_capture(capsys, ["coherence", "check", "--in", "-"])
+    assert code == 1 and out == f"rejected at typing: {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", UNDECLARED_MORPHISMS)
+def test_undeclared_morphism_under_optimize(edit, message):
+    out = run_optimized(["coherence", "check", "--in", "-"], json.dumps(_undeclared(edit)))
+    assert out.returncode == 1 and out.stderr == ""
+    assert out.stdout == f"rejected at typing: {message}\n"
 
 
 def _with_unreadable_psi_value() -> dict:

@@ -11,8 +11,10 @@ from braidops.coherence import (
     FiniteCategory,
     FunctorTable,
     NatTransTable,
+    TABLE_LABELS,
     algebra_from_json,
     algebra_to_json,
+    braided_sign_groupoid,
     build_s3_discrete,
     build_z2_discrete,
     build_z2_graded,
@@ -57,6 +59,40 @@ def test_z2_graded_passes():
     assert check_coherence(build_z2_graded()).passed
 
 
+def z2_squared(braiding):
+    """Z2 x Z2 with sign automorphisms, acting on itself through ``braiding``."""
+    def add(g, h):
+        return ((g[0] + h[0]) % 2, (g[1] + h[1]) % 2)
+
+    return braided_sign_groupoid("Z2xZ2", itertools.product((0, 1), repeat=2), add, (1, -1),
+                                 braiding, (0, 0))
+
+
+def chi(g, h):
+    """A bicharacter that is not symmetric: chi(g, h) chi(h, g) = -1 at g = (1, 0), h = (0, 1)."""
+    return (-1) ** (g[0] * h[1])
+
+
+def test_non_symmetric_braiding_passes():
+    assert chi((1, 0), (0, 1)) * chi((0, 1), (1, 0)) == -1
+    report = check_coherence(z2_squared(chi), strict_units=True)
+    assert report.passed and sum(report.instances_checked.values()) == 848
+
+
+def test_reverse_half_braiding_fails_exactly_f_braided():
+    # psi must be the braiding itself, not its reverse: tau and tau^-1 differ here
+    data = z2_squared(chi)
+    data.tables["psi"] = {(g, h): (mor[0], chi(h, g)) for (g, h), mor in data.tables["psi"].items()}
+    report = check_coherence(data, strict_units=True)
+    assert report.failing_families() == ["f_braided"] and len(report.families["f_braided"]) == 6
+
+
+def test_non_bicharacter_sign_fails_the_hexagons():
+    report = check_coherence(z2_squared(lambda g, h: -1 if g == h == (1, 1) else 1), strict_units=True)
+    assert {name: len(fails) for name, fails in report.families.items() if fails} == {
+        "hexagon": 12, "f_center": 6, "f_monoid_center": 6}
+
+
 def test_s3_rejected_at_typing():
     with pytest.raises(CoherenceTypeError, match="t: component"):
         check_coherence(build_s3_discrete())
@@ -64,7 +100,7 @@ def test_s3_rejected_at_typing():
 
 def test_perturbation_fails_exactly_f_monoidal():
     data = build_z2_graded()
-    data.p_iso[(0, 0)] = (0, -1)  # flip one comparison component
+    data.tables["p"][(0, 0)] = (0, -1)  # flip one comparison component
     report = check_coherence(data)
     assert not report.passed
     assert report.failing_families() == ["f_monoidal"]
@@ -130,8 +166,8 @@ def test_psi_insert_vs_f_tau_in_image():
     for (oargs, cargs), comp in lhs.components.items():
         c1, c2 = cargs
         # p o (psi graft) == F(t) o p at swapped arguments, per the braided square
-        left = cat.comp(data.p_iso[(c2, c1)], comp)
-        right = cat.comp(rhs.component((), (c2, c1)), data.p_iso[(c2, c1)])
+        left = cat.comp(data.tables["p"][(c2, c1)], comp)
+        right = cat.comp(rhs.component((), (c2, c1)), data.tables["p"][(c2, c1)])
         assert left == right
 
 
@@ -178,22 +214,22 @@ def test_json_carries_units():
     assert check_coherence(back, strict_units=True).passed
 
 
-# each table of the z2-graded data with one component replaced by a morphism
-# at the wrong object; the message names the table and the expected type
+# each table of the z2-graded data, by its label, with one component replaced
+# by a morphism at the wrong object; the message names the table and the expected type
 WRONGLY_TYPED = [
     ("a_c", (0, 0, 1), "a_c: component at (0, 0, 1) must be a morphism 1 -> 1"),
     ("a_o", (1, 0, 0), "a_o: component at (1, 0, 0) must be a morphism 1 -> 1"),
     ("t", (0, 1), "t: component at (0, 1) must be a morphism 1 -> 1"),
-    ("p_iso", (1, 0), "p: component at (1, 0) must be a morphism 1 -> 1"),
+    ("p", (1, 0), "p: component at (1, 0) must be a morphism 1 -> 1"),
     ("psi", (1, 1), "psi: component at (1, 1) must be a morphism 0 -> 0"),
 ]
 
 
-@pytest.mark.parametrize("table, key, message", WRONGLY_TYPED)
-def test_wrongly_typed_component_rejected(table, key, message):
+@pytest.mark.parametrize("label, key, message", WRONGLY_TYPED)
+def test_wrongly_typed_component_rejected(label, key, message):
     data = build_z2_graded()
     wrong = 1 - sum(key) % 2
-    getattr(data, table)[key] = (wrong, 1)
+    data.tables[next(name for name in TABLE_LABELS if TABLE_LABELS[name] == label)][key] = (wrong, 1)
     with pytest.raises(CoherenceTypeError) as exc:
         check_coherence(data)
     assert str(exc.value) == message
@@ -201,7 +237,7 @@ def test_wrongly_typed_component_rejected(table, key, message):
 
 def test_missing_component_rejected():
     data = build_z2_graded()
-    del data.psi[(1, 0)]
+    del data.tables["psi"][(1, 0)]
     with pytest.raises(CoherenceTypeError) as exc:
         check_coherence(data)
     assert str(exc.value) == "psi: no component at (1, 0)"
@@ -220,8 +256,9 @@ def _s3_projection_algebra() -> AlgebraData:
     proj = FunctorTable("m", [cat, cat], cat, {(0, 0): 0},
                         {(g, h): g for g in group for h in group})
     ident = FunctorTable("F", [cat], cat, {(0,): 0}, {(g,): g for g in group})
-    return AlgebraData(cat, cat, proj, proj, ident,
-                       {(0, 0, 0): e}, {(0, 0, 0): e}, {(0, 0): e}, {(0, 0): e}, {(0, 0): e})
+    return AlgebraData(cat, cat, proj, proj, ident, {"tau": {(0, 0): e}, "alpha_c": {(0, 0, 0): e},
+                                                     "alpha_o": {(0, 0, 0): e}, "p": {(0, 0): e},
+                                                     "psi": {(0, 0): e}})
 
 
 def test_naturality_failure_rejected():
@@ -282,7 +319,7 @@ class TableAlgebra:
 
     def generator(self, name: str) -> NatTransTable:
         src, tgt, _ = GENERATOR_SHAPES[name]
-        _, table = self.data.tables()[name]
+        table = self.data.tables[name]
         return self._table(src, tgt, lambda oargs, cargs: table[cargs + oargs])
 
     def identity(self, tree) -> NatTransTable:
@@ -365,7 +402,7 @@ def oracle_validate(data: AlgebraData) -> None:
     for part in (data.m_cat, data.n_cat, data.m_c, data.m_o, data.f_functor):
         part.validate()
     for name, (src_tree, tgt_tree, _) in GENERATOR_SHAPES.items():
-        label, table = data.tables()[name]
+        label, table = TABLE_LABELS[name], data.tables[name]
         src, tgt = TreeFunctor(data, src_tree), TreeFunctor(data, tgt_tree)
         cat = src.target
         n, m = arity(src_tree)
@@ -464,15 +501,15 @@ def test_memoised_evaluation_equals_the_recursive_oracle_on_finite_categories(bu
 def test_every_single_component_tamper_reports_as_the_oracle():
     # every other morphism in place of each component of the five tables
     verdicts = []
-    for attr in ("t", "p_iso", "psi", "a_c", "a_o"):
-        for key in getattr(build_z2_graded(), attr):
+    for name in ("tau", "p", "psi", "alpha_c", "alpha_o"):
+        for key in build_z2_graded().tables[name]:
             for mor in build_z2_graded().n_cat.morphisms:
                 data = build_z2_graded()
-                if getattr(data, attr)[key] == mor:
+                if data.tables[name][key] == mor:
                     continue
-                getattr(data, attr)[key] = mor
+                data.tables[name][key] = mor
                 got = verdict(check_coherence, data)
-                assert got == verdict(oracle_check, data), (attr, key, mor)
+                assert got == verdict(oracle_check, data), (name, key, mor)
                 verdicts.append(got)
     assert len(verdicts) == 3 * (4 + 4 + 4 + 8 + 8)
     reports = [v for v in verdicts if isinstance(v, CoherenceReport)]
